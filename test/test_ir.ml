@@ -638,9 +638,10 @@ let rewrite_tests =
                   (Rewrite.pattern_profile ())
               in
               check Alcotest.int "no lost attempts" (4 * iters) attempts));
-      tc "worklist and sweep drivers agree on the fixpoint" (fun () ->
-          (* a -> b -> c rename chain with no fresh values: the printed
-             fixpoints must match byte for byte *)
+      tc "rename chain reaches a fixpoint" (fun () ->
+          (* a -> b -> c rename chain with no fresh values: re-applying the
+             patterns to the result fires, folds and erases nothing, and
+             the printed IR matches byte for byte *)
           let rename from into =
             Rewrite.pattern ~roots:[ from ] (from ^ "->" ^ into) (fun _ op ->
                 Some (Rewrite.replace_with [ { op with Op.name = into } ]))
@@ -653,12 +654,16 @@ let rewrite_tests =
                 Ftn_dialects.Func_d.return ();
               ]
           in
-          let m = Op.module_op [ fn ] in
-          let wl = Rewrite.apply ~driver:Rewrite.Worklist pats m in
-          let sw = Rewrite.apply ~driver:Rewrite.Sweep pats m in
-          check Alcotest.string "same fixpoint"
-            (Format.asprintf "%a" Printer.pp sw)
-            (Format.asprintf "%a" Printer.pp wl));
+          let once = Rewrite.apply pats (Op.module_op [ fn ]) in
+          let twice, stats = Rewrite.apply_with_stats pats once in
+          check Alcotest.int "both ops end as test.c" 2
+            (Op.count (fun o -> Op.name o = "test.c") once);
+          check Alcotest.int "nothing fires" 0 stats.Rewrite.patterns_fired;
+          check Alcotest.int "nothing folds" 0 stats.Rewrite.ops_folded;
+          check Alcotest.int "nothing is erased" 0 stats.Rewrite.ops_erased;
+          check Alcotest.string "same print"
+            (Format.asprintf "%a" Printer.pp once)
+            (Format.asprintf "%a" Printer.pp twice));
     ]
 
 (* --- pass manager --- *)

@@ -148,6 +148,41 @@ let canonicalize_tests =
         in
         let m' = Canonicalize.run m in
         check Alcotest.int "loads eliminated in loop" 0 (count "memref.load" m'));
+    tc "config is at a fixpoint after one apply on every source" (fun () ->
+        (* the core, host, device_hls and device_llvm modules of all six
+           source generators: a second apply of the canonicalize config
+           to the output of the first fires, folds and erases nothing *)
+        let open Ftn_linpack.Fortran_sources in
+        List.iter
+          (fun (source, src) ->
+            let core = Ftn_frontend.Frontend.to_core src in
+            let c = Pipeline.run_mid_end core in
+            List.iter
+              (fun (stage, m) ->
+                let once = Rewrite.apply ~config:Canonicalize.config [] m in
+                let twice, st =
+                  Rewrite.apply_with_stats ~config:Canonicalize.config [] once
+                in
+                let what = source ^ "/" ^ stage in
+                check Alcotest.int (what ^ " fired") 0 st.Rewrite.patterns_fired;
+                check Alcotest.int (what ^ " folded") 0 st.Rewrite.ops_folded;
+                check Alcotest.int (what ^ " erased") 0 st.Rewrite.ops_erased;
+                check Alcotest.string (what ^ " print")
+                  (Printer.to_string once) (Printer.to_string twice))
+              [
+                ("core", core);
+                ("host", c.Pipeline.host);
+                ("device_hls", Option.get c.Pipeline.device_hls);
+                ("device_llvm", Option.get c.Pipeline.device_llvm);
+              ])
+          [
+            ("sgesl", sgesl ~n:16);
+            ("many_kernels", many_kernels ~kernels:4 ~n:64);
+            ("saxpy", saxpy ~n:1000);
+            ("dot_product", dot_product ~n:64 ~simdlen:4);
+            ("data_regions", data_regions ~n:64);
+            ("stencil", stencil ~n:32 ~steps:2);
+          ]);
   ]
 
 (* --- lower_omp_data --- *)

@@ -1,6 +1,6 @@
 # Convenience targets; `make check` is what CI runs.
 
-.PHONY: all build test check bench bench-rewrite bench-compile bench-interp bench-fault bench-profile bench-backend bench-sched bench-chaos clean
+.PHONY: all build test check bench bench-compile bench-interp bench-fault bench-profile bench-backend bench-sched bench-chaos clean
 
 all: build
 
@@ -10,14 +10,13 @@ build:
 test:
 	dune runtest
 
-check: ## build everything, run the full test suite, every example, and the rewrite-driver sanity gate
+check: ## build everything, run the full test suite, every example, and the bench sanity gates
 	dune build && dune runtest
 	@for src in examples/*.ml; do \
 	  name=$$(basename $$src .ml); \
 	  echo "example $$name"; \
 	  dune exec examples/$$name.exe > /dev/null || exit 1; \
 	done
-	$(MAKE) bench-rewrite
 	$(MAKE) bench-compile
 	$(MAKE) bench-interp
 	$(MAKE) bench-fault
@@ -28,9 +27,6 @@ check: ## build everything, run the full test suite, every example, and the rewr
 
 bench:
 	dune exec bench/main.exe
-
-bench-rewrite: ## worklist vs sweep comparison; fails unless patterns fired, outputs agree and the worklist wins on wall clock on every case
-	dune exec bench/main.exe -- --rewrite --quick
 
 bench-compile: ## domain-parallel pipeline gate; fails unless artifacts are byte-identical across domain counts (and >= 1.5x d4 speedup on >= 4-core machines)
 	dune exec bench/main.exe -- --compile --quick

@@ -13,10 +13,6 @@ open Ftn_runtime
 let quick = Array.exists (String.equal "--quick") Sys.argv
 let skip_bechamel = Array.exists (String.equal "--skip-bechamel") Sys.argv
 
-(* --rewrite runs only the rewrite-driver comparison (BENCH_rewrite.json),
-   which doubles as the `make bench-rewrite` sanity gate. *)
-let rewrite_only = Array.exists (String.equal "--rewrite") Sys.argv
-
 (* --compile runs only the domain-parallel compile-pipeline gate
    (BENCH_compile.json), which doubles as the `make bench-compile`
    sanity gate. *)
@@ -638,30 +634,7 @@ let obs_report () =
   Ftn_obs.Json.write_file "BENCH_obs.json" j;
   Fmt.pr "  wrote BENCH_obs.json@."
 
-(* --- BENCH_rewrite.json: worklist vs sweep rewrite-driver comparison.
-   The rewriter only runs in the mid-end, so each driver is timed on
-   [Pipeline.run_mid_end] alone (best of N interleaved repetitions after
-   a warmup rep — full [Core.Run.run] wall is dominated by interpreter
-   execution and warms up whichever driver runs first). Per driver the
-   bench records ops visited, patterns fired, folds, erasures and the
-   best mid-end wall, plus the visit ratio (the sweep driver visits every op
-   on every sweep — the product the worklist engine must beat). The run
-   is also a sanity gate: it exits nonzero unless patterns fired under
-   both drivers, the canonically renumbered compiled IR is byte-identical
-   across drivers, the worklist visits strictly fewer ops AND wins on
-   wall clock on every case, and — for the interpretable cases — the
-   program output matches the CPU interpreter reference. *)
-
 let stencil_source ~n ~steps = Ftn_linpack.Fortran_sources.stencil ~n ~steps
-
-type rewrite_measurement = {
-  rm_visited : int;
-  rm_fired : int;
-  rm_folded : int;
-  rm_erased : int;
-  rm_wall_s : float;  (** Best-of-reps mid-end wall. *)
-  rm_canon : string;  (** Renumbered printed artifacts. *)
-}
 
 let median_of xs =
   let a = Array.of_list xs in
@@ -672,7 +645,7 @@ let canon_module = function
   | Some m -> Ftn_ir.Printer.to_string (fst (Ftn_ir.Op.renumber m))
   | None -> "<none>"
 
-(* The three compiled artifacts, canonically renumbered so driver- or
+(* The three compiled artifacts, canonically renumbered so
    domain-count-dependent SSA numbering cannot mask structural identity. *)
 let canon_compiled (c : Ftn_passes.Pipeline.compiled) =
   canon_module (Some c.Ftn_passes.Pipeline.host)
@@ -680,165 +653,6 @@ let canon_compiled (c : Ftn_passes.Pipeline.compiled) =
   ^ canon_module c.Ftn_passes.Pipeline.device_hls
   ^ "\n====\n"
   ^ canon_module c.Ftn_passes.Pipeline.device_llvm
-
-let with_rewrite_driver driver f =
-  let saved = Ftn_ir.Rewrite.default_driver () in
-  Ftn_ir.Rewrite.set_default_driver driver;
-  Fun.protect
-    ~finally:(fun () -> Ftn_ir.Rewrite.set_default_driver saved)
-    f
-
-(* Metrics deltas and canonical artifacts for one driver (also the
-   warmup rep for the timing loop below). *)
-let profile_rewrite driver core =
-  let open Ftn_obs in
-  with_rewrite_driver driver (fun () ->
-      let grab name = Metrics.counter_value ("rewrite." ^ name) in
-      let v0 = grab "ops_visited" and f0 = grab "patterns_fired" in
-      let fo0 = grab "ops_folded" and e0 = grab "ops_erased" in
-      let compiled = Ftn_passes.Pipeline.run_mid_end core in
-      {
-        rm_visited = grab "ops_visited" - v0;
-        rm_fired = grab "patterns_fired" - f0;
-        rm_folded = grab "ops_folded" - fo0;
-        rm_erased = grab "ops_erased" - e0;
-        rm_wall_s = 0.0;
-        rm_canon = canon_compiled compiled;
-      })
-
-(* Time both drivers with their reps interleaved pairwise, so slow drift
-   of the machine (other processes, thermal state) hits both equally,
-   and report the best observed wall per driver — under additive noise
-   the minimum is the stable estimator of the true cost, which keeps the
-   wall_speedup >= 1.0 gate from flapping on a loaded 1-core CI box. *)
-let time_rewrite_pair ~reps core =
-  let one driver =
-    with_rewrite_driver driver (fun () ->
-        (* collect the previous rep's garbage before the clock starts so
-           major-GC work isn't attributed to whichever driver runs next *)
-        Gc.full_major ();
-        let t0 = Unix.gettimeofday () in
-        ignore (Ftn_passes.Pipeline.run_mid_end core);
-        Unix.gettimeofday () -. t0)
-  in
-  let wl = ref Float.infinity and sw = ref Float.infinity in
-  let round () =
-    for _ = 1 to reps do
-      wl := Float.min !wl (one Ftn_ir.Rewrite.Worklist);
-      sw := Float.min !sw (one Ftn_ir.Rewrite.Sweep)
-    done
-  in
-  round ();
-  (* On a loaded box one driver can fail to touch its floor within a
-     single round (a scheduler preemption lands on all its reps). Extra
-     interleaved rounds only lower both minima, so they converge on the
-     true ordering: if the sweep is genuinely faster the retries cannot
-     flip the result, they just spend a few more ms confirming it. *)
-  let extra = ref 3 in
-  while !wl >= !sw && !extra > 0 do
-    decr extra;
-    round ()
-  done;
-  (!wl, !sw)
-
-let rewrite_report () =
-  header "Rewrite driver comparison (BENCH_rewrite.json)";
-  let n_sgesl = if quick then 64 else 256 in
-  let stencil_n = if quick then 64 else 128 in
-  let saxpy_n = if quick then 1_000_000 else 10_000_000 in
-  let mk_kernels = if quick then 12 else 32 in
-  let mk_n = if quick then 512 else 4096 in
-  (* the gate is best-of-reps with a warmup rep (the profile pass); each
-     rep is mid-end only (a few ms), so a high rep count is cheap and
-     keeps the wall_speedup >= 1.0 gate stable even in --quick runs *)
-  let reps = 9 in
-  (* `Run cases also execute the program under both drivers and compare
-     against the CPU interpreter; `Compile cases are production-size and
-     checked on canonical IR identity only. *)
-  let cases =
-    [
-      ( Fmt.str "sgesl_n%d" n_sgesl,
-        Ftn_linpack.Fortran_sources.sgesl ~n:n_sgesl,
-        `Run );
-      ( Fmt.str "stencil_n%d" stencil_n,
-        stencil_source ~n:stencil_n ~steps:(if quick then 5 else 10),
-        `Run );
-      ( Fmt.str "saxpy_n%d" saxpy_n,
-        Ftn_linpack.Fortran_sources.saxpy ~n:saxpy_n,
-        `Compile );
-      ( Fmt.str "many_kernels_k%d" mk_kernels,
-        Ftn_linpack.Fortran_sources.many_kernels ~kernels:mk_kernels ~n:mk_n,
-        `Compile );
-    ]
-  in
-  let failures = ref [] in
-  let fail fmt = Fmt.kstr (fun s -> failures := s :: !failures) fmt in
-  let case_json (name, src, kind) =
-    progress "  rewrite bench: %s ..." name;
-    let core = Ftn_frontend.Frontend.to_core src in
-    let wl = profile_rewrite Ftn_ir.Rewrite.Worklist core in
-    let sw = profile_rewrite Ftn_ir.Rewrite.Sweep core in
-    let wl_wall, sw_wall = time_rewrite_pair ~reps core in
-    let wl = { wl with rm_wall_s = wl_wall } in
-    let sw = { sw with rm_wall_s = sw_wall } in
-    if wl.rm_fired = 0 then fail "%s: no patterns fired under the worklist driver" name;
-    if sw.rm_fired = 0 then fail "%s: no patterns fired under the sweep driver" name;
-    let ir_identical = String.equal wl.rm_canon sw.rm_canon in
-    if not ir_identical then
-      fail "%s: worklist and sweep compiled IR differ" name;
-    let outputs_ok =
-      match kind with
-      | `Compile -> ir_identical
-      | `Run ->
-        let out d = with_rewrite_driver d (fun () -> Core.Run.output (Core.Run.run src)) in
-        let wl_out = out Ftn_ir.Rewrite.Worklist in
-        let sw_out = out Ftn_ir.Rewrite.Sweep in
-        let cpu_out, _ = Core.Run.run_cpu src in
-        if not (String.equal wl_out sw_out) then
-          fail "%s: worklist and sweep program outputs differ" name;
-        if not (String.equal wl_out cpu_out) then
-          fail "%s: device output differs from the CPU interpreter reference" name;
-        ir_identical && String.equal wl_out sw_out && String.equal wl_out cpu_out
-    in
-    if wl.rm_visited >= sw.rm_visited then
-      fail "%s: worklist visited %d ops, not fewer than the sweep driver's %d"
-        name wl.rm_visited sw.rm_visited;
-    let ratio = float_of_int sw.rm_visited /. float_of_int (max 1 wl.rm_visited) in
-    let speedup = sw.rm_wall_s /. Float.max 1e-9 wl.rm_wall_s in
-    if speedup < 1.0 then
-      fail "%s: worklist mid-end wall %.2f ms is slower than the sweep's %.2f ms (%.2fx)"
-        name (wl.rm_wall_s *. 1e3) (sw.rm_wall_s *. 1e3) speedup;
-    Fmt.pr "  %-20s worklist %6d visits %5d fired %6.2f ms | sweep %6d visits %5d fired %6.2f ms | %.2fx fewer visits | %.2fx wall@."
-      name wl.rm_visited wl.rm_fired (wl.rm_wall_s *. 1e3)
-      sw.rm_visited sw.rm_fired (sw.rm_wall_s *. 1e3) ratio speedup;
-    let side m =
-      Ftn_obs.Json.Obj
-        [
-          ("ops_visited", Ftn_obs.Json.Int m.rm_visited);
-          ("patterns_fired", Ftn_obs.Json.Int m.rm_fired);
-          ("ops_folded", Ftn_obs.Json.Int m.rm_folded);
-          ("ops_erased", Ftn_obs.Json.Int m.rm_erased);
-          ("wall_s", Ftn_obs.Json.Float m.rm_wall_s);
-        ]
-    in
-    ( name,
-      Ftn_obs.Json.Obj
-        [
-          ("worklist", side wl);
-          ("sweep", side sw);
-          ("reps", Ftn_obs.Json.Int reps);
-          ("visit_ratio", Ftn_obs.Json.Float ratio);
-          ("wall_speedup", Ftn_obs.Json.Float speedup);
-          ("outputs_identical", Ftn_obs.Json.Bool outputs_ok);
-        ] )
-  in
-  let j = Ftn_obs.Json.Obj [ ("cases", Ftn_obs.Json.Obj (List.map case_json cases)) ] in
-  Ftn_obs.Json.write_file "BENCH_rewrite.json" j;
-  Fmt.pr "  wrote BENCH_rewrite.json@.";
-  if !failures <> [] then begin
-    List.iter (fun s -> Fmt.epr "rewrite bench FAILED: %s@." s) (List.rev !failures);
-    exit 1
-  end
 
 (* --- BENCH_compile.json: domain-parallel compile pipeline gate.
    Compiles the many-kernel module with the legacy sequential pipeline
@@ -2212,11 +2026,6 @@ let () =
   Fmt.pr "Simulated device: %s, %g MHz kernel clock%s@." spec.Fpga_spec.name
     spec.Fpga_spec.clock_mhz
     (if quick then " [--quick sizes]" else "");
-  if rewrite_only then begin
-    rewrite_report ();
-    Fmt.pr "@.done.@.";
-    exit 0
-  end;
   if compile_only then begin
     compile_report ();
     Fmt.pr "@.done.@.";
@@ -2267,7 +2076,6 @@ let () =
   ablation_canonicalise ();
   ablation_burst ();
   obs_report ();
-  rewrite_report ();
   compile_report ();
   interp_report ();
   fault_report ();

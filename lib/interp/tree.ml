@@ -48,7 +48,7 @@ let domain_matches domain name =
 (* Which execution engine a state uses. [`Tree] is this module's
    reference walker; [`Compiled] is the closure-compiled engine in
    [Compile]. The tree-walker is retained as the differential-testing
-   baseline, mirroring [Rewrite.Sweep]. *)
+   baseline. *)
 type engine = [ `Tree | `Compiled ]
 
 (* Per-state engine scratch storage. The compiled engine hangs its

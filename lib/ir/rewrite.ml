@@ -3,22 +3,16 @@
    replaces it by a list of new ops plus a value substitution that redirects
    the old results.
 
-   Two engines share the pattern/fold/dead-op semantics:
-
-   - Worklist (the default): the op tree is loaded once into a mutable node
-     graph whose def/use/substitution side tables are dense arrays indexed
-     by SSA value id (Arena), not hashtables. Patterns are indexed by root
-     op name with the candidate list per root precomputed when the pattern
-     set is compiled; a successful rewrite re-enqueues only the replacement
-     ops, the users of redirected values and the producers feeding the
-     erased op. Each node caches its materialised Op.t subtree; a mutation
-     invalidates only the spine from the mutated node to the root, so
-     repeat visits and the final export share every unchanged subtree
-     instead of re-copying whole functions.
-
-   - Sweep (the pre-worklist engine, kept for fixpoint-equivalence tests
-     and as the bench baseline): rebuild the entire tree bottom-up until a
-     whole sweep changes nothing.
+   The op tree is loaded once into a mutable node graph whose
+   def/use/substitution side tables are dense arrays indexed by SSA value
+   id (Arena), not hashtables. Patterns are indexed by root op name with
+   the candidate list per root precomputed when the pattern set is
+   compiled; a successful rewrite re-enqueues only the replacement ops,
+   the users of redirected values and the producers feeding the erased op.
+   Each node caches its materialised Op.t subtree; a mutation invalidates
+   only the spine from the mutated node to the root, so repeat visits and
+   the final export share every unchanged subtree instead of re-copying
+   whole functions.
 
    Value redirections go through a substitution table whose [resolve] is
    cycle-guarded (two patterns replacing each other's results raise a
@@ -73,12 +67,6 @@ let default_trivially_dead op =
 let default_config =
   { max_iterations = 32; fold = None; is_trivially_dead = default_trivially_dead }
 
-type driver = Worklist | Sweep
-
-let driver_ref = ref Worklist
-let set_default_driver d = driver_ref := d
-let default_driver () = !driver_ref
-
 type stats = {
   ops_visited : int;
   patterns_fired : int;
@@ -108,44 +96,12 @@ let cycle_error ~pat_name ~loc chain =
                  (List.rev_map (fun v -> Fmt.str "%%%d" (Value.id v)) chain)));
        ])
 
-(* Follow [v] through [subst] to its root. Values revisited along the way
-   mean two rewrites redirected each other's results: report the pattern
-   that closed the loop. All traversed entries are re-pointed at the root
-   so later lookups are O(1). *)
-let resolve_tbl subst ~pat_name ~loc v =
-  match Hashtbl.find_opt subst (Value.id v) with
-  | None -> v
-  | Some _ ->
-    let rec follow visited v =
-      match Hashtbl.find_opt subst (Value.id v) with
-      | None -> (v, visited)
-      | Some v' ->
-        if List.exists (fun u -> Value.id u = Value.id v') (v :: visited) then
-          cycle_error ~pat_name ~loc (v' :: v :: visited)
-        else follow (v :: visited) v'
-    in
-    let root, visited = follow [] v in
-    List.iter
-      (fun u ->
-        if Value.id u <> Value.id root then
-          Hashtbl.replace subst (Value.id u) root)
-      visited;
-    root
-
-(* Record [old -> repl], detecting the two-pattern cycle a->b, b->a at
-   insertion time: if [repl] already resolves back to [old], the rewrite
-   that introduced this replacement closed a loop. *)
-let record_subst subst ~pat_name ~loc old_v repl =
-  let root = resolve_tbl subst ~pat_name ~loc repl in
-  if Value.id root = Value.id old_v then
-    cycle_error ~pat_name ~loc [ root; repl; old_v ]
-  else Hashtbl.replace subst (Value.id old_v) root;
-  root
-
-(* Arena-backed twins of the two functions above: same cycle guard and
-   path compression, over a dense id-indexed union-find array instead of
-   a hashtable. Used by the worklist engine. *)
-let resolve_arena subst ~pat_name ~loc v =
+(* Follow [v] through the union-find array [subst] (value id ->
+   replacement) to its root. Values revisited along the way mean two
+   rewrites redirected each other's results: report the pattern that
+   closed the loop. All traversed entries are re-pointed at the root so
+   later lookups are O(1). *)
+let resolve_subst subst ~pat_name ~loc v =
   match Arena.get subst (Value.id v) with
   | None -> v
   | Some _ ->
@@ -165,8 +121,11 @@ let resolve_arena subst ~pat_name ~loc v =
       visited;
     root
 
-let record_subst_arena subst ~pat_name ~loc old_v repl =
-  let root = resolve_arena subst ~pat_name ~loc repl in
+(* Record [old -> repl], detecting the two-pattern cycle a->b, b->a at
+   insertion time: if [repl] already resolves back to [old], the rewrite
+   that introduced this replacement closed a loop. *)
+let record_subst subst ~pat_name ~loc old_v repl =
+  let root = resolve_subst subst ~pat_name ~loc repl in
   if Value.id root = Value.id old_v then
     cycle_error ~pat_name ~loc [ root; repl; old_v ]
   else Arena.set subst (Value.id old_v) (Some root);
@@ -177,8 +136,7 @@ let record_subst_arena subst ~pat_name ~loc old_v repl =
 let constant_op result attr =
   Op.make "arith.constant" ~attrs:[ ("value", attr) ] ~results:[ result ]
 
-let is_constant_like ~name ~operands ~regions ~results =
-  ignore name;
+let is_constant_like ~operands ~regions ~results =
   operands = [] && regions = [] && List.length results = 1
 
 (* Pattern bodies re-raise located diagnostics with rewrite context. *)
@@ -194,11 +152,11 @@ let with_pattern_context p op f =
                    p.pat_name op.Op.name))
             ds))
 
-let warn_nonconverged ~budget ~unit_name last_fired =
+let warn_nonconverged ~budget last_fired =
   Ftn_obs.Metrics.incr "rewrite.nonconverged";
   Ftn_diag.Diag_engine.warning Ftn_diag.Diag_engine.default
-    (Fmt.str "rewrite did not converge after %d %s (last pattern to fire: %s)"
-       budget unit_name
+    (Fmt.str "rewrite did not converge after %d op visits (last pattern to fire: %s)"
+       budget
        (Option.value ~default:"<none>" last_fired))
 
 (* --- per-pattern profiling --- *)
@@ -238,7 +196,7 @@ let pattern_profile () =
   |> List.sort (fun (na, _, _, a) (nb, _, _, b) ->
          match Float.compare b a with 0 -> String.compare na nb | c -> c)
 
-(* One pattern attempt, shared by both engines. *)
+(* One pattern attempt, with per-pattern profiling when enabled. *)
 let run_pattern p ctx op =
   if not !Ftn_obs.Profile.on then
     with_pattern_context p op (fun () -> p.match_and_rewrite ctx op)
@@ -272,8 +230,6 @@ type compiled = {
   by_root : (string, pattern array) Hashtbl.t;
   wildcard_only : pattern array;
 }
-
-type index = compiled
 
 let compile patterns =
   let rooted : (string, (int * pattern) list) Hashtbl.t = Hashtbl.create 16 in
@@ -337,7 +293,7 @@ module Wl = struct
   type t = {
     eb : Builder.t;
     cfg : config;
-    index : index;
+    index : compiled;
     mutable next_nid : int;
     defs : node option Arena.t;  (* value id -> defining node *)
     uses : node list Arena.t;
@@ -391,8 +347,7 @@ module Wl = struct
       Queue.push n e.queue
     end
 
-  (* Post-order (children first), matching the sweep engine's bottom-up
-     visit order on the initial tree. *)
+  (* Post-order (children first): the initial tree is visited bottom-up. *)
   let rec enqueue_tree e n =
     List.iter
       (fun blocks ->
@@ -401,7 +356,7 @@ module Wl = struct
     enqueue e n
 
   let resolve e v =
-    resolve_arena e.subst ~pat_name:"<engine>" ~loc:Ftn_diag.Loc.unknown v
+    resolve_subst e.subst ~pat_name:"<engine>" ~loc:Ftn_diag.Loc.unknown v
 
   (* Drop a node's cached materialisation and its ancestors' (theirs embed
      this subtree). Stops at the first uncached node: by the invariant its
@@ -536,7 +491,7 @@ module Wl = struct
      rewritten in place (invalidating their cached subtrees) and they are
      re-enqueued. *)
   let record_replacement e ~pat_name ~loc old_v repl =
-    let root = record_subst_arena e.subst ~pat_name ~loc old_v repl in
+    let root = record_subst e.subst ~pat_name ~loc old_v repl in
     let users = live_users e old_v in
     Arena.set e.uses (Value.id old_v) [];
     List.iter
@@ -578,8 +533,8 @@ module Wl = struct
         (fun v ->
           match def_node v with
           | Some d
-            when is_constant_like ~name:d.n_name ~operands:d.n_operands
-                   ~regions:d.n_regions ~results:d.n_results ->
+            when is_constant_like ~operands:d.n_operands ~regions:d.n_regions
+                   ~results:d.n_results ->
             List.assoc_opt "value" d.n_attrs
           | _ -> None);
       ctx_parents =
@@ -587,12 +542,11 @@ module Wl = struct
           match e.cur with None -> [] | Some n -> up n.n_parent);
     }
 
-  let apply_fold e ctx n op folded =
+  let apply_fold e n op folded =
     if List.length folded <> List.length n.n_results then
       invalid_arg
         (Fmt.str "Rewrite: fold of '%s' returned %d values for %d results"
            n.n_name (List.length folded) (List.length n.n_results));
-    ignore ctx;
     let loc = Op.loc op in
     let pat_name = Fmt.str "fold(%s)" n.n_name in
     let const_ops =
@@ -616,7 +570,7 @@ module Wl = struct
       | Some f when n.n_results <> [] -> (
         match f ctx (Lazy.force op) with
         | Some folded ->
-          apply_fold e ctx n (Lazy.force op) folded;
+          apply_fold e n (Lazy.force op) folded;
           true
         | None -> false)
       | _ -> false
@@ -675,7 +629,7 @@ module Wl = struct
            visit e ctx n
          end
        done
-     with Exit -> warn_nonconverged ~budget ~unit_name:"op visits" e.last_fired);
+     with Exit -> warn_nonconverged ~budget e.last_fired);
     let result =
       match e.root with
       | Some r -> materialize r
@@ -691,254 +645,15 @@ module Wl = struct
       } )
 end
 
-(* ===================== sweep engine ===================== *)
-
-module Sw = struct
-  (* One bottom-up sweep. Substitutions are applied to the remainder of the
-     enclosing block and propagate outward through the returned mapping. *)
-  type t = {
-    eb : Builder.t;
-    cfg : config;
-    index : index;
-    subst : (int, Value.t) Hashtbl.t;
-    mutable defs : (int, Op.t) Hashtbl.t;  (* rebuilt each sweep *)
-    mutable used : (int, int) Hashtbl.t;  (* value id -> use count, per sweep *)
-    mutable visited : int;
-    mutable fired : int;
-    mutable folded : int;
-    mutable erased : int;
-    mutable last_fired : string option;
-    mutable changed : bool;
-    mutable parent_stack : Op.t list;  (* innermost first, shallow copies *)
-  }
-
-  let resolve e v =
-    resolve_tbl e.subst ~pat_name:"<engine>" ~loc:Ftn_diag.Loc.unknown v
-
-  let ctx_of e =
-    let def_node v =
-      let v = resolve e v in
-      Hashtbl.find_opt e.defs (Value.id v)
-    in
-    {
-      ctx_builder = e.eb;
-      ctx_def_of = def_node;
-      ctx_const_of =
-        (fun v ->
-          match def_node v with
-          | Some op
-            when is_constant_like ~name:(Op.name op) ~operands:op.Op.operands
-                   ~regions:op.Op.regions ~results:op.Op.results ->
-            Op.find_attr op "value"
-          | _ -> None);
-      ctx_parents = (fun () -> e.parent_stack);
-    }
-
-  let snapshot e top =
-    let defs = Hashtbl.create 256 in
-    let used = Hashtbl.create 256 in
-    Op.walk
-      (fun o ->
-        List.iter (fun r -> Hashtbl.replace defs (Value.id r) o) o.Op.results;
-        List.iter
-          (fun v ->
-            let v = resolve e v in
-            Hashtbl.replace used (Value.id v)
-              (1 + Option.value ~default:0 (Hashtbl.find_opt used (Value.id v))))
-          o.Op.operands)
-      top;
-    e.defs <- defs;
-    e.used <- used
-
-  let unused e v = Hashtbl.find_opt e.used (Value.id v) = None
-
-  let rec rewrite_op e ctx op =
-    if counted op.Op.name then e.visited <- e.visited + 1;
-    let op =
-      { op with Op.operands = List.map (resolve e) op.Op.operands }
-    in
-    e.parent_stack <- { op with Op.regions = [] } :: e.parent_stack;
-    let op =
-      {
-        op with
-        Op.regions =
-          List.map
-            (fun blocks ->
-              List.map
-                (fun b ->
-                  { b with Op.body = List.concat_map (rewrite_op e ctx) b.Op.body })
-                blocks)
-            op.Op.regions;
-      }
-    in
-    e.parent_stack <- List.tl e.parent_stack;
-    let folded =
-      match e.cfg.fold with
-      | Some f when op.Op.results <> [] -> (
-        match f ctx op with
-        | Some folded ->
-          if List.length folded <> List.length op.Op.results then
-            invalid_arg
-              (Fmt.str
-                 "Rewrite: fold of '%s' returned %d values for %d results"
-                 op.Op.name (List.length folded)
-                 (List.length op.Op.results));
-          let loc = Op.loc op in
-          let pat_name = Fmt.str "fold(%s)" op.Op.name in
-          let const_ops =
-            List.concat
-              (List.map2
-                 (fun r f ->
-                   match f with
-                   | To_value v ->
-                     ignore (record_subst e.subst ~pat_name ~loc r v);
-                     []
-                   | To_constant a -> [ constant_op r a ])
-                 op.Op.results folded)
-          in
-          e.folded <- e.folded + 1;
-          e.changed <- true;
-          Some const_ops
-        | None -> None)
-      | _ -> None
-    in
-    match folded with
-    | Some ops -> ops
-    | None ->
-      if
-        op.Op.results <> [] || e.cfg.is_trivially_dead op
-      then begin
-        if
-          List.for_all (unused e) op.Op.results
-          && (not (Op.is_module op))
-          && e.cfg.is_trivially_dead op
-        then begin
-          e.erased <- e.erased + 1;
-          e.changed <- true;
-          []
-        end
-        else try_patterns e ctx op
-      end
-      else try_patterns e ctx op
-
-  and try_patterns e ctx op =
-    let ps = candidates e.index op.Op.name in
-    let rec go i =
-      if i >= Array.length ps then [ op ]
-      else
-        let p = ps.(i) in
-        let outcome = run_pattern p ctx op in
-        match outcome with
-        | Some { new_ops; replacements } ->
-          e.changed <- true;
-          e.fired <- e.fired + 1;
-          e.last_fired <- Some p.pat_name;
-          let loc = Op.loc op in
-          List.iter
-            (fun (old_v, repl) ->
-              ignore (record_subst e.subst ~pat_name:p.pat_name ~loc old_v repl))
-            replacements;
-          (* New ops may still use stale values produced earlier in this
-             sweep. *)
-          List.map
-            (Op.substitute (fun v ->
-                 let v' = resolve e v in
-                 if Value.equal v v' then None else Some v'))
-            new_ops
-        | None -> go (i + 1)
-    in
-    go 0
-
-  let sweep_once e top =
-    e.changed <- false;
-    snapshot e top;
-    let ctx = ctx_of e in
-    let result =
-      match rewrite_op e ctx top with
-      | [ op ] -> op
-      | _ -> invalid_arg "Rewrite: top-level op was erased or split"
-    in
-    (* Apply any substitutions that were recorded after their uses were
-       already emitted (e.g. a later op folded into an earlier value). *)
-    let result =
-      if Hashtbl.length e.subst = 0 then result
-      else
-        Op.substitute
-          (fun v ->
-            let v' = resolve e v in
-            if Value.equal v v' then None else Some v')
-          result
-    in
-    result
-
-  let run cfg index top =
-    let e =
-      {
-        eb = Builder.for_op top;
-        cfg;
-        index;
-        subst = Hashtbl.create 64;
-        defs = Hashtbl.create 0;
-        used = Hashtbl.create 0;
-        visited = 0;
-        fired = 0;
-        folded = 0;
-        erased = 0;
-        last_fired = None;
-        changed = false;
-        parent_stack = [];
-      }
-    in
-    let converged = ref false in
-    let rec go op n =
-      if n = 0 then begin
-        (* Only reached when the final sweep still changed something: the
-           driver ran out of iterations before a fixpoint. *)
-        warn_nonconverged ~budget:cfg.max_iterations ~unit_name:"iterations"
-          e.last_fired;
-        op
-      end
-      else
-        let op' = sweep_once e op in
-        if e.changed then go op' (n - 1)
-        else begin
-          converged := true;
-          op'
-        end
-    in
-    let result = go top cfg.max_iterations in
-    ( result,
-      {
-        ops_visited = e.visited;
-        patterns_fired = e.fired;
-        ops_folded = e.folded;
-        ops_erased = e.erased;
-        converged = !converged;
-      } )
-end
-
-let apply_compiled_with_stats ?driver ?(config = default_config)
-    ?max_iterations compiled top =
-  let config =
-    match max_iterations with
-    | Some n -> { config with max_iterations = n }
-    | None -> config
-  in
-  let driver = Option.value ~default:(default_driver ()) driver in
-  let result, st =
-    match driver with
-    | Worklist -> Wl.run config compiled top
-    | Sweep -> Sw.run config compiled top
-  in
+let apply_compiled_with_stats ?(config = default_config) compiled top =
+  let result, st = Wl.run config compiled top in
   publish_stats st;
   (result, st)
 
-let apply_compiled ?driver ?config ?max_iterations compiled top =
-  fst (apply_compiled_with_stats ?driver ?config ?max_iterations compiled top)
+let apply_compiled ?config compiled top =
+  fst (apply_compiled_with_stats ?config compiled top)
 
-let apply_with_stats ?driver ?config ?max_iterations patterns top =
-  apply_compiled_with_stats ?driver ?config ?max_iterations
-    (compile patterns) top
+let apply_with_stats ?config patterns top =
+  apply_compiled_with_stats ?config (compile patterns) top
 
-let apply ?driver ?config ?max_iterations patterns top =
-  fst (apply_with_stats ?driver ?config ?max_iterations patterns top)
+let apply ?config patterns top = fst (apply_with_stats ?config patterns top)

@@ -1,16 +1,11 @@
 (** Greedy pattern-rewrite driver (MLIR's [applyPatternsAndFoldGreedily]
-    analogue). The default engine is worklist-driven: patterns are indexed
-    by the op name they root at (with a wildcard bucket for root-agnostic
+    analogue). The driver is worklist-driven: patterns are indexed by the
+    op name they root at (with a wildcard bucket for root-agnostic
     patterns), and a successful rewrite only re-enqueues the ops that could
     have been affected — the replacement ops, the users of any redirected
     values, and the producers of operands the erased op was keeping alive.
     Constant folding (via a per-pass {!folder} hook) and trivially-dead-op
-    elimination run as part of the driver.
-
-    The pre-worklist sweep driver — rebuild the whole tree bottom-up until
-    a sweep changes nothing — is kept as {!Sweep}, both as the reference
-    for fixpoint-equivalence property tests and as the baseline the
-    [BENCH_rewrite.json] scenario measures the worklist engine against. *)
+    elimination run as part of the driver. *)
 
 type outcome = {
   new_ops : Op.t list;  (** Replacement ops (empty to erase). *)
@@ -67,8 +62,8 @@ type folder = ctx -> Op.t -> folded list option
 
 type config = {
   max_iterations : int;
-      (** Sweep driver: sweeps until fixpoint. Worklist driver: the visit
-          budget is [max_iterations * (initial op count + 16)]. *)
+      (** Scales the visit budget: the driver gives up after
+          [max_iterations * (initial op count + 16)] op visits. *)
   fold : folder option;
   is_trivially_dead : Op.t -> bool;
       (** Erase the op when this holds and none of its results are used.
@@ -78,18 +73,11 @@ type config = {
 val default_config : config
 (** [max_iterations = 32], no folder, pure-arith/math dead-op predicate. *)
 
-type driver = Worklist | Sweep
-
-val set_default_driver : driver -> unit
-val default_driver : unit -> driver
-(** Process-wide default ({!Worklist} initially); the bench harness flips
-    it to compare engines over an unchanged pass pipeline. *)
-
 type stats = {
   ops_visited : int;
-      (** Ops examined (sweep: every op, every sweep). [builtin.module]
-          wrapper ops are not counted, so totals are invariant under
-          per-function module partitioning
+      (** Ops popped from the worklist and examined, revisits included.
+          [builtin.module] wrapper ops are not counted, so totals are
+          invariant under per-function module partitioning
           ({!Pass.run_pipeline_parallel}). *)
   patterns_fired : int;
   ops_folded : int;
@@ -117,38 +105,15 @@ val compile : pattern list -> compiled
     merged into every root's candidate array at their original
     positions. *)
 
-val apply_compiled :
-  ?driver:driver ->
-  ?config:config ->
-  ?max_iterations:int ->
-  compiled ->
-  Op.t ->
-  Op.t
+val apply_compiled : ?config:config -> compiled -> Op.t -> Op.t
 
 val apply_compiled_with_stats :
-  ?driver:driver ->
-  ?config:config ->
-  ?max_iterations:int ->
-  compiled ->
-  Op.t ->
-  Op.t * stats
+  ?config:config -> compiled -> Op.t -> Op.t * stats
 
-val apply :
-  ?driver:driver ->
-  ?config:config ->
-  ?max_iterations:int ->
-  pattern list ->
-  Op.t ->
-  Op.t
+val apply : ?config:config -> pattern list -> Op.t -> Op.t
 
-val apply_with_stats :
-  ?driver:driver ->
-  ?config:config ->
-  ?max_iterations:int ->
-  pattern list ->
-  Op.t ->
-  Op.t * stats
-(** Both drivers bump the [rewrite.ops_visited], [rewrite.patterns_fired],
+val apply_with_stats : ?config:config -> pattern list -> Op.t -> Op.t * stats
+(** Bumps the [rewrite.ops_visited], [rewrite.patterns_fired],
     [rewrite.ops_folded] and [rewrite.ops_erased] metrics counters, and on
     budget exhaustion [rewrite.nonconverged] plus a warning naming the last
     pattern that fired. A substitution cycle (two patterns redirecting each

@@ -392,43 +392,38 @@ let verifier_tests =
 (* --- rewrite driver --- *)
 
 let rewrite_tests =
-  let both_drivers name f =
-    [
-      tc (name ^ " (worklist)") (fun () -> f Rewrite.Worklist);
-      tc (name ^ " (sweep)") (fun () -> f Rewrite.Sweep);
-    ]
-  in
-  both_drivers "pattern replaces op and redirects uses" (fun driver ->
-      let b = Builder.create () in
-      let x = Builder.fresh b Types.I32 in
-      let dbl = Op.make "test.double" ~operands:[ x ]
-          ~results:[ Builder.fresh b Types.I32 ] in
-      let use = Op.make "test.use" ~operands:[ Op.result1 dbl ] in
-      let fn =
-        Ftn_dialects.Func_d.func ~sym_name:"f" ~args:[ x ] ~result_tys:[]
-          [ dbl; use; Ftn_dialects.Func_d.return () ]
-      in
-      let pat =
-        Rewrite.pattern ~roots:[ "test.double" ] "double-to-add"
-          (fun ctx op ->
-            let a = Op.operand op 0 in
-            let add = Ftn_dialects.Arith.addi (Rewrite.builder ctx) a a in
-            Some
-              (Rewrite.replace_with
-                 ~replacements:[ (Op.result1 op, Op.result1 add) ]
-                 [ add ]))
-      in
-      let m = Rewrite.apply ~driver [ pat ] (Op.module_op [ fn ]) in
-      check Alcotest.int "no doubles left" 0
-        (Op.count (fun o -> Op.name o = "test.double") m);
-      check Alcotest.int "one add" 1
-        (Op.count (fun o -> Op.name o = "arith.addi") m);
-      (* the use now points at the add's result *)
-      let add = List.hd (Op.collect (fun o -> Op.name o = "arith.addi") m) in
-      let use = List.hd (Op.collect (fun o -> Op.name o = "test.use") m) in
-      check Alcotest.bool "use redirected" true
-        (Value.equal (Op.result1 add) (Op.operand use 0)))
-  @ both_drivers "erase drops dead ops" (fun driver ->
+  [
+    tc "pattern replaces op and redirects uses" (fun () ->
+        let b = Builder.create () in
+        let x = Builder.fresh b Types.I32 in
+        let dbl = Op.make "test.double" ~operands:[ x ]
+            ~results:[ Builder.fresh b Types.I32 ] in
+        let use = Op.make "test.use" ~operands:[ Op.result1 dbl ] in
+        let fn =
+          Ftn_dialects.Func_d.func ~sym_name:"f" ~args:[ x ] ~result_tys:[]
+            [ dbl; use; Ftn_dialects.Func_d.return () ]
+        in
+        let pat =
+          Rewrite.pattern ~roots:[ "test.double" ] "double-to-add"
+            (fun ctx op ->
+              let a = Op.operand op 0 in
+              let add = Ftn_dialects.Arith.addi (Rewrite.builder ctx) a a in
+              Some
+                (Rewrite.replace_with
+                   ~replacements:[ (Op.result1 op, Op.result1 add) ]
+                   [ add ]))
+        in
+        let m = Rewrite.apply [ pat ] (Op.module_op [ fn ]) in
+        check Alcotest.int "no doubles left" 0
+          (Op.count (fun o -> Op.name o = "test.double") m);
+        check Alcotest.int "one add" 1
+          (Op.count (fun o -> Op.name o = "arith.addi") m);
+        (* the use now points at the add's result *)
+        let add = List.hd (Op.collect (fun o -> Op.name o = "arith.addi") m) in
+        let use = List.hd (Op.collect (fun o -> Op.name o = "test.use") m) in
+        check Alcotest.bool "use redirected" true
+          (Value.equal (Op.result1 add) (Op.operand use 0)));
+    tc "erase drops dead ops" (fun () ->
         let marker = Op.make "test.dead" in
         let fn =
           Ftn_dialects.Func_d.func ~sym_name:"f" ~args:[] ~result_tys:[]
@@ -438,11 +433,10 @@ let rewrite_tests =
           Rewrite.pattern "drop" (fun _ op ->
               if Op.name op = "test.dead" then Some Rewrite.erase else None)
         in
-        let m = Rewrite.apply ~driver [ pat ] (Op.module_op [ fn ]) in
+        let m = Rewrite.apply [ pat ] (Op.module_op [ fn ]) in
         check Alcotest.int "gone" 0
-          (Op.count (fun o -> Op.name o = "test.dead") m))
-  @ both_drivers "fixpoint terminates on cyclic-looking rewrites"
-      (fun driver ->
+          (Op.count (fun o -> Op.name o = "test.dead") m));
+    tc "fixpoint terminates on cyclic-looking rewrites" (fun () ->
         let count = ref 0 in
         let pat =
           Rewrite.pattern ~roots:[ "test.spin" ] "spin" (fun _ _ ->
@@ -457,15 +451,16 @@ let rewrite_tests =
             [ Op.make "test.spin"; Ftn_dialects.Func_d.return () ]
         in
         let m =
-          Rewrite.apply ~driver ~max_iterations:5 [ pat ] (Op.module_op [ fn ])
+          Rewrite.apply
+            ~config:{ Rewrite.default_config with max_iterations = 5 }
+            [ pat ] (Op.module_op [ fn ])
         in
-        (* the worklist budget is max_iterations * (op count + 16), the
-           sweep budget max_iterations sweeps: both must stop well short of
-           the pattern's own 1000-firing fuse *)
+        (* the visit budget is max_iterations * (op count + 16): the
+           driver must stop well short of the pattern's own 1000-firing
+           fuse *)
         check Alcotest.bool "bounded" true (!count <= 200);
-        ignore m)
-  @ both_drivers "substitution cycle raises a located diagnostic"
-      (fun driver ->
+        ignore m);
+    tc "substitution cycle raises a located diagnostic" (fun () ->
         (* two patterns that replace each other's results: a -> b, b -> a *)
         let b = Builder.create () in
         let x = Builder.fresh b Types.I32 in
@@ -488,7 +483,7 @@ let rewrite_tests =
                    [ { op with Op.name = other } ]))
         in
         match
-          Rewrite.apply ~driver
+          Rewrite.apply
             [ swap "test.a" "test.b'"; swap "test.b" "test.a'" ]
             (Op.module_op [ fn ])
         with
@@ -501,9 +496,8 @@ let rewrite_tests =
             go 0
           in
           check Alcotest.bool "mentions the cycle" true
-            (contains "substitution cycle"))
-  @ both_drivers "fold hook folds constants and erases dead ops"
-      (fun driver ->
+            (contains "substitution cycle"));
+    tc "fold hook folds constants and erases dead ops" (fun () ->
         let b = Builder.create () in
         let two = Ftn_dialects.Arith.const_i32 b 2 in
         let three = Ftn_dialects.Arith.const_i32 b 3 in
@@ -528,7 +522,7 @@ let rewrite_tests =
         in
         let config = { Rewrite.default_config with Rewrite.fold = Some fold } in
         let m, stats =
-          Rewrite.apply_with_stats ~driver ~config [] (Op.module_op [ fn ])
+          Rewrite.apply_with_stats ~config [] (Op.module_op [ fn ])
         in
         check Alcotest.int "no add left" 0
           (Op.count (fun o -> Op.name o = "arith.addi") m);
@@ -542,129 +536,128 @@ let rewrite_tests =
         check Alcotest.bool "use kept its value" true
           (Value.equal (Op.result1 konst) (Op.result1 sum));
         check Alcotest.bool "folded" true (stats.Rewrite.ops_folded >= 1);
-        check Alcotest.bool "erased" true (stats.Rewrite.ops_erased >= 2))
-  @ [
-      tc "root-indexed patterns only visit matching ops" (fun () ->
-          let fired_on = ref [] in
-          let pat =
-            Rewrite.pattern ~roots:[ "test.only" ] "rooted" (fun _ op ->
-                fired_on := Op.name op :: !fired_on;
-                None)
-          in
-          let fn =
-            Ftn_dialects.Func_d.func ~sym_name:"f" ~args:[] ~result_tys:[]
-              [
-                Op.make "test.only"; Op.make "test.other";
-                Ftn_dialects.Func_d.return ();
-              ]
-          in
-          ignore (Rewrite.apply [ pat ] (Op.module_op [ fn ]));
-          check (Alcotest.list Alcotest.string) "only the rooted op"
-            [ "test.only" ] !fired_on);
-      tc "in-queue flag coalesces re-enqueues on a diamond def/use graph"
-        (fun () ->
-          (* a (generalised) diamond: one source value fanning out to M
-             mid ops whose results all join in a single user. Renaming
-             each mid op re-enqueues the join; without the in-queue flag
-             the join would be pushed once per mid and visited up to M
-             extra times. With coalescing the total visit count is
-             exactly: initial ops (func + src + M mids + join + return =
-             M+4) plus the M renamed replacement ops plus one revisit of
-             the source (each kill re-enqueues the producer for the
-             dead-code check; those M re-enqueues coalesce too) — the
-             join's M re-enqueues collapse into its single queued entry. *)
-          let m_mids = 8 in
-          let b = Builder.create () in
-          let src = Builder.op1 b "test.src" Types.I32 in
-          let mids =
-            List.init m_mids (fun _ ->
-                Builder.op1 b "test.mid" ~operands:[ Op.result1 src ]
-                  Types.I32)
-          in
-          let join =
-            Op.make "test.join" ~operands:(List.map Op.result1 mids)
-          in
-          let fn =
-            Ftn_dialects.Func_d.func ~sym_name:"f" ~args:[] ~result_tys:[]
-              ((src :: mids) @ [ join; Ftn_dialects.Func_d.return () ])
-          in
-          let rename =
-            Rewrite.pattern ~roots:[ "test.mid" ] "mid->done" (fun _ op ->
-                Some (Rewrite.replace_with [ { op with Op.name = "test.done" } ]))
-          in
-          let _, stats =
-            Rewrite.apply_with_stats ~driver:Rewrite.Worklist [ rename ]
-              (Op.module_op [ fn ])
-          in
-          check Alcotest.int "patterns fired once per mid" m_mids
-            stats.Rewrite.patterns_fired;
-          check Alcotest.int "visits coalesced"
-            ((2 * m_mids) + 5)
-            stats.Rewrite.ops_visited);
-      tc "pattern stats survive a 4-domain hammer without lost updates"
-        (fun () ->
-          let saved = Ftn_obs.Profile.enabled () in
-          Ftn_obs.Profile.set_enabled true;
-          Fun.protect
-            ~finally:(fun () -> Ftn_obs.Profile.set_enabled saved)
-            (fun () ->
-              Rewrite.reset_pattern_profile ();
-              let iters = 200 in
-              (* each apply attempts the rooted pattern exactly once (one
-                 test.hammer op per module, never fires) *)
-              let work () =
-                let pat =
-                  Rewrite.pattern ~roots:[ "test.hammer" ] "hammered"
-                    (fun _ _ -> None)
+        check Alcotest.bool "erased" true (stats.Rewrite.ops_erased >= 2));
+    tc "root-indexed patterns only visit matching ops" (fun () ->
+        let fired_on = ref [] in
+        let pat =
+          Rewrite.pattern ~roots:[ "test.only" ] "rooted" (fun _ op ->
+              fired_on := Op.name op :: !fired_on;
+              None)
+        in
+        let fn =
+          Ftn_dialects.Func_d.func ~sym_name:"f" ~args:[] ~result_tys:[]
+            [
+              Op.make "test.only"; Op.make "test.other";
+              Ftn_dialects.Func_d.return ();
+            ]
+        in
+        ignore (Rewrite.apply [ pat ] (Op.module_op [ fn ]));
+        check (Alcotest.list Alcotest.string) "only the rooted op"
+          [ "test.only" ] !fired_on);
+    tc "in-queue flag coalesces re-enqueues on a diamond def/use graph"
+      (fun () ->
+        (* a (generalised) diamond: one source value fanning out to M
+           mid ops whose results all join in a single user. Renaming
+           each mid op re-enqueues the join; without the in-queue flag
+           the join would be pushed once per mid and visited up to M
+           extra times. With coalescing the total visit count is
+           exactly: initial ops (func + src + M mids + join + return =
+           M+4) plus the M renamed replacement ops plus one revisit of
+           the source (each kill re-enqueues the producer for the
+           dead-code check; those M re-enqueues coalesce too) — the
+           join's M re-enqueues collapse into its single queued entry. *)
+        let m_mids = 8 in
+        let b = Builder.create () in
+        let src = Builder.op1 b "test.src" Types.I32 in
+        let mids =
+          List.init m_mids (fun _ ->
+              Builder.op1 b "test.mid" ~operands:[ Op.result1 src ]
+                Types.I32)
+        in
+        let join =
+          Op.make "test.join" ~operands:(List.map Op.result1 mids)
+        in
+        let fn =
+          Ftn_dialects.Func_d.func ~sym_name:"f" ~args:[] ~result_tys:[]
+            ((src :: mids) @ [ join; Ftn_dialects.Func_d.return () ])
+        in
+        let rename =
+          Rewrite.pattern ~roots:[ "test.mid" ] "mid->done" (fun _ op ->
+              Some (Rewrite.replace_with [ { op with Op.name = "test.done" } ]))
+        in
+        let _, stats =
+          Rewrite.apply_with_stats [ rename ]
+            (Op.module_op [ fn ])
+        in
+        check Alcotest.int "patterns fired once per mid" m_mids
+          stats.Rewrite.patterns_fired;
+        check Alcotest.int "visits coalesced"
+          ((2 * m_mids) + 5)
+          stats.Rewrite.ops_visited);
+    tc "pattern stats survive a 4-domain hammer without lost updates"
+      (fun () ->
+        let saved = Ftn_obs.Profile.enabled () in
+        Ftn_obs.Profile.set_enabled true;
+        Fun.protect
+          ~finally:(fun () -> Ftn_obs.Profile.set_enabled saved)
+          (fun () ->
+            Rewrite.reset_pattern_profile ();
+            let iters = 200 in
+            (* each apply attempts the rooted pattern exactly once (one
+               test.hammer op per module, never fires) *)
+            let work () =
+              let pat =
+                Rewrite.pattern ~roots:[ "test.hammer" ] "hammered"
+                  (fun _ _ -> None)
+              in
+              for _ = 1 to iters do
+                let fn =
+                  Ftn_dialects.Func_d.func ~sym_name:"f" ~args:[]
+                    ~result_tys:[]
+                    [ Op.make "test.hammer"; Ftn_dialects.Func_d.return () ]
                 in
-                for _ = 1 to iters do
-                  let fn =
-                    Ftn_dialects.Func_d.func ~sym_name:"f" ~args:[]
-                      ~result_tys:[]
-                      [ Op.make "test.hammer"; Ftn_dialects.Func_d.return () ]
-                  in
-                  ignore (Rewrite.apply [ pat ] (Op.module_op [ fn ]))
-                done
-              in
-              let workers = List.init 3 (fun _ -> Domain.spawn work) in
-              work ();
-              List.iter Domain.join workers;
-              let attempts =
-                List.fold_left
-                  (fun acc (name, attempts, _, _) ->
-                    if String.equal name "hammered" then acc + attempts
-                    else acc)
-                  0
-                  (Rewrite.pattern_profile ())
-              in
-              check Alcotest.int "no lost attempts" (4 * iters) attempts));
-      tc "rename chain reaches a fixpoint" (fun () ->
-          (* a -> b -> c rename chain with no fresh values: re-applying the
-             patterns to the result fires, folds and erases nothing, and
-             the printed IR matches byte for byte *)
-          let rename from into =
-            Rewrite.pattern ~roots:[ from ] (from ^ "->" ^ into) (fun _ op ->
-                Some (Rewrite.replace_with [ { op with Op.name = into } ]))
-          in
-          let pats = [ rename "test.a" "test.b"; rename "test.b" "test.c" ] in
-          let fn =
-            Ftn_dialects.Func_d.func ~sym_name:"f" ~args:[] ~result_tys:[]
-              [
-                Op.make "test.a"; Op.make "test.b";
-                Ftn_dialects.Func_d.return ();
-              ]
-          in
-          let once = Rewrite.apply pats (Op.module_op [ fn ]) in
-          let twice, stats = Rewrite.apply_with_stats pats once in
-          check Alcotest.int "both ops end as test.c" 2
-            (Op.count (fun o -> Op.name o = "test.c") once);
-          check Alcotest.int "nothing fires" 0 stats.Rewrite.patterns_fired;
-          check Alcotest.int "nothing folds" 0 stats.Rewrite.ops_folded;
-          check Alcotest.int "nothing is erased" 0 stats.Rewrite.ops_erased;
-          check Alcotest.string "same print"
-            (Format.asprintf "%a" Printer.pp once)
-            (Format.asprintf "%a" Printer.pp twice));
-    ]
+                ignore (Rewrite.apply [ pat ] (Op.module_op [ fn ]))
+              done
+            in
+            let workers = List.init 3 (fun _ -> Domain.spawn work) in
+            work ();
+            List.iter Domain.join workers;
+            let attempts =
+              List.fold_left
+                (fun acc (name, attempts, _, _) ->
+                  if String.equal name "hammered" then acc + attempts
+                  else acc)
+                0
+                (Rewrite.pattern_profile ())
+            in
+            check Alcotest.int "no lost attempts" (4 * iters) attempts));
+    tc "rename chain reaches a fixpoint" (fun () ->
+        (* a -> b -> c rename chain with no fresh values: re-applying the
+           patterns to the result fires, folds and erases nothing, and
+           the printed IR matches byte for byte *)
+        let rename from into =
+          Rewrite.pattern ~roots:[ from ] (from ^ "->" ^ into) (fun _ op ->
+              Some (Rewrite.replace_with [ { op with Op.name = into } ]))
+        in
+        let pats = [ rename "test.a" "test.b"; rename "test.b" "test.c" ] in
+        let fn =
+          Ftn_dialects.Func_d.func ~sym_name:"f" ~args:[] ~result_tys:[]
+            [
+              Op.make "test.a"; Op.make "test.b";
+              Ftn_dialects.Func_d.return ();
+            ]
+        in
+        let once = Rewrite.apply pats (Op.module_op [ fn ]) in
+        let twice, stats = Rewrite.apply_with_stats pats once in
+        check Alcotest.int "both ops end as test.c" 2
+          (Op.count (fun o -> Op.name o = "test.c") once);
+        check Alcotest.int "nothing fires" 0 stats.Rewrite.patterns_fired;
+        check Alcotest.int "nothing folds" 0 stats.Rewrite.ops_folded;
+        check Alcotest.int "nothing is erased" 0 stats.Rewrite.ops_erased;
+        check Alcotest.string "same print"
+          (Format.asprintf "%a" Printer.pp once)
+          (Format.asprintf "%a" Printer.pp twice));
+  ]
 
 (* --- pass manager --- *)
 

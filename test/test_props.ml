@@ -352,19 +352,11 @@ let rewrite_fixpoint =
 
 (* Substitution cycles of any length — pattern i redirects result i to
    result (i+1) mod k — are detected and reported as a located diagnostic
-   naming a pattern, never an infinite loop, under both drivers. *)
+   naming a pattern, never an infinite loop. *)
 let cycle_detection =
-  let gen =
-    let open QCheck.Gen in
-    let* k = int_range 2 5 in
-    let* d = oneofl [ Rewrite.Worklist; Rewrite.Sweep ] in
-    return (k, d)
-  in
   QCheck.Test.make ~count:30 ~name:"substitution cycles raise a diagnostic"
-    (QCheck.make gen ~print:(fun (k, d) ->
-         Printf.sprintf "k=%d %s" k
-           (match d with Rewrite.Worklist -> "worklist" | _ -> "sweep")))
-    (fun (k, driver) ->
+    (QCheck.make (QCheck.Gen.int_range 2 5) ~print:(Printf.sprintf "k=%d"))
+    (fun k ->
       let b = Builder.create () in
       let ops =
         List.init k (fun i ->
@@ -391,23 +383,17 @@ let cycle_detection =
                      [ { o with Op.name = Op.name o ^ "'" } ])))
           ops
       in
-      match Rewrite.apply ~driver pats (Op.module_op [ fn ]) with
+      match Rewrite.apply pats (Op.module_op [ fn ]) with
       | _ -> false
       | exception Ftn_diag.Diag.Diag_failure (d :: _) ->
         Astring_like.contains d.Ftn_diag.Diag.message "substitution cycle")
 
-(* The driver fold hook preserves semantics: folding + DCE under either
-   driver leaves the interpreted result of the function unchanged. *)
+(* The driver fold hook preserves semantics: folding + DCE leaves the
+   interpreted result of the function unchanged. *)
 let fold_matches_interp =
-  let gen =
-    let open QCheck.Gen in
-    let* m = arith_module_gen in
-    let* d = oneofl [ Rewrite.Worklist; Rewrite.Sweep ] in
-    return (m, d)
-  in
   QCheck.Test.make ~count:50 ~name:"driver folding preserves interpreted results"
-    (QCheck.make gen ~print:(fun (m, _) -> Printer.to_string m))
-    (fun (m, driver) ->
+    (QCheck.make arith_module_gen ~print:Printer.to_string)
+    (fun m ->
       let fn = List.hd (Op.module_body m) in
       let body = Func_d.body fn in
       let last_val =
@@ -431,7 +417,7 @@ let fold_matches_interp =
           Ftn_interp.Interp.run state ~entry:"f" ~args:[]
         in
         let folded =
-          Rewrite.apply ~driver ~config:Ftn_passes.Canonicalize.config [] m
+          Rewrite.apply ~config:Ftn_passes.Canonicalize.config [] m
         in
         interp_of m = interp_of folded)
 
@@ -439,17 +425,9 @@ let fold_matches_interp =
    trips the rewrite.nonconverged counter and emits a warning on the
    default diagnostics engine naming the last pattern that fired. *)
 let nonconvergence_reported =
-  let gen =
-    let open QCheck.Gen in
-    let* iters = int_range 1 4 in
-    let* d = oneofl [ Rewrite.Worklist; Rewrite.Sweep ] in
-    return (iters, d)
-  in
   QCheck.Test.make ~count:20 ~name:"nonconvergence bumps metric and warns"
-    (QCheck.make gen ~print:(fun (i, d) ->
-         Printf.sprintf "iters=%d %s" i
-           (match d with Rewrite.Worklist -> "worklist" | _ -> "sweep")))
-    (fun (iters, driver) ->
+    (QCheck.make (QCheck.Gen.int_range 1 4) ~print:(Printf.sprintf "iters=%d"))
+    (fun iters ->
       let spin =
         Rewrite.pattern ~roots:[ "test.spin" ] "spin-forever" (fun _ _ ->
             Some (Rewrite.replace_with [ Op.make "test.spin" ]))
@@ -464,8 +442,9 @@ let nonconvergence_reported =
         Ftn_obs.Metrics.counter_value "rewrite.nonconverged"
       in
       let _, stats =
-        Rewrite.apply_with_stats ~driver ~max_iterations:iters [ spin ]
-          (Op.module_op [ fn ])
+        Rewrite.apply_with_stats
+          ~config:{ Rewrite.default_config with max_iterations = iters }
+          [ spin ] (Op.module_op [ fn ])
       in
       (not stats.Rewrite.converged)
       && Ftn_obs.Metrics.counter_value "rewrite.nonconverged" > metric0

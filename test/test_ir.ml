@@ -320,6 +320,169 @@ let parser_tests =
 
 (* --- verifier --- *)
 
+(* Every scoping rule and every Dialect combinator, each case rendered
+   with Diag.render_all so message text, order and count are all pinned
+   (asserting only "some diagnostic" would let a spurious second one
+   through). Each case builds its values from a fresh Builder, so the
+   %ids are stable. *)
+let pinned_diagnostics () =
+  Dialect.register "test.pin_typed" ~verify:(fun op ->
+      Dialect.expect_operand_type op 0 Types.I1);
+  let const b ty v =
+    Op.make "arith.constant" ~results:[ Builder.fresh b ty ]
+      ~attrs:[ ("value", v) ]
+  in
+  let use vs = Op.make "test.use" ~operands:vs in
+  let fn ?(args = []) body =
+    Ftn_dialects.Func_d.func ~sym_name:"f" ~args ~result_tys:[]
+      (body @ [ Ftn_dialects.Func_d.return () ])
+  in
+  let cases =
+    [
+      ( "use before def",
+        fun b ->
+          let later = const b Types.I32 (Attr.i32 1) in
+          let loc = Ftn_diag.Loc.make ~file:"t.f90" ~line:3 ~col:5 () in
+          Op.module_op
+            [ fn [ Op.set_loc (use [ Op.result1 later ]) loc; later ] ] );
+      ( "undefined scf.if operand, also used inside its region",
+        fun b ->
+          let ghost = Builder.fresh b Types.I1 in
+          Op.module_op
+            [
+              fn
+                [
+                  Ftn_dialects.Scf.if_ b ~cond:ghost
+                    ~then_ops:[ use [ ghost ]; Ftn_dialects.Scf.yield () ]
+                    ();
+                ];
+            ] );
+      ( "value defined twice",
+        fun b ->
+          let c = const b Types.I32 (Attr.i32 0) in
+          Op.module_op [ fn [ c; { c with Op.attrs = [ ("value", Attr.i32 1) ] } ] ]
+      );
+      ( "func.func uses an outer value",
+        fun b ->
+          let outer = const b Types.I32 (Attr.i32 0) in
+          Op.module_op [ outer; fn [ use [ Op.result1 outer ] ] ] );
+      ( "kernel_create sees its operands, not other outer values",
+        fun b ->
+          let a = const b Types.I32 (Attr.i32 1) in
+          let other = const b Types.I32 (Attr.i32 2) in
+          let kernel body =
+            Ftn_dialects.Device.kernel_create b ~args:[ Op.result1 a ] ~body ()
+          in
+          Op.module_op
+            [
+              fn
+                [
+                  a;
+                  other;
+                  kernel [ use [ Op.result1 a ] ];
+                  kernel [ use [ Op.result1 other ] ];
+                ];
+            ] );
+      ( "then-region value used in the else region",
+        fun b ->
+          let c = const b Types.I1 (Attr.Int (1, Types.I1)) in
+          let x = const b Types.I32 (Attr.i32 7) in
+          Op.module_op
+            [
+              fn
+                [
+                  c;
+                  Ftn_dialects.Scf.if_ b ~cond:(Op.result1 c)
+                    ~then_ops:[ x; Ftn_dialects.Scf.yield () ]
+                    ~else_ops:[ use [ Op.result1 x ]; Ftn_dialects.Scf.yield () ]
+                    ();
+                ];
+            ] );
+      ( "region value used after its op",
+        fun b ->
+          let x = const b Types.I32 (Attr.i32 7) in
+          Op.module_op
+            [
+              fn
+                [
+                  Op.make "test.region"
+                    ~regions:[ Op.region [ x ] ];
+                  use [ Op.result1 x ];
+                ];
+            ] );
+      ( "accepted: defs accumulate across blocks, own results in scope",
+        fun b ->
+          let x = const b Types.I32 (Attr.i32 7) in
+          let own = Builder.fresh b Types.I32 in
+          Op.module_op
+            [
+              fn
+                [
+                  Op.make "test.region" ~results:[ own ]
+                    ~regions:
+                      [
+                        [
+                          Op.block ~label:"bb0" [ x ];
+                          Op.block ~label:"bb1" [ use [ Op.result1 x; own ] ];
+                        ];
+                      ];
+                ];
+            ] );
+      ( "one failing op per combinator",
+        fun b ->
+          let i32 = Builder.fresh b Types.I32 and i64 = Builder.fresh b Types.I64 in
+          Op.module_op
+            [
+              fn ~args:[ i32; i64 ]
+                [
+                  Op.make "memref.dealloc";
+                  Op.make "arith.negf" ~operands:[ i32 ];
+                  Op.make "device.kernel_create"
+                    ~results:[ Builder.fresh b Types.Kernel_handle ];
+                  Op.make "arith.constant" ~results:[ Builder.fresh b Types.I32 ];
+                  Op.make "arith.select" ~operands:[ i32; i32; i32 ]
+                    ~results:[ Builder.fresh b Types.I32 ];
+                  Op.make "test.pin_typed";
+                  Op.make "arith.addi" ~operands:[ i32; i64 ]
+                    ~results:[ Builder.fresh b Types.I32 ];
+                ];
+            ] );
+    ]
+  in
+  String.concat ""
+    (List.map
+       (fun (label, build) ->
+         Fmt.str "== %s ==\n%s" label
+           (Ftn_diag.Diag.render_all
+              (Verifier.verify (build (Builder.create ())))))
+       cases)
+
+let pinned_expected =
+  {|== use before def ==
+t.f90:3:5: error: 'test.use': use of undefined value %0
+== undefined scf.if operand, also used inside its region ==
+error: 'scf.if': use of undefined value %0
+== value defined twice ==
+error: 'arith.constant': value %0 defined twice
+== func.func uses an outer value ==
+error: 'test.use': use of undefined value %0
+== kernel_create sees its operands, not other outer values ==
+error: 'test.use': use of undefined value %1
+== then-region value used in the else region ==
+error: 'test.use': use of undefined value %1
+== region value used after its op ==
+error: 'test.use': use of undefined value %0
+== accepted: defs accumulate across blocks, own results in scope ==
+== one failing op per combinator ==
+error: 'memref.dealloc': memref.dealloc expects 1 operands, got 0
+error: 'arith.negf': arith.negf expects 1 results, got 0
+error: 'device.kernel_create': device.kernel_create expects 1 regions, got 0
+error: 'arith.constant': arith.constant missing attribute "value"
+error: 'arith.select': arith.select operand 0: expected i1, got i32
+error: 'test.pin_typed': test.pin_typed has no operand 0
+error: 'arith.addi': arith.addi operands must all have the same type
+|}
+
 let verifier_tests =
   [
     tc "valid module passes" (fun () ->
@@ -387,6 +550,9 @@ let verifier_tests =
         let m = Op.module_op [ fn ] in
         check Alcotest.bool "lenient ok" true (Verifier.is_valid m);
         check Alcotest.bool "strict flags" false (Verifier.is_valid ~strict:true m));
+    tc "diagnostics are pinned verbatim" (fun () ->
+        check Alcotest.string "rendered diagnostics" pinned_expected
+          (pinned_diagnostics ()));
   ]
 
 (* --- rewrite driver --- *)

@@ -338,7 +338,7 @@ let fault_term =
              $(i,kind)[@kernel][:nth=N|:p=P][:transient|:persistent] with \
              kind one of $(b,alloc), $(b,transfer), $(b,launch) or \
              $(b,timeout); e.g. \
-             $(b,transfer:nth=2,timeout\\@saxpy_hw:persistent).")
+             $(b,transfer:nth=2,timeout@saxpy_hw:persistent).")
   in
   let seed_arg =
     Arg.(

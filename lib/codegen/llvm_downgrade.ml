@@ -15,25 +15,52 @@ type result = {
   rewrites : rewrite list;
 }
 
-(* Replace all occurrences of [pat] (plain string) by [rep]; counts hits. *)
-let replace_all ~pat ~rep text =
-  let buf = Buffer.create (String.length text) in
+(* Whether [pat] occurs in [text] at byte [i]; compares in place. *)
+let matches_at text i pat =
   let plen = String.length pat in
-  let n = String.length text in
-  let count = ref 0 in
-  let i = ref 0 in
-  while !i < n do
-    if !i + plen <= n && String.sub text !i plen = pat then begin
-      Buffer.add_string buf rep;
-      incr count;
-      i := !i + plen
-    end
-    else begin
-      Buffer.add_char buf text.[!i];
-      incr i
-    end
+  i + plen <= String.length text
+  &&
+  let j = ref 0 in
+  while !j < plen && Char.equal text.[i + !j] pat.[!j] do
+    incr j
   done;
-  (Buffer.contents buf, !count)
+  !j = plen
+
+(* The first occurrence of [pat] (non-empty) in [text] at or after [i],
+   or -1. *)
+let find_from text pat i =
+  let last = String.length text - String.length pat in
+  let c = pat.[0] in
+  let rec go i =
+    if i > last then -1
+    else if Char.equal text.[i] c && matches_at text i pat then i
+    else go (i + 1)
+  in
+  go i
+
+(* Replace all occurrences of [pat] (plain, non-empty string) by [rep],
+   leftmost first and without overlap; counts hits. The runs between
+   hits are copied whole, and a text without a hit is returned as is. *)
+let replace_all ~pat ~rep text =
+  if String.length pat = 0 then
+    invalid_arg "Llvm_downgrade.replace_all: empty pattern";
+  match find_from text pat 0 with
+  | -1 -> (text, 0)
+  | first ->
+    let buf = Buffer.create (String.length text) in
+    let rec go start hit count =
+      if hit < 0 then begin
+        Buffer.add_substring buf text start (String.length text - start);
+        (Buffer.contents buf, count)
+      end
+      else begin
+        Buffer.add_substring buf text start (hit - start);
+        Buffer.add_string buf rep;
+        let next = hit + String.length pat in
+        go next (find_from text pat next) (count + 1)
+      end
+    in
+    go 0 first 0
 
 let rewrites_table =
   [
@@ -60,14 +87,6 @@ let run text =
         (text, { rw_name; rw_applied = n } :: acc))
       (text, []) rewrites_table
   in
-  if
-    String.length text > 0
-    &&
-    let contains s sub =
-      let n = String.length s and m = String.length sub in
-      let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-      go 0
-    in
-    contains text "freeze "
-  then failwith "llvm_downgrade: freeze instruction cannot be downgraded";
+  if find_from text "freeze " 0 >= 0 then
+    failwith "llvm_downgrade: freeze instruction cannot be downgraded";
   { text = version_stamp ^ text; rewrites = List.rev rewrites }

@@ -13,6 +13,10 @@ type result = {
 }
 
 val replace_all : pat:string -> rep:string -> string -> string * int
+(** Replaces every occurrence of [pat], leftmost first and without
+    overlap, and counts them. Raises [Invalid_argument] if [pat] is
+    empty. *)
+
 val version_stamp : string
 
 val run : string -> result

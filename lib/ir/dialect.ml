@@ -30,39 +30,36 @@ let registered_dialects () =
          | None -> None)
   |> List.sort_uniq String.compare
 
-(* Common verifier combinators used by dialect definitions. *)
+(* Common verifier combinators used by dialect definitions. Each one
+   tests its condition first and formats a message only on failure: the
+   verifier runs them on every op between passes, and almost all pass. *)
 
 let check cond msg = if cond then Ok () else Error msg
 
 let ( let* ) r f = match r with Ok () -> f () | Error _ as e -> e
 
+let expect_count op what got n =
+  if got = n then Ok ()
+  else Error (Fmt.str "%s expects %d %s, got %d" (Op.name op) n what got)
+
 let expect_operands op n =
-  check
-    (List.length (Op.operands op) = n)
-    (Fmt.str "%s expects %d operands, got %d" (Op.name op) n
-       (List.length (Op.operands op)))
+  expect_count op "operands" (List.length (Op.operands op)) n
 
 let expect_results op n =
-  check
-    (List.length (Op.results op) = n)
-    (Fmt.str "%s expects %d results, got %d" (Op.name op) n
-       (List.length (Op.results op)))
+  expect_count op "results" (List.length (Op.results op)) n
 
 let expect_regions op n =
-  check
-    (List.length (Op.regions op) = n)
-    (Fmt.str "%s expects %d regions, got %d" (Op.name op) n
-       (List.length (Op.regions op)))
+  expect_count op "regions" (List.length (Op.regions op)) n
 
 let expect_attr op key =
-  check (Op.has_attr op key)
-    (Fmt.str "%s missing attribute %S" (Op.name op) key)
+  if Op.has_attr op key then Ok ()
+  else Error (Fmt.str "%s missing attribute %S" (Op.name op) key)
 
 let expect_operand_type op i ty =
   match Op.operand_opt op i with
+  | Some v when Types.equal (Value.ty v) ty -> Ok ()
   | Some v ->
-    check
-      (Types.equal (Value.ty v) ty)
+    Error
       (Fmt.str "%s operand %d: expected %s, got %s" (Op.name op) i
          (Types.to_string ty)
          (Types.to_string (Value.ty v)))
@@ -72,6 +69,6 @@ let same_type_operands op =
   match Op.operands op with
   | [] | [ _ ] -> Ok ()
   | v :: rest ->
-    check
-      (List.for_all (fun u -> Types.equal (Value.ty u) (Value.ty v)) rest)
-      (Fmt.str "%s operands must all have the same type" (Op.name op))
+    if List.for_all (fun u -> Types.equal (Value.ty u) (Value.ty v)) rest then
+      Ok ()
+    else Error (Fmt.str "%s operands must all have the same type" (Op.name op))

@@ -277,6 +277,9 @@ module Wl = struct
     n_block : nblock option;
     mutable n_live : bool;
     mutable n_queued : bool;
+    mutable n_repl : node list;
+        (* set when the node is spliced out: the nodes that stand in its
+           place in its block, which still lists the dead node *)
     mutable n_cached : Op.t option;
         (* materialised subtree; invariant: a node with no cache has no
            cached ancestor (materialising a node caches every
@@ -288,6 +291,7 @@ module Wl = struct
     nb_label : string;
     nb_args : Value.t list;
     mutable nb_body : node list;
+    mutable nb_spliced : bool;  (* [nb_body] lists a spliced-out node *)
   }
 
   type t = {
@@ -382,6 +386,7 @@ module Wl = struct
         n_block = block;
         n_live = true;
         n_queued = false;
+        n_repl = [];
         n_cached = None;
       }
     in
@@ -396,7 +401,12 @@ module Wl = struct
           List.map
             (fun (b : Op.block) ->
               let nb =
-                { nb_label = b.Op.label; nb_args = b.Op.args; nb_body = [] }
+                {
+                  nb_label = b.Op.label;
+                  nb_args = b.Op.args;
+                  nb_body = [];
+                  nb_spliced = false;
+                }
               in
               List.iter
                 (fun v -> Builder.reserve_above e.eb (Value.id v))
@@ -408,8 +418,15 @@ module Wl = struct
         op.Op.regions;
     n
 
+  (* A block entry stands for itself while live and for its recorded
+     replacements once spliced out. *)
+  let rec live_nodes m =
+    if m.n_live then [ m ] else List.concat_map live_nodes m.n_repl
+
   (* Materialise a node's subtree, reusing every cached descendant. Cost
-     is proportional to the invalidated spine, not the subtree size. *)
+     is proportional to the invalidated spine, not the subtree size. A
+     block that lists spliced-out nodes is flattened to its live nodes
+     here, instead of being rebuilt on every splice. *)
   let rec materialize n =
     match n.n_cached with
     | Some op -> op
@@ -420,28 +437,31 @@ module Wl = struct
           operands = n.n_operands;
           results = n.n_results;
           attrs = n.n_attrs;
-          regions =
-            List.map
-              (fun blocks ->
-                List.map
-                  (fun nb ->
-                    {
-                      Op.label = nb.nb_label;
-                      args = nb.nb_args;
-                      body = List.map materialize nb.nb_body;
-                    })
-                  blocks)
-              n.n_regions;
+          regions = List.map (List.map materialize_block) n.n_regions;
         }
       in
       n.n_cached <- Some op;
       op
 
+  and materialize_block nb =
+    let nodes =
+      if nb.nb_spliced then List.concat_map live_nodes nb.nb_body
+      else nb.nb_body
+    in
+    {
+      Op.label = nb.nb_label;
+      args = nb.nb_args;
+      body = List.map materialize nodes;
+    }
+
   (* Killing a node unregisters its defs; producers that just lost a user
      are re-enqueued so the driver can notice they became trivially dead
-     (the use lists themselves are lazily deleted). *)
+     (the use lists themselves are lazily deleted). A node that was
+     already spliced out passes the kill on to its replacements, which
+     sit in its place in the block. *)
   let rec kill e n =
-    if n.n_live then begin
+    if not n.n_live then List.iter (kill e) n.n_repl
+    else begin
       n.n_live <- false;
       List.iter
         (fun blocks -> List.iter (fun nb -> List.iter (kill e) nb.nb_body) blocks)
@@ -461,7 +481,10 @@ module Wl = struct
     end
 
   (* Replace [n] with [new_ops] in its containing block; enqueue the fresh
-     nodes and the users of any result value a new op redefines in place. *)
+     nodes and the users of any result value a new op redefines in place.
+     The block itself is not rebuilt: [n] stays in it, dead, with the new
+     nodes recorded as its replacements, so a splice costs the size of
+     the rewrite and not of the block. *)
   let splice e n new_ops =
     let old_results = n.n_results in
     match n.n_block with
@@ -477,8 +500,8 @@ module Wl = struct
       kill e n;
       (match n.n_parent with Some p -> invalidate p | None -> ());
       let news = List.map (import e n.n_parent (Some nb)) new_ops in
-      nb.nb_body <-
-        List.concat_map (fun m -> if m == n then news else [ m ]) nb.nb_body;
+      n.n_repl <- news;
+      nb.nb_spliced <- true;
       List.iter (enqueue_tree e) news;
       List.iter
         (fun r ->

@@ -16,6 +16,8 @@
 let isolated_from_above name =
   List.mem name [ "builtin.module"; "func.func"; "device.kernel_create" ]
 
+module Ids = Hashtbl.Make (Int)
+
 let verify ?(strict = false) top =
   let diags = ref [] in
   let add op message =
@@ -24,17 +26,29 @@ let verify ?(strict = false) top =
         (Fmt.str "'%s': %s" op.Op.name message)
       :: !diags
   in
-  let defined : (int, unit) Hashtbl.t = Hashtbl.create 64 in
+  let defined : unit Ids.t = Ids.create 256 in
   let define op v =
-    if Hashtbl.mem defined (Value.id v) then
+    if Ids.mem defined (Value.id v) then
       add op (Fmt.str "value %%%d defined twice" (Value.id v))
-    else Hashtbl.add defined (Value.id v) ()
+    else Ids.add defined (Value.id v) ()
   in
-  (* [visible] is the set of value ids in scope. *)
-  let rec check_op visible op =
+  (* [scope] binds each value id in scope to the isolation depth it was
+     bound at, and only bindings at the current [depth] are visible, so
+     entering an isolated op hides the enclosing scope without copying
+     it. A binding shadows any earlier one for the same id; each region
+     logs what it binds and unbinds it when it ends, which restores the
+     scope of the op that holds it. *)
+  let scope : int Ids.t = Ids.create 256 in
+  let depth = ref 0 in
+  let visible v =
+    match Ids.find scope (Value.id v) with
+    | d -> d = !depth
+    | exception Not_found -> false
+  in
+  let rec check_op op =
     List.iter
       (fun v ->
-        if not (Value.Set.mem v visible) then
+        if not (visible v) then
           add op (Fmt.str "use of undefined value %%%d" (Value.id v)))
       op.Op.operands;
     List.iter (define op) op.Op.results;
@@ -44,51 +58,49 @@ let verify ?(strict = false) top =
       | Ok () -> ()
       | Error msg -> add op msg)
     | None -> if strict then add op "unregistered operation");
-    let inner_visible =
-      if isolated_from_above op.Op.name then
-        if String.equal op.Op.name "device.kernel_create" then
-          (* kernel_create regions may reference the op's own operands:
-             they become block args of the outlined device function. *)
-          List.fold_left
-            (fun acc v -> Value.Set.add v acc)
-            Value.Set.empty op.Op.operands
-        else Value.Set.empty
-      else
-        List.fold_left
-          (fun acc v -> Value.Set.add v acc)
-          visible op.Op.operands
-    in
-    let inner_visible =
-      List.fold_left
-        (fun acc v -> Value.Set.add v acc)
-        inner_visible op.Op.results
-    in
-    (* Blocks of a region are checked sequentially with definitions
-       accumulating across blocks: precise for structured single-block
-       regions, and lenient enough for CFG-form llvm.func regions (a full
-       dominance analysis would reject nothing the emitter produces). *)
-    List.iter
-      (fun blocks ->
-        ignore
-          (List.fold_left
-             (fun visible b ->
-               List.iter (define op) b.Op.args;
-               let visible =
-                 List.fold_left
-                   (fun acc v -> Value.Set.add v acc)
-                   visible b.Op.args
-               in
-               List.fold_left
-                 (fun visible o ->
-                   check_op visible o;
-                   List.fold_left
-                     (fun acc v -> Value.Set.add v acc)
-                     visible o.Op.results)
-                 visible b.Op.body)
-             inner_visible blocks))
-      op.Op.regions
+    if op.Op.regions <> [] then begin
+      (* Every region starts from the op's scope plus its operands (even
+         undefined ones, already reported above) and its results. An
+         isolated op starts from nothing instead, except that
+         kernel_create regions may reference the op's own operands:
+         they become block args of the outlined device function. *)
+      let isolated = isolated_from_above op.Op.name in
+      let seeded =
+        if isolated && not (String.equal op.Op.name "device.kernel_create")
+        then []
+        else op.Op.operands
+      in
+      if isolated then incr depth;
+      (* Blocks of a region are checked sequentially with definitions
+         accumulating across blocks: precise for structured single-block
+         regions, and lenient enough for CFG-form llvm.func regions (a
+         full dominance analysis would reject nothing the emitter
+         produces). *)
+      List.iter
+        (fun blocks ->
+          let undo = ref [] in
+          let bind v =
+            Ids.add scope (Value.id v) !depth;
+            undo := Value.id v :: !undo
+          in
+          List.iter bind seeded;
+          List.iter bind op.Op.results;
+          List.iter
+            (fun b ->
+              List.iter (define op) b.Op.args;
+              List.iter bind b.Op.args;
+              List.iter
+                (fun o ->
+                  check_op o;
+                  List.iter bind o.Op.results)
+                b.Op.body)
+            blocks;
+          List.iter (Ids.remove scope) !undo)
+        op.Op.regions;
+      if isolated then decr depth
+    end
   in
-  check_op Value.Set.empty top;
+  check_op top;
   List.rev !diags
 
 let verify_exn ?strict top =

@@ -162,6 +162,44 @@ let dce m =
 
 (* --- common subexpression elimination (per block, pure ops only) --- *)
 
+(* Two pure ops compute the same value when they have the same name,
+   operand ids and attributes. Source locations are metadata, not
+   semantics: a "loc" attribute is left out of the key. Floats compare by
+   bit pattern, so 0.0 and -0.0 stay distinct, and a value's type is part
+   of its attribute, so f32/f64 or i32/index constants of equal value do
+   too. *)
+module Cse_key = Hashtbl.Make (struct
+  type t = string * int list * (string * Attr.t) list
+
+  let rec attr_equal a b =
+    match (a, b) with
+    | Attr.Float (x, tx), Attr.Float (y, ty) ->
+      Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+      && Types.equal tx ty
+    | Attr.Array xs, Attr.Array ys -> List.equal attr_equal xs ys
+    | Attr.Dict xs, Attr.Dict ys -> List.equal entry_equal xs ys
+    | _ -> Attr.equal a b
+
+  and entry_equal (k, a) (k', b) = String.equal k k' && attr_equal a b
+
+  let equal (name, ids, attrs) (name', ids', attrs') =
+    String.equal name name'
+    && List.equal Int.equal ids ids'
+    && List.equal entry_equal attrs attrs'
+
+  (* identifies 0.0 with -0.0 and NaNs with each other: coarser than
+     [equal], so equal keys still hash alike *)
+  let hash = Hashtbl.hash
+end)
+
+let cse_key op =
+  ( Op.name op,
+    List.map Value.id (Op.operands op),
+    List.filter
+      (fun (k, v) ->
+        match v with Attr.Loc _ -> not (String.equal k "loc") | _ -> true)
+      (Op.attrs op) )
+
 let cse m =
   let rec walk_op op =
     {
@@ -172,27 +210,12 @@ let cse m =
           op.Op.regions;
     }
   and walk_block blk =
-    let seen : (string, Value.t list) Hashtbl.t = Hashtbl.create 32 in
+    let seen : Value.t list Cse_key.t = Cse_key.create 32 in
     let subst : (int, Value.t) Hashtbl.t = Hashtbl.create 16 in
     let resolve v =
       match Hashtbl.find_opt subst (Value.id v) with
       | Some v' -> v'
       | None -> v
-    in
-    let key op =
-      (* Source locations are metadata, not semantics: two ops that differ
-         only in their "loc" attribute are still the same computation. *)
-      let semantic_attrs =
-        List.filter
-          (fun (k, v) ->
-            not (String.equal k "loc" && Option.is_some (Attr.as_loc v)))
-          (Op.attrs op)
-      in
-      Fmt.str "%s(%a)%a" (Op.name op)
-        (Fmt.list ~sep:(Fmt.any ", ") Fmt.int)
-        (List.map Value.id (Op.operands op))
-        (Fmt.list ~sep:(Fmt.any ", ") (Fmt.pair Fmt.string Attr.pp))
-        semantic_attrs
     in
     let body =
       List.concat_map
@@ -202,15 +225,15 @@ let cse m =
           in
           let op = walk_op op in
           if pure_op op && op.Op.regions = [] && Op.results op <> [] then begin
-            let k = key op in
-            match Hashtbl.find_opt seen k with
+            let k = cse_key op in
+            match Cse_key.find_opt seen k with
             | Some prior_results ->
               List.iter2
                 (fun r p -> Hashtbl.replace subst (Value.id r) p)
                 (Op.results op) prior_results;
               []
             | None ->
-              Hashtbl.add seen k (Op.results op);
+              Cse_key.add seen k (Op.results op);
               [ op ]
           end
           else [ op ])

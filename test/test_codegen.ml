@@ -74,6 +74,101 @@ let llvm_tests =
         check Alcotest.bool "no mlir.constant" false (contains t "mlir.constant"));
   ]
 
+(* The downgrade as first written, kept as an oracle for the in-place
+   version: it takes a String.sub at every byte for each pattern. *)
+module Reference_downgrade = struct
+  let replace_all ~pat ~rep text =
+    let buf = Buffer.create (String.length text) in
+    let plen = String.length pat in
+    let n = String.length text in
+    let count = ref 0 in
+    let i = ref 0 in
+    while !i < n do
+      if !i + plen <= n && String.sub text !i plen = pat then begin
+        Buffer.add_string buf rep;
+        incr count;
+        i := !i + plen
+      end
+      else begin
+        Buffer.add_char buf text.[!i];
+        incr i
+      end
+    done;
+    (Buffer.contents buf, !count)
+
+  let rewrites_table =
+    [
+      ("strip noundef", " noundef", "");
+      ("strip mustprogress", "mustprogress ", "");
+      ("strip willreturn", "willreturn ", "");
+      ("strip nofree", "nofree ", "");
+      ("strip nosync", "nosync ", "");
+      ("rewrite fneg", " fneg ", " fsub -0.000000e+00, ");
+    ]
+
+  let run text =
+    let text, rewrites =
+      List.fold_left
+        (fun (text, acc) (rw_name, pat, rep) ->
+          let text, n = replace_all ~pat ~rep text in
+          (text, { Llvm_downgrade.rw_name; rw_applied = n } :: acc))
+        (text, []) rewrites_table
+    in
+    if
+      String.length text > 0
+      &&
+      let contains s sub =
+        let n = String.length s and m = String.length sub in
+        let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+        go 0
+      in
+      contains text "freeze "
+    then failwith "llvm_downgrade: freeze instruction cannot be downgraded";
+    {
+      Llvm_downgrade.text = Llvm_downgrade.version_stamp ^ text;
+      rewrites = List.rev rewrites;
+    }
+end
+
+(* Text made of the patterns, pieces of them and random letters, so
+   hits abut, overlap and are cut short. A whole "freeze " is rare: it
+   makes both sides raise. *)
+let downgrade_text_gen =
+  let open QCheck.Gen in
+  let fragments =
+    [ " noundef"; "mustprogress "; "willreturn "; "nofree "; "nosync ";
+      " fneg " ]
+  in
+  let piece =
+    frequency
+      [
+        (16, oneofl fragments);
+        ( 12,
+          let* f = oneofl fragments in
+          let* k = int_range 1 (String.length f) in
+          let* from_end = bool in
+          return
+            (if from_end then String.sub f (String.length f - k) k
+             else String.sub f 0 k) );
+        ( 16,
+          map (String.make 1)
+            (oneofl [ 'a'; 'e'; 'f'; 'n'; 'r'; 'z'; ' '; '\n'; '%' ]) );
+        (4, map (String.sub "freeze " 0) (int_range 1 6));
+        (1, return "freeze ");
+      ]
+  in
+  map (String.concat "") (list_size (int_range 0 40) piece)
+
+let downgrade_matches_reference =
+  QCheck.Test.make ~count:1000
+    ~name:"in-place downgrade matches the reference on random text"
+    (QCheck.make downgrade_text_gen ~print:(Printf.sprintf "%S"))
+    (fun text ->
+      let outcome run =
+        match run text with r -> Ok r | exception Failure m -> Error m
+      in
+      outcome Llvm_downgrade.run = outcome Reference_downgrade.run)
+
 let downgrade_tests =
   [
     tc "stamps the version header" (fun () ->
@@ -107,6 +202,7 @@ let downgrade_tests =
         match art.Core.Compiler.llvm_ir_downgraded with
         | Some t -> check Alcotest.bool "stamped" true (contains t "LLVM 7")
         | None -> Alcotest.fail "no downgraded IR");
+    QCheck_alcotest.to_alcotest downgrade_matches_reference;
   ]
 
 let host_cpp_text art = Option.get (Lazy.force art).Core.Compiler.host_cpp

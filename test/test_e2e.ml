@@ -308,6 +308,40 @@ let backend_cli_tests =
             check Alcotest.int "vitis exit 0" 0 vc;
             check Alcotest.int "rv exit 0" 0 rc;
             check Alcotest.string "identical output" vout rout));
+    tc "--help=plain renders on every command without a cmdliner error"
+      (fun () ->
+        (* cmdliner checks doc-string markup only when it renders the
+           manual, so a bad escape surfaces here and nowhere else *)
+        let help args =
+          let code, out, err =
+            cli_capture (Fmt.str "../bin/ftnc.exe %s --help=plain" args)
+          in
+          let what = String.trim ("ftnc " ^ args) in
+          check Alcotest.int (what ^ " exits 0") 0 code;
+          check Alcotest.bool (what ^ ": no cmdliner error") false
+            (contains err "cmdliner error");
+          out
+        in
+        (* the subcommands as the top-level manual lists them: in the
+           COMMANDS section, a seven-space indent, then the name and its
+           synopsis *)
+        let rec commands = function
+          | "COMMANDS" :: rest -> names rest
+          | _ :: rest -> commands rest
+          | [] -> []
+        and names = function
+          | line :: rest when line = "" || line.[0] = ' ' ->
+            if String.length line > 7
+               && String.sub line 0 7 = "       "
+               && line.[7] <> ' '
+            then List.hd (String.split_on_char ' ' (String.trim line))
+                 :: names rest
+            else names rest
+          | _ -> []
+        in
+        let subcommands = commands (String.split_on_char '\n' (help "")) in
+        check Alcotest.bool "run is listed" true (List.mem "run" subcommands);
+        List.iter (fun sub -> ignore (help sub)) subcommands);
   ]
 
 let () =

@@ -823,6 +823,85 @@ let rewrite_tests =
         check Alcotest.string "same print"
           (Format.asprintf "%a" Printer.pp once)
           (Format.asprintf "%a" Printer.pp twice));
+    tc "erasing one op does not rebuild its block" (fun () ->
+        (* A func body of [repeats] groups, each with one dead constant
+           for the driver to erase. Minor words allocated per op must
+           stay flat when the block grows 4x; rebuilding the block on
+           every erase makes them grow with it. *)
+        let words_per_op repeats =
+          let b = Builder.create () in
+          let mem = Builder.fresh b (Types.memref_static [ 4 ] Types.I32) in
+          let group () =
+            let live = Ftn_dialects.Arith.const_i32 b 1 in
+            let idx = Ftn_dialects.Arith.const_index b 0 in
+            [
+              Ftn_dialects.Arith.const_i32 b 0;
+              live;
+              idx;
+              Ftn_dialects.Memref_d.store (Op.result1 live) mem
+                [ Op.result1 idx ];
+            ]
+          in
+          let body = List.concat (List.init repeats (fun _ -> group ())) in
+          let m =
+            Op.module_op
+              [
+                Ftn_dialects.Func_d.func ~sym_name:"f" ~args:[ mem ]
+                  ~result_tys:[]
+                  (body @ [ Ftn_dialects.Func_d.return () ]);
+              ]
+          in
+          let before = Gc.minor_words () in
+          let out, stats = Rewrite.apply_with_stats [] m in
+          let words = Gc.minor_words () -. before in
+          check Alcotest.int "dead constants erased" repeats
+            stats.Rewrite.ops_erased;
+          check Alcotest.int "live constants kept" (2 * repeats)
+            (Op.count (fun o -> Op.name o = "arith.constant") out);
+          words /. float_of_int (Pass.count_ops m)
+        in
+        let small = words_per_op 500 in
+        let large = words_per_op 2000 in
+        check Alcotest.bool
+          (Fmt.str "%.0f words/op at 2000 repeats <= 1.5 x %.0f at 500" large
+             small)
+          true
+          (large <= 1.5 *. small));
+    tc "erasing a region op kills replacements recorded inside it" (fun () ->
+        (* Children are visited first: test.a inside the scf.if becomes
+           test.b, then the scf.if is erased. The kill must reach test.b
+           through the dead test.a it replaced, so the constant feeding
+           test.b loses its last live user and is erased as well. *)
+        let b = Builder.create () in
+        let cond = Builder.fresh b Types.I1 in
+        let c = Ftn_dialects.Arith.const_i32 b 5 in
+        let a = Op.make "test.a" ~operands:[ Op.result1 c ] in
+        let if_op =
+          Ftn_dialects.Scf.if_ b ~cond
+            ~then_ops:[ a; Ftn_dialects.Scf.yield () ]
+            ()
+        in
+        let fn =
+          Ftn_dialects.Func_d.func ~sym_name:"f" ~args:[ cond ] ~result_tys:[]
+            [ c; if_op; Ftn_dialects.Func_d.return () ]
+        in
+        let a_to_b =
+          Rewrite.pattern ~roots:[ "test.a" ] "a->b" (fun _ op ->
+              Some (Rewrite.replace_with [ { op with Op.name = "test.b" } ]))
+        in
+        let drop_if =
+          Rewrite.pattern ~roots:[ "scf.if" ] "drop-if" (fun _ _ ->
+              Some Rewrite.erase)
+        in
+        let m, stats =
+          Rewrite.apply_with_stats [ a_to_b; drop_if ] (Op.module_op [ fn ])
+        in
+        check Alcotest.int "both patterns fired" 2 stats.Rewrite.patterns_fired;
+        List.iter
+          (fun name ->
+            check Alcotest.int (name ^ " gone") 0
+              (Op.count (fun o -> Op.name o = name) m))
+          [ "test.a"; "test.b"; "scf.if"; "arith.constant" ]);
   ]
 
 (* --- pass manager --- *)

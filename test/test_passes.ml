@@ -65,14 +65,47 @@ let canonicalize_tests =
         check Alcotest.bool "both operands same" true
           (Value.equal (Op.operand keep' 0) (Op.operand keep' 1)));
     tc "cse does not merge across attrs" (fun () ->
-        let b = Builder.create () in
-        let c1 = Arith.const_i32 b 1 in
-        let c2 = Arith.const_i32 b 2 in
-        let keep =
-          Op.make "test.keep" ~operands:[ Op.result1 c1; Op.result1 c2 ]
+        let pairs =
+          [
+            ( "i32 1 and 2",
+              (fun b -> Arith.const_i32 b 1),
+              fun b -> Arith.const_i32 b 2 );
+            ( "f32 0.0 and -0.0",
+              (fun b -> Arith.const_f32 b 0.0),
+              fun b -> Arith.const_f32 b (-0.0) );
+            ( "f32 and f64 1.5",
+              (fun b -> Arith.const_f32 b 1.5),
+              fun b -> Arith.const_f64 b 1.5 );
+            ( "i32 and index 3",
+              (fun b -> Arith.const_i32 b 3),
+              fun b -> Arith.const_index b 3 );
+          ]
         in
-        let m = Canonicalize.cse (wrap_fn [ c1; c2; keep ]) in
-        check Alcotest.int "two constants" 2 (count "arith.constant" m));
+        List.iter
+          (fun (label, mk1, mk2) ->
+            let b = Builder.create () in
+            let c1 = mk1 b and c2 = mk2 b in
+            let keep =
+              Op.make "test.keep" ~operands:[ Op.result1 c1; Op.result1 c2 ]
+            in
+            let m = Canonicalize.cse (wrap_fn [ c1; c2; keep ]) in
+            check Alcotest.int label 2 (count "arith.constant" m))
+          pairs);
+    tc "cse compares float constants by bit pattern" (fun () ->
+        (* both print as 1.234568e+07, so a key built from the printed
+           attribute would merge them *)
+        let b = Builder.create () in
+        let c1 = Arith.const_f64 b 12345678.0 in
+        let c2 = Arith.const_f64 b 12345679.0 in
+        let z1 = Arith.const_f32 b (-0.0) in
+        let z2 = Arith.const_f32 b (-0.0) in
+        let keep =
+          Op.make "test.keep"
+            ~operands:(List.map Op.result1 [ c1; c2; z1; z2 ])
+        in
+        let m = Canonicalize.cse (wrap_fn [ c1; c2; z1; z2; keep ]) in
+        check Alcotest.int "distinct values kept, equal -0.0s merged" 3
+          (count "arith.constant" m));
     tc "store-to-load forwarding on scalar allocas" (fun () ->
         let b = Builder.create () in
         let slot = Memref_d.alloca b (Types.memref [] Types.F32) in

@@ -15,26 +15,20 @@ type result = {
   rewrites : rewrite list;
 }
 
-(* Whether [pat] occurs in [text] at byte [i]; compares in place. *)
-let matches_at text i pat =
-  let plen = String.length pat in
-  i + plen <= String.length text
-  &&
-  let j = ref 0 in
-  while !j < plen && Char.equal text.[i + !j] pat.[!j] do
-    incr j
-  done;
-  !j = plen
-
-(* The first occurrence of [pat] (non-empty) in [text] at or after [i],
-   or -1. *)
+(* The first occurrence of [pat] in [text] at or after [i], or -1;
+   compares in place. *)
 let find_from text pat i =
-  let last = String.length text - String.length pat in
-  let c = pat.[0] in
+  let plen = String.length pat in
+  let last = String.length text - plen in
   let rec go i =
     if i > last then -1
-    else if Char.equal text.[i] c && matches_at text i pat then i
-    else go (i + 1)
+    else begin
+      let j = ref 0 in
+      while !j < plen && Char.equal text.[i + !j] pat.[!j] do
+        incr j
+      done;
+      if !j = plen then i else go (i + 1)
+    end
   in
   go i
 

@@ -12,7 +12,9 @@
    Each node caches its materialised Op.t subtree; a mutation invalidates
    only the spine from the mutated node to the root, so repeat visits and
    the final export share every unchanged subtree instead of re-copying
-   whole functions.
+   whole functions. A rewrite never rebuilds the block it happens in: the
+   replaced node stays listed, dead, with its replacements recorded on
+   it, and materialisation flattens them.
 
    Value redirections go through a substitution table whose [resolve] is
    cycle-guarded (two patterns replacing each other's results raise a

@@ -547,6 +547,75 @@ let engine_tests =
         check Alcotest.int "same steps" steps_tree steps_comp;
         (* sum over i in 0..7 of 2i *)
         check (Alcotest.list rtval) "value" [ Rtval.Int 56 ] r_comp);
+    tc "handlers see and return the same values under both engines"
+      (fun () ->
+        (* an external call: the handler records the constructors of the
+           operands it receives and answers with a Float and a Bool, which
+           the caller then computes with *)
+        let b = Builder.create () in
+        let ops =
+          [
+            Arith.const_i32 b 7; Arith.const_f32 b 0.1; Arith.const_bool b true;
+            Arith.const_index b 3; Arith.const_f64 b 2.5;
+          ]
+        in
+        let call =
+          Func_d.call b ~callee:"ext" ~operands:(List.map Op.result1 ops)
+            ~result_tys:[ Types.F32; Types.I1 ]
+        in
+        let r0, r1 =
+          match Op.results call with [ x; y ] -> (x, y) | _ -> assert false
+        in
+        let c = Arith.const_f32 b 0.1 in
+        let s = Arith.addf b r0 (Op.result1 c) in
+        let sel = Arith.select b r1 (Op.result1 s) r0 in
+        let fn =
+          Func_d.func ~sym_name:"f" ~args:[]
+            ~result_tys:[ Types.F32; Types.I1; Types.F32 ]
+            (ops
+            @ [ call; c; s; sel;
+                Func_d.return
+                  ~operands:[ Op.result1 sel; r1; r0 ] () ])
+        in
+        let m =
+          Op.module_op
+            [ Func_d.func_decl ~sym_name:"ext"
+                ~arg_tys:[ Types.I32; Types.F32; Types.I1; Types.Index; Types.F64 ]
+                ~result_tys:[ Types.F32; Types.I1 ] ();
+              fn ]
+        in
+        Verifier.verify_exn m;
+        let constructor = function
+          | Rtval.Unit -> "Unit"
+          | Rtval.Int _ -> "Int"
+          | Rtval.Float _ -> "Float"
+          | Rtval.Bool _ -> "Bool"
+          | Rtval.Buf _ -> "Buf"
+          | Rtval.Handle _ -> "Handle"
+          | Rtval.Proto _ -> "Proto"
+          | Rtval.StreamQ _ -> "StreamQ"
+        in
+        let run engine =
+          let seen = ref [] in
+          let h =
+            Interp.handler ~domain:Interp.calls (fun _ _ op operands ->
+                if Op.symbol_attr op "callee" = Some "ext" then begin
+                  seen := List.map constructor operands;
+                  Some [ Rtval.Float 1.25; Rtval.Bool true ]
+                end
+                else None)
+          in
+          let state = Interp.make ~handlers:[ h ] ~engine [ m ] in
+          let r = Interp.run state ~entry:"f" ~args:[] in
+          (!seen, r, state.Interp.steps)
+        in
+        let seen_t, r_t, steps_t = run `Tree in
+        let seen_c, r_c, steps_c = run `Compiled in
+        check (Alcotest.list Alcotest.string) "operand constructors"
+          [ "Int"; "Float"; "Bool"; "Int"; "Float" ] seen_t;
+        check (Alcotest.list Alcotest.string) "same operands" seen_t seen_c;
+        check (Alcotest.list rtval) "same results" r_t r_c;
+        check Alcotest.int "same steps" steps_t steps_c);
     tc "compiled functions are cached per state" (fun () ->
         let b = Builder.create () in
         let x = Builder.fresh b Types.I32 in

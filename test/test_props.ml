@@ -489,69 +489,223 @@ let over_release_reported =
          >= !overs)
 
 (* Differential testing of the two interpreter engines: random programs
-   mixing straight-line arith, scf.if and scf.for must produce identical
-   results AND identical step counts under the tree-walker and the
-   closure compiler. *)
+   over i32, index, i1, f32 and f64 values — integer and float arith,
+   casts, compares, select, scf.if and scf.for carrying mixed types,
+   memref.alloca of rank 0-2 and a call to a mixed-type helper — must
+   produce identical results (floats compared by bit pattern) AND
+   identical step counts under the tree-walker and the closure compiler. *)
+
+(* 0.1 and -0.3 are changed by f32 rounding; 3.0e7 is not f32-exact
+   after arithmetic. *)
+let interp_float_consts = [| 0.1; 1.5; -2.25; 3.0e7; 1e-3; 0.0; 7.0; -0.3 |]
+
+(* helper(i32, f32, i1, index) -> (f32, i1, i32) *)
+let interp_helper b =
+  let pi = Builder.fresh b Types.I32 and pf = Builder.fresh b Types.F32 in
+  let pb = Builder.fresh b Types.I1 and px = Builder.fresh b Types.Index in
+  let xi = Arith.index_cast b px Types.I32 in
+  let s = Arith.addi b pi (Op.result1 xi) in
+  let fi = Arith.sitofp b (Op.result1 s) Types.F32 in
+  let m = Arith.mulf b pf (Op.result1 fi) in
+  let sel = Arith.select b pb (Op.result1 m) pf in
+  let c = Arith.cmpf b Arith.Olt (Op.result1 sel) pf in
+  let nb = Arith.xori b pb (Op.result1 c) in
+  Func_d.func ~sym_name:"helper" ~args:[ pi; pf; pb; px ]
+    ~result_tys:[ Types.F32; Types.I1; Types.I32 ]
+    [ xi; s; fi; m; sel; c; nb;
+      Func_d.return
+        ~operands:[ Op.result1 sel; Op.result1 nb; Op.result1 s ] () ]
+
+let interp_program choices =
+  let b = Builder.create () in
+  let helper = interp_helper b in
+  let ops = ref [] in
+  let emit op = ops := op :: !ops in
+  let i32s = ref [] and idxs = ref [] and f32s = ref [] in
+  let f64s = ref [] and i1s = ref [] in
+  let pool_of ty =
+    match ty with
+    | Types.I32 -> i32s
+    | Types.Index -> idxs
+    | Types.F32 -> f32s
+    | Types.F64 -> f64s
+    | Types.I1 -> i1s
+    | _ -> invalid_arg "interp_program: no pool"
+  in
+  let add v = let p = pool_of (Value.ty v) in p := v :: !p in
+  let emit_val op =
+    emit op;
+    List.iter add (Op.results op)
+  in
+  (* emit a helper op and return its value without pooling it *)
+  let tmp op =
+    emit op;
+    Op.result1 op
+  in
+  let pick pool k = List.nth !pool (k mod List.length !pool) in
+  let float_of k = interp_float_consts.(k mod Array.length interp_float_consts) in
+  let fty k = if k mod 2 = 0 then Types.F32 else Types.F64 in
+  let fpool k = if k mod 2 = 0 then f32s else f64s in
+  let index k = tmp (Arith.const_index b k) in
+  emit_val (Arith.const_i32 b 3);
+  emit_val (Arith.const_i32 b 5);
+  emit_val (Arith.const_index b 2);
+  emit_val (Arith.const_f32 b 0.1);
+  emit_val (Arith.const_f64 b 0.1);
+  emit_val (Arith.const_bool b true);
+  List.iter
+    (fun (kind, (a, c)) ->
+      match kind with
+      | 0 -> emit_val (Arith.addi b (pick i32s a) (pick i32s c))
+      | 1 -> emit_val (Arith.muli b (pick i32s a) (pick i32s c))
+      | 2 -> emit_val (Arith.subi b (pick i32s a) (pick i32s c))
+      | 3 ->
+        let cmp = Arith.cmpi b Arith.Slt (pick i32s a) (pick i32s c) in
+        emit cmp;
+        let one = Arith.const_i32 b 1 in
+        let tv = Arith.addi b (pick i32s a) (Op.result1 one) in
+        emit_val
+          (Scf.if_ b ~cond:(Op.result1 cmp) ~result_tys:[ Types.I32 ]
+             ~then_ops:[ one; tv; Scf.yield ~operands:[ Op.result1 tv ] () ]
+             ~else_ops:[ Scf.yield ~operands:[ pick i32s c ] () ]
+             ())
+      | 4 ->
+        let lb = index 0 and ub = index ((a mod 6) + 1) in
+        let st = index ((c mod 2) + 1) in
+        emit_val
+          (Scf.for_ b ~lb ~ub ~step:st ~iter_args:[ pick i32s a ]
+             (fun iv args ->
+               let ivc = Arith.index_cast b iv Types.I32 in
+               let s = Arith.addi b (List.hd args) (Op.result1 ivc) in
+               [ ivc; s; Scf.yield ~operands:[ Op.result1 s ] () ]))
+      | 5 ->
+        let cmp = Arith.cmpi b Arith.Sgt (pick i32s a) (pick i32s c) in
+        emit cmp;
+        emit_val (Arith.select b (Op.result1 cmp) (pick i32s a) (pick i32s c))
+      | 6 -> emit_val (Arith.const_float b (float_of a) (fty c))
+      | 7 ->
+        let pool = fpool c in
+        let x = pick pool a and y = pick pool (a + c) in
+        emit_val
+          (match a mod 6 with
+          | 0 -> Arith.addf b x y
+          | 1 -> Arith.subf b x y
+          | 2 -> Arith.mulf b x y
+          | 3 -> Arith.divf b x y
+          | 4 -> Arith.maxf b x y
+          | _ -> Arith.negf b x)
+      | 8 -> emit_val (Arith.sitofp b (pick i32s a) (fty c))
+      | 9 -> emit_val (Arith.fptosi b (pick (fpool c) a) Types.I32)
+      | 10 ->
+        if c mod 2 = 0 then emit_val (Arith.extf b (pick f32s a) Types.F64)
+        else emit_val (Arith.truncf b (pick f64s a) Types.F32)
+      | 11 ->
+        if c mod 2 = 0 then
+          emit_val (Arith.index_cast b (pick i32s a) Types.Index)
+        else emit_val (Arith.index_cast b (pick idxs a) Types.I32)
+      | 12 ->
+        if c mod 2 = 0 then
+          let pred =
+            [| Arith.Eq; Arith.Ne; Arith.Slt; Arith.Sle; Arith.Sgt; Arith.Sge |]
+          in
+          emit_val (Arith.cmpi b pred.(a mod 6) (pick i32s a) (pick i32s c))
+        else
+          let pred =
+            [| Arith.Oeq; Arith.One; Arith.Olt; Arith.Ole; Arith.Ogt; Arith.Oge |]
+          in
+          let pool = fpool (c / 2) in
+          emit_val (Arith.cmpf b pred.(a mod 6) (pick pool a) (pick pool c))
+      | 13 ->
+        let x = pick i1s a and y = pick i1s c in
+        emit_val
+          (match a mod 3 with
+          | 0 -> Arith.andi b x y
+          | 1 -> Arith.ori b x y
+          | _ -> Arith.xori b x y)
+      | 14 ->
+        let pool =
+          match c mod 4 with 0 -> i32s | 1 -> f32s | 2 -> f64s | _ -> i1s
+        in
+        emit_val (Arith.select b (pick i1s a) (pick pool a) (pick pool c))
+      | 15 ->
+        (* index, i32, two f32 and i1 iter args; the yield swaps the f32
+           pair, so the copy back must read before it writes *)
+        let lb = index 0 and ub = index ((a mod 5) + 1) and st = index 1 in
+        let bound = pick i32s c in
+        emit_val
+          (Scf.for_ b ~lb ~ub ~step:st
+             ~iter_args:
+               [ pick idxs a; pick i32s c; pick f32s a; pick f32s c;
+                 pick i1s a ]
+             (fun iv args ->
+               match args with
+               | [ x; i; fa; fb; bo ] ->
+                 let x' = Arith.addi b x iv in
+                 let ic = Arith.index_cast b iv Types.I32 in
+                 let i' = Arith.addi b i (Op.result1 ic) in
+                 let ff = Arith.sitofp b (Op.result1 ic) Types.F32 in
+                 let fa' = Arith.addf b fa (Op.result1 ff) in
+                 let lt = Arith.cmpi b Arith.Slt (Op.result1 i') bound in
+                 let bo' = Arith.xori b bo (Op.result1 lt) in
+                 [ x'; ic; i'; ff; fa'; lt; bo';
+                   Scf.yield
+                     ~operands:
+                       [ Op.result1 x'; Op.result1 i'; fb; Op.result1 fa';
+                         Op.result1 bo' ]
+                     () ]
+               | _ -> assert false))
+      | 16 ->
+        let x = pick f32s a and y = pick f32s c in
+        let bo = pick i1s c in
+        let s = Arith.addf b x y in
+        let nb = Arith.xori b bo bo in
+        emit_val
+          (Scf.if_ b ~cond:(pick i1s a) ~result_tys:[ Types.F32; Types.I1 ]
+             ~then_ops:
+               [ s; Scf.yield ~operands:[ Op.result1 s; bo ] () ]
+             ~else_ops:
+               [ nb; Scf.yield ~operands:[ y; Op.result1 nb ] () ]
+             ())
+      | 17 ->
+        (* rank 0, 1 or 2 of f32, i32 or i1: an in-range store, then an
+           in-range load that may or may not read the stored element *)
+        let dims = match a mod 3 with 0 -> [] | 1 -> [ 3 ] | _ -> [ 2; 3 ] in
+        let elt = [| Types.F32; Types.I32; Types.I1 |].(c mod 3) in
+        let buf = tmp (Memref_d.alloca b (Types.memref_static dims elt)) in
+        let at k = List.map (fun d -> index (k mod d)) dims in
+        emit (Memref_d.store (pick (pool_of elt) a) buf (at a));
+        emit_val (Memref_d.load b buf (at (a + (c mod 2))))
+      | _ ->
+        emit_val
+          (Func_d.call b ~callee:"helper"
+             ~operands:[ pick i32s a; pick f32s c; pick i1s a; pick idxs c ]
+             ~result_tys:[ Types.F32; Types.I1; Types.I32 ]))
+    choices;
+  let results = [ i32s; idxs; f32s; f64s; i1s ] in
+  Op.module_op
+    [
+      helper;
+      Func_d.func ~sym_name:"f" ~args:[]
+        ~result_tys:(List.map (fun p -> Value.ty (List.hd !p)) results)
+        (List.rev
+           (Func_d.return ~operands:(List.map (fun p -> List.hd !p) results) ()
+           :: !ops));
+    ]
+
 let interp_program_gen =
   let open QCheck.Gen in
   let* choices =
-    list_size (int_range 4 16)
-      (pair (int_range 0 5) (pair (int_range 0 20) (int_range 0 20)))
+    list_size (int_range 4 24)
+      (pair (int_range 0 18) (pair (int_range 0 40) (int_range 0 40)))
   in
-  return
-    (let b = Builder.create () in
-     let ops = ref [] in
-     let pool = ref [] in
-     let emit op = ops := op :: !ops in
-     let emit_val op =
-       emit op;
-       pool := Op.result1 op :: !pool
-     in
-     emit_val (Arith.const_i32 b 3);
-     emit_val (Arith.const_i32 b 5);
-     let pick k = List.nth !pool (k mod List.length !pool) in
-     List.iter
-       (fun (kind, (a, c)) ->
-         match kind with
-         | 0 -> emit_val (Arith.addi b (pick a) (pick c))
-         | 1 -> emit_val (Arith.muli b (pick a) (pick c))
-         | 2 -> emit_val (Arith.subi b (pick a) (pick c))
-         | 3 ->
-           let cmp = Arith.cmpi b Arith.Slt (pick a) (pick c) in
-           emit cmp;
-           let one = Arith.const_i32 b 1 in
-           let tv = Arith.addi b (pick a) (Op.result1 one) in
-           emit_val
-             (Scf.if_ b ~cond:(Op.result1 cmp) ~result_tys:[ Types.I32 ]
-                ~then_ops:[ one; tv; Scf.yield ~operands:[ Op.result1 tv ] () ]
-                ~else_ops:[ Scf.yield ~operands:[ pick c ] () ]
-                ())
-         | 4 ->
-           let lb = Arith.const_index b 0 in
-           let ub = Arith.const_index b ((a mod 6) + 1) in
-           let st = Arith.const_index b ((c mod 2) + 1) in
-           emit lb;
-           emit ub;
-           emit st;
-           emit_val
-             (Scf.for_ b ~lb:(Op.result1 lb) ~ub:(Op.result1 ub)
-                ~step:(Op.result1 st)
-                ~iter_args:[ pick a ]
-                (fun iv args ->
-                  let ivc = Arith.index_cast b iv Types.I32 in
-                  let s = Arith.addi b (List.hd args) (Op.result1 ivc) in
-                  [ ivc; s; Scf.yield ~operands:[ Op.result1 s ] () ]))
-         | _ ->
-           let cmp = Arith.cmpi b Arith.Sgt (pick a) (pick c) in
-           emit cmp;
-           emit_val (Arith.select b (Op.result1 cmp) (pick a) (pick c)))
-       choices;
-     let last = List.hd !pool in
-     Op.module_op
-       [
-         Func_d.func ~sym_name:"f" ~args:[] ~result_tys:[ Types.I32 ]
-           (List.rev (Func_d.return ~operands:[ last ] () :: !ops));
-       ])
+  return (interp_program choices)
+
+(* Results with every float replaced by its bit pattern, so -0.0 and
+   NaN payloads count. *)
+let rtval_bits =
+  List.map (function
+    | Ftn_interp.Rtval.Float x -> `Bits (Int64.bits_of_float x)
+    | v -> `Val v)
 
 let engines_differential =
   QCheck.Test.make ~count:60
@@ -562,7 +716,7 @@ let engines_differential =
       let run engine =
         let state = Ftn_interp.Interp.make ~engine [ m ] in
         let r = Ftn_interp.Interp.run state ~entry:"f" ~args:[] in
-        (r, state.Ftn_interp.Interp.steps)
+        (rtval_bits r, state.Ftn_interp.Interp.steps)
       in
       run `Tree = run `Compiled)
 

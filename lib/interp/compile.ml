@@ -3,9 +3,22 @@
    [compile_function] walks a func.func body once and produces a tree of
    [code : frame -> unit] closures: op-name dispatch, constant and
    attribute decoding, cmp-predicate resolution, loop-part destructuring,
-   result arities and callee resolution are all paid at compile time. SSA
-   values are renumbered into a per-function dense slot space so a frame
-   is a plain [Rtval.t array] rather than the tree-walker's hashtable.
+   result arities and callee resolution are all paid at compile time.
+
+   A frame is a set of typed register files. Each SSA value gets a slot in
+   one of three arrays, fixed from its static type when it is first seen:
+   integers (i1 as 0/1, i8 to i64, index) in an [int array], floats (f16,
+   f32, f64) in a [floatarray], and everything else (memrefs, streams,
+   handles, protocols) in an [Rtval.t array]. Op closures read and write
+   the unboxed files directly, so scalar work neither allocates nor takes
+   the write barrier. A value becomes an [Rtval.t] only where it leaves
+   compiled code — function arguments and results, calls, returns,
+   hls.stream_* and handler trampolines — boxed by its static type (i1 ->
+   [Bool], other integers -> [Int], floats -> [Float]); values coming
+   back are unboxed with [Rtval.as_int] / [Rtval.as_float] semantics. An
+   op whose operand or result files do not fit its compiled form (IR
+   whose value types disagree with the op) runs the tree-walker's
+   semantics on boxed operands instead.
 
    The engine preserves [Tree]'s observable contract exactly:
    - [steps] is bumped once per executed op (including no-op terminators)
@@ -15,7 +28,10 @@
      the matching handlers and falls back to the compiled default;
    - [on_loop] fires for scf.for with the same [loop_key] (the induction
      value's id) and the same trip count;
-   - f32 results round per operation, as in [Tree].
+   - f32 results round per operation, and stores to f32 buffers round,
+     as in [Tree];
+   - out-of-bounds and rank-mismatched memref accesses raise
+     [Interp_error] with [Rtval]'s messages.
 
    Structurally malformed ops (wrong operand count, bad predicate,
    missing attribute) compile to a closure raising the tree-walker's
@@ -33,8 +49,45 @@ open Ftn_dialects
 module Span = Ftn_obs.Span
 module Metrics = Ftn_obs.Metrics
 
-type frame = Rtval.t array
+type frame = {
+  ints : int array;
+  floats : floatarray;
+  vals : Rtval.t array;
+}
+
 type code = frame -> unit
+
+(* Which register file holds a value; fixed by its static type. *)
+type file =
+  | Ints
+  | Floats
+  | Vals
+
+type slot = {
+  file : file;
+  idx : int;  (** Index within [file]. *)
+  ty : Types.t;
+}
+
+let file_of_type = function
+  | Types.I1 | Types.I8 | Types.I16 | Types.I32 | Types.I64 | Types.Index ->
+    Ints
+  | Types.F16 | Types.F32 | Types.F64 -> Floats
+  | _ -> Vals
+
+(* Slot accessors. Slot indices come from the function's own slot
+   assignment and frames are sized after it completes, so every index is
+   in range. *)
+let[@inline] gi f i = Array.unsafe_get f.ints i
+let[@inline] si f i x = Array.unsafe_set f.ints i x
+let[@inline] gf f i = Float.Array.unsafe_get f.floats i
+let[@inline] sf f i x = Float.Array.unsafe_set f.floats i x
+let[@inline] gv f i = Array.unsafe_get f.vals i
+let[@inline] sv f i x = Array.unsafe_set f.vals i x
+
+(* Rounding to single precision, as [Rtval.round_to_elt F32], written
+   here so it inlines into the closures and its float never boxes. *)
+let[@inline] round_f32 x = Int32.float_of_bits (Int32.bits_of_float x)
 
 let error = Tree.error
 
@@ -42,6 +95,234 @@ let error = Tree.error
    fail if reached, mirroring the tree-walker's runtime errors. *)
 let raisef fmt =
   Fmt.kstr (fun s -> fun (_ : frame) -> raise (Tree.Interp_error s)) fmt
+
+let nop : code = fun _ -> ()
+
+(* --- boxing at the edges of compiled code --- *)
+
+(* The slot's value as an [Rtval.t], by the slot's static type. *)
+let box s : frame -> Rtval.t =
+  let i = s.idx in
+  match (s.file, s.ty) with
+  | Ints, Types.I1 -> fun f -> Rtval.Bool (gi f i <> 0)
+  | Ints, _ -> fun f -> Rtval.Int (gi f i)
+  | Floats, _ -> fun f -> Rtval.Float (gf f i)
+  | Vals, _ -> fun f -> gv f i
+
+let unbox s : frame -> Rtval.t -> unit =
+  let i = s.idx in
+  match s.file with
+  | Ints -> fun f v -> si f i (Rtval.as_int v)
+  | Floats -> fun f v -> sf f i (Rtval.as_float v)
+  | Vals -> fun f v -> sv f i v
+
+(* Readers with [Rtval.as_int] / [Rtval.as_bool] semantics, for operands
+   read once per loop entry or off the hot path. *)
+let int_reader s : frame -> int =
+  let i = s.idx in
+  match s.file with
+  | Ints -> fun f -> gi f i
+  | Floats -> fun f -> int_of_float (gf f i)
+  | Vals -> fun f -> Rtval.as_int (gv f i)
+
+let bool_reader s : frame -> bool =
+  let i = s.idx in
+  match s.file with
+  | Ints -> fun f -> gi f i <> 0
+  | Floats -> fun _ -> invalid_arg "as_bool"
+  | Vals -> fun f -> Rtval.as_bool (gv f i)
+
+(* Copy one slot's value into another. *)
+let move s d : code =
+  match (s.file, d.file) with
+  | Ints, Ints ->
+    let s = s.idx and d = d.idx in
+    fun f -> si f d (gi f s)
+  | Floats, Floats ->
+    let s = s.idx and d = d.idx in
+    fun f -> sf f d (gf f s)
+  | Vals, Vals ->
+    let s = s.idx and d = d.idx in
+    fun f -> sv f d (gv f s)
+  | _ ->
+    let get = box s and set = unbox d in
+    fun f -> set f (get f)
+
+let same_slot a b = a.file = b.file && a.idx = b.idx
+
+(* Parallel slot-to-slot copy: every destination receives its source's
+   value from before the copy, as in the tree-walker's read-the-list-
+   then-bind sequence. When no destination is also a source the copies
+   run in place, grouped by file; otherwise all sources are read into a
+   scratch first. The scratch is safe to share across invocations: no
+   interpreted code runs between its fill and drain. *)
+let copy_slots ~src ~dst : code =
+  if Array.length dst <> Array.length src then
+    invalid_arg "Compile.copy_slots: length mismatch";
+  let pairs =
+    List.filter
+      (fun (s, d) -> not (same_slot s d))
+      (List.combine (Array.to_list src) (Array.to_list dst))
+  in
+  let clobbers =
+    List.exists
+      (fun (_, d) -> List.exists (fun (s, _) -> same_slot s d) pairs)
+      pairs
+  in
+  match pairs with
+  | [] -> nop
+  | [ (s, d) ] -> move s d
+  | _ when clobbers ->
+    let n = List.length pairs in
+    let ti = Array.make n 0 and tf = Float.Array.make n 0.0 in
+    let tv = Array.make n Rtval.Unit in
+    let steps =
+      List.mapi
+        (fun k (s, d) ->
+          match (s.file, d.file) with
+          | Ints, Ints ->
+            let s = s.idx and d = d.idx in
+            ((fun f -> ti.(k) <- gi f s), fun f -> si f d ti.(k))
+          | Floats, Floats ->
+            let s = s.idx and d = d.idx in
+            ( (fun f -> Float.Array.set tf k (gf f s)),
+              fun f -> sf f d (Float.Array.get tf k) )
+          | _ ->
+            let get = box s and set = unbox d in
+            ((fun f -> tv.(k) <- get f), fun f -> set f tv.(k)))
+        pairs
+    in
+    let reads = Array.of_list (List.map fst steps) in
+    let writes = Array.of_list (List.map snd steps) in
+    fun f ->
+      Array.iter (fun r -> r f) reads;
+      Array.iter (fun w -> w f) writes
+  | _ ->
+    let group file =
+      let ps = List.filter (fun (s, d) -> s.file = file && d.file = file) pairs in
+      ( Array.of_list (List.map (fun (s, _) -> s.idx) ps),
+        Array.of_list (List.map (fun (_, d) -> d.idx) ps) )
+    in
+    let is_, id_ = group Ints and fs_, fd_ = group Floats in
+    let vs_, vd_ = group Vals in
+    let mixed =
+      Array.of_list
+        (List.filter_map
+           (fun (s, d) -> if s.file = d.file then None else Some (move s d))
+           pairs)
+    in
+    fun f ->
+      for k = 0 to Array.length is_ - 1 do
+        si f (Array.unsafe_get id_ k) (gi f (Array.unsafe_get is_ k))
+      done;
+      for k = 0 to Array.length fs_ - 1 do
+        sf f (Array.unsafe_get fd_ k) (gf f (Array.unsafe_get fs_ k))
+      done;
+      for k = 0 to Array.length vs_ - 1 do
+        sv f (Array.unsafe_get vd_ k) (gv f (Array.unsafe_get vs_ k))
+      done;
+      Array.iter (fun m -> m f) mixed
+
+(* --- memref element access --- *)
+
+(* [Rtval.linearize]'s checks and messages, raised as [Interp_error]. The
+   rank-specialised forms below take the fast path for in-range indices
+   of the matching rank and defer everything else here for the exact
+   message. *)
+let linearize shape indices =
+  try Rtval.linearize shape indices with Invalid_argument m -> error "%s" m
+
+let[@inline] lin0 shape = match shape with [] -> 0 | _ -> linearize shape []
+
+let[@inline] lin1 shape i =
+  match shape with
+  | [ d ] when i >= 0 && i < d -> i
+  | _ -> linearize shape [ i ]
+
+let[@inline] lin2 shape i j =
+  match shape with
+  | [ d0; d1 ] when i >= 0 && i < d0 && j >= 0 && j < d1 -> (i * d1) + j
+  | _ -> linearize shape [ i; j ]
+
+(* Any rank, indices read from the int file without building a list. *)
+let lin_n f shape (idx : int array) =
+  let n = Array.length idx in
+  let rec go acc shape k =
+    match shape with
+    | [] -> if k = n then acc else error "linearize: rank mismatch"
+    | d :: rest ->
+      if k = n then error "linearize: rank mismatch"
+      else
+        let i = gi f idx.(k) in
+        if i < 0 || i >= d then
+          error "index %d out of bounds for dimension of size %d" i d
+        else go ((acc * d) + i) rest (k + 1)
+  in
+  go 0 shape 0
+
+(* The OCaml bounds error a short backing array would raise in
+   [Rtval.load] / [Rtval.store]. The element accessors below check with
+   it first and then access unconditionally: a float expression whose
+   branches include a raise would be boxed. *)
+let short_array () : unit = error "index out of bounds"
+
+let[@inline] check (k : int) len = if k >= len then short_array ()
+
+(* [Rtval.as_buffer], inlined. *)
+let[@inline] buf_of = function
+  | Rtval.Buf b -> b
+  | _ -> invalid_arg "as_buffer"
+
+(* [Rtval.load] followed by [as_float] / [as_int]. An i1 buffer loads
+   as a [Bool], i.e. 0 or 1. *)
+let[@inline] load_float (b : Rtval.buffer) k =
+  match b.Rtval.mem with
+  | Rtval.F a ->
+    check k (Array.length a);
+    Array.unsafe_get a k
+  | Rtval.I a ->
+    check k (Array.length a);
+    let n = Array.unsafe_get a k in
+    float_of_int (if b.Rtval.elt == Types.I1 && n <> 0 then 1 else n)
+
+let[@inline] load_int (b : Rtval.buffer) k =
+  match b.Rtval.mem with
+  | Rtval.F a ->
+    check k (Array.length a);
+    int_of_float (Array.unsafe_get a k)
+  | Rtval.I a ->
+    check k (Array.length a);
+    let n = Array.unsafe_get a k in
+    if b.Rtval.elt == Types.I1 && n <> 0 then 1 else n
+
+(* [Rtval.store] of a [Float], an [Int] and a [Bool]. *)
+let[@inline] store_float (b : Rtval.buffer) k x =
+  match b.Rtval.mem with
+  | Rtval.F a ->
+    check k (Array.length a);
+    Array.unsafe_set a k
+      (match b.Rtval.elt with Types.F32 -> round_f32 x | _ -> x)
+  | Rtval.I a ->
+    check k (Array.length a);
+    Array.unsafe_set a k (int_of_float x)
+
+let[@inline] store_int (b : Rtval.buffer) k n =
+  match b.Rtval.mem with
+  | Rtval.F a ->
+    check k (Array.length a);
+    Array.unsafe_set a k (float_of_int n)
+  | Rtval.I a ->
+    check k (Array.length a);
+    Array.unsafe_set a k n
+
+let[@inline] store_bool (b : Rtval.buffer) k n =
+  match b.Rtval.mem with
+  | Rtval.F _ -> error "store: value/buffer type mismatch"
+  | Rtval.I a ->
+    check k (Array.length a);
+    Array.unsafe_set a k n
+
+(* --- compiled functions and the per-state cache --- *)
 
 (* Compiled entry for one function: the op and its lazily-built closure. *)
 type entry = {
@@ -52,8 +333,8 @@ type entry = {
 type cache = {
   mutable entries : (Op.t * entry) list;  (** Keyed by physical identity. *)
   scratch : Tree.frame;
-      (** Frame handed to handler trampolines, with the intercepted op's
-          operands bound. *)
+      (** Frame handed to handler trampolines and tree-semantics
+          fallbacks, with the op's operands bound. *)
 }
 
 type Tree.cache += Compiled of cache
@@ -74,14 +355,17 @@ let entry_for cache fn =
     cache.entries <- (fn, e) :: cache.entries;
     e
 
-(* Slot assignment: first reference wins a fresh dense index. Compilation
-   visits defs and uses in program order, so a function's params, op
-   results and block args all land in one contiguous slot space. *)
+(* Slot assignment: first reference wins the next free index of the
+   value's file. Compilation visits defs and uses in program order, so a
+   function's params, op results and block args each land in one
+   contiguous per-file slot space. *)
 type ctx = {
   st : Tree.state;
   cache : cache;
-  slots : (int, int) Hashtbl.t;
-  mutable nslots : int;
+  slots : (int, slot) Hashtbl.t;
+  mutable nints : int;
+  mutable nfloats : int;
+  mutable nvals : int;
 }
 
 let slot ctx v =
@@ -89,8 +373,21 @@ let slot ctx v =
   match Hashtbl.find_opt ctx.slots id with
   | Some s -> s
   | None ->
-    let s = ctx.nslots in
-    ctx.nslots <- s + 1;
+    let ty = Value.ty v in
+    let file = file_of_type ty in
+    let idx =
+      match file with
+      | Ints ->
+        ctx.nints <- ctx.nints + 1;
+        ctx.nints - 1
+      | Floats ->
+        ctx.nfloats <- ctx.nfloats + 1;
+        ctx.nfloats - 1
+      | Vals ->
+        ctx.nvals <- ctx.nvals + 1;
+        ctx.nvals - 1
+    in
+    let s = { file; idx; ty } in
     Hashtbl.add ctx.slots id s;
     s
 
@@ -105,32 +402,10 @@ let run_seq (st : Tree.state) (codes : code array) (f : frame) =
     (Array.unsafe_get codes i) f
   done
 
-(* Parallel slot-to-slot copy. Reads all sources before writing (via a
-   per-closure scratch buffer) so overlapping src/dst sets — a yield
-   forwarding an iter arg — behave like the tree-walker's read-the-list-
-   then-bind sequence. The scratch is safe to share across invocations:
-   no interpreted code runs between its fill and drain. *)
-let copy_slots ~src ~dst =
-  let n = Array.length src in
-  if Array.length dst <> n then
-    invalid_arg "Compile.copy_slots: length mismatch";
-  if n = 0 then fun (_ : frame) -> ()
-  else if n = 1 then (
-    let s = src.(0) and d = dst.(0) in
-    fun f -> f.(d) <- f.(s))
-  else
-    let tmp = Array.make n Rtval.Unit in
-    fun f ->
-      for k = 0 to n - 1 do
-        tmp.(k) <- f.(src.(k))
-      done;
-      for k = 0 to n - 1 do
-        f.(dst.(k)) <- tmp.(k)
-      done
-
 (* Write a runtime result list into result slots, with the tree-walker's
    arity error. *)
-let set_result_list op (dst : int array) (f : frame) rvs =
+let set_result_list op (dst : (frame -> Rtval.t -> unit) array) (f : frame)
+    rvs =
   let n = Array.length dst in
   let err () =
     error "%s produced %d values for %d results" (Op.name op)
@@ -141,7 +416,7 @@ let set_result_list op (dst : int array) (f : frame) rvs =
     | v :: rest ->
       if k >= n then err ()
       else begin
-        f.(dst.(k)) <- v;
+        dst.(k) f v;
         go (k + 1) rest
       end
   in
@@ -171,13 +446,21 @@ and compile_function st cache fn =
   code
 
 and compile_fn_body st cache fn fname =
-  let ctx = { st; cache; slots = Hashtbl.create 64; nslots = 0 } in
-  let param_slots = slot_array ctx (Func_d.params fn) in
+  let ctx =
+    { st; cache; slots = Hashtbl.create 64; nints = 0; nfloats = 0; nvals = 0 }
+  in
+  let params = Array.of_list (List.map (fun p -> unbox (slot ctx p)) (Func_d.params fn)) in
   let codes = compile_seq ctx (Func_d.body fn) in
-  let nslots = ctx.nslots in
-  let nparams = Array.length param_slots in
+  let nints = ctx.nints and nfloats = ctx.nfloats and nvals = ctx.nvals in
+  let nparams = Array.length params in
   fun args ->
-    let f = Array.make nslots Rtval.Unit in
+    let f =
+      {
+        ints = Array.make nints 0;
+        floats = Float.Array.make nfloats 0.0;
+        vals = Array.make nvals Rtval.Unit;
+      }
+    in
     let arity_err () =
       error "function %s called with %d arguments (expects %d)" fname
         (List.length args) nparams
@@ -187,7 +470,7 @@ and compile_fn_body st cache fn fname =
       | v :: rest ->
         if k >= nparams then arity_err ()
         else begin
-          f.(param_slots.(k)) <- v;
+          params.(k) f v;
           bind (k + 1) rest
         end
     in
@@ -199,11 +482,6 @@ and compile_fn_body st cache fn fname =
 
 and compile_seq ctx ops = Array.of_list (List.map (compile_op ctx) ops)
 
-(* Handler interception: ops whose name falls in some handler's domain get
-   a trampoline. The matching handlers are selected at compile time; at
-   run time the trampoline evaluates the operands, binds them into the
-   shared scratch tree-frame (handlers expect a [Tree.frame]) and tries
-   the handlers in order, falling back to the compiled default. *)
 and compile_op ctx op : code =
   let code = compile_op_dispatch ctx op in
   (* The profiling decision is paid at compile time: when enabled, the
@@ -219,6 +497,11 @@ and compile_op ctx op : code =
   end
   else code
 
+(* Handler interception: ops whose name falls in some handler's domain get
+   a trampoline. The matching handlers are selected at compile time; at
+   run time the trampoline boxes the operands, binds them into the shared
+   scratch tree-frame (handlers expect a [Tree.frame]) and tries the
+   handlers in order, falling back to the compiled default. *)
 and compile_op_dispatch ctx op : code =
   let base = compile_default ctx op in
   let name = Op.name op in
@@ -230,278 +513,288 @@ and compile_op_dispatch ctx op : code =
   | [] -> base
   | hs ->
     let operand_binds =
-      List.map (fun v -> (Value.id v, slot ctx v)) (Op.operands op)
+      List.map (fun v -> (Value.id v, box (slot ctx v))) (Op.operands op)
     in
-    let result_slots = slot_array ctx (Op.results op) in
+    let results = Array.map unbox (slot_array ctx (Op.results op)) in
     let st = ctx.st in
     let scratch = ctx.cache.scratch in
     fun f ->
-      let vals = List.map (fun (_, s) -> f.(s)) operand_binds in
-      List.iter
-        (fun (id, s) -> Hashtbl.replace scratch.Tree.vals id f.(s))
-        operand_binds;
+      let vals =
+        List.map
+          (fun (id, get) ->
+            let v = get f in
+            Hashtbl.replace scratch.Tree.vals id v;
+            v)
+          operand_binds
+      in
       let rec try_handlers = function
         | [] -> base f
         | h :: rest -> (
           match Tree.run_handler h st scratch op vals with
-          | Some rvs -> set_result_list op result_slots f rvs
+          | Some rvs -> set_result_list op results f rvs
           | None -> try_handlers rest)
       in
       try_handlers hs
+
+(* The tree-walker's default semantics on boxed operands, for a leaf op
+   whose operand or result files do not fit its compiled form. *)
+and tree_semantics ctx op : code =
+  let operands = Op.operands op in
+  let ids = List.map Value.id operands in
+  let gets = List.map (fun v -> box (slot ctx v)) operands in
+  let sets = List.map (fun r -> (r, unbox (slot ctx r))) (Op.results op) in
+  let st = ctx.st and scratch = ctx.cache.scratch in
+  fun f ->
+    let vals = List.map (fun get -> get f) gets in
+    List.iter2 (fun id v -> Hashtbl.replace scratch.Tree.vals id v) ids vals;
+    Tree.exec_default st scratch op vals;
+    List.iter (fun (r, set) -> set f (Tree.get scratch r)) sets
 
 and compile_default ctx op : code =
   let name = Op.name op in
   let sl v = slot ctx v in
   let d1 () = sl (Op.result1 op) in
-  let int_binop g =
-    match Op.operands op with
-    | [ a; b ] ->
-      let a = sl a and b = sl b in
-      let d = d1 () in
-      fun f ->
-        f.(d) <- Rtval.Int (g (Rtval.as_int f.(a)) (Rtval.as_int f.(b)))
-    | _ -> raisef "%s expects two operands" name
-  in
-  (* andi/ori/xori act on booleans when both operands are booleans. *)
-  let int_logic bool_g int_g =
-    match Op.operands op with
-    | [ a; b ] ->
-      let a = sl a and b = sl b in
-      let d = d1 () in
-      fun f ->
-        f.(d) <-
-          (match (f.(a), f.(b)) with
-          | Rtval.Bool x, Rtval.Bool y -> Rtval.Bool (bool_g x y)
-          | x, y -> Rtval.Int (int_g (Rtval.as_int x) (Rtval.as_int y)))
-    | _ -> raisef "%s expects two operands" name
-  in
-  (* Division operators check the divisor first, like the tree-walker. *)
-  let int_div g msg =
-    match Op.operands op with
-    | [ a; b ] ->
-      let a = sl a and b = sl b in
-      let d = d1 () in
-      fun f ->
-        let y = Rtval.as_int f.(b) in
-        if y = 0 then error "%s" msg
-        else f.(d) <- Rtval.Int (g (Rtval.as_int f.(a)) y)
-    | _ -> raisef "%s expects two operands" name
-  in
-  let float_binop g =
-    match Op.operands op with
-    | [ a; b ] ->
-      let a = sl a and b = sl b in
-      let d = d1 () in
-      (* f32-typed arithmetic rounds to single precision per operation *)
-      (match Value.ty (Op.result1 op) with
-      | Types.F32 ->
-        fun f ->
-          f.(d) <-
-            Rtval.Float
-              (Rtval.round_to_elt Types.F32
-                 (g (Rtval.as_float f.(a)) (Rtval.as_float f.(b))))
-      | _ ->
-        fun f ->
-          f.(d) <- Rtval.Float (g (Rtval.as_float f.(a)) (Rtval.as_float f.(b))))
-    | _ -> raisef "%s expects two operands" name
-  in
-  let nop : code = fun _ -> () in
+  let fallback () = tree_semantics ctx op in
   match name with
   | "arith.constant" -> (
-    match Op.find_attr op "value" with
-    | Some (Attr.Int (n, Types.I1)) ->
-      let d = d1 () and rv = Rtval.Bool (n <> 0) in
-      fun f -> f.(d) <- rv
-    | Some (Attr.Int (n, _)) ->
-      let d = d1 () and rv = Rtval.Int n in
-      fun f -> f.(d) <- rv
-    | Some (Attr.Float (x, _)) ->
-      let d = d1 () and rv = Rtval.Float x in
-      fun f -> f.(d) <- rv
-    | Some (Attr.Bool b) ->
-      let d = d1 () and rv = Rtval.Bool b in
-      fun f -> f.(d) <- rv
-    | _ -> raisef "arith.constant without a value")
-  | "arith.addi" -> int_binop ( + )
-  | "arith.subi" -> int_binop ( - )
-  | "arith.muli" -> int_binop ( * )
-  | "arith.divsi" -> int_div ( / ) "integer division by zero"
-  | "arith.remsi" -> int_div (fun x y -> x mod y) "integer remainder by zero"
-  | "arith.maxsi" -> int_binop max
-  | "arith.minsi" -> int_binop min
-  | "arith.andi" -> int_logic ( && ) ( land )
-  | "arith.ori" -> int_logic ( || ) ( lor )
-  | "arith.xori" -> int_logic ( <> ) ( lxor )
-  | "arith.addf" -> float_binop ( +. )
-  | "arith.subf" -> float_binop ( -. )
-  | "arith.mulf" -> float_binop ( *. )
-  | "arith.divf" -> float_binop ( /. )
-  | "arith.maximumf" -> float_binop Float.max
-  | "arith.minimumf" -> float_binop Float.min
+    let rv =
+      match Op.find_attr op "value" with
+      | Some (Attr.Int (n, Types.I1)) -> Some (Rtval.Bool (n <> 0))
+      | Some (Attr.Int (n, _)) -> Some (Rtval.Int n)
+      | Some (Attr.Float (x, _)) -> Some (Rtval.Float x)
+      | Some (Attr.Bool b) -> Some (Rtval.Bool b)
+      | _ -> None
+    in
+    match rv with
+    | None -> raisef "arith.constant without a value"
+    | Some rv -> (
+      let d = d1 () in
+      let i = d.idx in
+      match d.file with
+      | Ints ->
+        let n = Rtval.as_int rv in
+        fun f -> si f i n
+      | Floats ->
+        let x = Rtval.as_float rv in
+        fun f -> sf f i x
+      | Vals -> fun f -> sv f i rv))
+  | "arith.addi" | "arith.subi" | "arith.muli" | "arith.divsi"
+  | "arith.remsi" | "arith.maxsi" | "arith.minsi" | "arith.andi"
+  | "arith.ori" | "arith.xori" -> (
+    match Op.operands op with
+    | [ a; b ] -> (
+      match (sl a, sl b, d1 ()) with
+      | { file = Ints; idx = a; _ }, { file = Ints; idx = b; _ },
+        { file = Ints; idx = d; _ } -> (
+        match name with
+        | "arith.addi" -> fun f -> si f d (gi f a + gi f b)
+        | "arith.subi" -> fun f -> si f d (gi f a - gi f b)
+        | "arith.muli" -> fun f -> si f d (gi f a * gi f b)
+        (* Division operators check the divisor first, like the
+           tree-walker. *)
+        | "arith.divsi" ->
+          fun f ->
+            let y = gi f b in
+            if y = 0 then error "integer division by zero"
+            else si f d (gi f a / y)
+        | "arith.remsi" ->
+          fun f ->
+            let y = gi f b in
+            if y = 0 then error "integer remainder by zero"
+            else si f d (gi f a mod y)
+        | "arith.maxsi" ->
+          fun f ->
+            let x = gi f a and y = gi f b in
+            si f d (if x >= y then x else y)
+        | "arith.minsi" ->
+          fun f ->
+            let x = gi f a and y = gi f b in
+            si f d (if x <= y then x else y)
+        (* On i1 values held as 0/1 these are exactly the tree-walker's
+           boolean and/or/xor. *)
+        | "arith.andi" -> fun f -> si f d (gi f a land gi f b)
+        | "arith.ori" -> fun f -> si f d (gi f a lor gi f b)
+        | _ -> fun f -> si f d (gi f a lxor gi f b))
+      | _ -> fallback ())
+    | _ -> raisef "%s expects two operands" name)
+  | "arith.addf" | "arith.subf" | "arith.mulf" | "arith.divf"
+  | "arith.maximumf" | "arith.minimumf" -> (
+    match Op.operands op with
+    | [ a; b ] -> (
+      match (sl a, sl b, d1 ()) with
+      | { file = Floats; idx = a; _ }, { file = Floats; idx = b; _ },
+        { file = Floats; idx = d; ty } -> (
+        (* f32-typed arithmetic rounds to single precision per
+           operation *)
+        match (name, ty) with
+        | "arith.addf", Types.F32 ->
+          fun f -> sf f d (round_f32 (gf f a +. gf f b))
+        | "arith.addf", _ -> fun f -> sf f d (gf f a +. gf f b)
+        | "arith.subf", Types.F32 ->
+          fun f -> sf f d (round_f32 (gf f a -. gf f b))
+        | "arith.subf", _ -> fun f -> sf f d (gf f a -. gf f b)
+        | "arith.mulf", Types.F32 ->
+          fun f -> sf f d (round_f32 (gf f a *. gf f b))
+        | "arith.mulf", _ -> fun f -> sf f d (gf f a *. gf f b)
+        | "arith.divf", Types.F32 ->
+          fun f -> sf f d (round_f32 (gf f a /. gf f b))
+        | "arith.divf", _ -> fun f -> sf f d (gf f a /. gf f b)
+        | "arith.maximumf", Types.F32 ->
+          fun f -> sf f d (round_f32 (Float.max (gf f a) (gf f b)))
+        | "arith.maximumf", _ -> fun f -> sf f d (Float.max (gf f a) (gf f b))
+        | _, Types.F32 ->
+          fun f -> sf f d (round_f32 (Float.min (gf f a) (gf f b)))
+        | _ -> fun f -> sf f d (Float.min (gf f a) (gf f b)))
+      | _ -> fallback ())
+    | _ -> raisef "%s expects two operands" name)
   | "arith.negf" -> (
     match Op.operands op with
-    | [ a ] ->
-      let a = sl a in
-      let d = d1 () in
-      fun f -> f.(d) <- Rtval.Float (-.Rtval.as_float f.(a))
+    | [ a ] -> (
+      match (sl a, d1 ()) with
+      | { file = Floats; idx = a; _ }, { file = Floats; idx = d; _ } ->
+        fun f -> sf f d (-.gf f a)
+      | _ -> fallback ())
     | _ -> raisef "arith.negf expects one operand")
   | "arith.cmpi" -> (
     match (Op.operands op, Op.string_attr op "predicate") with
     | [ a; b ], Some pred_s -> (
       match Arith.int_pred_of_string pred_s with
-      | Some pred ->
-        let a = sl a and b = sl b in
-        let d = d1 () in
-        fun f ->
-          f.(d) <-
-            Rtval.Bool
-              (Arith.eval_int_pred pred (Rtval.as_int f.(a))
-                 (Rtval.as_int f.(b)))
+      | Some pred -> (
+        match (sl a, sl b, d1 ()) with
+        | { file = Ints; idx = a; _ }, { file = Ints; idx = b; _ },
+          { file = Ints; idx = d; _ } -> (
+          let set f c = si f d (if c then 1 else 0) in
+          match pred with
+          | Arith.Eq -> fun f -> set f (gi f a = gi f b)
+          | Arith.Ne -> fun f -> set f (gi f a <> gi f b)
+          | Arith.Slt -> fun f -> set f (gi f a < gi f b)
+          | Arith.Sle -> fun f -> set f (gi f a <= gi f b)
+          | Arith.Sgt -> fun f -> set f (gi f a > gi f b)
+          | Arith.Sge -> fun f -> set f (gi f a >= gi f b))
+        | _ -> fallback ())
       | None -> raisef "unknown cmpi predicate %s" pred_s)
     | _ -> raisef "malformed arith.cmpi")
   | "arith.cmpf" -> (
     match (Op.operands op, Op.string_attr op "predicate") with
     | [ a; b ], Some pred_s -> (
       match Arith.float_pred_of_string pred_s with
-      | Some pred ->
-        let a = sl a and b = sl b in
-        let d = d1 () in
-        fun f ->
-          f.(d) <-
-            Rtval.Bool
-              (Arith.eval_float_pred pred (Rtval.as_float f.(a))
-                 (Rtval.as_float f.(b)))
+      | Some pred -> (
+        match (sl a, sl b, d1 ()) with
+        | { file = Floats; idx = a; _ }, { file = Floats; idx = b; _ },
+          { file = Ints; idx = d; _ } -> (
+          match pred with
+          | Arith.Oeq -> fun f -> si f d (if gf f a = gf f b then 1 else 0)
+          | Arith.One -> fun f -> si f d (if gf f a <> gf f b then 1 else 0)
+          | Arith.Olt -> fun f -> si f d (if gf f a < gf f b then 1 else 0)
+          | Arith.Ole -> fun f -> si f d (if gf f a <= gf f b then 1 else 0)
+          | Arith.Ogt -> fun f -> si f d (if gf f a > gf f b then 1 else 0)
+          | Arith.Oge -> fun f -> si f d (if gf f a >= gf f b then 1 else 0))
+        | _ -> fallback ())
       | None -> raisef "unknown cmpf predicate %s" pred_s)
     | _ -> raisef "malformed arith.cmpf")
   | "arith.select" -> (
     match Op.operands op with
-    | [ c; t; e ] ->
-      let c = sl c and t = sl t and e = sl e in
-      let d = d1 () in
-      fun f -> f.(d) <- (if Rtval.as_bool f.(c) then f.(t) else f.(e))
+    | [ c; t; e ] -> (
+      match (sl c, sl t, sl e, d1 ()) with
+      | { file = Ints; idx = c; _ }, t, e, d
+        when t.file = d.file && e.file = d.file -> (
+        let t = t.idx and e = e.idx and d' = d.idx in
+        match d.file with
+        | Ints -> fun f -> si f d' (if gi f c <> 0 then gi f t else gi f e)
+        | Floats -> fun f -> sf f d' (if gi f c <> 0 then gf f t else gf f e)
+        | Vals -> fun f -> sv f d' (if gi f c <> 0 then gv f t else gv f e))
+      | _ -> fallback ())
     | _ -> raisef "arith.select expects three operands")
   | "arith.index_cast" | "arith.extsi" | "arith.trunci" | "arith.sitofp"
   | "arith.fptosi" | "arith.extf" | "arith.truncf" -> (
+    (* The result type alone decides the conversion, as in
+       [Tree.eval_cast]: f32 rounds, f64 converts, i1 tests non-zero and
+       every other type converts to an integer. *)
     match Op.operands op with
     | [ a ] -> (
-      let a = sl a in
-      let d = d1 () in
-      match Value.ty (Op.result1 op) with
-      | Types.F32 ->
-        fun f ->
-          f.(d) <-
-            Rtval.Float (Rtval.round_to_elt Types.F32 (Rtval.as_float f.(a)))
-      | Types.F64 -> fun f -> f.(d) <- Rtval.Float (Rtval.as_float f.(a))
-      | Types.I1 -> fun f -> f.(d) <- Rtval.Bool (Rtval.as_bool f.(a))
-      | _ -> fun f -> f.(d) <- Rtval.Int (Rtval.as_int f.(a)))
+      let s = sl a and d = d1 () in
+      let a = s.idx and i = d.idx in
+      match (s.file, d.ty) with
+      | Floats, Types.F32 -> fun f -> sf f i (round_f32 (gf f a))
+      | Ints, Types.F32 -> fun f -> sf f i (round_f32 (float_of_int (gi f a)))
+      | Floats, Types.F64 -> fun f -> sf f i (gf f a)
+      | Ints, Types.F64 -> fun f -> sf f i (float_of_int (gi f a))
+      | Ints, Types.I1 -> fun f -> si f i (if gi f a <> 0 then 1 else 0)
+      | Ints, _ when d.file = Ints && d.ty <> Types.I1 -> fun f -> si f i (gi f a)
+      | Floats, _ when d.file = Ints && d.ty <> Types.I1 ->
+        fun f -> si f i (int_of_float (gf f a))
+      | _ -> fallback ())
     | _ -> raisef "%s expects one operand" name)
   | "math.sqrt" | "math.exp" | "math.log" | "math.sin" | "math.cos"
   | "math.tanh" | "math.absf" -> (
     match Op.operands op with
     | [ a ] -> (
-      match Math_d.unary_fn name with
-      | Some g ->
-        let a = sl a in
-        let d = d1 () in
-        fun f -> f.(d) <- Rtval.Float (g (Rtval.as_float f.(a)))
-      | None -> raisef "cannot evaluate %s" name)
+      match (sl a, d1 ()) with
+      | { file = Floats; idx = a; _ }, { file = Floats; idx = d; _ } -> (
+        match name with
+        | "math.sqrt" -> fun f -> sf f d (Float.sqrt (gf f a))
+        | "math.exp" -> fun f -> sf f d (Float.exp (gf f a))
+        | "math.log" -> fun f -> sf f d (Float.log (gf f a))
+        | "math.sin" -> fun f -> sf f d (Float.sin (gf f a))
+        | "math.cos" -> fun f -> sf f d (Float.cos (gf f a))
+        | "math.tanh" -> fun f -> sf f d (Float.tanh (gf f a))
+        | _ -> fun f -> sf f d (Float.abs (gf f a)))
+      | _ -> fallback ())
     | _ -> raisef "%s expects one operand" name)
   | "math.powf" -> (
     match Op.operands op with
-    | [ a; b ] ->
-      let a = sl a and b = sl b in
-      let d = d1 () in
-      fun f ->
-        f.(d) <-
-          Rtval.Float (Float.pow (Rtval.as_float f.(a)) (Rtval.as_float f.(b)))
+    | [ a; b ] -> (
+      match (sl a, sl b, d1 ()) with
+      | { file = Floats; idx = a; _ }, { file = Floats; idx = b; _ },
+        { file = Floats; idx = d; _ } ->
+        fun f -> sf f d (Float.pow (gf f a) (gf f b))
+      | _ -> fallback ())
     | _ -> raisef "math.powf expects two operands")
   | "memref.alloca" | "memref.alloc" -> (
     match Value.ty (Op.result1 op) with
     | Types.Memref mi ->
-      let dyn_slots = List.map sl (Op.operands op) in
-      let d = sl (Op.result1 op) in
+      let dyn = List.map (fun v -> int_reader (sl v)) (Op.operands op) in
+      let set = unbox (d1 ()) in
       let elt = mi.Types.elt and mspace = mi.Types.memory_space in
       fun f ->
-        let dynamic = List.map (fun s -> Rtval.as_int f.(s)) dyn_slots in
+        let dynamic = List.map (fun r -> r f) dyn in
         let shape = Tree.resolve_shape mi dynamic in
-        f.(d) <- Rtval.Buf (Rtval.alloc_buffer ~memory_space:mspace elt shape)
+        set f (Rtval.Buf (Rtval.alloc_buffer ~memory_space:mspace elt shape))
     | _ -> raisef "allocation must produce a memref")
   | "memref.dealloc" -> nop
   | "memref.load" -> (
     match Op.operands op with
-    | buf :: indices -> (
-      let b = sl buf in
-      let d = d1 () in
-      match List.map sl indices with
-      | [] -> fun f -> f.(d) <- Rtval.load (Rtval.as_buffer f.(b)) []
-      | [ i ] ->
-        fun f ->
-          f.(d) <- Rtval.load (Rtval.as_buffer f.(b)) [ Rtval.as_int f.(i) ]
-      | [ i; j ] ->
-        fun f ->
-          f.(d) <-
-            Rtval.load (Rtval.as_buffer f.(b))
-              [ Rtval.as_int f.(i); Rtval.as_int f.(j) ]
-      | idx ->
-        fun f ->
-          f.(d) <-
-            Rtval.load (Rtval.as_buffer f.(b))
-              (List.map (fun s -> Rtval.as_int f.(s)) idx))
+    | buf :: indices -> compile_load ctx op (sl buf) (List.map sl indices)
     | [] -> raisef "memref.load expects operands")
   | "memref.store" -> (
     match Op.operands op with
-    | value :: buf :: indices -> (
-      let v = sl value and b = sl buf in
-      match List.map sl indices with
-      | [] -> fun f -> Rtval.store (Rtval.as_buffer f.(b)) [] f.(v)
-      | [ i ] ->
-        fun f ->
-          Rtval.store (Rtval.as_buffer f.(b)) [ Rtval.as_int f.(i) ] f.(v)
-      | [ i; j ] ->
-        fun f ->
-          Rtval.store (Rtval.as_buffer f.(b))
-            [ Rtval.as_int f.(i); Rtval.as_int f.(j) ]
-            f.(v)
-      | idx ->
-        fun f ->
-          Rtval.store (Rtval.as_buffer f.(b))
-            (List.map (fun s -> Rtval.as_int f.(s)) idx)
-            f.(v))
+    | value :: buf :: indices ->
+      compile_store ctx op (sl value) (sl buf) (List.map sl indices)
     | _ -> raisef "memref.store expects operands")
   | "memref.dim" -> (
     match Op.operands op with
     | [ buf; idx ] ->
-      let b = sl buf and i = sl idx in
-      let d = d1 () in
+      let b = box (sl buf) and i = int_reader (sl idx) in
+      let set = unbox (d1 ()) in
       fun f -> (
-        let bv = Rtval.as_buffer f.(b) in
-        match List.nth_opt bv.Rtval.shape (Rtval.as_int f.(i)) with
-        | Some n -> f.(d) <- Rtval.Int n
+        let bv = Rtval.as_buffer (b f) in
+        let i = i f in
+        match if i < 0 then None else List.nth_opt bv.Rtval.shape i with
+        | Some n -> set f (Rtval.Int n)
         | None -> error "memref.dim out of range")
     | _ -> raisef "memref.dim expects two operands")
-  | "memref.copy" -> (
+  | "memref.copy" | "memref.dma_start" -> (
     match Op.operands op with
     | [ src; dst ] ->
-      let s = sl src and d = sl dst in
+      let s = box (sl src) and d = box (sl dst) in
       fun f ->
-        Rtval.copy_into ~src:(Rtval.as_buffer f.(s))
-          ~dst:(Rtval.as_buffer f.(d))
-    | _ -> raisef "memref.copy expects two operands")
-  | "memref.dma_start" -> (
-    match Op.operands op with
-    | [ src; dst ] ->
-      let s = sl src and d = sl dst in
-      fun f ->
-        Rtval.copy_into ~src:(Rtval.as_buffer f.(s))
-          ~dst:(Rtval.as_buffer f.(d))
-    | _ -> raisef "memref.dma_start expects two operands")
+        Rtval.copy_into ~src:(Rtval.as_buffer (s f))
+          ~dst:(Rtval.as_buffer (d f))
+    | _ -> raisef "%s expects two operands" name)
   | "memref.dma_wait" -> nop
   | "memref.cast" -> (
     match Op.operands op with
-    | [ a ] ->
-      let a = sl a in
-      let d = d1 () in
-      fun f -> f.(d) <- f.(a)
+    | [ a ] -> move (sl a) (d1 ())
     | _ -> raisef "memref.cast expects one operand")
   | "scf.for" -> compile_for ctx op
   | "scf.if" -> compile_if ctx op
@@ -509,28 +802,22 @@ and compile_default ctx op : code =
   | "scf.yield" | "scf.condition" | "omp.yield" | "omp.terminator" -> nop
   | "func.call" | "fir.call" -> compile_call ctx op
   | "func.return" -> (
-    match List.map sl (Op.operands op) with
+    match List.map (fun v -> box (sl v)) (Op.operands op) with
     | [] -> fun _ -> raise (Tree.Return [])
-    | srcs -> fun f -> raise (Tree.Return (List.map (fun s -> f.(s)) srcs)))
+    | gets -> fun f -> raise (Tree.Return (List.map (fun get -> get f) gets)))
   | "func.func" -> nop
   | "builtin.module" -> nop
   | "builtin.unrealized_conversion_cast" -> (
     match Op.operands op with
-    | [ a ] ->
-      let a = sl a in
-      let d = d1 () in
-      fun f -> f.(d) <- f.(a)
+    | [ a ] -> move (sl a) (d1 ())
     | _ -> raisef "unrealized cast expects one operand")
   | "omp.map_info" -> (
     match Op.operands op with
-    | var :: _ ->
-      let s = sl var in
-      let d = d1 () in
-      fun f -> f.(d) <- f.(s)
+    | var :: _ -> move (sl var) (d1 ())
     | [] -> raisef "omp.map_info expects the variable operand")
   | "omp.bounds_info" ->
-    let d = d1 () in
-    fun f -> f.(d) <- Rtval.Int 0
+    let set = unbox (d1 ()) in
+    fun f -> set f (Rtval.Int 0)
   | "omp.target" -> compile_region_entry ctx op "malformed omp.target"
   | "omp.target_data" ->
     let body = compile_seq ctx (Op.region_body op 0) in
@@ -542,10 +829,7 @@ and compile_default ctx op : code =
   | "omp.parallel_do" -> compile_parallel_do ctx op
   | "acc.copy_info" -> (
     match Op.operands op with
-    | var :: _ ->
-      let s = sl var in
-      let d = d1 () in
-      fun f -> f.(d) <- f.(s)
+    | var :: _ -> move (sl var) (d1 ())
     | [] -> raisef "acc.copy_info expects the variable operand")
   | "acc.parallel" -> compile_region_entry ctx op "malformed acc.parallel"
   | "acc.data" ->
@@ -561,35 +845,147 @@ and compile_default ctx op : code =
   | "hls.axi_protocol" -> (
     match Op.operands op with
     | [ a ] ->
-      let a = sl a in
-      let d = d1 () in
-      fun f -> f.(d) <- Rtval.Proto (Rtval.as_int f.(a))
+      let a = int_reader (sl a) and set = unbox (d1 ()) in
+      fun f -> set f (Rtval.Proto (a f))
     | _ -> raisef "hls.axi_protocol expects one operand")
   | "hls.stream_create" ->
-    let d = d1 () in
-    fun f -> f.(d) <- Rtval.StreamQ (Queue.create ())
+    let set = unbox (d1 ()) in
+    fun f -> set f (Rtval.StreamQ (Queue.create ()))
   | "hls.stream_read" -> (
     match Op.operands op with
     | [ a ] ->
-      let a = sl a in
-      let d = d1 () in
+      let a = box (sl a) and set = unbox (d1 ()) in
       fun f -> (
-        match f.(a) with
+        match a f with
         | Rtval.StreamQ q ->
           if Queue.is_empty q then error "read on an empty hls.stream"
-          else f.(d) <- Queue.pop q
+          else set f (Queue.pop q)
         | _ -> error "hls.stream_read expects a stream")
     | _ -> raisef "hls.stream_read expects a stream")
   | "hls.stream_write" -> (
     match Op.operands op with
     | [ a; v ] ->
-      let a = sl a and v = sl v in
+      let a = box (sl a) and v = box (sl v) in
       fun f -> (
-        match f.(a) with
-        | Rtval.StreamQ q -> Queue.push f.(v) q
+        match a f with
+        | Rtval.StreamQ q -> Queue.push (v f) q
         | _ -> error "hls.stream_write expects a stream and a value")
     | _ -> raisef "hls.stream_write expects a stream and a value")
   | other -> raisef "no semantics for operation %s" other
+
+(* memref.load specialised by rank and by the result's file: the buffer
+   comes from the value file, indices from the int file, and no index
+   list is built. *)
+and compile_load ctx op buf indices : code =
+  let d = slot ctx (Op.result1 op) in
+  if buf.file <> Vals || List.exists (fun s -> s.file <> Ints) indices then
+    tree_semantics ctx op
+  else
+    let b = buf.idx and r = d.idx in
+    match (List.map (fun s -> s.idx) indices, d.file) with
+    | [], Floats ->
+      fun f ->
+        let bv = buf_of (gv f b) in
+        sf f r (load_float bv (lin0 bv.Rtval.shape))
+    | [], Ints ->
+      fun f ->
+        let bv = buf_of (gv f b) in
+        si f r (load_int bv (lin0 bv.Rtval.shape))
+    | [ i ], Floats ->
+      fun f ->
+        let bv = buf_of (gv f b) in
+        sf f r (load_float bv (lin1 bv.Rtval.shape (gi f i)))
+    | [ i ], Ints ->
+      fun f ->
+        let bv = buf_of (gv f b) in
+        si f r (load_int bv (lin1 bv.Rtval.shape (gi f i)))
+    | [ i; j ], Floats ->
+      fun f ->
+        let bv = buf_of (gv f b) in
+        sf f r (load_float bv (lin2 bv.Rtval.shape (gi f i) (gi f j)))
+    | [ i; j ], Ints ->
+      fun f ->
+        let bv = buf_of (gv f b) in
+        si f r (load_int bv (lin2 bv.Rtval.shape (gi f i) (gi f j)))
+    | idx, Floats ->
+      let idx = Array.of_list idx in
+      fun f ->
+        let bv = buf_of (gv f b) in
+        sf f r (load_float bv (lin_n f bv.Rtval.shape idx))
+    | idx, Ints ->
+      let idx = Array.of_list idx in
+      fun f ->
+        let bv = buf_of (gv f b) in
+        si f r (load_int bv (lin_n f bv.Rtval.shape idx))
+    | _, Vals -> tree_semantics ctx op
+
+(* memref.store specialised by rank and by the stored value's kind:
+   float, i1 or other integer. *)
+and compile_store ctx op value buf indices : code =
+  if buf.file <> Vals || List.exists (fun s -> s.file <> Ints) indices then
+    tree_semantics ctx op
+  else
+    let b = buf.idx and v = value.idx in
+    let idx = List.map (fun s -> s.idx) indices in
+    match (value.file, value.ty) with
+    | Floats, _ -> (
+      match idx with
+      | [] ->
+        fun f ->
+          let bv = buf_of (gv f b) in
+          store_float bv (lin0 bv.Rtval.shape) (gf f v)
+      | [ i ] ->
+        fun f ->
+          let bv = buf_of (gv f b) in
+          store_float bv (lin1 bv.Rtval.shape (gi f i)) (gf f v)
+      | [ i; j ] ->
+        fun f ->
+          let bv = buf_of (gv f b) in
+          store_float bv (lin2 bv.Rtval.shape (gi f i) (gi f j)) (gf f v)
+      | idx ->
+        let idx = Array.of_list idx in
+        fun f ->
+          let bv = buf_of (gv f b) in
+          store_float bv (lin_n f bv.Rtval.shape idx) (gf f v))
+    | Ints, Types.I1 -> (
+      match idx with
+      | [] ->
+        fun f ->
+          let bv = buf_of (gv f b) in
+          store_bool bv (lin0 bv.Rtval.shape) (gi f v)
+      | [ i ] ->
+        fun f ->
+          let bv = buf_of (gv f b) in
+          store_bool bv (lin1 bv.Rtval.shape (gi f i)) (gi f v)
+      | [ i; j ] ->
+        fun f ->
+          let bv = buf_of (gv f b) in
+          store_bool bv (lin2 bv.Rtval.shape (gi f i) (gi f j)) (gi f v)
+      | idx ->
+        let idx = Array.of_list idx in
+        fun f ->
+          let bv = buf_of (gv f b) in
+          store_bool bv (lin_n f bv.Rtval.shape idx) (gi f v))
+    | Ints, _ -> (
+      match idx with
+      | [] ->
+        fun f ->
+          let bv = buf_of (gv f b) in
+          store_int bv (lin0 bv.Rtval.shape) (gi f v)
+      | [ i ] ->
+        fun f ->
+          let bv = buf_of (gv f b) in
+          store_int bv (lin1 bv.Rtval.shape (gi f i)) (gi f v)
+      | [ i; j ] ->
+        fun f ->
+          let bv = buf_of (gv f b) in
+          store_int bv (lin2 bv.Rtval.shape (gi f i) (gi f j)) (gi f v)
+      | idx ->
+        let idx = Array.of_list idx in
+        fun f ->
+          let bv = buf_of (gv f b) in
+          store_int bv (lin_n f bv.Rtval.shape idx) (gi f v))
+    | Vals, _ -> tree_semantics ctx op
 
 (* omp.target / acc.parallel: bind the region's block args from the op's
    operands, then run the body inline. *)
@@ -617,14 +1013,14 @@ and compile_call ctx op : code =
     match Tree.find_function ctx.st callee with
     | None -> raisef "call to unknown function %s" callee
     | Some fn ->
-      let arg_slots = List.map (slot ctx) (Op.operands op) in
-      let result_slots = slot_array ctx (Op.results op) in
+      let args = List.map (fun v -> box (slot ctx v)) (Op.operands op) in
+      let results = Array.map unbox (slot_array ctx (Op.results op)) in
       let entry = entry_for ctx.cache fn in
       let st = ctx.st and cache = ctx.cache in
       fun f ->
-        let args = List.map (fun s -> f.(s)) arg_slots in
+        let args = List.map (fun get -> get f) args in
         let rvs = (force st cache entry) args in
-        set_result_list op result_slots f rvs)
+        set_result_list op results f rvs)
 
 and compile_for ctx op : code =
   match Scf.for_parts op with
@@ -635,11 +1031,11 @@ and compile_for ctx op : code =
       || List.length (Op.results op) <> List.length parts.Scf.iter_args
     then raisef "malformed scf.for"
     else begin
-      let lb_s = slot ctx parts.Scf.lb in
-      let ub_s = slot ctx parts.Scf.ub in
-      let step_s = slot ctx parts.Scf.step in
+      let lb_r = int_reader (slot ctx parts.Scf.lb) in
+      let ub_r = int_reader (slot ctx parts.Scf.ub) in
+      let step_r = int_reader (slot ctx parts.Scf.step) in
       let init_slots = slot_array ctx parts.Scf.iter_inits in
-      let ind_s = slot ctx parts.Scf.induction in
+      let ind = slot ctx parts.Scf.induction in
       let arg_slots = slot_array ctx parts.Scf.iter_args in
       let res_slots = slot_array ctx (Op.results op) in
       let body = compile_seq ctx parts.Scf.body in
@@ -651,30 +1047,48 @@ and compile_for ctx op : code =
           when Scf.is_yield last
                && List.length (Op.operands last) = Array.length arg_slots ->
           copy_slots ~src:(slot_array ctx (Op.operands last)) ~dst:arg_slots
-        | _ -> fun _ -> ()
+        | _ -> nop
       in
       let init_copy = copy_slots ~src:init_slots ~dst:arg_slots in
       let res_copy = copy_slots ~src:arg_slots ~dst:res_slots in
       let ind_id = Value.id parts.Scf.induction in
       let st = ctx.st in
-      fun f ->
-        let lb = Rtval.as_int f.(lb_s) in
-        let ub = Rtval.as_int f.(ub_s) in
-        let step = Rtval.as_int f.(step_s) in
-        if step <= 0 then error "scf.for requires a positive step";
-        init_copy f;
-        let i = ref lb in
-        while !i < ub do
-          f.(ind_s) <- Rtval.Int !i;
-          run_seq st body f;
-          yield_copy f;
-          i := !i + step
-        done;
+      let finish f ~lb ~ub ~step =
         (match st.Tree.on_loop with
         | Some cb ->
           cb ~loop_key:ind_id ~iters:(max 0 ((ub - lb + step - 1) / step))
         | None -> ());
         res_copy f
+      in
+      match ind.file with
+      | Ints ->
+        let iv = ind.idx in
+        fun f ->
+          let lb = lb_r f and ub = ub_r f and step = step_r f in
+          if step <= 0 then error "scf.for requires a positive step";
+          init_copy f;
+          let i = ref lb in
+          while !i < ub do
+            si f iv !i;
+            run_seq st body f;
+            yield_copy f;
+            i := !i + step
+          done;
+          finish f ~lb ~ub ~step
+      | Floats | Vals ->
+        let set_iv = unbox ind in
+        fun f ->
+          let lb = lb_r f and ub = ub_r f and step = step_r f in
+          if step <= 0 then error "scf.for requires a positive step";
+          init_copy f;
+          let i = ref lb in
+          while !i < ub do
+            set_iv f (Rtval.Int !i);
+            run_seq st body f;
+            yield_copy f;
+            i := !i + step
+          done;
+          finish f ~lb ~ub ~step
     end
 
 and compile_if ctx op : code =
@@ -694,7 +1108,7 @@ and compile_if ctx op : code =
         | _ ->
           if Array.length res_slots <> 0 then
             raisef "scf.if with results needs yields"
-          else fun _ -> ()
+          else nop
       in
       (codes, after)
     in
@@ -704,8 +1118,8 @@ and compile_if ctx op : code =
         (if List.length (Op.regions op) > 1 then Op.region_body op 1 else [])
     in
     let st = ctx.st in
-    fun f ->
-      if Rtval.as_bool f.(c) then begin
+    let run_branch taken f =
+      if taken then begin
         run_seq st then_codes f;
         then_after f
       end
@@ -713,6 +1127,14 @@ and compile_if ctx op : code =
         run_seq st else_codes f;
         else_after f
       end
+    in
+    (match c.file with
+    | Ints ->
+      let c = c.idx in
+      fun f -> run_branch (gi f c <> 0) f
+    | Floats | Vals ->
+      let test = bool_reader c in
+      fun f -> run_branch (test f) f)
 
 and compile_while ctx op : code =
   match Op.regions op with
@@ -734,7 +1156,7 @@ and compile_while ctx op : code =
         -> (
         match Op.operands cond_op with
         | c :: forwarded ->
-          let c = slot ctx c in
+          let test = bool_reader (slot ctx c) in
           let fwd_slots = slot_array ctx forwarded in
           let aarg_slots = slot_array ctx after.Op.args in
           let after_codes = compile_seq ctx after.Op.body in
@@ -762,7 +1184,7 @@ and compile_while ctx op : code =
               let continue_ = ref true in
               while !continue_ do
                 run_seq st before_codes f;
-                if Rtval.as_bool f.(c) then begin
+                if test f then begin
                   fwd_to_after f;
                   run_seq st after_codes f;
                   match yield_to_bargs with
@@ -794,7 +1216,9 @@ and compile_nd_loop ctx ~step_err bound_vals iv_vals body_ops : code =
   let bounds =
     Array.of_list
       (List.map
-         (fun (lb, ub, step) -> (slot ctx lb, slot ctx ub, slot ctx step))
+         (fun (lb, ub, step) ->
+           let r v = int_reader (slot ctx v) in
+           (r lb, r ub, r step))
          bound_vals)
   in
   let ivs = slot_array ctx iv_vals in
@@ -805,35 +1229,27 @@ and compile_nd_loop ctx ~step_err bound_vals iv_vals body_ops : code =
     if k = ndims then fun _ f -> run_seq st body f
     else
       let inner = mk (k + 1) in
-      if k < Array.length ivs then (
-        let iv = ivs.(k) in
-        fun b f ->
-          let lb, ub, step = b.(k) in
-          if step <= 0 then error "%s" step_err;
-          let i = ref lb in
-          while !i <= ub do
-            f.(iv) <- Rtval.Int !i;
-            inner b f;
-            i := !i + step
-          done)
-      else
-        fun b f ->
+      let loop set_iv b f =
         let lb, ub, step = b.(k) in
         if step <= 0 then error "%s" step_err;
         let i = ref lb in
         while !i <= ub do
+          set_iv f !i;
           inner b f;
           i := !i + step
         done
+      in
+      if k < Array.length ivs then
+        match ivs.(k) with
+        | { file = Ints; idx = iv; _ } -> loop (fun f i -> si f iv i)
+        | s ->
+          let set = unbox s in
+          loop (fun f i -> set f (Rtval.Int i))
+      else loop (fun _ _ -> ())
   in
   let runner = mk 0 in
   fun f ->
-    let b =
-      Array.map
-        (fun (l, u, s) ->
-          (Rtval.as_int f.(l), Rtval.as_int f.(u), Rtval.as_int f.(s)))
-        bounds
-    in
+    let b = Array.map (fun (l, u, s) -> (l f, u f, s f)) bounds in
     runner b f
 
 and compile_parallel_do ctx op : code =

@@ -616,6 +616,44 @@ let engine_tests =
         check (Alcotest.list Alcotest.string) "same operands" seen_t seen_c;
         check (Alcotest.list rtval) "same results" r_t r_c;
         check Alcotest.int "same steps" steps_t steps_c);
+    tc "compiled SAXPY allocates at most one word per step" (fun () ->
+        (* Second runs of already-compiled code, so what is left is the
+           per-step cost of frames and op closures. Minor-heap words are
+           deterministic for a given program and input. *)
+        let art =
+          Core.Compiler.compile (Ftn_linpack.Fortran_sources.saxpy ~n:10_000)
+        in
+        let words_per_step what state ~fresh_args fn =
+          ignore (Interp.call_function state fn (fresh_args ()));
+          let args = fresh_args () in
+          let steps0 = state.Interp.steps in
+          let w0 = Gc.minor_words () in
+          ignore (Interp.call_function state fn args);
+          let w = Gc.minor_words () -. w0 in
+          let per_step = w /. float_of_int (state.Interp.steps - steps0) in
+          check Alcotest.bool
+            (Fmt.str "%s: %.2f words/step <= 1.0" what per_step)
+            true (per_step <= 1.0)
+        in
+        let device = Option.get art.Core.Compiler.device_hls in
+        let kernel = List.find Func_d.has_body (Op.module_body device) in
+        let n = 10_000 in
+        words_per_step "kernel"
+          (Interp.make ~engine:`Compiled [ device ])
+          ~fresh_args:(fun () ->
+            let buf shape = Rtval.Buf (Rtval.alloc_buffer ~memory_space:1 Types.F32 shape) in
+            [ buf [ n ]; buf [ n ]; buf [] ])
+          kernel;
+        let core = art.Core.Compiler.core_module in
+        let sink = Intrinsics.make_sink () in
+        words_per_step "cpu program"
+          (Interp.make ~engine:`Compiled
+             ~handlers:
+               [ Intrinsics.print_handler sink;
+                 Intrinsics.runtime_library_handler ]
+             [ core ])
+          ~fresh_args:(fun () -> [])
+          (Option.get (Interp.main_function core)));
     tc "compiled functions are cached per state" (fun () ->
         let b = Builder.create () in
         let x = Builder.fresh b Types.I32 in

@@ -260,22 +260,28 @@ and exec_default state frame op operand_values =
               mi.Types.elt shape))
     | _ -> error "allocation must produce a memref")
   | "memref.dealloc" -> ()
+  (* Out-of-bounds and mismatched accesses are errors of the interpreted
+     program: [Rtval]'s messages, raised as [Interp_error]. *)
   | "memref.load" -> (
     match operands () with
-    | buf :: indices ->
-      ret1 (Rtval.load (Rtval.as_buffer buf) (List.map Rtval.as_int indices))
+    | buf :: indices -> (
+      let indices = List.map Rtval.as_int indices in
+      let b = Rtval.as_buffer buf in
+      ret1 (try Rtval.load b indices with Invalid_argument m -> error "%s" m))
     | [] -> error "memref.load expects operands")
   | "memref.store" -> (
     match operands () with
-    | value :: buf :: indices ->
-      Rtval.store (Rtval.as_buffer buf) (List.map Rtval.as_int indices) value
+    | value :: buf :: indices -> (
+      let indices = List.map Rtval.as_int indices in
+      let b = Rtval.as_buffer buf in
+      try Rtval.store b indices value with Invalid_argument m -> error "%s" m)
     | _ -> error "memref.store expects operands")
   | "memref.dim" -> (
     match operands () with
     | [ buf; idx ] ->
       let b = Rtval.as_buffer buf in
       let i = Rtval.as_int idx in
-      (match List.nth_opt b.Rtval.shape i with
+      (match if i < 0 then None else List.nth_opt b.Rtval.shape i with
       | Some d -> ret1 (Rtval.Int d)
       | None -> error "memref.dim out of range")
     | _ -> error "memref.dim expects two operands")

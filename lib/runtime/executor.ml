@@ -945,14 +945,22 @@ let run ?(echo = false) ?entry ?(args = []) ?engine ?diag ?faults
          Fault.fail
            (Fault.Invalid_host
               { op = "module"; reason = "host module has no main program" }))
-   with Fault.Error (e, loc) as exn ->
+   with
+   | Fault.Error (e, loc) as exn ->
      (* Record the structured runtime error in the context's diagnostics
         stream before propagating, so drivers that accumulate diagnostics
         see it alongside compile-time errors, with the launching op's
         source location. *)
      Ftn_diag.Diag_engine.error ctx.diag ~loc
        (Fault.message e ^ Fault.flight_note ());
-     raise exn);
+     raise exn
+   | Interp.Interp_error msg ->
+     (* A runtime error of the interpreted program itself (an
+        out-of-bounds access, a division by zero), located at the last
+        device op the host ran: inside a kernel, its launching target
+        directive. *)
+     Ftn_diag.Diag_engine.error ctx.diag ~loc:ctx.cur_loc msg;
+     Ftn_diag.Diag.fail ~loc:ctx.cur_loc msg);
   Ftn_obs.Metrics.incr ~by:state.Interp.steps "interp.steps";
   result_of_context ctx
 

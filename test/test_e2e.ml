@@ -267,12 +267,90 @@ let cli_capture cmd =
   in
   (code, slurp out_file, slurp err_file)
 
-let with_saxpy_file f =
-  let src_file = Filename.temp_file "saxpy" ".f90" in
+let with_source_file name src f =
+  let src_file = Filename.temp_file name ".f90" in
   let oc = open_out src_file in
-  output_string oc (Ftn_linpack.Fortran_sources.saxpy ~n:32);
+  output_string oc src;
   close_out oc;
   Fun.protect ~finally:(fun () -> Sys.remove src_file) (fun () -> f src_file)
+
+let with_saxpy_file f =
+  with_source_file "saxpy" (Ftn_linpack.Fortran_sources.saxpy ~n:32) f
+
+(* Count the non-overlapping occurrences of [sub] in [s]. *)
+let occurrences sub s =
+  let n = String.length sub in
+  let rec go i acc =
+    if i + n > String.length s then acc
+    else if String.sub s i n = sub then go (i + n) (acc + 1)
+    else go (i + 1) acc
+  in
+  go 0 0
+
+(* A runtime error inside an offloaded loop must end as one located
+   diagnostic at the loop's target directive (line 10 of each program),
+   under either interpreter engine. *)
+let runtime_error_case name ~message src =
+  tc name (fun () ->
+      with_source_file "kernel" src (fun file ->
+          List.iter
+            (fun engine ->
+              let code, _, err =
+                cli_capture
+                  (Fmt.str "../bin/ftnc.exe run %s --interp-engine %s"
+                     (Filename.quote file) engine)
+              in
+              let what = Fmt.str "%s (%s)" name engine in
+              check Alcotest.int (what ^ ": exit 1") 1 code;
+              check Alcotest.int (what ^ ": one error") 1
+                (occurrences "error:" err);
+              check Alcotest.bool (what ^ ": at the target line") true
+                (contains err (file ^ ":10:"));
+              check Alcotest.bool (what ^ ": message") true
+                (contains err message);
+              check Alcotest.bool (what ^ ": no internal error") false
+                (contains err "internal error"))
+            [ "tree"; "compiled" ]))
+
+let runtime_error_tests =
+  [
+    runtime_error_case "an out-of-bounds store in a kernel is located"
+      ~message:"index 16 out of bounds for dimension of size 16"
+      "program oob\n\
+       implicit none\n\
+       real :: a(16)\n\
+       integer :: i\n\
+       do i = 1, 16\n\
+       a(i) = 0.0\n\
+       end do\n\
+       print *, 'start'\n\
+       ! one element past the end\n\
+       !$omp target parallel do map(tofrom:a)\n\
+       do i = 1, 17\n\
+       a(i) = real(i)\n\
+       end do\n\
+       !$omp end target parallel do\n\
+       print *, a(1)\n\
+       end program oob\n";
+    runtime_error_case "an integer division by zero in a kernel is located"
+      ~message:"integer division by zero"
+      "program div0\n\
+       implicit none\n\
+       integer :: a(8)\n\
+       integer :: i, z\n\
+       z = 0\n\
+       do i = 1, 8\n\
+       a(i) = i\n\
+       end do\n\
+       ! divides by z\n\
+       !$omp target parallel do map(tofrom:a) map(to:z)\n\
+       do i = 1, 8\n\
+       a(i) = a(i) / z\n\
+       end do\n\
+       !$omp end target parallel do\n\
+       print *, a(1)\n\
+       end program div0\n";
+  ]
 
 let backend_cli_tests =
   [
@@ -346,4 +424,8 @@ let backend_cli_tests =
 
 let () =
   Alcotest.run "e2e"
-    [ ("pipeline", e2e_tests); ("backend-cli", backend_cli_tests) ]
+    [
+      ("pipeline", e2e_tests);
+      ("backend-cli", backend_cli_tests);
+      ("runtime-errors", runtime_error_tests);
+    ]

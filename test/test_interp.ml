@@ -383,6 +383,49 @@ let memory_tests engine =
               | _ -> assert false)
         in
         check (Alcotest.list rtval) "dim" [ Rtval.Int 5 ] r);
+    tc "memref.dim rejects indices outside the rank" (fun () ->
+        List.iter
+          (fun k ->
+            match
+              run_fn ~engine ~args:[] ~arg_tys:[] ~result_tys:[ Types.Index ]
+                (fun b _ ->
+                  let buf =
+                    Memref_d.alloca b (Types.memref_static [ 4 ] Types.F32)
+                  in
+                  let i = Arith.const_index b k in
+                  let d = Memref_d.dim b (Op.result1 buf) (Op.result1 i) in
+                  [ buf; i; d; Func_d.return ~operands:[ Op.result1 d ] () ])
+            with
+            | _ -> Alcotest.failf "dim %d: expected an error" k
+            | exception Interp.Interp_error m ->
+              check Alcotest.string (Fmt.str "dim %d" k)
+                "memref.dim out of range" m)
+          [ -1; 1 ]);
+    tc "out-of-bounds loads and stores raise Interp_error" (fun () ->
+        List.iter
+          (fun store ->
+            match
+              run_fn ~engine ~args:[] ~arg_tys:[] ~result_tys:[]
+                (fun b _ ->
+                  let buf =
+                    Memref_d.alloca b (Types.memref_static [ 4 ] Types.F32)
+                  in
+                  let i = Arith.const_index b 4 in
+                  let v = Arith.const_f32 b 1.0 in
+                  let access =
+                    if store then
+                      Memref_d.store (Op.result1 v) (Op.result1 buf)
+                        [ Op.result1 i ]
+                    else Memref_d.load b (Op.result1 buf) [ Op.result1 i ]
+                  in
+                  [ buf; i; v; access; Func_d.return () ])
+            with
+            | _ -> Alcotest.fail "expected an error"
+            | exception Interp.Interp_error m ->
+              check Alcotest.string
+                (if store then "store" else "load")
+                "index 4 out of bounds for dimension of size 4" m)
+          [ false; true ]);
     tc "buffers alias through calls" (fun () ->
         (* callee writes through the memref; caller observes it *)
         let b = Builder.create () in

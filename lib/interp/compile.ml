@@ -132,6 +132,23 @@ let bool_reader s : frame -> bool =
   | Floats -> fun _ -> invalid_arg "as_bool"
   | Vals -> fun f -> Rtval.as_bool (gv f i)
 
+(* Where a loop writes its induction value: straight into the int file,
+   or as the tree-walker's [Int] for an induction value of another type;
+   [Iv_none] for a collapsed dimension without one. *)
+type iv_slot =
+  | Iv_int of int
+  | Iv_boxed of (frame -> Rtval.t -> unit)
+  | Iv_none
+
+let iv_slot s =
+  match s.file with Ints -> Iv_int s.idx | Floats | Vals -> Iv_boxed (unbox s)
+
+let[@inline] set_iv f iv i =
+  match iv with
+  | Iv_int k -> si f k i
+  | Iv_boxed set -> set f (Rtval.Int i)
+  | Iv_none -> ()
+
 (* Copy one slot's value into another. *)
 let move s d : code =
   match (s.file, d.file) with
@@ -199,7 +216,9 @@ let copy_slots ~src ~dst : code =
       Array.iter (fun w -> w f) writes
   | _ ->
     let group file =
-      let ps = List.filter (fun (s, d) -> s.file = file && d.file = file) pairs in
+      let ps =
+        List.filter (fun (s, d) -> s.file = file && d.file = file) pairs
+      in
       ( Array.of_list (List.map (fun (s, _) -> s.idx) ps),
         Array.of_list (List.map (fun (_, d) -> d.idx) ps) )
     in
@@ -422,6 +441,21 @@ let set_result_list op (dst : (frame -> Rtval.t -> unit) array) (f : frame)
   in
   go 0 rvs
 
+(* Box an op's operands and bind them into the scratch tree-frame, where
+   handlers and [Tree.exec_default] look them up. *)
+let boxed_operands ctx op : frame -> Rtval.t list =
+  let binds =
+    List.map (fun v -> (Value.id v, box (slot ctx v))) (Op.operands op)
+  in
+  let scratch = ctx.cache.scratch in
+  fun f ->
+    List.map
+      (fun (id, get) ->
+        let v = get f in
+        Hashtbl.replace scratch.Tree.vals id v;
+        v)
+      binds
+
 let rec force st cache entry =
   match entry.e_call with
   | Some c -> c
@@ -449,7 +483,9 @@ and compile_fn_body st cache fn fname =
   let ctx =
     { st; cache; slots = Hashtbl.create 64; nints = 0; nfloats = 0; nvals = 0 }
   in
-  let params = Array.of_list (List.map (fun p -> unbox (slot ctx p)) (Func_d.params fn)) in
+  let params =
+    Array.of_list (List.map (fun p -> unbox (slot ctx p)) (Func_d.params fn))
+  in
   let codes = compile_seq ctx (Func_d.body fn) in
   let nints = ctx.nints and nfloats = ctx.nfloats and nvals = ctx.nvals in
   let nparams = Array.length params in
@@ -512,21 +548,11 @@ and compile_op_dispatch ctx op : code =
   with
   | [] -> base
   | hs ->
-    let operand_binds =
-      List.map (fun v -> (Value.id v, box (slot ctx v))) (Op.operands op)
-    in
+    let operands = boxed_operands ctx op in
     let results = Array.map unbox (slot_array ctx (Op.results op)) in
-    let st = ctx.st in
-    let scratch = ctx.cache.scratch in
+    let st = ctx.st and scratch = ctx.cache.scratch in
     fun f ->
-      let vals =
-        List.map
-          (fun (id, get) ->
-            let v = get f in
-            Hashtbl.replace scratch.Tree.vals id v;
-            v)
-          operand_binds
-      in
+      let vals = operands f in
       let rec try_handlers = function
         | [] -> base f
         | h :: rest -> (
@@ -539,15 +565,11 @@ and compile_op_dispatch ctx op : code =
 (* The tree-walker's default semantics on boxed operands, for a leaf op
    whose operand or result files do not fit its compiled form. *)
 and tree_semantics ctx op : code =
-  let operands = Op.operands op in
-  let ids = List.map Value.id operands in
-  let gets = List.map (fun v -> box (slot ctx v)) operands in
+  let operands = boxed_operands ctx op in
   let sets = List.map (fun r -> (r, unbox (slot ctx r))) (Op.results op) in
   let st = ctx.st and scratch = ctx.cache.scratch in
   fun f ->
-    let vals = List.map (fun get -> get f) gets in
-    List.iter2 (fun id v -> Hashtbl.replace scratch.Tree.vals id v) ids vals;
-    Tree.exec_default st scratch op vals;
+    Tree.exec_default st scratch op (operands f);
     List.iter (fun (r, set) -> set f (Tree.get scratch r)) sets
 
 and compile_default ctx op : code =
@@ -720,7 +742,9 @@ and compile_default ctx op : code =
       | Floats, Types.F64 -> fun f -> sf f i (gf f a)
       | Ints, Types.F64 -> fun f -> sf f i (float_of_int (gi f a))
       | Ints, Types.I1 -> fun f -> si f i (if gi f a <> 0 then 1 else 0)
-      | Ints, _ when d.file = Ints && d.ty <> Types.I1 -> fun f -> si f i (gi f a)
+      | Ints, _ when d.file = Ints -> fun f -> si f i (gi f a)
+      (* a float to i1 is [Rtval.as_bool], which raises: left to the
+         fallback *)
       | Floats, _ when d.file = Ints && d.ty <> Types.I1 ->
         fun f -> si f i (int_of_float (gf f a))
       | _ -> fallback ())
@@ -1051,44 +1075,27 @@ and compile_for ctx op : code =
       in
       let init_copy = copy_slots ~src:init_slots ~dst:arg_slots in
       let res_copy = copy_slots ~src:arg_slots ~dst:res_slots in
+      let iv = iv_slot ind in
       let ind_id = Value.id parts.Scf.induction in
       let st = ctx.st in
-      let finish f ~lb ~ub ~step =
+      fun f ->
+        let lb = lb_r f in
+        let ub = ub_r f in
+        let step = step_r f in
+        if step <= 0 then error "scf.for requires a positive step";
+        init_copy f;
+        let i = ref lb in
+        while !i < ub do
+          set_iv f iv !i;
+          run_seq st body f;
+          yield_copy f;
+          i := !i + step
+        done;
         (match st.Tree.on_loop with
         | Some cb ->
           cb ~loop_key:ind_id ~iters:(max 0 ((ub - lb + step - 1) / step))
         | None -> ());
         res_copy f
-      in
-      match ind.file with
-      | Ints ->
-        let iv = ind.idx in
-        fun f ->
-          let lb = lb_r f and ub = ub_r f and step = step_r f in
-          if step <= 0 then error "scf.for requires a positive step";
-          init_copy f;
-          let i = ref lb in
-          while !i < ub do
-            si f iv !i;
-            run_seq st body f;
-            yield_copy f;
-            i := !i + step
-          done;
-          finish f ~lb ~ub ~step
-      | Floats | Vals ->
-        let set_iv = unbox ind in
-        fun f ->
-          let lb = lb_r f and ub = ub_r f and step = step_r f in
-          if step <= 0 then error "scf.for requires a positive step";
-          init_copy f;
-          let i = ref lb in
-          while !i < ub do
-            set_iv f (Rtval.Int !i);
-            run_seq st body f;
-            yield_copy f;
-            i := !i + step
-          done;
-          finish f ~lb ~ub ~step
     end
 
 and compile_if ctx op : code =
@@ -1229,23 +1236,16 @@ and compile_nd_loop ctx ~step_err bound_vals iv_vals body_ops : code =
     if k = ndims then fun _ f -> run_seq st body f
     else
       let inner = mk (k + 1) in
-      let loop set_iv b f =
+      let iv = if k < Array.length ivs then iv_slot ivs.(k) else Iv_none in
+      fun b f ->
         let lb, ub, step = b.(k) in
         if step <= 0 then error "%s" step_err;
         let i = ref lb in
         while !i <= ub do
-          set_iv f !i;
+          set_iv f iv !i;
           inner b f;
           i := !i + step
         done
-      in
-      if k < Array.length ivs then
-        match ivs.(k) with
-        | { file = Ints; idx = iv; _ } -> loop (fun f i -> si f iv i)
-        | s ->
-          let set = unbox s in
-          loop (fun f i -> set f (Rtval.Int i))
-      else loop (fun _ _ -> ())
   in
   let runner = mk 0 in
   fun f ->

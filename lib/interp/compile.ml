@@ -685,14 +685,13 @@ and compile_default ctx op : code =
         match (sl a, sl b, d1 ()) with
         | { file = Ints; idx = a; _ }, { file = Ints; idx = b; _ },
           { file = Ints; idx = d; _ } -> (
-          let set f c = si f d (if c then 1 else 0) in
           match pred with
-          | Arith.Eq -> fun f -> set f (gi f a = gi f b)
-          | Arith.Ne -> fun f -> set f (gi f a <> gi f b)
-          | Arith.Slt -> fun f -> set f (gi f a < gi f b)
-          | Arith.Sle -> fun f -> set f (gi f a <= gi f b)
-          | Arith.Sgt -> fun f -> set f (gi f a > gi f b)
-          | Arith.Sge -> fun f -> set f (gi f a >= gi f b))
+          | Arith.Eq -> fun f -> si f d (if gi f a = gi f b then 1 else 0)
+          | Arith.Ne -> fun f -> si f d (if gi f a <> gi f b then 1 else 0)
+          | Arith.Slt -> fun f -> si f d (if gi f a < gi f b then 1 else 0)
+          | Arith.Sle -> fun f -> si f d (if gi f a <= gi f b then 1 else 0)
+          | Arith.Sgt -> fun f -> si f d (if gi f a > gi f b then 1 else 0)
+          | Arith.Sge -> fun f -> si f d (if gi f a >= gi f b then 1 else 0))
         | _ -> fallback ())
       | None -> raisef "unknown cmpi predicate %s" pred_s)
     | _ -> raisef "malformed arith.cmpi")

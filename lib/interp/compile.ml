@@ -15,10 +15,11 @@
    compiled code — function arguments and results, calls, returns,
    hls.stream_* and handler trampolines — boxed by its static type (i1 ->
    [Bool], other integers -> [Int], floats -> [Float]); values coming
-   back are unboxed with [Rtval.as_int] / [Rtval.as_float] semantics. An
-   op whose operand or result files do not fit its compiled form (IR
-   whose value types disagree with the op) runs the tree-walker's
-   semantics on boxed operands instead.
+   back are unboxed with [Rtval.as_int] / [Rtval.as_float] semantics. A
+   leaf op that is structurally malformed (wrong operand count, bad
+   predicate, missing attribute) or whose operand or result files do not
+   fit its compiled form (IR whose value types disagree with the op)
+   runs the tree-walker's own semantics on boxed operands instead.
 
    The engine preserves [Tree]'s observable contract exactly:
    - [steps] is bumped once per executed op (including no-op terminators)
@@ -33,10 +34,10 @@
    - out-of-bounds and rank-mismatched memref accesses raise
      [Interp_error] with [Rtval]'s messages.
 
-   Structurally malformed ops (wrong operand count, bad predicate,
-   missing attribute) compile to a closure raising the tree-walker's
-   error message when — and only when — the op would execute, so dead
-   malformed code stays dead, as under the tree-walker.
+   Malformed ops raise the tree-walker's error message when — and only
+   when — they execute, so dead malformed code stays dead, as under the
+   tree-walker: leaf ops through the tree-walker itself, region ops and
+   calls through a closure raising its message.
 
    Compiled functions are cached per interpreter state, keyed by the
    func.func op's physical identity, so func.call sites and kernel
@@ -563,7 +564,8 @@ and compile_op_dispatch ctx op : code =
       try_handlers hs
 
 (* The tree-walker's default semantics on boxed operands, for a leaf op
-   whose operand or result files do not fit its compiled form. *)
+   that is malformed or whose operand or result files do not fit its
+   compiled form. *)
 and tree_semantics ctx op : code =
   let operands = boxed_operands ctx op in
   let sets = List.map (fun r -> (r, unbox (slot ctx r))) (Op.results op) in
@@ -588,7 +590,7 @@ and compile_default ctx op : code =
       | _ -> None
     in
     match rv with
-    | None -> raisef "arith.constant without a value"
+    | None -> fallback ()
     | Some rv -> (
       let d = d1 () in
       let i = d.idx in
@@ -638,7 +640,7 @@ and compile_default ctx op : code =
         | "arith.ori" -> fun f -> si f d (gi f a lor gi f b)
         | _ -> fun f -> si f d (gi f a lxor gi f b))
       | _ -> fallback ())
-    | _ -> raisef "%s expects two operands" name)
+    | _ -> fallback ())
   | "arith.addf" | "arith.subf" | "arith.mulf" | "arith.divf"
   | "arith.maximumf" | "arith.minimumf" -> (
     match Op.operands op with
@@ -668,7 +670,7 @@ and compile_default ctx op : code =
           fun f -> sf f d (round_f32 (Float.min (gf f a) (gf f b)))
         | _ -> fun f -> sf f d (Float.min (gf f a) (gf f b)))
       | _ -> fallback ())
-    | _ -> raisef "%s expects two operands" name)
+    | _ -> fallback ())
   | "arith.negf" -> (
     match Op.operands op with
     | [ a ] -> (
@@ -676,7 +678,7 @@ and compile_default ctx op : code =
       | { file = Floats; idx = a; _ }, { file = Floats; idx = d; _ } ->
         fun f -> sf f d (-.gf f a)
       | _ -> fallback ())
-    | _ -> raisef "arith.negf expects one operand")
+    | _ -> fallback ())
   | "arith.cmpi" -> (
     match (Op.operands op, Op.string_attr op "predicate") with
     | [ a; b ], Some pred_s -> (
@@ -693,8 +695,8 @@ and compile_default ctx op : code =
           | Arith.Sgt -> fun f -> si f d (if gi f a > gi f b then 1 else 0)
           | Arith.Sge -> fun f -> si f d (if gi f a >= gi f b then 1 else 0))
         | _ -> fallback ())
-      | None -> raisef "unknown cmpi predicate %s" pred_s)
-    | _ -> raisef "malformed arith.cmpi")
+      | None -> fallback ())
+    | _ -> fallback ())
   | "arith.cmpf" -> (
     match (Op.operands op, Op.string_attr op "predicate") with
     | [ a; b ], Some pred_s -> (
@@ -711,8 +713,8 @@ and compile_default ctx op : code =
           | Arith.Ogt -> fun f -> si f d (if gf f a > gf f b then 1 else 0)
           | Arith.Oge -> fun f -> si f d (if gf f a >= gf f b then 1 else 0))
         | _ -> fallback ())
-      | None -> raisef "unknown cmpf predicate %s" pred_s)
-    | _ -> raisef "malformed arith.cmpf")
+      | None -> fallback ())
+    | _ -> fallback ())
   | "arith.select" -> (
     match Op.operands op with
     | [ c; t; e ] -> (
@@ -725,7 +727,7 @@ and compile_default ctx op : code =
         | Floats -> fun f -> sf f d' (if gi f c <> 0 then gf f t else gf f e)
         | Vals -> fun f -> sv f d' (if gi f c <> 0 then gv f t else gv f e))
       | _ -> fallback ())
-    | _ -> raisef "arith.select expects three operands")
+    | _ -> fallback ())
   | "arith.index_cast" | "arith.extsi" | "arith.trunci" | "arith.sitofp"
   | "arith.fptosi" | "arith.extf" | "arith.truncf" -> (
     (* The result type alone decides the conversion, as in
@@ -747,7 +749,7 @@ and compile_default ctx op : code =
       | Floats, _ when d.file = Ints && d.ty <> Types.I1 ->
         fun f -> si f i (int_of_float (gf f a))
       | _ -> fallback ())
-    | _ -> raisef "%s expects one operand" name)
+    | _ -> fallback ())
   | "math.sqrt" | "math.exp" | "math.log" | "math.sin" | "math.cos"
   | "math.tanh" | "math.absf" -> (
     match Op.operands op with
@@ -763,7 +765,7 @@ and compile_default ctx op : code =
         | "math.tanh" -> fun f -> sf f d (Float.tanh (gf f a))
         | _ -> fun f -> sf f d (Float.abs (gf f a)))
       | _ -> fallback ())
-    | _ -> raisef "%s expects one operand" name)
+    | _ -> fallback ())
   | "math.powf" -> (
     match Op.operands op with
     | [ a; b ] -> (
@@ -772,7 +774,7 @@ and compile_default ctx op : code =
         { file = Floats; idx = d; _ } ->
         fun f -> sf f d (Float.pow (gf f a) (gf f b))
       | _ -> fallback ())
-    | _ -> raisef "math.powf expects two operands")
+    | _ -> fallback ())
   | "memref.alloca" | "memref.alloc" -> (
     match Value.ty (Op.result1 op) with
     | Types.Memref mi ->
@@ -783,17 +785,17 @@ and compile_default ctx op : code =
         let dynamic = List.map (fun r -> r f) dyn in
         let shape = Tree.resolve_shape mi dynamic in
         set f (Rtval.Buf (Rtval.alloc_buffer ~memory_space:mspace elt shape))
-    | _ -> raisef "allocation must produce a memref")
+    | _ -> fallback ())
   | "memref.dealloc" -> nop
   | "memref.load" -> (
     match Op.operands op with
     | buf :: indices -> compile_load ctx op (sl buf) (List.map sl indices)
-    | [] -> raisef "memref.load expects operands")
+    | [] -> fallback ())
   | "memref.store" -> (
     match Op.operands op with
     | value :: buf :: indices ->
       compile_store ctx op (sl value) (sl buf) (List.map sl indices)
-    | _ -> raisef "memref.store expects operands")
+    | _ -> fallback ())
   | "memref.dim" -> (
     match Op.operands op with
     | [ buf; idx ] ->
@@ -805,7 +807,7 @@ and compile_default ctx op : code =
         match if i < 0 then None else List.nth_opt bv.Rtval.shape i with
         | Some n -> set f (Rtval.Int n)
         | None -> error "memref.dim out of range")
-    | _ -> raisef "memref.dim expects two operands")
+    | _ -> fallback ())
   | "memref.copy" | "memref.dma_start" -> (
     match Op.operands op with
     | [ src; dst ] ->
@@ -813,12 +815,12 @@ and compile_default ctx op : code =
       fun f ->
         Rtval.copy_into ~src:(Rtval.as_buffer (s f))
           ~dst:(Rtval.as_buffer (d f))
-    | _ -> raisef "%s expects two operands" name)
+    | _ -> fallback ())
   | "memref.dma_wait" -> nop
   | "memref.cast" -> (
     match Op.operands op with
     | [ a ] -> move (sl a) (d1 ())
-    | _ -> raisef "memref.cast expects one operand")
+    | _ -> fallback ())
   | "scf.for" -> compile_for ctx op
   | "scf.if" -> compile_if ctx op
   | "scf.while" -> compile_while ctx op
@@ -833,11 +835,11 @@ and compile_default ctx op : code =
   | "builtin.unrealized_conversion_cast" -> (
     match Op.operands op with
     | [ a ] -> move (sl a) (d1 ())
-    | _ -> raisef "unrealized cast expects one operand")
+    | _ -> fallback ())
   | "omp.map_info" -> (
     match Op.operands op with
     | var :: _ -> move (sl var) (d1 ())
-    | [] -> raisef "omp.map_info expects the variable operand")
+    | [] -> fallback ())
   | "omp.bounds_info" ->
     let set = unbox (d1 ()) in
     fun f -> set f (Rtval.Int 0)
@@ -853,7 +855,7 @@ and compile_default ctx op : code =
   | "acc.copy_info" -> (
     match Op.operands op with
     | var :: _ -> move (sl var) (d1 ())
-    | [] -> raisef "acc.copy_info expects the variable operand")
+    | [] -> fallback ())
   | "acc.parallel" -> compile_region_entry ctx op "malformed acc.parallel"
   | "acc.data" ->
     let body = compile_seq ctx (Op.region_body op 0) in
@@ -870,7 +872,7 @@ and compile_default ctx op : code =
     | [ a ] ->
       let a = int_reader (sl a) and set = unbox (d1 ()) in
       fun f -> set f (Rtval.Proto (a f))
-    | _ -> raisef "hls.axi_protocol expects one operand")
+    | _ -> fallback ())
   | "hls.stream_create" ->
     let set = unbox (d1 ()) in
     fun f -> set f (Rtval.StreamQ (Queue.create ()))
@@ -884,7 +886,7 @@ and compile_default ctx op : code =
           if Queue.is_empty q then error "read on an empty hls.stream"
           else set f (Queue.pop q)
         | _ -> error "hls.stream_read expects a stream")
-    | _ -> raisef "hls.stream_read expects a stream")
+    | _ -> fallback ())
   | "hls.stream_write" -> (
     match Op.operands op with
     | [ a; v ] ->
@@ -893,8 +895,8 @@ and compile_default ctx op : code =
         match a f with
         | Rtval.StreamQ q -> Queue.push (v f) q
         | _ -> error "hls.stream_write expects a stream and a value")
-    | _ -> raisef "hls.stream_write expects a stream and a value")
-  | other -> raisef "no semantics for operation %s" other
+    | _ -> fallback ())
+  | _ -> fallback ()
 
 (* memref.load specialised by rank and by the result's file: the buffer
    comes from the value file, indices from the int file, and no index

@@ -623,7 +623,8 @@ let engine_tests =
         let m =
           Op.module_op
             [ Func_d.func_decl ~sym_name:"ext"
-                ~arg_tys:[ Types.I32; Types.F32; Types.I1; Types.Index; Types.F64 ]
+                ~arg_tys:
+                  [ Types.I32; Types.F32; Types.I1; Types.Index; Types.F64 ]
                 ~result_tys:[ Types.F32; Types.I1 ] ();
               fn ]
         in
@@ -659,6 +660,57 @@ let engine_tests =
         check (Alcotest.list Alcotest.string) "same operands" seen_t seen_c;
         check (Alcotest.list rtval) "same results" r_t r_c;
         check Alcotest.int "same steps" steps_t steps_c);
+    tc "malformed ops fail only when executed, with the same message"
+      (fun () ->
+        (* unverified IR: a one-operand addi, a cmpf with an unknown
+           predicate and a load without operands, each reached only when
+           the flag argument is true *)
+        let run_malformed bad engine =
+          let b = Builder.create () in
+          let flag = Builder.fresh b Types.I1 in
+          let x = Arith.const_f32 b 1.0 in
+          let body =
+            match bad with
+            | `Addi ->
+              [ Builder.op1 b "arith.addi" ~operands:[ Op.result1 x ]
+                  Types.I32 ]
+            | `Cmpf ->
+              [ Builder.op1 b "arith.cmpf"
+                  ~operands:[ Op.result1 x; Op.result1 x ]
+                  ~attrs:[ ("predicate", Attr.String "sometimes") ]
+                  Types.I1 ]
+            | `Load -> [ Builder.op1 b "memref.load" Types.F32 ]
+          in
+          let guarded =
+            Scf.if_ b ~cond:flag ~then_ops:(body @ [ Scf.yield () ]) ()
+          in
+          let fn =
+            Func_d.func ~sym_name:"f" ~args:[ flag ] ~result_tys:[]
+              [ x; guarded; Func_d.return () ]
+          in
+          let state = Interp.make ~engine [ Op.module_op [ fn ] ] in
+          let outcome taken =
+            match Interp.run state ~entry:"f" ~args:[ Rtval.Bool taken ] with
+            | _ -> "ok"
+            | exception Interp.Interp_error m -> m
+          in
+          (outcome false, outcome true, state.Interp.steps)
+        in
+        List.iter
+          (fun (bad, message) ->
+            let t = run_malformed bad `Tree in
+            let c = run_malformed bad `Compiled in
+            let skipped, reached, _ = c in
+            check Alcotest.string "dead malformed op stays dead" "ok" skipped;
+            check Alcotest.string "message" message reached;
+            check
+              Alcotest.(triple string string int)
+              "engines agree" t c)
+          [
+            (`Addi, "arith.addi expects two operands");
+            (`Cmpf, "unknown cmpf predicate sometimes");
+            (`Load, "memref.load expects operands");
+          ]);
     tc "compiled SAXPY allocates at most one word per step" (fun () ->
         (* Second runs of already-compiled code, so what is left is the
            per-step cost of frames and op closures. Minor-heap words are
@@ -684,7 +736,9 @@ let engine_tests =
         words_per_step "kernel"
           (Interp.make ~engine:`Compiled [ device ])
           ~fresh_args:(fun () ->
-            let buf shape = Rtval.Buf (Rtval.alloc_buffer ~memory_space:1 Types.F32 shape) in
+            let buf shape =
+              Rtval.Buf (Rtval.alloc_buffer ~memory_space:1 Types.F32 shape)
+            in
             [ buf [ n ]; buf [ n ]; buf [] ])
           kernel;
         let core = art.Core.Compiler.core_module in

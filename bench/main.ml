@@ -892,10 +892,10 @@ let compile_report () =
    then executes the host program against the bitstream under each
    engine, measuring wall time, steps/second, minor-heap words per step
    (reported, not gated) and (for the compiled engine) closure-compilation
-   time. The run is also a sanity gate: it
-   exits nonzero unless both engines produce byte-identical output,
-   identical simulated device times, identical step counts, and the
-   compiled engine is at least 3x faster. *)
+   time. The run is also a sanity gate: it exits nonzero unless both
+   engines produce byte-identical output, identical simulated device
+   times, identical step counts, and the compiled engine is at least 3x
+   faster. *)
 
 type interp_measurement = {
   im_wall_s : float;  (** Best-of-reps executor wall time. *)

@@ -171,8 +171,8 @@ let same_slot a b = a.file = b.file && a.idx = b.idx
 (* Parallel slot-to-slot copy: every destination receives its source's
    value from before the copy, as in the tree-walker's read-the-list-
    then-bind sequence. When no destination is also a source the copies
-   run in place, grouped by file; otherwise all sources are read into a
-   scratch first. The scratch is safe to share across invocations: no
+   run one after another; otherwise all sources are read into a scratch
+   first. The scratch is safe to share across invocations: no
    interpreted code runs between its fill and drain. *)
 let copy_slots ~src ~dst : code =
   if Array.length dst <> Array.length src then
@@ -187,10 +187,18 @@ let copy_slots ~src ~dst : code =
       (fun (_, d) -> List.exists (fun (s, _) -> same_slot s d) pairs)
       pairs
   in
+  let run_all (codes : code array) f =
+    for k = 0 to Array.length codes - 1 do
+      (Array.unsafe_get codes k) f
+    done
+  in
   match pairs with
   | [] -> nop
   | [ (s, d) ] -> move s d
-  | _ when clobbers ->
+  | _ when not clobbers ->
+    let moves = Array.of_list (List.map (fun (s, d) -> move s d) pairs) in
+    fun f -> run_all moves f
+  | _ ->
     let n = List.length pairs in
     let ti = Array.make n 0 and tf = Float.Array.make n 0.0 in
     let tv = Array.make n Rtval.Unit in
@@ -213,35 +221,8 @@ let copy_slots ~src ~dst : code =
     let reads = Array.of_list (List.map fst steps) in
     let writes = Array.of_list (List.map snd steps) in
     fun f ->
-      Array.iter (fun r -> r f) reads;
-      Array.iter (fun w -> w f) writes
-  | _ ->
-    let group file =
-      let ps =
-        List.filter (fun (s, d) -> s.file = file && d.file = file) pairs
-      in
-      ( Array.of_list (List.map (fun (s, _) -> s.idx) ps),
-        Array.of_list (List.map (fun (_, d) -> d.idx) ps) )
-    in
-    let is_, id_ = group Ints and fs_, fd_ = group Floats in
-    let vs_, vd_ = group Vals in
-    let mixed =
-      Array.of_list
-        (List.filter_map
-           (fun (s, d) -> if s.file = d.file then None else Some (move s d))
-           pairs)
-    in
-    fun f ->
-      for k = 0 to Array.length is_ - 1 do
-        si f (Array.unsafe_get id_ k) (gi f (Array.unsafe_get is_ k))
-      done;
-      for k = 0 to Array.length fs_ - 1 do
-        sf f (Array.unsafe_get fd_ k) (gf f (Array.unsafe_get fs_ k))
-      done;
-      for k = 0 to Array.length vs_ - 1 do
-        sv f (Array.unsafe_get vd_ k) (gv f (Array.unsafe_get vs_ k))
-      done;
-      Array.iter (fun m -> m f) mixed
+      run_all reads f;
+      run_all writes f
 
 (* --- memref element access --- *)
 
@@ -341,6 +322,21 @@ let[@inline] store_bool (b : Rtval.buffer) k n =
   | Rtval.I a ->
     check k (Array.length a);
     Array.unsafe_set a k n
+
+(* What a store reads from its value slot. *)
+type elt_kind =
+  | Float_elt
+  | Int_elt
+  | Bool_elt
+
+let[@inline] load_slot to_float f r b k =
+  if to_float then sf f r (load_float b k) else si f r (load_int b k)
+
+let[@inline] store_slot kind f v b k =
+  match kind with
+  | Float_elt -> store_float b k (gf f v)
+  | Int_elt -> store_int b k (gi f v)
+  | Bool_elt -> store_bool b k (gi f v)
 
 (* --- compiled functions and the per-state cache --- *)
 
@@ -898,119 +894,68 @@ and compile_default ctx op : code =
     | _ -> fallback ())
   | _ -> fallback ()
 
-(* memref.load specialised by rank and by the result's file: the buffer
-   comes from the value file, indices from the int file, and no index
-   list is built. *)
+(* memref.load and memref.store specialised by rank: the buffer comes
+   from the value file, indices from the int file, and no index list is
+   built. A load writes the int or float file, a store reads a float, an
+   i1 or another integer. *)
 and compile_load ctx op buf indices : code =
   let d = slot ctx (Op.result1 op) in
-  if buf.file <> Vals || List.exists (fun s -> s.file <> Ints) indices then
-    tree_semantics ctx op
+  if
+    buf.file <> Vals || d.file = Vals
+    || List.exists (fun s -> s.file <> Ints) indices
+  then tree_semantics ctx op
   else
-    let b = buf.idx and r = d.idx in
-    match (List.map (fun s -> s.idx) indices, d.file) with
-    | [], Floats ->
+    let b = buf.idx and r = d.idx and fl = d.file = Floats in
+    match List.map (fun s -> s.idx) indices with
+    | [] ->
       fun f ->
         let bv = buf_of (gv f b) in
-        sf f r (load_float bv (lin0 bv.Rtval.shape))
-    | [], Ints ->
+        load_slot fl f r bv (lin0 bv.Rtval.shape)
+    | [ i ] ->
       fun f ->
         let bv = buf_of (gv f b) in
-        si f r (load_int bv (lin0 bv.Rtval.shape))
-    | [ i ], Floats ->
+        load_slot fl f r bv (lin1 bv.Rtval.shape (gi f i))
+    | [ i; j ] ->
       fun f ->
         let bv = buf_of (gv f b) in
-        sf f r (load_float bv (lin1 bv.Rtval.shape (gi f i)))
-    | [ i ], Ints ->
-      fun f ->
-        let bv = buf_of (gv f b) in
-        si f r (load_int bv (lin1 bv.Rtval.shape (gi f i)))
-    | [ i; j ], Floats ->
-      fun f ->
-        let bv = buf_of (gv f b) in
-        sf f r (load_float bv (lin2 bv.Rtval.shape (gi f i) (gi f j)))
-    | [ i; j ], Ints ->
-      fun f ->
-        let bv = buf_of (gv f b) in
-        si f r (load_int bv (lin2 bv.Rtval.shape (gi f i) (gi f j)))
-    | idx, Floats ->
+        load_slot fl f r bv (lin2 bv.Rtval.shape (gi f i) (gi f j))
+    | idx ->
       let idx = Array.of_list idx in
       fun f ->
         let bv = buf_of (gv f b) in
-        sf f r (load_float bv (lin_n f bv.Rtval.shape idx))
-    | idx, Ints ->
-      let idx = Array.of_list idx in
-      fun f ->
-        let bv = buf_of (gv f b) in
-        si f r (load_int bv (lin_n f bv.Rtval.shape idx))
-    | _, Vals -> tree_semantics ctx op
+        load_slot fl f r bv (lin_n f bv.Rtval.shape idx)
 
-(* memref.store specialised by rank and by the stored value's kind:
-   float, i1 or other integer. *)
 and compile_store ctx op value buf indices : code =
-  if buf.file <> Vals || List.exists (fun s -> s.file <> Ints) indices then
-    tree_semantics ctx op
+  if
+    buf.file <> Vals || value.file = Vals
+    || List.exists (fun s -> s.file <> Ints) indices
+  then tree_semantics ctx op
   else
     let b = buf.idx and v = value.idx in
-    let idx = List.map (fun s -> s.idx) indices in
-    match (value.file, value.ty) with
-    | Floats, _ -> (
-      match idx with
-      | [] ->
-        fun f ->
-          let bv = buf_of (gv f b) in
-          store_float bv (lin0 bv.Rtval.shape) (gf f v)
-      | [ i ] ->
-        fun f ->
-          let bv = buf_of (gv f b) in
-          store_float bv (lin1 bv.Rtval.shape (gi f i)) (gf f v)
-      | [ i; j ] ->
-        fun f ->
-          let bv = buf_of (gv f b) in
-          store_float bv (lin2 bv.Rtval.shape (gi f i) (gi f j)) (gf f v)
-      | idx ->
-        let idx = Array.of_list idx in
-        fun f ->
-          let bv = buf_of (gv f b) in
-          store_float bv (lin_n f bv.Rtval.shape idx) (gf f v))
-    | Ints, Types.I1 -> (
-      match idx with
-      | [] ->
-        fun f ->
-          let bv = buf_of (gv f b) in
-          store_bool bv (lin0 bv.Rtval.shape) (gi f v)
-      | [ i ] ->
-        fun f ->
-          let bv = buf_of (gv f b) in
-          store_bool bv (lin1 bv.Rtval.shape (gi f i)) (gi f v)
-      | [ i; j ] ->
-        fun f ->
-          let bv = buf_of (gv f b) in
-          store_bool bv (lin2 bv.Rtval.shape (gi f i) (gi f j)) (gi f v)
-      | idx ->
-        let idx = Array.of_list idx in
-        fun f ->
-          let bv = buf_of (gv f b) in
-          store_bool bv (lin_n f bv.Rtval.shape idx) (gi f v))
-    | Ints, _ -> (
-      match idx with
-      | [] ->
-        fun f ->
-          let bv = buf_of (gv f b) in
-          store_int bv (lin0 bv.Rtval.shape) (gi f v)
-      | [ i ] ->
-        fun f ->
-          let bv = buf_of (gv f b) in
-          store_int bv (lin1 bv.Rtval.shape (gi f i)) (gi f v)
-      | [ i; j ] ->
-        fun f ->
-          let bv = buf_of (gv f b) in
-          store_int bv (lin2 bv.Rtval.shape (gi f i) (gi f j)) (gi f v)
-      | idx ->
-        let idx = Array.of_list idx in
-        fun f ->
-          let bv = buf_of (gv f b) in
-          store_int bv (lin_n f bv.Rtval.shape idx) (gi f v))
-    | Vals, _ -> tree_semantics ctx op
+    let kind =
+      match (value.file, value.ty) with
+      | Floats, _ -> Float_elt
+      | _, Types.I1 -> Bool_elt
+      | _ -> Int_elt
+    in
+    match List.map (fun s -> s.idx) indices with
+    | [] ->
+      fun f ->
+        let bv = buf_of (gv f b) in
+        store_slot kind f v bv (lin0 bv.Rtval.shape)
+    | [ i ] ->
+      fun f ->
+        let bv = buf_of (gv f b) in
+        store_slot kind f v bv (lin1 bv.Rtval.shape (gi f i))
+    | [ i; j ] ->
+      fun f ->
+        let bv = buf_of (gv f b) in
+        store_slot kind f v bv (lin2 bv.Rtval.shape (gi f i) (gi f j))
+    | idx ->
+      let idx = Array.of_list idx in
+      fun f ->
+        let bv = buf_of (gv f b) in
+        store_slot kind f v bv (lin_n f bv.Rtval.shape idx)
 
 (* omp.target / acc.parallel: bind the region's block args from the op's
    operands, then run the body inline. *)

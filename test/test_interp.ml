@@ -623,8 +623,7 @@ let engine_tests =
         let m =
           Op.module_op
             [ Func_d.func_decl ~sym_name:"ext"
-                ~arg_tys:
-                  [ Types.I32; Types.F32; Types.I1; Types.Index; Types.F64 ]
+                ~arg_tys:[ Types.I32; Types.F32; Types.I1; Types.Index; Types.F64 ]
                 ~result_tys:[ Types.F32; Types.I1 ] ();
               fn ]
         in

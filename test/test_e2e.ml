@@ -427,5 +427,5 @@ let () =
     [
       ("pipeline", e2e_tests);
       ("backend-cli", backend_cli_tests);
-      ("runtime-errors", runtime_error_tests);
+      ("run-errors", runtime_error_tests);
     ]

@@ -166,63 +166,42 @@ let move s d : code =
     let get = box s and set = unbox d in
     fun f -> set f (get f)
 
-let same_slot a b = a.file = b.file && a.idx = b.idx
-
-(* Parallel slot-to-slot copy: every destination receives its source's
-   value from before the copy, as in the tree-walker's read-the-list-
-   then-bind sequence. When no destination is also a source the copies
-   run one after another; otherwise all sources are read into a scratch
-   first. The scratch is safe to share across invocations: no
-   interpreted code runs between its fill and drain. *)
+(* Parallel slot-to-slot copy. Reads all sources before writing (via a
+   per-closure scratch, one per register file) so overlapping src/dst
+   sets — a yield forwarding an iter arg — behave like the tree-walker's
+   read-the-list-then-bind sequence. The scratch is safe to share across
+   invocations: no interpreted code runs between its fill and drain. *)
 let copy_slots ~src ~dst : code =
-  if Array.length dst <> Array.length src then
+  let n = Array.length src in
+  if Array.length dst <> n then
     invalid_arg "Compile.copy_slots: length mismatch";
-  let pairs =
-    List.filter
-      (fun (s, d) -> not (same_slot s d))
-      (List.combine (Array.to_list src) (Array.to_list dst))
-  in
-  let clobbers =
-    List.exists
-      (fun (_, d) -> List.exists (fun (s, _) -> same_slot s d) pairs)
-      pairs
-  in
-  let run_all (codes : code array) f =
-    for k = 0 to Array.length codes - 1 do
-      (Array.unsafe_get codes k) f
-    done
-  in
-  match pairs with
-  | [] -> nop
-  | [ (s, d) ] -> move s d
-  | _ when not clobbers ->
-    let moves = Array.of_list (List.map (fun (s, d) -> move s d) pairs) in
-    fun f -> run_all moves f
-  | _ ->
-    let n = List.length pairs in
+  if n = 0 then nop
+  else if n = 1 then move src.(0) dst.(0)
+  else
     let ti = Array.make n 0 and tf = Float.Array.make n 0.0 in
     let tv = Array.make n Rtval.Unit in
-    let steps =
-      List.mapi
-        (fun k (s, d) ->
-          match (s.file, d.file) with
-          | Ints, Ints ->
-            let s = s.idx and d = d.idx in
-            ((fun f -> ti.(k) <- gi f s), fun f -> si f d ti.(k))
-          | Floats, Floats ->
-            let s = s.idx and d = d.idx in
-            ( (fun f -> Float.Array.set tf k (gf f s)),
-              fun f -> sf f d (Float.Array.get tf k) )
-          | _ ->
-            let get = box s and set = unbox d in
-            ((fun f -> tv.(k) <- get f), fun f -> set f tv.(k)))
-        pairs
+    let step k s d : code * code =
+      match (s.file, d.file) with
+      | Ints, Ints ->
+        let s = s.idx and d = d.idx in
+        ((fun f -> ti.(k) <- gi f s), fun f -> si f d ti.(k))
+      | Floats, Floats ->
+        let s = s.idx and d = d.idx in
+        ( (fun f -> Float.Array.set tf k (gf f s)),
+          fun f -> sf f d (Float.Array.get tf k) )
+      | _ ->
+        let get = box s and set = unbox d in
+        ((fun f -> tv.(k) <- get f), fun f -> set f tv.(k))
     in
-    let reads = Array.of_list (List.map fst steps) in
-    let writes = Array.of_list (List.map snd steps) in
+    let steps = Array.init n (fun k -> step k src.(k) dst.(k)) in
+    let reads = Array.map fst steps and writes = Array.map snd steps in
     fun f ->
-      run_all reads f;
-      run_all writes f
+      for k = 0 to n - 1 do
+        (Array.unsafe_get reads k) f
+      done;
+      for k = 0 to n - 1 do
+        (Array.unsafe_get writes k) f
+      done
 
 (* --- memref element access --- *)
 
@@ -748,18 +727,11 @@ and compile_default ctx op : code =
     | _ -> fallback ())
   | "math.sqrt" | "math.exp" | "math.log" | "math.sin" | "math.cos"
   | "math.tanh" | "math.absf" -> (
-    match Op.operands op with
-    | [ a ] -> (
+    match (Op.operands op, Math_d.unary_fn name) with
+    | [ a ], Some g -> (
       match (sl a, d1 ()) with
-      | { file = Floats; idx = a; _ }, { file = Floats; idx = d; _ } -> (
-        match name with
-        | "math.sqrt" -> fun f -> sf f d (Float.sqrt (gf f a))
-        | "math.exp" -> fun f -> sf f d (Float.exp (gf f a))
-        | "math.log" -> fun f -> sf f d (Float.log (gf f a))
-        | "math.sin" -> fun f -> sf f d (Float.sin (gf f a))
-        | "math.cos" -> fun f -> sf f d (Float.cos (gf f a))
-        | "math.tanh" -> fun f -> sf f d (Float.tanh (gf f a))
-        | _ -> fun f -> sf f d (Float.abs (gf f a)))
+      | { file = Floats; idx = a; _ }, { file = Floats; idx = d; _ } ->
+        fun f -> sf f d (g (gf f a))
       | _ -> fallback ())
     | _ -> fallback ())
   | "math.powf" -> (

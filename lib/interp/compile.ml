@@ -19,9 +19,14 @@
    leaf op that is structurally malformed (wrong operand count, bad
    predicate, missing attribute) or whose operand or result files do not
    fit its compiled form (IR whose value types disagree with the op)
-   runs the tree-walker's own semantics on boxed operands instead.
+   runs the tree-walker's own semantics on boxed operands instead. Its
+   results are then converted to their values' static types like any
+   value coming back, so where the tree-walker's result has another
+   form than its static type (an [Int] for an f32 value, say, only in
+   IR whose types disagree with the op) the engines differ.
 
-   The engine preserves [Tree]'s observable contract exactly:
+   On IR whose value types agree with its ops, the engine preserves
+   [Tree]'s observable contract exactly:
    - [steps] is bumped once per executed op (including no-op terminators)
      before the op runs, and the [max_steps] error fires at the same op;
    - handlers still intercept ops before default semantics — ops whose
@@ -583,8 +588,12 @@ and compile_default ctx op : code =
     match Op.operands op with
     | [ a; b ] -> (
       match (sl a, sl b, d1 ()) with
+      (* Other arithmetic on i1 values is left to the fallback, which
+         makes its result 0 or 1. *)
       | { file = Ints; idx = a; _ }, { file = Ints; idx = b; _ },
-        { file = Ints; idx = d; _ } -> (
+        { file = Ints; idx = d; ty }
+        when ty <> Types.I1
+             || List.mem name [ "arith.andi"; "arith.ori"; "arith.xori" ] -> (
         match name with
         | "arith.addi" -> fun f -> si f d (gi f a + gi f b)
         | "arith.subi" -> fun f -> si f d (gi f a - gi f b)
@@ -706,8 +715,8 @@ and compile_default ctx op : code =
   | "arith.index_cast" | "arith.extsi" | "arith.trunci" | "arith.sitofp"
   | "arith.fptosi" | "arith.extf" | "arith.truncf" -> (
     (* The result type alone decides the conversion, as in
-       [Tree.eval_cast]: f32 rounds, f64 converts, i1 tests non-zero and
-       every other type converts to an integer. *)
+       [Tree.eval_cast]: f32 rounds, f16 and f64 convert, i1 tests
+       non-zero and every other type converts to an integer. *)
     match Op.operands op with
     | [ a ] -> (
       let s = sl a and d = d1 () in
@@ -715,8 +724,9 @@ and compile_default ctx op : code =
       match (s.file, d.ty) with
       | Floats, Types.F32 -> fun f -> sf f i (round_f32 (gf f a))
       | Ints, Types.F32 -> fun f -> sf f i (round_f32 (float_of_int (gi f a)))
-      | Floats, Types.F64 -> fun f -> sf f i (gf f a)
-      | Ints, Types.F64 -> fun f -> sf f i (float_of_int (gi f a))
+      | Floats, (Types.F16 | Types.F64) -> fun f -> sf f i (gf f a)
+      | Ints, (Types.F16 | Types.F64) ->
+        fun f -> sf f i (float_of_int (gi f a))
       | Ints, Types.I1 -> fun f -> si f i (if gi f a <> 0 then 1 else 0)
       | Ints, _ when d.file = Ints -> fun f -> si f i (gi f a)
       (* a float to i1 is [Rtval.as_bool], which raises: left to the

@@ -13,8 +13,9 @@
     tree-walker ({!Tree}), and [`Compiled] (the default), which compiles
     each function body once into OCaml closures over typed register files
     — unboxed integer and float arrays plus an [Rtval.t] array for
-    everything else ({!Compile}) — typically several times faster. The
-    engines are observationally equivalent: same results, same [steps]
+    everything else ({!Compile}) — typically several times faster. On IR
+    whose value types agree with its ops the engines are observationally
+    equivalent: same results, same [steps]
     counts, same handler and [on_loop] callbacks, same error messages on
     executed malformed ops. A runtime error of the interpreted program
     (an out-of-bounds access, a division by zero) raises

@@ -142,7 +142,7 @@ let eval_cast op v =
   let dst = Value.ty (Op.result1 op) in
   match dst with
   | Types.F32 -> Rtval.Float (Rtval.round_to_elt Types.F32 (Rtval.as_float v))
-  | Types.F64 -> Rtval.Float (Rtval.as_float v)
+  | Types.F16 | Types.F64 -> Rtval.Float (Rtval.as_float v)
   | Types.I1 -> Rtval.Bool (Rtval.as_bool v)
   | _ -> Rtval.Int (Rtval.as_int v)
 
@@ -186,7 +186,12 @@ and exec_default state frame op operand_values =
   | "arith.remsi" | "arith.maxsi" | "arith.minsi" | "arith.andi"
   | "arith.ori" | "arith.xori" -> (
     match operands () with
-    | [ a; b ] -> ret1 (eval_int_binop name a b)
+    | [ a; b ] -> (
+      (* an i1 result is a [Bool], non-zero meaning true as in
+         [Rtval.as_bool] *)
+      match (eval_int_binop name a b, Value.ty (Op.result1 op)) with
+      | Rtval.Int n, Types.I1 -> ret1 (Rtval.Bool (n <> 0))
+      | r, _ -> ret1 r)
     | _ -> error "%s expects two operands" name)
   | "arith.addf" | "arith.subf" | "arith.mulf" | "arith.divf"
   | "arith.maximumf" | "arith.minimumf" -> (

@@ -522,13 +522,14 @@ let interp_program choices =
   let ops = ref [] in
   let emit op = ops := op :: !ops in
   let i32s = ref [] and idxs = ref [] and f32s = ref [] in
-  let f64s = ref [] and i1s = ref [] in
+  let f64s = ref [] and f16s = ref [] and i1s = ref [] in
   let pool_of ty =
     match ty with
     | Types.I32 -> i32s
     | Types.Index -> idxs
     | Types.F32 -> f32s
     | Types.F64 -> f64s
+    | Types.F16 -> f16s
     | Types.I1 -> i1s
     | _ -> invalid_arg "interp_program: no pool"
   in
@@ -552,6 +553,7 @@ let interp_program choices =
   emit_val (Arith.const_index b 2);
   emit_val (Arith.const_f32 b 0.1);
   emit_val (Arith.const_f64 b 0.1);
+  emit_val (Arith.const_float b 0.1 Types.F16);
   emit_val (Arith.const_bool b true);
   List.iter
     (fun (kind, (a, c)) ->
@@ -596,9 +598,11 @@ let interp_program choices =
           | _ -> Arith.negf b x)
       | 8 -> emit_val (Arith.sitofp b (pick i32s a) (fty c))
       | 9 -> emit_val (Arith.fptosi b (pick (fpool c) a) Types.I32)
-      | 10 ->
-        if c mod 2 = 0 then emit_val (Arith.extf b (pick f32s a) Types.F64)
-        else emit_val (Arith.truncf b (pick f64s a) Types.F32)
+      | 10 -> (
+        match c mod 3 with
+        | 0 -> emit_val (Arith.extf b (pick f32s a) Types.F64)
+        | 1 -> emit_val (Arith.truncf b (pick f64s a) Types.F32)
+        | _ -> emit_val (Arith.truncf b (pick (fpool c) a) Types.F16))
       | 11 ->
         if c mod 2 = 0 then
           emit_val (Arith.index_cast b (pick i32s a) Types.Index)
@@ -618,10 +622,15 @@ let interp_program choices =
       | 13 ->
         let x = pick i1s a and y = pick i1s c in
         emit_val
-          (match a mod 3 with
+          (match a mod 8 with
           | 0 -> Arith.andi b x y
           | 1 -> Arith.ori b x y
-          | _ -> Arith.xori b x y)
+          | 2 -> Arith.xori b x y
+          | 3 -> Arith.addi b x y
+          | 4 -> Arith.subi b x y
+          | 5 -> Arith.muli b x y
+          | 6 -> Arith.maxsi b x y
+          | _ -> Arith.minsi b x y)
       | 14 ->
         let pool =
           match c mod 4 with 0 -> i32s | 1 -> f32s | 2 -> f64s | _ -> i1s
@@ -681,7 +690,7 @@ let interp_program choices =
              ~operands:[ pick i32s a; pick f32s c; pick i1s a; pick idxs c ]
              ~result_tys:[ Types.F32; Types.I1; Types.I32 ]))
     choices;
-  let results = [ i32s; idxs; f32s; f64s; i1s ] in
+  let results = [ i32s; idxs; f32s; f64s; f16s; i1s ] in
   Op.module_op
     [
       helper;

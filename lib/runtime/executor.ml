@@ -369,10 +369,19 @@ let resolve_shape ~op_name mi dynamic =
   in
   go mi.Types.shape dynamic
 
+(* A runtime error of the interpreted program itself (an out-of-bounds
+   access, a division by zero): recorded in the context's diagnostics and
+   raised as a [Diag] error at [loc]. *)
+let program_error (ctx : context) ~loc msg =
+  Ftn_diag.Diag_engine.error ctx.diag ~loc msg;
+  Ftn_diag.Diag.fail ~loc msg
+
 (* Run the kernel's function body in the interpreter with loop statistics
    recording; returns the statistics and the interpreter steps consumed
-   (the latter costs the CPU-fallback path). *)
-let interpret_kernel state (design : Bitstream.kernel_design) args =
+   (the latter costs the CPU-fallback path). A runtime error of the
+   kernel is located at its launching op, the current location. *)
+let interpret_kernel (ctx : context) state (design : Bitstream.kernel_design)
+    args =
   let stats = Timing.make_stats () in
   let saved = state.Interp.on_loop in
   let before = state.Interp.steps in
@@ -381,7 +390,8 @@ let interpret_kernel state (design : Bitstream.kernel_design) args =
   Fun.protect
     ~finally:(fun () -> state.Interp.on_loop <- saved)
     (fun () ->
-      ignore (Interp.call_function state design.Bitstream.kd_function args));
+      try ignore (Interp.call_function state design.Bitstream.kd_function args)
+      with Interp.Interp_error msg -> program_error ctx ~loc:ctx.cur_loc msg);
   (stats, state.Interp.steps - before)
 
 (* Graceful degradation: a kernel that persistently fails on the device
@@ -393,7 +403,7 @@ let interpret_kernel state (design : Bitstream.kernel_design) args =
 let cpu_fallback (ctx : context) state (design : Bitstream.kernel_design)
     args =
   let name = design.Bitstream.kd_name in
-  let _stats, steps = interpret_kernel state design args in
+  let _stats, steps = interpret_kernel ctx state design args in
   let t = float_of_int steps *. ctx.retry.Fault.cpu_step_s in
   let ev =
     charge ctx ~lane:Event.Ctrl ~track:"fallback"
@@ -486,7 +496,7 @@ let execute_kernel (ctx : context) state (design : Bitstream.kernel_design)
      wait, measured on the owning device's timeline. *)
   let enqueue_s = ctx.cursor_s in
   let run_on_device () =
-    let stats, _steps = interpret_kernel state design args in
+    let stats, _steps = interpret_kernel ctx state design args in
     let t = ctx.model.Device_model.kernel_time_s design.Bitstream.kd_schedule stats in
     let overhead = ctx.model.Device_model.launch_overhead_s in
     let kev =
@@ -955,12 +965,9 @@ let run ?(echo = false) ?entry ?(args = []) ?engine ?diag ?faults
        (Fault.message e ^ Fault.flight_note ());
      raise exn
    | Interp.Interp_error msg ->
-     (* A runtime error of the interpreted program itself (an
-        out-of-bounds access, a division by zero), located at the last
-        device op the host ran: inside a kernel, its launching target
-        directive. *)
-     Ftn_diag.Diag_engine.error ctx.diag ~loc:ctx.cur_loc msg;
-     Ftn_diag.Diag.fail ~loc:ctx.cur_loc msg);
+     (* The same error in host code, which does not say which op was
+        executing, so it carries no location. *)
+     program_error ctx ~loc:Ftn_diag.Loc.unknown msg);
   Ftn_obs.Metrics.incr ~by:state.Interp.steps "interp.steps";
   result_of_context ctx
 

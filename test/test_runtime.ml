@@ -224,6 +224,61 @@ let executor_tests =
           (Core.Run.output fpga_run));
   ]
 
+(* A textual host module running [bad] under an scf.if on its i1 argument,
+   for malformed device ops that must fail only when executed. *)
+let guarded_host bad =
+  Ftn_ir.Ir_parser.parse_module
+    (Fmt.str
+       "\"builtin.module\"() ({\n\
+       \ ^bb0():\n\
+       \  \"func.func\"() <{sym_name = @f, function_type = (i1) -> ()}> ({\n\
+       \   ^bb0(%%0 : i1):\n\
+       \    \"scf.if\"(%%0) ({\n\
+       \     ^bb0():\n\
+       \      %s loc(\"bad.f90\":5:3 to :5:9)\n\
+       \      \"scf.yield\"() : () -> ()\n\
+       \    }) : (i1) -> ()\n\
+       \    \"func.return\"() : () -> ()\n\
+       \  }) : () -> ()\n\
+       }) : () -> ()\n"
+       bad)
+
+let staging_tests =
+  let bitstream =
+    lazy
+      (Synth.synthesise ~spec:Fpga_spec.u280
+         (Ftn_linpack.Hls_baselines.saxpy_device ~n:8))
+  in
+  let bad_loc = Ftn_diag.Loc.make ~file:"bad.f90" ~line:5 ~col:3 ~end_col:9 () in
+  let case name bad =
+    tc ("malformed " ^ name ^ " fails only when executed") (fun () ->
+        let host = guarded_host bad in
+        let run engine flag =
+          Executor.run ~engine ~diag:(Ftn_diag.Diag_engine.create ())
+            ~entry:"f" ~args:[ Rtval.Bool flag ] ~host
+            ~bitstream:(Lazy.force bitstream) ()
+        in
+        let error_of engine =
+          ignore (run engine false);
+          match run engine true with
+          | _ -> Alcotest.failf "%s: expected a Fault.Error" name
+          | exception Ftn_fault.Fault.Error (e, loc) ->
+            check Alcotest.bool "at the op's location" true
+              (Ftn_diag.Loc.equal bad_loc loc);
+            Ftn_fault.Fault.message e
+        in
+        check Alcotest.string "same error under both engines"
+          (error_of `Tree) (error_of `Compiled))
+  in
+  [
+    case "device.data_acquire"
+      "\"device.data_acquire\"() <{memory_space = 1 : i32}> : () -> ()";
+    case "device.kernel_create"
+      "%1 = \"device.kernel_create\"() : () -> (!device.kernelhandle)";
+    case "device.counter_get"
+      "%1 = \"device.counter_get\"() <{counter = \"bogus\"}> : () -> (i32)";
+  ]
+
 let model_tests =
   [
     tc "device time scales linearly for saxpy" (fun () ->
@@ -265,5 +320,6 @@ let () =
     [
       ("data-env", data_env_tests);
       ("executor", executor_tests);
+      ("staging", staging_tests);
       ("model", model_tests);
     ]

@@ -81,7 +81,9 @@ let run_cpu ?(echo = false) ?file ?engine source =
 
 (* Read back a device buffer by its mapped identifier (memory space 1). *)
 let device_floats run ~name =
-  match Data_env.lookup run.exec.Executor.data ~name ~memory_space:1 with
+  match
+    Data_env.lookup run.exec.Executor.data (Data_env.key ~name ~memory_space:1)
+  with
   | Some buf -> Some (Ftn_interp.Rtval.float_buffer buf)
   | None -> None
 

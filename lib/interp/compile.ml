@@ -13,7 +13,7 @@
    the unboxed files directly, so scalar work neither allocates nor takes
    the write barrier. A value becomes an [Rtval.t] only where it leaves
    compiled code — function arguments and results, calls, returns,
-   hls.stream_* and handler trampolines — boxed by its static type (i1 ->
+   hls.stream_* and handler runners — boxed by its static type (i1 ->
    [Bool], other integers -> [Int], floats -> [Float]); values coming
    back are unboxed with [Rtval.as_int] / [Rtval.as_float] semantics. A
    leaf op that is structurally malformed (wrong operand count, bad
@@ -29,9 +29,10 @@
    [Tree]'s observable contract exactly:
    - [steps] is bumped once per executed op (including no-op terminators)
      before the op runs, and the [max_steps] error fires at the same op;
-   - handlers still intercept ops before default semantics — ops whose
-     name matches a handler's [domain] compile to a trampoline that tries
-     the matching handlers and falls back to the compiled default;
+   - handlers take ops in place of default semantics — each op is
+     staged once, when it is compiled (the tree-walker stages it on every
+     execution), and an op a handler takes compiles to boxing its
+     operands, calling the staged runner and unboxing its results;
    - [on_loop] fires for scf.for with the same [loop_key] (the induction
      value's id) and the same trip count;
    - f32 results round per operation, and stores to f32 buffers round,
@@ -333,8 +334,8 @@ type entry = {
 type cache = {
   mutable entries : (Op.t * entry) list;  (** Keyed by physical identity. *)
   scratch : Tree.frame;
-      (** Frame handed to handler trampolines and tree-semantics
-          fallbacks, with the op's operands bound. *)
+      (** Frame handed to tree-semantics fallbacks, with the op's
+          operands bound. *)
 }
 
 type Tree.cache += Compiled of cache
@@ -422,20 +423,10 @@ let set_result_list op (dst : (frame -> Rtval.t -> unit) array) (f : frame)
   in
   go 0 rvs
 
-(* Box an op's operands and bind them into the scratch tree-frame, where
-   handlers and [Tree.exec_default] look them up. *)
+(* An op's operands, boxed. *)
 let boxed_operands ctx op : frame -> Rtval.t list =
-  let binds =
-    List.map (fun v -> (Value.id v, box (slot ctx v))) (Op.operands op)
-  in
-  let scratch = ctx.cache.scratch in
-  fun f ->
-    List.map
-      (fun (id, get) ->
-        let v = get f in
-        Hashtbl.replace scratch.Tree.vals id v;
-        v)
-      binds
+  let gets = List.map (fun v -> box (slot ctx v)) (Op.operands op) in
+  fun f -> List.map (fun get -> get f) gets
 
 let rec force st cache entry =
   match entry.e_call with
@@ -514,44 +505,38 @@ and compile_op ctx op : code =
   end
   else code
 
-(* Handler interception: ops whose name falls in some handler's domain get
-   a trampoline. The matching handlers are selected at compile time; at
-   run time the trampoline boxes the operands, binds them into the shared
-   scratch tree-frame (handlers expect a [Tree.frame]) and tries the
-   handlers in order, falling back to the compiled default. *)
+(* Handlers stage the op once, here: an op a handler takes runs its
+   staged runner on boxed operands, and its default semantics are never
+   compiled. *)
 and compile_op_dispatch ctx op : code =
-  let base = compile_default ctx op in
-  let name = Op.name op in
-  match
-    List.filter
-      (fun h -> Tree.domain_matches h.Tree.h_domain name)
-      ctx.st.Tree.handlers
-  with
-  | [] -> base
-  | hs ->
+  match Tree.stage_handlers ctx.st.Tree.handlers op with
+  | None -> compile_default ctx op
+  | Some run ->
     let operands = boxed_operands ctx op in
     let results = Array.map unbox (slot_array ctx (Op.results op)) in
-    let st = ctx.st and scratch = ctx.cache.scratch in
-    fun f ->
-      let vals = operands f in
-      let rec try_handlers = function
-        | [] -> base f
-        | h :: rest -> (
-          match Tree.run_handler h st scratch op vals with
-          | Some rvs -> set_result_list op results f rvs
-          | None -> try_handlers rest)
-      in
-      try_handlers hs
+    let st = ctx.st in
+    fun f -> set_result_list op results f (run st (operands f))
 
-(* The tree-walker's default semantics on boxed operands, for a leaf op
-   that is malformed or whose operand or result files do not fit its
+(* The tree-walker's default semantics on boxed operands, bound into the
+   scratch tree-frame where [Tree.exec_default] looks them up, for a leaf
+   op that is malformed or whose operand or result files do not fit its
    compiled form. *)
 and tree_semantics ctx op : code =
-  let operands = boxed_operands ctx op in
+  let binds =
+    List.map (fun v -> (Value.id v, box (slot ctx v))) (Op.operands op)
+  in
   let sets = List.map (fun r -> (r, unbox (slot ctx r))) (Op.results op) in
   let st = ctx.st and scratch = ctx.cache.scratch in
   fun f ->
-    Tree.exec_default st scratch op (operands f);
+    let operands =
+      List.map
+        (fun (id, get) ->
+          let v = get f in
+          Hashtbl.replace scratch.Tree.vals id v;
+          v)
+        binds
+    in
+    Tree.exec_default st scratch op operands;
     List.iter (fun (r, set) -> set f (Tree.get scratch r)) sets
 
 and compile_default ctx op : code =
@@ -965,14 +950,13 @@ and compile_call ctx op : code =
     match Tree.find_function ctx.st callee with
     | None -> raisef "call to unknown function %s" callee
     | Some fn ->
-      let args = List.map (fun v -> box (slot ctx v)) (Op.operands op) in
+      let args = boxed_operands ctx op in
       let results = Array.map unbox (slot_array ctx (Op.results op)) in
       let entry = entry_for ctx.cache fn in
       let st = ctx.st and cache = ctx.cache in
       fun f ->
-        let args = List.map (fun get -> get f) args in
-        let rvs = (force st cache entry) args in
-        set_result_list op results f rvs)
+        let args = args f in
+        set_result_list op results f ((force st cache entry) args))
 
 and compile_for ctx op : code =
   match Scf.for_parts op with

@@ -7,8 +7,6 @@ open Ftn_ir
 
 exception Interp_error = Tree.Interp_error
 
-type frame = Tree.frame
-
 type domain = Tree.domain =
   | All
   | Names of string list
@@ -31,19 +29,16 @@ type state = Tree.state = {
 
 and handler = Tree.handler = {
   h_domain : domain;
-  h_run : state -> frame -> Op.t -> Rtval.t list -> Rtval.t list option;
+  h_stage : Op.t -> (state -> Rtval.t list -> Rtval.t list) option;
 }
 
 exception Return = Tree.Return
 
 let handler = Tree.handler
 let calls = Tree.calls_domain
-let domain_matches = Tree.domain_matches
 let default_engine = Tree.default_engine
 let set_default_engine = Tree.set_default_engine
 let make = Tree.make
-let get = Tree.get
-let set = Tree.set
 let find_function = Tree.find_function
 let main_function = Tree.main_function
 

@@ -6,8 +6,9 @@
     an ordinary loop with Fortran's inclusive upper bound) so un-offloaded
     programs run as CPU references. hls directives are functional no-ops.
     device.* operations have no default semantics: the host runtime
-    installs a {!handler} for them; handlers run before defaults, so
-    embedders can also intercept DMA or external calls.
+    installs a {!handler} for them. A handler that takes an op replaces
+    its default semantics, so embedders can also intercept DMA or
+    external calls.
 
     Two execution engines share these semantics: [`Tree], the reference
     tree-walker ({!Tree}), and [`Compiled] (the default), which compiles
@@ -16,19 +17,16 @@
     everything else ({!Compile}) — typically several times faster. On IR
     whose value types agree with its ops the engines are observationally
     equivalent: same results, same [steps]
-    counts, same handler and [on_loop] callbacks, same error messages on
-    executed malformed ops. A runtime error of the interpreted program
+    counts, same handler runs and [on_loop] callbacks, same error messages
+    on executed malformed ops. A runtime error of the interpreted program
     (an out-of-bounds access, a division by zero) raises
     {!Interp_error} under both. *)
 
 exception Interp_error of string
 
-type frame
-(** Per-function-call value bindings. *)
-
 type domain =
-  | All  (** Consult the handler on every executed op. *)
-  | Names of string list  (** Only on ops with one of these names. *)
+  | All  (** Offer the handler every op. *)
+  | Names of string list  (** Only ops with one of these names. *)
 
 type engine = [ `Tree | `Compiled ]
 
@@ -50,27 +48,37 @@ type state = {
 
 and handler = {
   h_domain : domain;
-  h_run :
-    state -> frame -> Ftn_ir.Op.t -> Rtval.t list -> Rtval.t list option;
+  h_stage : Ftn_ir.Op.t -> (state -> Rtval.t list -> Rtval.t list) option;
 }
-(** Receives the op and its evaluated operands; [Some results] handles the
-    op, [None] defers to the next handler or the default semantics. The
-    [h_domain] narrows which ops the handler is consulted for — the
-    compiled engine only pays for interception on those ops. *)
+(** [h_stage op] stages an op of the handler's [h_domain]: [Some run]
+    takes the op, and [run state operands] then executes it in place of
+    the default semantics, returning its results; [None] declines, and
+    the next handler or the default semantics gets the op.
+
+    The contract:
+    - whether a handler takes an op depends only on the op — its name,
+      attributes and operand count;
+    - staging does not raise and does not touch program state; a
+      malformed op stages to a runner that raises when it executes, so
+      dead malformed ops stay dead;
+    - the compiled engine stages each op once, when its function is
+      compiled, and the tree-walker stages it on every execution; so
+      everything that depends only on the op belongs in staging;
+    - a [Fault.Error] with an unknown location that escapes a runner is
+      re-raised at the op's location. *)
 
 exception Return of Rtval.t list
 
 val handler :
   ?domain:domain ->
-  (state -> frame -> Ftn_ir.Op.t -> Rtval.t list -> Rtval.t list option) ->
+  (Ftn_ir.Op.t -> (state -> Rtval.t list -> Rtval.t list) option) ->
   handler
-(** Build a handler; [domain] defaults to {!All}. *)
+(** Build a handler from its staging function; [domain] defaults to
+    {!All}. *)
 
 val calls : domain
 (** The call ops ([func.call], [fir.call]) — the domain of intrinsic
     handlers. *)
-
-val domain_matches : domain -> string -> bool
 
 val default_engine : unit -> engine
 val set_default_engine : engine -> unit
@@ -84,8 +92,6 @@ val make :
   Ftn_ir.Op.t list ->
   state
 
-val get : frame -> Ftn_ir.Value.t -> Rtval.t
-val set : frame -> Ftn_ir.Value.t -> Rtval.t -> unit
 val find_function : state -> string -> Ftn_ir.Op.t option
 
 val call_function : state -> Ftn_ir.Op.t -> Rtval.t list -> Rtval.t list

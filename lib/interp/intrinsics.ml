@@ -23,57 +23,54 @@ let format_float x =
   if Float.is_integer x && Float.abs x < 1e10 then Fmt.str "%.6f" x
   else Fmt.str "%.6g" x
 
-(* Handler for the ftn_print_* family. *)
+(* A runner for a call with one operand, or [None] for any other arity. *)
+let unary op f =
+  match Op.operands op with
+  | [ _ ] ->
+    Some
+      (fun _ -> function
+        | [ v ] -> f v
+        | _ -> raise (Interp.Interp_error "expected one operand"))
+  | _ -> None
+
+(* Handler for the ftn_print_* family. The callee and the text of a
+   string print are resolved when the call is staged. *)
 let print_handler sink : Interp.handler =
-  Interp.handler ~domain:Interp.calls @@ fun _state _frame op operands ->
+  Interp.handler ~domain:Interp.calls @@ fun op ->
+  let print s =
+    Some
+      (fun _ _ ->
+        output sink s;
+        [])
+  in
+  let print1 f =
+    unary op (fun v ->
+        output sink (f v);
+        [])
+  in
   match Op.symbol_attr op "callee" with
   | Some "ftn_print_str" ->
-    let text = Option.value ~default:"" (Op.string_attr op "text") in
-    output sink (" " ^ text);
-    Some []
-  | Some "ftn_print_i32" -> (
-    match operands with
-    | [ v ] ->
-      output sink (Fmt.str " %d" (Rtval.as_int v));
-      Some []
-    | _ -> None)
-  | Some "ftn_print_i1" -> (
-    match operands with
-    | [ v ] ->
-      output sink (if Rtval.as_bool v then " T" else " F");
-      Some []
-    | _ -> None)
-  | Some ("ftn_print_f32" | "ftn_print_f64") -> (
-    match operands with
-    | [ v ] ->
-      output sink (" " ^ format_float (Rtval.as_float v));
-      Some []
-    | _ -> None)
-  | Some "ftn_print_newline" ->
-    output sink "\n";
-    Some []
+    print (" " ^ Option.value ~default:"" (Op.string_attr op "text"))
+  | Some "ftn_print_i32" -> print1 (fun v -> Fmt.str " %d" (Rtval.as_int v))
+  | Some "ftn_print_i1" ->
+    print1 (fun v -> if Rtval.as_bool v then " T" else " F")
+  | Some ("ftn_print_f32" | "ftn_print_f64") ->
+    print1 (fun v -> " " ^ format_float (Rtval.as_float v))
+  | Some "ftn_print_newline" -> print "\n"
   | _ -> None
 
 (* Device runtime-library calls (type conversion, stream IO) referenced by
    generated device code; functional no-op equivalents. *)
 let runtime_library_handler : Interp.handler =
-  Interp.handler ~domain:Interp.calls @@ fun _state _frame op operands ->
+  Interp.handler ~domain:Interp.calls @@ fun op ->
   match Op.symbol_attr op "callee" with
-  | Some "_hls_f32_to_f64" -> (
-    match operands with
-    | [ v ] -> Some [ Rtval.Float (Rtval.as_float v) ]
-    | _ -> None)
-  | Some "_hls_f64_to_f32" -> (
-    match operands with
-    | [ v ] -> Some [ Rtval.Float (Rtval.as_float v) ]
-    | _ -> None)
-  | Some "_hls_i32_to_f32" -> (
-    match operands with
-    | [ v ] -> Some [ Rtval.Float (float_of_int (Rtval.as_int v)) ]
-    | _ -> None)
+  | Some ("_hls_f32_to_f64" | "_hls_f64_to_f32") ->
+    unary op (fun v -> [ Rtval.Float (Rtval.as_float v) ])
+  | Some "_hls_i32_to_f32" ->
+    unary op (fun v -> [ Rtval.Float (float_of_int (Rtval.as_int v)) ])
   | Some
       ( "_ssdm_op_SpecInterface" | "_ssdm_op_SpecPipeline"
       | "_ssdm_op_SpecUnroll" | "_ssdm_op_SpecArrayPartition"
       | "_ssdm_op_SpecDataflow" ) ->
-    Some []
+    Some (fun _ _ -> [])
   | _ -> None

@@ -14,9 +14,11 @@
    hls directives are no-ops for functional execution.
 
    device.* operations have no default semantics: the host runtime
-   (Ftn_runtime) installs a handler for them. Handlers run before default
-   semantics, so embedders can also intercept DMA transfers or external
-   calls for bookkeeping. *)
+   (Ftn_runtime) installs a handler for them. A handler stages an op once
+   — it looks at the op alone and returns a runner, or declines — and a
+   staged runner takes the op's place, so embedders can also intercept
+   DMA transfers or external calls for bookkeeping. This walker stages on
+   every execution; the compiled engine stages once per op. *)
 
 open Ftn_ir
 open Ftn_dialects
@@ -29,11 +31,7 @@ type frame = {
   vals : (int, Rtval.t) Hashtbl.t;
 }
 
-(* Which op names a handler may intercept. Handlers declare their domain
-   so the compiled engine can bake handler checks only into the ops that
-   need them (and the tree-walker can skip the call for the rest). [All]
-   preserves the historic behaviour of consulting the handler on every
-   executed op. *)
+(* Which op names a handler may stage. [All] offers it every op. *)
 type domain =
   | All
   | Names of string list
@@ -69,23 +67,44 @@ type state = {
   mutable exec_cache : cache;
 }
 
+(* [h_stage op] decides from the op alone (its name, attributes and
+   operand count) whether the handler takes it, and returns the runner
+   that executes it on the op's evaluated operands. Staging neither
+   raises nor touches program state: a malformed op stages to a runner
+   that raises its error when it executes. *)
 and handler = {
   h_domain : domain;
-  h_run : state -> frame -> Op.t -> Rtval.t list -> Rtval.t list option;
+  h_stage : Op.t -> (state -> Rtval.t list -> Rtval.t list) option;
 }
 
-let handler ?(domain = All) h_run = { h_domain = domain; h_run }
+let handler ?(domain = All) h_stage = { h_domain = domain; h_stage }
 
-(* Invoke one handler on [op], attaching the op's source location to any
-   structured runtime error that escapes without one: the runtime raises
-   Fault.Error with an unknown location because only the interpreter
-   knows which op was executing. Shared by both engines so errors carry
-   the launching op's location regardless of how the module runs. *)
-let run_handler h state frame op operand_values =
-  try h.h_run state frame op operand_values
-  with
-  | Ftn_fault.Fault.Error (e, loc) when not (Ftn_diag.Loc.is_known loc) ->
-    raise (Ftn_fault.Fault.Error (e, Op.loc op))
+(* Stage [op] with the first of [handlers] whose domain holds it and
+   which does not decline. The runner gives the op's source location to
+   any structured runtime error that escapes it without one: the runtime
+   raises Fault.Error with an unknown location because only the
+   interpreter knows which op is executing. Shared by both engines, so
+   errors carry the launching op's location however the module runs. *)
+let stage_handlers handlers op =
+  let name = Op.name op in
+  let rec first = function
+    | [] -> None
+    | h :: rest -> (
+      if not (domain_matches h.h_domain name) then first rest
+      else
+        match h.h_stage op with
+        | None -> first rest
+        | Some run ->
+          let loc = Op.loc op in
+          Some
+            (fun state operand_values ->
+              try run state operand_values
+              with
+              | Ftn_fault.Fault.Error (e, l) when not (Ftn_diag.Loc.is_known l)
+              ->
+                raise (Ftn_fault.Fault.Error (e, loc))))
+  in
+  first handlers
 
 exception Return of Rtval.t list
 
@@ -153,21 +172,8 @@ let rec exec_op state frame op =
   if state.steps > state.max_steps then error "step limit exceeded";
   if !Ftn_obs.Profile.on then Ftn_obs.Profile.count_op (Op.name op);
   let operand_values = List.map (get frame) op.Op.operands in
-  let handled =
-    let name = Op.name op in
-    let rec try_handlers = function
-      | [] -> None
-      | h :: rest -> (
-        if not (domain_matches h.h_domain name) then try_handlers rest
-        else
-          match run_handler h state frame op operand_values with
-          | Some rvs -> Some rvs
-          | None -> try_handlers rest)
-    in
-    try_handlers state.handlers
-  in
-  match handled with
-  | Some rvs -> set_results frame op rvs
+  match stage_handlers state.handlers op with
+  | Some run -> set_results frame op (run state operand_values)
   | None -> exec_default state frame op operand_values
 
 and exec_default state frame op operand_values =

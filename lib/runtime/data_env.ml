@@ -20,75 +20,80 @@ exception Device_data_error of string
 
 let create () = { entries = Hashtbl.create 16 }
 
-let key ~name ~memory_space = Fmt.str "%d:%s" memory_space name
+(* An entry's identity, with its "space:name" table key built once: the
+   executor makes one per device op when the op is staged. *)
+type key = {
+  name : string;
+  memory_space : int;
+  text : string;
+}
 
-let find t ~name ~memory_space =
-  Hashtbl.find_opt t.entries (key ~name ~memory_space)
+let key ~name ~memory_space =
+  { name; memory_space; text = string_of_int memory_space ^ ":" ^ name }
 
-let get_entry t ~name ~memory_space =
-  let k = key ~name ~memory_space in
-  match Hashtbl.find_opt t.entries k with
+let find t k = Hashtbl.find_opt t.entries k.text
+
+let get_entry t k =
+  match Hashtbl.find_opt t.entries k.text with
   | Some e -> e
   | None ->
     let e = { buffer = None; refcount = 0 } in
-    Hashtbl.replace t.entries k e;
+    Hashtbl.replace t.entries k.text e;
     e
 
-(* Allocate (or reuse) the buffer for [name]; returns the buffer and
+(* Allocate (or reuse) the buffer for [k]; returns the buffer and
    whether fresh storage was created (for timing). *)
-let alloc t ~name ~memory_space ~elt ~shape =
-  let e = get_entry t ~name ~memory_space in
+let alloc t k ~elt ~shape =
+  let e = get_entry t k in
   match e.buffer with
   | Some b when b.Rtval.shape = shape && Ftn_ir.Types.equal b.Rtval.elt elt ->
     (b, false)
   | Some _ | None ->
-    let b = Rtval.alloc_buffer ~memory_space ~label:name elt shape in
+    let b =
+      Rtval.alloc_buffer ~memory_space:k.memory_space ~label:k.name elt shape
+    in
     e.buffer <- Some b;
     (b, true)
 
-let lookup t ~name ~memory_space =
-  match find t ~name ~memory_space with
+let lookup t k =
+  match find t k with
   | Some { buffer = Some b; _ } -> Some b
   | Some { buffer = None; _ } | None -> None
 
-let lookup_exn t ~name ~memory_space =
-  match lookup t ~name ~memory_space with
+let lookup_exn t k =
+  match lookup t k with
   | Some b -> b
   | None ->
     raise
       (Device_data_error
-         (Fmt.str "no device data named %S in memory space %d" name
-            memory_space))
+         (Fmt.str "no device data named %S in memory space %d" k.name
+            k.memory_space))
 
-let acquire t ~name ~memory_space =
-  let e = get_entry t ~name ~memory_space in
+let acquire t k =
+  let e = get_entry t k in
   e.refcount <- e.refcount + 1
 
 (* Over-releasing (double device.data_release, or releasing a name that was
    never acquired) indicates a refcount bug in the lowered data-environment
    sequence. The count still clamps at zero so the environment stays usable,
    but the event is surfaced instead of masked. *)
-let over_release ~name ~memory_space reason =
+let over_release k reason =
   Ftn_obs.Metrics.incr "data_env.over_release";
   Ftn_diag.Diag_engine.warning Ftn_diag.Diag_engine.default
-    (Fmt.str "release of device data %S in memory space %d %s" name
-       memory_space reason)
+    (Fmt.str "release of device data %S in memory space %d %s" k.name
+       k.memory_space reason)
 
-let release t ~name ~memory_space =
-  match find t ~name ~memory_space with
+let release t k =
+  match find t k with
   | Some e when e.refcount > 0 -> e.refcount <- e.refcount - 1
   | Some _ ->
-    over_release ~name ~memory_space
-      "whose reference count is already 0 (double release?)"
-  | None -> over_release ~name ~memory_space "that was never acquired"
+    over_release k "whose reference count is already 0 (double release?)"
+  | None -> over_release k "that was never acquired"
 
-let exists t ~name ~memory_space =
-  match find t ~name ~memory_space with
-  | Some e -> e.refcount > 0
-  | None -> false
+let exists t k =
+  match find t k with Some e -> e.refcount > 0 | None -> false
 
-let refcount t ~name ~memory_space =
-  match find t ~name ~memory_space with Some e -> e.refcount | None -> 0
+let refcount t k = match find t k with Some e -> e.refcount | None -> 0
 
 let live_names t =
   Hashtbl.fold
@@ -103,11 +108,7 @@ let live_names t =
    buffer we are trying to produce. Evicted names lose their contents:
    a later allocation recreates fresh zeroed storage. *)
 let evict_unreferenced ?except t =
-  let keep =
-    match except with
-    | Some (name, memory_space) -> key ~name ~memory_space
-    | None -> ""
-  in
+  let keep = match except with Some k -> k.text | None -> "" in
   Hashtbl.fold
     (fun k e n ->
       if k <> keep && e.refcount = 0 && e.buffer <> None then begin

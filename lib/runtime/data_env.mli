@@ -12,42 +12,49 @@ exception Device_data_error of string
 
 val create : unit -> t
 
+type key = private {
+  name : string;
+  memory_space : int;
+  text : string;  (** ["space:name"], the table key. *)
+}
+(** An entry's identity. Build it once and reuse it: the executor makes
+    one per device op, when the op is staged. *)
+
+val key : name:string -> memory_space:int -> key
+
 val alloc :
   t ->
-  name:string ->
-  memory_space:int ->
+  key ->
   elt:Ftn_ir.Types.t ->
   shape:int list ->
   Ftn_interp.Rtval.buffer * bool
-(** Allocate or reuse the buffer registered under [name]; the flag is true
-    when fresh storage was created (for timing). *)
+(** Allocate or reuse the buffer registered under the key; the flag is
+    true when fresh storage was created (for timing). *)
 
-val lookup :
-  t -> name:string -> memory_space:int -> Ftn_interp.Rtval.buffer option
+val lookup : t -> key -> Ftn_interp.Rtval.buffer option
 
-val lookup_exn :
-  t -> name:string -> memory_space:int -> Ftn_interp.Rtval.buffer
+val lookup_exn : t -> key -> Ftn_interp.Rtval.buffer
 (** Raises {!Device_data_error} when no buffer is registered. *)
 
-val acquire : t -> name:string -> memory_space:int -> unit
+val acquire : t -> key -> unit
 (** Increment the identifier's reference counter. *)
 
-val release : t -> name:string -> memory_space:int -> unit
+val release : t -> key -> unit
 (** Decrement (floored at zero). *)
 
-val exists : t -> name:string -> memory_space:int -> bool
+val exists : t -> key -> bool
 (** Counter > 0 — the semantics of [device.data_check_exists]. *)
 
-val refcount : t -> name:string -> memory_space:int -> int
+val refcount : t -> key -> int
 
 val live_names : t -> string list
 (** Sorted ["space:name"] keys with a positive counter. *)
 
-val evict_unreferenced : ?except:string * int -> t -> int
+val evict_unreferenced : ?except:key -> t -> int
 (** Drop the storage of every zero-refcount entry — the recovery action
-    for device allocation failures. [except] is a [(name, memory_space)]
-    pair protecting the entry being (re)allocated. Returns the number of
-    buffers evicted; evicted names lose their contents. *)
+    for device allocation failures. [except] protects the entry being
+    (re)allocated. Returns the number of buffers evicted; evicted names
+    lose their contents. *)
 
 val leaks : t -> (string * int) list
 (** Sorted ["space:name"] keys still holding a positive counter — at

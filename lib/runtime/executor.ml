@@ -222,13 +222,6 @@ let flight (ctx : context) ~cat fmt =
   Ftn_obs.Flight.recordf ~time_s:ctx.cursor_s ~loc:ctx.cur_loc_str
     ~device:ctx.device.Scheduler.dev_id ~cat fmt
 
-let set_cur_loc (ctx : context) loc =
-  if loc <> ctx.cur_loc then begin
-    ctx.cur_loc <- loc;
-    ctx.cur_loc_str <-
-      (if Ftn_diag.Loc.is_known loc then Ftn_diag.Loc.to_string loc else "")
-  end
-
 let sim_spans (ctx : context) =
   List.filter
     (fun (sp : Ftn_obs.Span.span) ->
@@ -328,15 +321,6 @@ let exhausted (ctx : context) fault =
   Fault.fail
     (Fault.Retries_exhausted
        { fault; attempts = max 1 ctx.retry.Fault.max_attempts })
-
-let name_and_space op =
-  match Op.string_attr op "name" with
-  | Some name ->
-    (name, Option.value ~default:0 (Op.int_attr op "memory_space"))
-  | None ->
-    Fault.fail
-      (Fault.Invalid_host
-         { op = Op.name op; reason = "missing a name attribute" })
 
 let resolve_shape ~op_name mi dynamic =
   let wanted =
@@ -544,11 +528,10 @@ let execute_kernel (ctx : context) state (design : Bitstream.kernel_design)
    program performs against the simulated device. The interpreter handler
    below routes the device dialect through these same functions. --- *)
 
-let api_alloc (ctx : context) ~name ~memory_space ~elt ~shape =
+let alloc_key (ctx : context) (key : Data_env.key) ~elt ~shape =
+  let name = key.Data_env.name in
   let do_alloc () =
-    let buffer, fresh =
-      Data_env.alloc ctx.data ~name ~memory_space ~elt ~shape
-    in
+    let buffer, fresh = Data_env.alloc ctx.data key ~elt ~shape in
     if fresh then begin
       charge_overhead ctx ~name:("alloc:" ^ name)
         ~attrs:[ ("buffer", name);
@@ -576,9 +559,7 @@ let api_alloc (ctx : context) ~name ~memory_space ~elt ~shape =
      the data environment stays identical to a fault-free run. *)
   let recover (fault : Fault.fault) token =
     if fault.Fault.persistence = Fault.Persistent then begin
-      let evicted =
-        Data_env.evict_unreferenced ~except:(name, memory_space) ctx.data
-      in
+      let evicted = Data_env.evict_unreferenced ~except:key ctx.data in
       if evicted > 0 then begin
         Ftn_obs.Metrics.incr ~by:evicted "fault.evictions";
         Ftn_diag.Diag_engine.warning ctx.diag ~loc:ctx.cur_loc
@@ -598,6 +579,9 @@ let api_alloc (ctx : context) ~name ~memory_space ~elt ~shape =
   with
   | Ok buffer -> buffer
   | Error fault -> exhausted ctx fault
+
+let api_alloc (ctx : context) ~name ~memory_space ~elt ~shape =
+  alloc_key ctx (Data_env.key ~name ~memory_space) ~elt ~shape
 
 let api_transfer (ctx : context) ~src ~dst =
   (* Endpoint validation: transfers between buffers that disagree on
@@ -735,157 +719,211 @@ let device_domain =
       "memref.dma_start";
     ]
 
-(* The interpreter handler implementing device.* ops and intercepting DMA
-   transfers that touch device memory. *)
-let device_handler (ctx : context) : Interp.handler =
-  Interp.handler ~domain:device_domain @@ fun state _frame op operands ->
-  set_cur_loc ctx (Op.loc op);
-  Ftn_obs.Flight.record ~time_s:ctx.cursor_s ~loc:ctx.cur_loc_str
-    ~device:ctx.device.Scheduler.dev_id ~cat:"op" (Op.name op);
+type runner = Interp.state -> Rtval.t list -> Rtval.t list
+
+(* A runner raising [e] when it executes: how a malformed op stages. *)
+let failing e : runner = fun _ _ -> Fault.fail e
+
+let invalid op reason = failing (Fault.Invalid_host { op; reason })
+
+(* The data-environment key an op's [name] and [memory_space] attributes
+   name, handed to [f]; without a name the op fails when it executes. *)
+let with_key op (f : string -> Data_env.key -> runner) =
+  match Op.string_attr op "name" with
+  | Some name ->
+    f name
+      (Data_env.key ~name
+         ~memory_space:(Option.value ~default:0 (Op.int_attr op "memory_space")))
+  | None -> invalid (Op.name op) "missing a name attribute"
+
+(* A device-level telemetry counter, by the name a device.counter_get
+   reads. *)
+let counter (ctx : context) = function
+  | "kernel_launches" -> Some (fun () -> Trace.count_launches ctx.trace)
+  | "bytes_transferred" -> Some (fun () -> Trace.bytes_transferred ctx.trace)
+  | "retries" -> Some (fun () -> ctx.retries)
+  | "cpu_fallbacks" -> Some (fun () -> ctx.cpu_fallbacks)
+  | "faults_injected" ->
+    Some
+      (fun () ->
+        match ctx.injector with Some i -> Injector.injected i | None -> 0)
+  | _ -> None
+
+let wait_handle (ctx : context) h =
+  (* A real blocking wait. Waiting on a handle this context never
+     created (foreign or stale), never launched, or on a non-handle
+     operand is a structured host error — the silent-success no-op this
+     op used to be hid all three bugs. *)
+  match Hashtbl.find_opt ctx.launched h with
+  | Some ev -> wait_event ctx ev
+  | None ->
+    Fault.fail
+      (Fault.Invalid_host
+         {
+           op = "device.kernel_wait";
+           reason =
+             (if Hashtbl.mem ctx.handles h then
+                Fmt.str "kernel handle %d was never launched" h
+              else
+                Fmt.str
+                  "unknown kernel handle %d (stale or from another context)" h);
+         })
+
+(* The work of one device op, staged: everything that depends only on
+   the op (its dispatch, attributes, data-environment key, kernel design
+   and labels) is resolved here, once. *)
+let stage_device_op (ctx : context) op : runner option =
   match Op.name op with
   | "device.alloc" ->
-    let name, memory_space = name_and_space op in
-    (match Value.ty (Op.result1 op) with
-    | Types.Memref mi ->
-      let shape =
-        resolve_shape ~op_name:(Op.name op) mi (List.map Rtval.as_int operands)
-      in
-      let buffer =
-        api_alloc ctx ~name ~memory_space ~elt:mi.Types.elt ~shape
-      in
-      Some [ Rtval.Buf buffer ]
-    | _ ->
-      Fault.fail
-        (Fault.Invalid_host
-           { op = "device.alloc"; reason = "must produce a memref result" }))
+    Some
+      (with_key op (fun _ key ->
+           match Op.results op with
+           | [ r ] -> (
+             match Value.ty r with
+             | Types.Memref mi ->
+               fun _ operands ->
+                 let shape =
+                   resolve_shape ~op_name:"device.alloc" mi
+                     (List.map Rtval.as_int operands)
+                 in
+                 [ Rtval.Buf (alloc_key ctx key ~elt:mi.Types.elt ~shape) ]
+             | _ -> invalid "device.alloc" "must produce a memref result")
+           | _ -> invalid "device.alloc" "must produce a memref result"))
   | "device.lookup" ->
-    let name, memory_space = name_and_space op in
-    Some [ Rtval.Buf (Data_env.lookup_exn ctx.data ~name ~memory_space) ]
+    Some
+      (with_key op (fun _ key _ _ ->
+           [ Rtval.Buf (Data_env.lookup_exn ctx.data key) ]))
   | "device.data_check_exists" ->
-    let name, memory_space = name_and_space op in
-    Some [ Rtval.Bool (Data_env.exists ctx.data ~name ~memory_space) ]
+    Some
+      (with_key op (fun _ key _ _ ->
+           [ Rtval.Bool (Data_env.exists ctx.data key) ]))
   | "device.data_acquire" ->
-    let name, memory_space = name_and_space op in
-    Data_env.acquire ctx.data ~name ~memory_space;
-    (* The acquire is a zero-cost control-plane event: it participates
-       in the event graph (so ordering is inspectable) without charging
-       simulated time or recording a span. *)
-    ignore
-      (Scheduler.submit ctx.sched ~device:ctx.device ~lane:Event.Ctrl
-         ~track:"ctrl" ~label:("acquire:" ^ name) ~submit_s:ctx.cursor_s
-         ~dur_s:0.0 ());
-    Some []
+    Some
+      (with_key op (fun name key ->
+           let label = "acquire:" ^ name in
+           fun _ _ ->
+             Data_env.acquire ctx.data key;
+             (* The acquire is a zero-cost control-plane event: it
+                participates in the event graph (so ordering is
+                inspectable) without charging simulated time or recording
+                a span. *)
+             ignore
+               (Scheduler.submit ctx.sched ~device:ctx.device
+                  ~lane:Event.Ctrl ~track:"ctrl" ~label
+                  ~submit_s:ctx.cursor_s ~dur_s:0.0 ());
+             []))
   | "device.data_release" ->
-    let name, memory_space = name_and_space op in
-    Data_env.release ctx.data ~name ~memory_space;
-    Some []
+    Some
+      (with_key op (fun _ key _ _ ->
+           Data_env.release ctx.data key;
+           []))
   | "device.counter_get" -> (
     (* With a "counter" attribute the op reads a device-level telemetry
        counter; without one it keeps its original meaning, the refcount
        of a named data-environment entry. *)
     match Op.string_attr op "counter" with
-    | Some counter ->
-      let v =
-        match counter with
-        | "kernel_launches" -> Trace.count_launches ctx.trace
-        | "bytes_transferred" -> Trace.bytes_transferred ctx.trace
-        | "retries" -> ctx.retries
-        | "cpu_fallbacks" -> ctx.cpu_fallbacks
-        | "faults_injected" -> (
-          match ctx.injector with Some i -> Injector.injected i | None -> 0)
-        | other ->
-          Fault.fail
-            (Fault.Invalid_host
-               {
-                 op = "device.counter_get";
-                 reason = Fmt.str "unknown device counter %S" other;
-               })
-      in
-      Some [ Rtval.Int v ]
+    | Some name -> (
+      match counter ctx name with
+      | Some read -> Some (fun _ _ -> [ Rtval.Int (read ()) ])
+      | None ->
+        Some
+          (invalid "device.counter_get"
+             (Fmt.str "unknown device counter %S" name)))
     | None ->
-      let name, memory_space = name_and_space op in
-      Some [ Rtval.Int (Data_env.refcount ctx.data ~name ~memory_space) ])
+      Some
+        (with_key op (fun _ key _ _ ->
+             [ Rtval.Int (Data_env.refcount ctx.data key) ])))
   | "device.kernel_create" -> (
     match Op.symbol_attr op "device_function" with
     | Some fname -> (
       match Bitstream.find_kernel ctx.bitstream fname with
       | Some design ->
-        let h = !handle_counter in
-        incr handle_counter;
-        Hashtbl.replace ctx.handles h { kh_design = design; kh_args = operands };
-        Some [ Rtval.Handle h ]
+        Some
+          (fun _ operands ->
+            let h = !handle_counter in
+            incr handle_counter;
+            Hashtbl.replace ctx.handles h
+              { kh_design = design; kh_args = operands };
+            [ Rtval.Handle h ])
       | None ->
-        Fault.fail
-          (Fault.Missing_kernel
-             { kernel = fname; xclbin = ctx.bitstream.Bitstream.xclbin_name }))
+        Some
+          (failing
+             (Fault.Missing_kernel
+                { kernel = fname; xclbin = ctx.bitstream.Bitstream.xclbin_name })))
     | None ->
-      Fault.fail
-        (Fault.Invalid_host
-           {
-             op = "device.kernel_create";
-             reason = "missing a device_function attribute";
-           }))
-  | "device.kernel_launch" -> (
-    match operands with
-    | [ Rtval.Handle h ] ->
-      (match Hashtbl.find_opt ctx.handles h with
-      | Some kh ->
-        (* True async enqueue: the completion event is parked on the
-           handle for device.kernel_wait; the host cursor stays put. *)
-        let ev = execute_kernel ctx state kh.kh_design kh.kh_args in
-        Hashtbl.replace ctx.launched h ev;
-        ctx.pending <- ev :: ctx.pending
-      | None ->
-        Fault.fail
-          (Fault.Invalid_host
-             { op = "device.kernel_launch"; reason = "unknown kernel handle" }));
-      Some []
-    | _ ->
-      Fault.fail
-        (Fault.Invalid_host
-           { op = "device.kernel_launch"; reason = "expects a handle operand" }))
-  | "device.kernel_wait" -> (
-    (* A real blocking wait. Waiting on a handle this context never
-       created (foreign or stale), never launched, or on a non-handle
-       operand is a structured host error — the silent-success no-op
-       this op used to be hid all three bugs. *)
-    match operands with
-    | [ Rtval.Handle h ] -> (
-      match Hashtbl.find_opt ctx.launched h with
-      | Some ev ->
-        wait_event ctx ev;
-        Some []
-      | None ->
-        if Hashtbl.mem ctx.handles h then
+      Some
+        (invalid "device.kernel_create" "missing a device_function attribute"))
+  | "device.kernel_launch" ->
+    Some
+      (fun state operands ->
+        match operands with
+        | [ Rtval.Handle h ] -> (
+          match Hashtbl.find_opt ctx.handles h with
+          | Some kh ->
+            (* True async enqueue: the completion event is parked on the
+               handle for device.kernel_wait; the host cursor stays put. *)
+            let ev = execute_kernel ctx state kh.kh_design kh.kh_args in
+            Hashtbl.replace ctx.launched h ev;
+            ctx.pending <- ev :: ctx.pending;
+            []
+          | None ->
+            Fault.fail
+              (Fault.Invalid_host
+                 { op = "device.kernel_launch";
+                   reason = "unknown kernel handle" }))
+        | _ ->
           Fault.fail
             (Fault.Invalid_host
-               {
-                 op = "device.kernel_wait";
-                 reason =
-                   Fmt.str "kernel handle %d was never launched" h;
-               })
-        else
+               { op = "device.kernel_launch";
+                 reason = "expects a handle operand" }))
+  | "device.kernel_wait" ->
+    Some
+      (fun _ operands ->
+        match operands with
+        | [ Rtval.Handle h ] ->
+          wait_handle ctx h;
+          []
+        | _ ->
           Fault.fail
             (Fault.Invalid_host
-               {
-                 op = "device.kernel_wait";
-                 reason =
-                   Fmt.str
-                     "unknown kernel handle %d (stale or from another \
-                      context)"
-                     h;
-               }))
-    | _ ->
-      Fault.fail
-        (Fault.Invalid_host
-           { op = "device.kernel_wait"; reason = "expects a handle operand" }))
+               { op = "device.kernel_wait"; reason = "expects a handle operand" }))
   | "memref.dma_start" -> (
-    match operands with
-    | [ src; dst ] ->
-      api_transfer ctx ~src:(Rtval.as_buffer src) ~dst:(Rtval.as_buffer dst);
-      Some []
+    match Op.operands op with
+    | [ _; _ ] ->
+      Some
+        (fun _ operands ->
+          match operands with
+          | [ src; dst ] ->
+            api_transfer ctx ~src:(Rtval.as_buffer src)
+              ~dst:(Rtval.as_buffer dst);
+            []
+          | _ ->
+            Fault.fail
+              (Fault.Invalid_host
+                 { op = "memref.dma_start"; reason = "expects two operands" }))
     | _ -> None)
   | _ -> None
+
+(* The interpreter handler implementing device.* ops and intercepting DMA
+   transfers that touch device memory. Each op is staged once per
+   compiled closure (per execution under the tree-walker): its runner
+   only makes the op's pre-rendered location current, records the op in
+   the flight recorder and does the staged work. *)
+let device_handler (ctx : context) : Interp.handler =
+  Interp.handler ~domain:device_domain @@ fun op ->
+  Option.map
+    (fun (work : runner) : runner ->
+      let name = Op.name op and loc = Op.loc op in
+      let loc_str =
+        if Ftn_diag.Loc.is_known loc then Ftn_diag.Loc.to_string loc else ""
+      in
+      fun state operands ->
+        ctx.cur_loc <- loc;
+        ctx.cur_loc_str <- loc_str;
+        Ftn_obs.Flight.record ~time_s:ctx.cursor_s ~loc:loc_str
+          ~device:ctx.device.Scheduler.dev_id ~cat:"op" name;
+        work state operands)
+    (stage_device_op ctx op)
 
 (* End-of-run leak report: any entry still holding references at teardown
    means the lowered data-environment sequence lost a device.data_release

@@ -401,9 +401,13 @@ let api_tests =
         let r = Executor.result_of_context ctx in
         check Alcotest.bool "retried" true (r.Executor.retries > 0);
         check Alcotest.bool "a evicted" true
-          (Data_env.lookup r.Executor.data ~name:"a" ~memory_space:1 = None);
+          (Data_env.lookup r.Executor.data
+             (Data_env.key ~name:"a" ~memory_space:1)
+          = None);
         check Alcotest.bool "b allocated" true
-          (Data_env.lookup r.Executor.data ~name:"b" ~memory_space:1 <> None);
+          (Data_env.lookup r.Executor.data
+             (Data_env.key ~name:"b" ~memory_space:1)
+          <> None);
         check Alcotest.bool "recovery warned" true
           (Ftn_diag.Diag_engine.warning_count diag > 0));
     tc "persistent alloc fault with nothing evictable exhausts retries"

@@ -292,11 +292,12 @@ let control_tests engine =
     tc "handlers run before defaults" (fun () ->
         let intercepted = ref false in
         let h =
-          Interp.handler (fun _ _ op _ ->
-              if Op.name op = "arith.constant" then begin
-                intercepted := true;
-                Some [ Rtval.Int 99 ]
-              end
+          Interp.handler (fun op ->
+              if Op.name op = "arith.constant" then
+                Some
+                  (fun _ _ ->
+                    intercepted := true;
+                    [ Rtval.Int 99 ])
               else None)
         in
         let r =
@@ -312,9 +313,11 @@ let control_tests engine =
         let seen = ref [] in
         let h =
           Interp.handler ~domain:(Interp.Names [ "arith.addi" ])
-            (fun _ _ op _ ->
-              seen := Op.name op :: !seen;
-              Some [ Rtval.Int 41 ])
+            (fun op ->
+              Some
+                (fun _ _ ->
+                  seen := Op.name op :: !seen;
+                  [ Rtval.Int 41 ]))
         in
         let r =
           run_fn ~engine ~handlers:[ h ] ~args:[] ~arg_tys:[]
@@ -641,11 +644,12 @@ let engine_tests =
         let run engine =
           let seen = ref [] in
           let h =
-            Interp.handler ~domain:Interp.calls (fun _ _ op operands ->
-                if Op.symbol_attr op "callee" = Some "ext" then begin
-                  seen := List.map constructor operands;
-                  Some [ Rtval.Float 1.25; Rtval.Bool true ]
-                end
+            Interp.handler ~domain:Interp.calls (fun op ->
+                if Op.symbol_attr op "callee" = Some "ext" then
+                  Some
+                    (fun _ operands ->
+                      seen := List.map constructor operands;
+                      [ Rtval.Float 1.25; Rtval.Bool true ])
                 else None)
           in
           let state = Interp.make ~handlers:[ h ] ~engine [ m ] in

@@ -159,19 +159,20 @@ let refcount_invariant =
     QCheck.(list_of_size (Gen.int_range 0 40) (QCheck.make (QCheck.Gen.int_range 0 2)))
     (fun actions ->
       let env = Ftn_runtime.Data_env.create () in
+      let v = Ftn_runtime.Data_env.key ~name:"v" ~memory_space:1 in
       let model = ref 0 in
       List.for_all
         (fun action ->
           (match action with
           | 0 ->
-            Ftn_runtime.Data_env.acquire env ~name:"v" ~memory_space:1;
+            Ftn_runtime.Data_env.acquire env v;
             model := !model + 1
           | 1 ->
-            Ftn_runtime.Data_env.release env ~name:"v" ~memory_space:1;
+            Ftn_runtime.Data_env.release env v;
             model := max 0 (!model - 1)
           | _ -> ());
-          Ftn_runtime.Data_env.refcount env ~name:"v" ~memory_space:1 = !model
-          && Ftn_runtime.Data_env.exists env ~name:"v" ~memory_space:1
+          Ftn_runtime.Data_env.refcount env v = !model
+          && Ftn_runtime.Data_env.exists env v
              = (!model > 0))
         actions)
 
@@ -464,6 +465,7 @@ let over_release_reported =
       list_of_size (Gen.int_range 0 40) (QCheck.make (QCheck.Gen.int_range 0 2)))
     (fun actions ->
       let env = Ftn_runtime.Data_env.create () in
+      let v = Ftn_runtime.Data_env.key ~name:"v" ~memory_space:1 in
       let model = ref 0 in
       let overs = ref 0 in
       let metric0 =
@@ -476,10 +478,10 @@ let over_release_reported =
         (fun action ->
           match action with
           | 0 ->
-            Ftn_runtime.Data_env.acquire env ~name:"v" ~memory_space:1;
+            Ftn_runtime.Data_env.acquire env v;
             incr model
           | 1 ->
-            Ftn_runtime.Data_env.release env ~name:"v" ~memory_space:1;
+            Ftn_runtime.Data_env.release env v;
             if !model = 0 then incr overs else decr model
           | _ -> ())
         actions;

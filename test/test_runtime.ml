@@ -8,61 +8,60 @@ open Ftn_runtime
 let tc name f = Alcotest.test_case name `Quick f
 let check = Alcotest.check
 
+let key ?(space = 1) name = Data_env.key ~name ~memory_space:space
+
 let data_env_tests =
   [
     tc "refcounting lifecycle" (fun () ->
         let env = Data_env.create () in
-        check Alcotest.bool "absent" false (Data_env.exists env ~name:"a" ~memory_space:1);
-        Data_env.acquire env ~name:"a" ~memory_space:1;
-        check Alcotest.bool "live" true (Data_env.exists env ~name:"a" ~memory_space:1);
-        Data_env.acquire env ~name:"a" ~memory_space:1;
-        check Alcotest.int "count 2" 2 (Data_env.refcount env ~name:"a" ~memory_space:1);
-        Data_env.release env ~name:"a" ~memory_space:1;
+        check Alcotest.bool "absent" false (Data_env.exists env (key "a"));
+        Data_env.acquire env (key "a");
+        check Alcotest.bool "live" true (Data_env.exists env (key "a"));
+        Data_env.acquire env (key "a");
+        check Alcotest.int "count 2" 2 (Data_env.refcount env (key "a"));
+        Data_env.release env (key "a");
         check Alcotest.bool "still live" true
-          (Data_env.exists env ~name:"a" ~memory_space:1);
-        Data_env.release env ~name:"a" ~memory_space:1;
-        check Alcotest.bool "dead" false (Data_env.exists env ~name:"a" ~memory_space:1));
+          (Data_env.exists env (key "a"));
+        Data_env.release env (key "a");
+        check Alcotest.bool "dead" false (Data_env.exists env (key "a")));
     tc "release never goes negative" (fun () ->
         let env = Data_env.create () in
-        Data_env.release env ~name:"a" ~memory_space:1;
-        check Alcotest.int "zero" 0 (Data_env.refcount env ~name:"a" ~memory_space:1);
-        Data_env.acquire env ~name:"a" ~memory_space:1;
-        check Alcotest.int "one" 1 (Data_env.refcount env ~name:"a" ~memory_space:1));
+        Data_env.release env (key "a");
+        check Alcotest.int "zero" 0 (Data_env.refcount env (key "a"));
+        Data_env.acquire env (key "a");
+        check Alcotest.int "one" 1 (Data_env.refcount env (key "a")));
     tc "alloc reuse by shape" (fun () ->
         let env = Data_env.create () in
         let b1, fresh1 =
-          Data_env.alloc env ~name:"x" ~memory_space:1 ~elt:Ftn_ir.Types.F32
-            ~shape:[ 8 ]
+          Data_env.alloc env (key "x") ~elt:Ftn_ir.Types.F32 ~shape:[ 8 ]
         in
         check Alcotest.bool "first is fresh" true fresh1;
         Rtval.store b1 [ 0 ] (Rtval.Float 1.5);
         let b2, fresh2 =
-          Data_env.alloc env ~name:"x" ~memory_space:1 ~elt:Ftn_ir.Types.F32
-            ~shape:[ 8 ]
+          Data_env.alloc env (key "x") ~elt:Ftn_ir.Types.F32 ~shape:[ 8 ]
         in
         check Alcotest.bool "reused" false fresh2;
         check Alcotest.bool "same storage" true
           (Rtval.load b2 [ 0 ] = Rtval.Float 1.5);
         let _, fresh3 =
-          Data_env.alloc env ~name:"x" ~memory_space:1 ~elt:Ftn_ir.Types.F32
-            ~shape:[ 16 ]
+          Data_env.alloc env (key "x") ~elt:Ftn_ir.Types.F32 ~shape:[ 16 ]
         in
         check Alcotest.bool "reshape is fresh" true fresh3);
     tc "memory spaces are independent" (fun () ->
         let env = Data_env.create () in
-        Data_env.acquire env ~name:"a" ~memory_space:1;
+        Data_env.acquire env (key "a");
         check Alcotest.bool "space 2 empty" false
-          (Data_env.exists env ~name:"a" ~memory_space:2));
+          (Data_env.exists env (key ~space:2 "a")));
     tc "lookup_exn on missing data raises" (fun () ->
         let env = Data_env.create () in
         try
-          ignore (Data_env.lookup_exn env ~name:"ghost" ~memory_space:1);
+          ignore (Data_env.lookup_exn env (key "ghost"));
           Alcotest.fail "expected exception"
         with Data_env.Device_data_error _ -> ());
     tc "live_names lists acquired data" (fun () ->
         let env = Data_env.create () in
-        Data_env.acquire env ~name:"b" ~memory_space:1;
-        Data_env.acquire env ~name:"a" ~memory_space:1;
+        Data_env.acquire env (key "b");
+        Data_env.acquire env (key "a");
         check (Alcotest.list Alcotest.string) "sorted" [ "1:a"; "1:b" ]
           (Data_env.live_names env));
   ]
@@ -216,6 +215,27 @@ let executor_tests =
         in
         check Alcotest.bool "output" true (Astring_like.contains out "saxpy");
         check Alcotest.bool "did work" true (steps > 100));
+    tc "a compiled sgesl run allocates under 4000 words per launch"
+      (fun () ->
+        (* The host<->device boundary is staged once per op, so a launch
+           allocates only its records: spans, trace, metrics, flight. *)
+        let art =
+          Core.Compiler.compile (Ftn_linpack.Fortran_sources.sgesl ~n:64)
+        in
+        let bitstream = Core.Compiler.synthesise art in
+        let run () =
+          Executor.run ~engine:`Compiled ~host:art.Core.Compiler.host
+            ~bitstream ()
+        in
+        ignore (run ());
+        let before = Gc.minor_words () in
+        let r = run () in
+        let per_launch =
+          (Gc.minor_words () -. before)
+          /. float_of_int r.Executor.kernel_launches
+        in
+        if per_launch > 4000.0 then
+          Alcotest.failf "%.0f minor words per launch, over 4000" per_launch);
     tc "cpu and fpga agree numerically" (fun () ->
         let src = Ftn_linpack.Fortran_sources.sgesl ~n:24 in
         let cpu_out, _ = Core.Run.run_cpu src in

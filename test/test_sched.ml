@@ -245,7 +245,8 @@ let fault_tests =
              (Trace.events r.Executor.trace));
         (* results are still correct numbers *)
         match
-          Data_env.lookup r.Executor.data ~name:"y" ~memory_space:1
+          Data_env.lookup r.Executor.data
+            (Data_env.key ~name:"y" ~memory_space:1)
         with
         | None -> Alcotest.fail "y not on device"
         | Some buf ->

@@ -42,7 +42,7 @@ let enabled l = severity l >= severity !current_level
 
 let logf level fmt =
   if enabled level then Fmt.kstr (fun s -> !current_sink level s) fmt
-  else Fmt.kstr (fun _ -> ()) fmt
+  else Format.ikfprintf ignore Format.str_formatter fmt
 
 let debugf fmt = logf Debug fmt
 let infof fmt = logf Info fmt

@@ -189,6 +189,20 @@ let log_tests =
               Log.warnf "loud")
         in
         check Alcotest.int "one message" 1 (List.length msgs));
+    tc "disabled levels do not format their message" (fun () ->
+        let calls = ref 0 in
+        let pp fmt () =
+          incr calls;
+          Format.pp_print_string fmt "x"
+        in
+        Log.debugf "value %a" pp ();
+        check Alcotest.int "not formatted at the default level" 0 !calls;
+        let (), msgs =
+          Log.with_capture ~level:Log.Debug (fun () -> Log.debugf "value %a" pp ())
+        in
+        check Alcotest.int "formatted once when enabled" 1 !calls;
+        check (Alcotest.list Alcotest.string) "message" [ "value x" ]
+          (List.map snd msgs));
     tc "capture restores the previous sink and level" (fun () ->
         let before = Log.level () in
         let (), _ = Log.with_capture ~level:Log.Debug (fun () -> ()) in

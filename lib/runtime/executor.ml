@@ -1017,14 +1017,19 @@ let run_cpu ?(echo = false) ?entry ?(args = []) ?engine core_module =
     [ Intrinsics.print_handler sink; Intrinsics.runtime_library_handler ]
   in
   let state = Interp.make ~handlers ?engine [ core_module ] in
-  (match entry with
-  | Some entry -> ignore (Interp.run state ~entry ~args)
-  | None -> (
-    match Interp.main_function core_module with
-    | Some fn -> ignore (Interp.call_function state fn args)
-    | None ->
-      Fault.fail
-        (Fault.Invalid_host
-           { op = "module"; reason = "module has no main program" })));
+  (try
+     match entry with
+     | Some entry -> ignore (Interp.run state ~entry ~args)
+     | None -> (
+       match Interp.main_function core_module with
+       | Some fn -> ignore (Interp.call_function state fn args)
+       | None ->
+         Fault.fail
+           (Fault.Invalid_host
+              { op = "module"; reason = "module has no main program" }))
+   with Interp.Interp_error msg ->
+     (* A runtime error of the program; as in [run]'s host code, no
+        location says which op was executing. *)
+     Ftn_diag.Diag.fail msg);
   Ftn_obs.Metrics.incr ~by:state.Interp.steps "interp.steps";
   (Intrinsics.contents sink, state.Interp.steps)

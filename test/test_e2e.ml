@@ -294,29 +294,34 @@ let occurrences sub s =
 let runtime_error_case name ?line ~message src =
   tc name (fun () ->
       with_source_file "kernel" src (fun file ->
+          (* on the device, then with --cpu, where nothing is located *)
           List.iter
-            (fun engine ->
+            (fun (engine, cpu) ->
               let code, _, err =
                 cli_capture
-                  (Fmt.str "../bin/ftnc.exe run %s --interp-engine %s"
-                     (Filename.quote file) engine)
+                  (Fmt.str "../bin/ftnc.exe run %s --interp-engine %s%s"
+                     (Filename.quote file) engine
+                     (if cpu then " --cpu" else ""))
               in
-              let what = Fmt.str "%s (%s)" name engine in
+              let what =
+                Fmt.str "%s (%s%s)" name engine (if cpu then ", cpu" else "")
+              in
               check Alcotest.int (what ^ ": exit 1") 1 code;
               check Alcotest.int (what ^ ": one error") 1
                 (occurrences "error:" err);
               (match line with
-              | Some l ->
+              | Some l when not cpu ->
                 check Alcotest.bool (what ^ ": at the target line") true
                   (contains err (Fmt.str "%s:%d:" file l))
-              | None ->
+              | _ ->
                 check Alcotest.bool (what ^ ": not located") false
                   (contains err file));
               check Alcotest.bool (what ^ ": message") true
                 (contains err message);
               check Alcotest.bool (what ^ ": no internal error") false
                 (contains err "internal error"))
-            [ "tree"; "compiled" ]))
+            [ ("tree", false); ("compiled", false); ("tree", true);
+              ("compiled", true) ]))
 
 let runtime_error_tests =
   [

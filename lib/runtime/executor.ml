@@ -24,7 +24,15 @@
    first drains to a healthy peer — the device is marked failed, the
    kernel's buffers are re-staged at honest DMA cost and the attempt is
    retried there — and only degrades to the CPU when no peer is left.
-   All runtime errors are the structured Fault.Error. *)
+   All runtime errors are the structured Fault.Error.
+
+   The host module reaches the device through [device_handler], which
+   the interpreter stages once per device op (once per compiled closure,
+   or per execution under the tree-walker), as the paper's host printer
+   turns each device op into an OpenCL call with arguments fixed at
+   compile time. Everything that depends only on the op — its dispatch,
+   attributes, data-environment key, rendered location, kernel design
+   and labels — is resolved then; the runner does only the op's work. *)
 
 open Ftn_ir
 open Ftn_interp
@@ -777,17 +785,14 @@ let stage_device_op (ctx : context) op : runner option =
   | "device.alloc" ->
     Some
       (with_key op (fun _ key ->
-           match Op.results op with
-           | [ r ] -> (
-             match Value.ty r with
-             | Types.Memref mi ->
-               fun _ operands ->
-                 let shape =
-                   resolve_shape ~op_name:"device.alloc" mi
-                     (List.map Rtval.as_int operands)
-                 in
-                 [ Rtval.Buf (alloc_key ctx key ~elt:mi.Types.elt ~shape) ]
-             | _ -> invalid "device.alloc" "must produce a memref result")
+           match List.map Value.ty (Op.results op) with
+           | [ Types.Memref mi ] ->
+             fun _ operands ->
+               let shape =
+                 resolve_shape ~op_name:"device.alloc" mi
+                   (List.map Rtval.as_int operands)
+               in
+               [ Rtval.Buf (alloc_key ctx key ~elt:mi.Types.elt ~shape) ]
            | _ -> invalid "device.alloc" "must produce a memref result"))
   | "device.lookup" ->
     Some

@@ -158,10 +158,13 @@ val track_time_from_spans : context -> string -> float
 
 val device_handler : context -> Ftn_interp.Interp.handler
 (** The interpreter handler implementing device.* ops and intercepting
-    cross-space memref.dma_start. [device.kernel_launch] is an async
-    enqueue; [device.kernel_wait] genuinely blocks, and waiting on an
-    unknown, foreign or never-launched handle (or a non-handle operand)
-    raises a structured [Invalid_host] error. *)
+    two-operand memref.dma_start. It stages each op once, resolving its
+    attributes, data-environment key, source location and kernel design;
+    a malformed op raises its structured error only when it executes.
+    [device.kernel_launch] is an async enqueue; [device.kernel_wait]
+    genuinely blocks, and waiting on an unknown, foreign or
+    never-launched handle (or a non-handle operand) raises a structured
+    [Invalid_host] error. *)
 
 val run :
   ?echo:bool ->
@@ -192,4 +195,5 @@ val run_cpu :
   Ftn_ir.Op.t ->
   string * int
 (** CPU reference: run a core-level module with sequential OpenMP
-    semantics; returns (captured output, interpreter steps). *)
+    semantics; returns (captured output, interpreter steps). A runtime
+    error of the program raises an unlocated [Diag] error. *)

@@ -34,7 +34,7 @@ let key ~name ~memory_space =
 let find t k = Hashtbl.find_opt t.entries k.text
 
 let get_entry t k =
-  match Hashtbl.find_opt t.entries k.text with
+  match find t k with
   | Some e -> e
   | None ->
     let e = { buffer = None; refcount = 0 } in

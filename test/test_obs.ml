@@ -189,6 +189,16 @@ let log_tests =
               Log.warnf "loud")
         in
         check Alcotest.int "one message" 1 (List.length msgs));
+    tc "capture restores the previous sink and level" (fun () ->
+        let before = Log.level () in
+        let (), _ = Log.with_capture ~level:Log.Debug (fun () -> ()) in
+        check Alcotest.bool "level restored" true (Log.level () = before));
+    tc "level round-trips through strings" (fun () ->
+        List.iter
+          (fun l ->
+            check Alcotest.bool "round trip" true
+              (Log.level_of_string (Log.string_of_level l) = Some l))
+          [ Log.Debug; Log.Info; Log.Warn; Log.Error ]);
     tc "disabled levels do not format their message" (fun () ->
         let calls = ref 0 in
         let pp fmt () =
@@ -203,16 +213,6 @@ let log_tests =
         check Alcotest.int "formatted once when enabled" 1 !calls;
         check (Alcotest.list Alcotest.string) "message" [ "value x" ]
           (List.map snd msgs));
-    tc "capture restores the previous sink and level" (fun () ->
-        let before = Log.level () in
-        let (), _ = Log.with_capture ~level:Log.Debug (fun () -> ()) in
-        check Alcotest.bool "level restored" true (Log.level () = before));
-    tc "level round-trips through strings" (fun () ->
-        List.iter
-          (fun l ->
-            check Alcotest.bool "round trip" true
-              (Log.level_of_string (Log.string_of_level l) = Some l))
-          [ Log.Debug; Log.Info; Log.Warn; Log.Error ]);
   ]
 
 (* A deterministic collector: one wall span (compile work) and a sim

@@ -215,6 +215,12 @@ let executor_tests =
         in
         check Alcotest.bool "output" true (Astring_like.contains out "saxpy");
         check Alcotest.bool "did work" true (steps > 100));
+    tc "cpu and fpga agree numerically" (fun () ->
+        let src = Ftn_linpack.Fortran_sources.sgesl ~n:24 in
+        let cpu_out, _ = Core.Run.run_cpu src in
+        let fpga_run = Core.Run.run src in
+        check Alcotest.string "same printed results" cpu_out
+          (Core.Run.output fpga_run));
     tc "a compiled sgesl run allocates under 4000 words per launch"
       (fun () ->
         (* The host<->device boundary is staged once per op, so a launch
@@ -236,12 +242,6 @@ let executor_tests =
         in
         if per_launch > 4000.0 then
           Alcotest.failf "%.0f minor words per launch, over 4000" per_launch);
-    tc "cpu and fpga agree numerically" (fun () ->
-        let src = Ftn_linpack.Fortran_sources.sgesl ~n:24 in
-        let cpu_out, _ = Core.Run.run_cpu src in
-        let fpga_run = Core.Run.run src in
-        check Alcotest.string "same printed results" cpu_out
-          (Core.Run.output fpga_run));
   ]
 
 (* A textual host module running [bad] under an scf.if on its i1 argument,

@@ -234,6 +234,16 @@ let programs =
     ("reduction", Ftn_linpack.Fortran_sources.dot_product ~n:128 ~simdlen:10);
   ]
 
+(* The same four programs at larger sizes, for the bit-identity check. *)
+let larger_programs =
+  [
+    ("saxpy n=256", Ftn_linpack.Fortran_sources.saxpy ~n:256);
+    ("sgesl n=32", Ftn_linpack.Fortran_sources.sgesl ~n:32);
+    ("stencil n=64x5", Ftn_linpack.Fortran_sources.stencil ~n:64 ~steps:5);
+    ( "reduction n=256",
+      Ftn_linpack.Fortran_sources.dot_product ~n:256 ~simdlen:10 );
+  ]
+
 let differential_tests =
   [
     tc "all four programs run bit-identically on both backends" (fun () ->
@@ -251,7 +261,7 @@ let differential_tests =
                blindly shared between backends *)
             check Alcotest.bool (name ^ " distinct models") true
               (v.Executor.device_time_s <> r.Executor.device_time_s))
-          programs);
+          (programs @ larger_programs));
     tc "backend outputs match the CPU reference" (fun () ->
         List.iter
           (fun (name, src) ->
@@ -263,63 +273,90 @@ let differential_tests =
 
 (* --- fault and profiling layers, parameterised over both backends --- *)
 
+let parse_plan text =
+  match Ftn_fault.Fault.parse_plan text with
+  | Ok p -> p
+  | Error m -> Alcotest.fail m
+
 let layer_tests =
-  let src = Ftn_linpack.Fortran_sources.sgesl ~n:24 in
+  (* name, source and transient plan: a transfer and a launch fault on the
+     small input, one fault at every injection site on the larger ones *)
+  let every_site = "transfer:nth=1,alloc:nth=1,launch:nth=1,timeout:nth=2" in
+  let sources =
+    [
+      ( "sgesl n=24",
+        Ftn_linpack.Fortran_sources.sgesl ~n:24,
+        "transfer:nth=1,launch:nth=1" );
+      ("sgesl n=64", Ftn_linpack.Fortran_sources.sgesl ~n:64, every_site);
+      ( "stencil n=64x5",
+        Ftn_linpack.Fortran_sources.stencil ~n:64 ~steps:5,
+        every_site );
+    ]
+  in
+  let each f =
+    List.iter
+      (fun (name, src, transient) ->
+        List.iter
+          (fun backend ->
+            f ~name:(name ^ " on " ^ Backend.name backend) ~transient src
+              backend)
+          [ vitis; rv ])
+      sources
+  in
   [
     tc "transient faults recover transparently on both backends" (fun () ->
-        let plan =
-          match
-            Ftn_fault.Fault.parse_plan "transfer:nth=1,launch:nth=1"
-          with
-          | Ok p -> p
-          | Error m -> Alcotest.fail m
-        in
-        List.iter
-          (fun backend ->
+        each (fun ~name ~transient src backend ->
             let clean = run_on backend src in
-            let faulted = run_on backend ~faults:plan src in
-            check Alcotest.string "same output" clean.Executor.output
+            let faulted = run_on backend ~faults:(parse_plan transient) src in
+            check Alcotest.string (name ^ " same output") clean.Executor.output
               faulted.Executor.output;
-            check Alcotest.bool "injected" true
+            check Alcotest.bool (name ^ " injected") true
               (faulted.Executor.faults_injected > 0);
-            check Alcotest.bool "not degraded" false
+            check Alcotest.bool (name ^ " not degraded") false
               faulted.Executor.degraded;
-            check Alcotest.bool "recovery charged time" true
-              (faulted.Executor.device_time_s > clean.Executor.device_time_s))
-          [ vitis; rv ]);
+            check Alcotest.bool (name ^ " recovery charged time") true
+              (faulted.Executor.device_time_s > clean.Executor.device_time_s)));
     tc "persistent kernel faults degrade to the CPU on both backends"
       (fun () ->
-        let plan =
-          match Ftn_fault.Fault.parse_plan "launch:nth=1:persistent" with
-          | Ok p -> p
-          | Error m -> Alcotest.fail m
-        in
-        List.iter
-          (fun backend ->
+        let plan = parse_plan "launch:nth=1:persistent" in
+        each (fun ~name ~transient:_ src backend ->
             let clean = run_on backend src in
             let faulted = run_on backend ~faults:plan src in
-            check Alcotest.string "same output" clean.Executor.output
+            check Alcotest.string (name ^ " same output") clean.Executor.output
               faulted.Executor.output;
-            check Alcotest.bool "degraded" true faulted.Executor.degraded;
-            check Alcotest.bool "fell back" true
-              (faulted.Executor.cpu_fallbacks >= 1))
-          [ vitis; rv ]);
+            check Alcotest.bool (name ^ " degraded") true
+              faulted.Executor.degraded;
+            check Alcotest.bool (name ^ " fell back") true
+              (faulted.Executor.cpu_fallbacks >= 1)));
     tc "profiling leaves output unchanged on both backends" (fun () ->
-        List.iter
-          (fun backend ->
+        each (fun ~name ~transient:_ src backend ->
             let off = run_on backend src in
             Ftn_obs.Profile.reset ();
             Ftn_obs.Profile.set_enabled true;
-            let on =
+            let bs, on =
               Fun.protect
                 ~finally:(fun () -> Ftn_obs.Profile.set_enabled false)
-                (fun () -> run_on backend src)
+                (fun () ->
+                  let art, bs = build backend src in
+                  ( bs,
+                    Executor.run ~host:art.Core.Compiler.host ~bitstream:bs () ))
             in
-            check Alcotest.string "same output" off.Executor.output
+            check Alcotest.string (name ^ " same output") off.Executor.output
               on.Executor.output;
-            check Alcotest.bool "profile recorded" true
-              (Ftn_obs.Profile.total_ops () > 0))
-          [ vitis; rv ]);
+            check Alcotest.bool (name ^ " profile recorded") true
+              (Ftn_obs.Profile.total_ops () > 0);
+            check Alcotest.bool (name ^ " pattern profile recorded") true
+              (Ftn_ir.Rewrite.pattern_profile () <> []);
+            List.iter
+              (fun (k : Ftn_hlsim.Bitstream.kernel_design) ->
+                let h =
+                  "device.kernel." ^ k.Ftn_hlsim.Bitstream.kd_name
+                  ^ ".launch_latency_s"
+                in
+                check Alcotest.bool (name ^ " " ^ h) true
+                  (Ftn_obs.Metrics.histogram_quantile h 0.5 <> None
+                  && Ftn_obs.Metrics.histogram_quantile h 0.99 <> None))
+              bs.Ftn_hlsim.Bitstream.kernels));
   ]
 
 let () =

@@ -586,6 +586,233 @@ let props =
           true);
     ]
 
+(* --- seeded campaigns over a 1000-job mix --- *)
+
+let mix_variants =
+  lazy
+    (Array.map
+       (fun src ->
+         let art = Core.Compiler.compile src in
+         (art.Core.Compiler.host, Core.Compiler.synthesise art))
+       Ftn_linpack.Fortran_sources.
+         [| saxpy ~n:64; saxpy ~n:100; sgesl ~n:12; sgesl ~n:20 |])
+
+(* Job i runs variant i mod 4 under tenant t(i mod 4), at priority
+   i mod 3 when [prio]; every 7th job depends on the job 7 before it, so
+   the DAG has cross-tenant edges without ever deadlocking. [transient i]
+   is job i's own fault plan, overridden by the queue's fault device. *)
+let job_mix ?retry ?(prio = false) ?(transient = fun _ -> None) ~prefix n =
+  let variants = Lazy.force mix_variants in
+  let name i = Fmt.str "%s%04d" prefix i in
+  List.init n (fun i ->
+      let host, bs = variants.(i mod Array.length variants) in
+      let deps = if i mod 7 = 0 && i >= 7 then [ name (i - 7) ] else [] in
+      let own = transient i in
+      Jobs.job
+        ~tenant:(Fmt.str "t%d" (i mod 4))
+        ~deps
+        ?prio:(if prio then Some (i mod 3) else None)
+        ~name:(name i)
+        (fun ?faults ~sched ~device ~start_s () ->
+          let faults = match faults with Some _ -> faults | None -> own in
+          Executor.run ?faults ?retry ~sched ~device ~start_s ~host
+            ~bitstream:bs ()))
+
+(* Simulated times summed in a different order agree to 1e-9 relative. *)
+let sim_time =
+  Alcotest.testable Fmt.float (fun a b ->
+      Float.abs (a -. b)
+      <= 1e-9 *. Float.max 1.0 (Float.max (Float.abs a) (Float.abs b)))
+
+let run_mix ?fault_device ~devices n =
+  let config =
+    {
+      Jobs.default_config with
+      Jobs.devices;
+      queue_depth = 8;
+      fault_device = Option.map (fun d -> (d, persistent_plan)) fault_device;
+    }
+  in
+  Jobs.run ~config (job_mix ~prefix:"j" n)
+
+let fault_jobs = 120
+let fault_baseline = lazy (run_mix ~devices:1 fault_jobs)
+
+(* 1000 jobs plus three poison jobs under seed 42: ~12% of the jobs carry
+   a random transient fault, device 1 injects a persistent launch fault
+   into everything placed on it, and drain is off, so its circuit
+   breaker must take the board out. *)
+let chaos_seed = 42
+let chaos_jobs = 1000
+let chaos_retry = { Fault.default_retry with Fault.drain = false }
+
+let chaos_mix ~chaos () =
+  let rng = Random.State.make [| chaos_seed |] in
+  let kinds =
+    Fault.
+      [| Transfer_error; Alloc_failure; Launch_failure; Kernel_timeout |]
+  in
+  let transient i =
+    if chaos && Random.State.int rng 100 < 12 then
+      Some
+        (Fault.plan ~seed:(chaos_seed + i)
+           [
+             Fault.rule
+               kinds.(Random.State.int rng (Array.length kinds))
+               (Fault.Nth 1);
+           ])
+    else None
+  in
+  let base =
+    job_mix ~retry:chaos_retry ~prio:true ~transient ~prefix:"c" chaos_jobs
+  in
+  if not chaos then base
+  else begin
+    let host, bs = (Lazy.force mix_variants).(0) in
+    let poison ~tenant ~deps name =
+      Jobs.job ~tenant ~deps ~name (fun ?faults ~sched ~device ~start_s () ->
+          Executor.run ?faults ~retry:chaos_retry ~sched ~device ~start_s
+            ~host ~bitstream:bs ())
+    in
+    base
+    @ [
+        poison ~tenant:"t2" ~deps:[ "cyc_b" ] "cyc_a";
+        poison ~tenant:"t2" ~deps:[ "cyc_a" ] "cyc_b";
+        poison ~tenant:"t3" ~deps:[ "no_such_job" ] "orphan";
+      ]
+  end
+
+let campaign_tests =
+  [
+    tc "1000 jobs on 4 devices match 1 device at half the makespan"
+      (fun () ->
+        let s1 = run_mix ~devices:1 1000 and s4 = run_mix ~devices:4 1000 in
+        List.iter
+          (fun (label, (s : Jobs.stats)) ->
+            check Alcotest.int (label ^ " dropped") 0 s.Jobs.jobs_dropped;
+            check Alcotest.int (label ^ " run") 1000 s.Jobs.jobs_run)
+          [ ("1 device", s1); ("4 devices", s4) ];
+        check Alcotest.string "output" s1.Jobs.output s4.Jobs.output;
+        check sim_time "kernel time" s1.Jobs.total_kernel_s
+          s4.Jobs.total_kernel_s;
+        check sim_time "transfer time" s1.Jobs.total_transfer_s
+          s4.Jobs.total_transfer_s;
+        let speedup =
+          if s4.Jobs.elapsed_s > 0.0 then s1.Jobs.elapsed_s /. s4.Jobs.elapsed_s
+          else 0.0
+        in
+        if speedup < 2.0 then
+          Alcotest.failf "4 devices only %.2fx faster than 1 (< 2x)" speedup);
+    tc "a persistently faulted device drains to its peers" (fun () ->
+        let s = run_mix ~devices:4 ~fault_device:1 fault_jobs in
+        check Alcotest.int "run" fault_jobs s.Jobs.jobs_run;
+        check Alcotest.int "dropped" 0 s.Jobs.jobs_dropped;
+        check Alcotest.bool "drained" true (s.Jobs.drained_jobs >= 1);
+        check Alcotest.bool "a device failed" true
+          (List.exists
+             (fun ds -> ds.Scheduler.ds_failed)
+             (Scheduler.snapshot s.Jobs.scheduler));
+        check Alcotest.string "output" (Lazy.force fault_baseline).Jobs.output
+          s.Jobs.output);
+    tc "a lone faulted device falls back to the CPU" (fun () ->
+        let s = run_mix ~devices:1 ~fault_device:0 fault_jobs in
+        check Alcotest.int "run" fault_jobs s.Jobs.jobs_run;
+        check Alcotest.int "dropped" 0 s.Jobs.jobs_dropped;
+        check Alcotest.bool "degraded" true (s.Jobs.degraded_jobs >= 1);
+        check Alcotest.string "output" (Lazy.force fault_baseline).Jobs.output
+          s.Jobs.output);
+    tc "a seeded chaos campaign is conserved, deterministic and bounded"
+      (fun () ->
+        let n_chaos = chaos_jobs + 3 in
+        let deadline_s = 0.05 in
+        let clean = { Jobs.default_config with Jobs.devices = 4; queue_depth = 8 } in
+        (* every resilience feature armed, none able to trigger *)
+        let armed =
+          {
+            clean with
+            Jobs.default_deadline_s = Some 1e6;
+            tenant_quota = Some chaos_jobs;
+            slo_s = Some 1e6;
+            breaker = Some Breaker.default_config;
+            shed_watermark = Some (10 * chaos_jobs);
+          }
+        in
+        let chaos_config =
+          {
+            clean with
+            Jobs.fault_device = Some (1, persistent_plan);
+            default_deadline_s = Some deadline_s;
+            tenant_quota = Some 16;
+            slo_s = Some 0.005;
+            breaker = Some Breaker.default_config;
+            shed_watermark = Some (2 * n_chaos);
+          }
+        in
+        let baseline = Jobs.run ~config:clean (chaos_mix ~chaos:false ()) in
+        let transparent = Jobs.run ~config:armed (chaos_mix ~chaos:false ()) in
+        let diag1 = Diag_engine.create () in
+        let chaos1 =
+          Jobs.run ~config:chaos_config ~diag:diag1 (chaos_mix ~chaos:true ())
+        in
+        let chaos2 =
+          Jobs.run ~config:chaos_config ~diag:(Diag_engine.create ())
+            (chaos_mix ~chaos:true ())
+        in
+        List.iter
+          (fun (label, n, (s : Jobs.stats)) ->
+            check Alcotest.int (label ^ " conserved") n
+              (s.Jobs.jobs_run + s.Jobs.jobs_dropped + s.Jobs.jobs_shed))
+          [
+            ("baseline", chaos_jobs, baseline);
+            ("transparent", chaos_jobs, transparent);
+            ("chaos 1", n_chaos, chaos1);
+            ("chaos 2", n_chaos, chaos2);
+          ];
+        check Alcotest.string "armed output" baseline.Jobs.output
+          transparent.Jobs.output;
+        check Alcotest.int "armed jobs_run" baseline.Jobs.jobs_run
+          transparent.Jobs.jobs_run;
+        check sim_time "armed makespan" baseline.Jobs.elapsed_s
+          transparent.Jobs.elapsed_s;
+        check Alcotest.int "armed sheds" 0 transparent.Jobs.jobs_shed;
+        check Alcotest.bool "armed trips" false
+          (List.exists (fun b -> b.Breaker.bk_trips > 0)
+             transparent.Jobs.breakers);
+        check Alcotest.int "armed slo violations" 0
+          transparent.Jobs.slo_violations;
+        let counts (s : Jobs.stats) =
+          (s.Jobs.jobs_run, s.Jobs.jobs_dropped, s.Jobs.jobs_shed)
+        in
+        let trips (s : Jobs.stats) =
+          List.map (fun b -> (b.Breaker.bk_device, b.Breaker.bk_trips))
+            s.Jobs.breakers
+        in
+        let int3 = Alcotest.(triple int int int) in
+        check Alcotest.string "chaos output" chaos1.Jobs.output
+          chaos2.Jobs.output;
+        check int3 "chaos counts" (counts chaos1) (counts chaos2);
+        check sim_time "chaos makespan" chaos1.Jobs.elapsed_s
+          chaos2.Jobs.elapsed_s;
+        check Alcotest.(list (pair int int)) "chaos trips" (trips chaos1)
+          (trips chaos2);
+        check Alcotest.bool "a breaker tripped" true
+          (List.fold_left (fun acc (_, t) -> acc + t) 0 (trips chaos1) >= 1);
+        List.iter
+          (fun (d, t) ->
+            if t > Breaker.default_config.Breaker.flap_limit then
+              Alcotest.failf "device %d tripped %d times (> flap limit %d)" d t
+                Breaker.default_config.Breaker.flap_limit)
+          (trips chaos1);
+        check Alcotest.int "poison jobs dropped" 3 chaos1.Jobs.jobs_dropped;
+        check Alcotest.bool "a warning per poison job" true
+          (Diag_engine.warning_count diag1 >= 3);
+        (* the admission wait beyond the deadline is shed, not served *)
+        let p99_bound = deadline_s +. (10.0 *. baseline.Jobs.p99_latency_s) in
+        if chaos1.Jobs.p99_latency_s > p99_bound then
+          Alcotest.failf "chaos p99 %.6f s exceeds the bound %.6f s"
+            chaos1.Jobs.p99_latency_s p99_bound);
+  ]
+
 let () =
   Alcotest.run "resilience"
     [
@@ -596,4 +823,5 @@ let () =
       ("queue-breaker", queue_breaker_tests);
       ("misc", misc_tests);
       ("props", props);
+      ("campaigns", campaign_tests);
     ]

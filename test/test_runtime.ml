@@ -242,6 +242,29 @@ let executor_tests =
         in
         if per_launch > 4000.0 then
           Alcotest.failf "%.0f minor words per launch, over 4000" per_launch);
+    tc "both engines agree on sgesl n=64 and stencil n=64x5" (fun () ->
+        List.iter
+          (fun (name, src) ->
+            let art = Core.Compiler.compile src in
+            let bitstream = Core.Compiler.synthesise art in
+            let run engine =
+              let s0 = Ftn_obs.Metrics.counter_value "interp.steps" in
+              let r =
+                Executor.run ~engine ~host:art.Core.Compiler.host ~bitstream ()
+              in
+              (r, Ftn_obs.Metrics.counter_value "interp.steps" - s0)
+            in
+            let tree, tree_steps = run `Tree in
+            let comp, comp_steps = run `Compiled in
+            check Alcotest.string (name ^ " output") tree.Executor.output
+              comp.Executor.output;
+            check Alcotest.int (name ^ " steps") tree_steps comp_steps;
+            check (Alcotest.float 0.0) (name ^ " device time")
+              tree.Executor.device_time_s comp.Executor.device_time_s)
+          [
+            ("sgesl n=64", Ftn_linpack.Fortran_sources.sgesl ~n:64);
+            ("stencil n=64x5", Ftn_linpack.Fortran_sources.stencil ~n:64 ~steps:5);
+          ]);
   ]
 
 (* A textual host module running [bad] under an scf.if on its i1 argument,

@@ -46,77 +46,50 @@ type run_data = {
   resources : Resources.report;
 }
 
-let run_saxpy_ftn n =
-  progress "  saxpy (Fortran flow) N=%d ..." n;
-  let run = Core.Run.run (Ftn_linpack.Fortran_sources.saxpy ~n) in
+let first_kernel_resources (bs : Bitstream.t) =
+  (List.hd bs.Bitstream.kernels).Bitstream.kd_resources
+
+let run_ftn name source n =
+  progress "  %s (Fortran flow) N=%d ..." name n;
+  let run = Core.Run.run (source ~n) in
   {
     device_time_s = Core.Run.device_time run;
     kernel_time_s = Core.Run.kernel_time run;
-    resources =
-      (List.hd run.Core.Run.bitstream.Bitstream.kernels).Bitstream.kd_resources;
+    resources = first_kernel_resources run.Core.Run.bitstream;
   }
 
-let run_saxpy_hand n =
-  progress "  saxpy (hand-written HLS) N=%d ..." n;
-  let r = Ftn_linpack.Hls_baselines.run_saxpy ~n () in
+let run_hand name
+    (baseline :
+      ?spec:Fpga_spec.t -> n:int -> unit -> Ftn_linpack.Hls_baselines.baseline_run)
+    n =
+  progress "  %s (hand-written HLS) N=%d ..." name n;
+  let r = baseline ~n () in
   {
-    device_time_s = r.Ftn_linpack.Hls_baselines.result.Executor.device_time_s;
-    kernel_time_s = r.Ftn_linpack.Hls_baselines.result.Executor.kernel_time_s;
-    resources =
-      (List.hd r.Ftn_linpack.Hls_baselines.bitstream.Bitstream.kernels)
-        .Bitstream.kd_resources;
+    device_time_s = r.result.Executor.device_time_s;
+    kernel_time_s = r.result.Executor.kernel_time_s;
+    resources = first_kernel_resources r.bitstream;
   }
 
-let run_sgesl_ftn n =
-  progress "  sgesl (Fortran flow) N=%d ..." n;
-  let run = Core.Run.run (Ftn_linpack.Fortran_sources.sgesl ~n) in
-  {
-    device_time_s = Core.Run.device_time run;
-    kernel_time_s = Core.Run.kernel_time run;
-    resources =
-      (List.hd run.Core.Run.bitstream.Bitstream.kernels).Bitstream.kd_resources;
-  }
+let saxpy_ftn =
+  lazy (List.map (run_ftn "saxpy" Ftn_linpack.Fortran_sources.saxpy) saxpy_sizes)
 
-let run_sgesl_hand n =
-  progress "  sgesl (hand-written HLS) N=%d ..." n;
-  let r = Ftn_linpack.Hls_baselines.run_sgesl ~n () in
-  {
-    device_time_s = r.Ftn_linpack.Hls_baselines.result.Executor.device_time_s;
-    kernel_time_s = r.Ftn_linpack.Hls_baselines.result.Executor.kernel_time_s;
-    resources =
-      (List.hd r.Ftn_linpack.Hls_baselines.bitstream.Bitstream.kernels)
-        .Bitstream.kd_resources;
-  }
+let saxpy_hand =
+  lazy
+    (List.map (run_hand "saxpy" Ftn_linpack.Hls_baselines.run_saxpy) saxpy_sizes)
 
-let saxpy_ftn = lazy (List.map run_saxpy_ftn saxpy_sizes)
-let saxpy_hand = lazy (List.map run_saxpy_hand saxpy_sizes)
-let sgesl_ftn = lazy (List.map run_sgesl_ftn sgesl_sizes)
-let sgesl_hand = lazy (List.map run_sgesl_hand sgesl_sizes)
+let sgesl_ftn =
+  lazy (List.map (run_ftn "sgesl" Ftn_linpack.Fortran_sources.sgesl) sgesl_sizes)
+
+let sgesl_hand =
+  lazy
+    (List.map (run_hand "sgesl" Ftn_linpack.Hls_baselines.run_sgesl) sgesl_sizes)
 
 (* --- formatting helpers --- *)
 
 let rule = String.make 78 '-'
 
-(* OCaml string continuations leave indentation runs inside literals;
-   squeeze them for display. *)
-let squeeze s =
-  let buf = Buffer.create (String.length s) in
-  let prev_space = ref false in
-  String.iter
-    (fun c ->
-      if c = ' ' then begin
-        if not !prev_space then Buffer.add_char buf ' ';
-        prev_space := true
-      end
-      else begin
-        prev_space := false;
-        Buffer.add_char buf c
-      end)
-    s;
-  Buffer.contents buf
-
 let header title =
-  Fmt.pr "@.%s@.%s@.%s@." rule (squeeze title) rule
+  Fmt.pr "@.%s@.%s@.%s@." rule title rule
 
 let pp_row label cells =
   Fmt.pr "%-18s %s@." label
@@ -273,17 +246,7 @@ let table6 () =
 (* --- Table 7: lines of code --- *)
 
 let count_lines path =
-  try
-    let ic = open_in path in
-    let n = ref 0 in
-    (try
-       while true do
-         ignore (input_line ic);
-         incr n
-       done
-     with End_of_file -> ());
-    close_in ic;
-    !n
+  try List.length (In_channel.with_open_text path In_channel.input_lines)
   with Sys_error _ -> 0
 
 let component_loc files = List.fold_left (fun acc f -> acc + count_lines f) 0 files
@@ -405,7 +368,8 @@ let figure2 () =
    simd factor with the design-space explorer. *)
 let ablation_unroll () =
   header
-    "Ablation A: unroll factor vs initiation interval (design-space      exploration over simdlen)";
+    "Ablation A: unroll factor vs initiation interval (design-space \
+     exploration over simdlen)";
   let art = Core.Compiler.compile (Ftn_linpack.Fortran_sources.saxpy ~n:1024) in
   match art.Core.Compiler.device_hls with
   | None -> ()
@@ -446,26 +410,28 @@ let ablation_mac_fusion () =
     "  -> the same kernel structure costs %d DSPs with Clang-shaped IR and@.    \     0 DSPs (LUT-built MAC) through the MLIR flow, as in Table 4.@."
     spec.Fpga_spec.dsp_fused_mac
 
+(* A Fortran-flow run on the Vitis backend with a modified device spec. *)
+let run_on_spec spec' src =
+  Core.Run.run
+    ~options:
+      {
+        Core.Options.default with
+        Core.Options.backend = Ftn_backend.Backend_vitis.make ~spec:spec' ();
+      }
+    src
+
 (* Ablation C: launch-overhead sensitivity for the per-iteration-offload
    SGESL pattern. *)
 let ablation_launch_overhead () =
   header
-    "Ablation C: kernel-launch overhead sensitivity (SGESL offloads one      kernel per outer iteration)";
+    "Ablation C: kernel-launch overhead sensitivity (SGESL offloads one \
+     kernel per outer iteration)";
   let n = if quick then 128 else 512 in
   List.iter
     (fun overhead_us ->
-      let spec' =
-        {
-          spec with
-          Fpga_spec.kernel_launch_overhead_s = overhead_us *. 1e-6;
-        }
-      in
       let run =
-        Core.Run.run
-          ~options:
-            { Core.Options.default with
-              Core.Options.backend = Ftn_backend.Backend_vitis.make ~spec:spec' ()
-            }
+        run_on_spec
+          { spec with Fpga_spec.kernel_launch_overhead_s = overhead_us *. 1e-6 }
           (Ftn_linpack.Fortran_sources.sgesl ~n)
       in
       Fmt.pr "  launch overhead %6.1f us -> total %8.3f ms (%d launches)@."
@@ -516,13 +482,9 @@ let ablation_burst () =
   let n = if quick then 10_000 else 100_000 in
   List.iter
     (fun burst ->
-      let spec' = { spec with Fpga_spec.burst_inference = burst } in
       let run =
-        Core.Run.run
-          ~options:
-            { Core.Options.default with
-              Core.Options.backend = Ftn_backend.Backend_vitis.make ~spec:spec' ()
-            }
+        run_on_spec
+          { spec with Fpga_spec.burst_inference = burst }
           (Ftn_linpack.Fortran_sources.saxpy ~n)
       in
       Fmt.pr "  saxpy N=%d, burst %-3s -> kernel %8.3f ms@." n
@@ -532,13 +494,9 @@ let ablation_burst () =
   let n2 = if quick then 64 else 256 in
   List.iter
     (fun burst ->
-      let spec' = { spec with Fpga_spec.burst_inference = burst } in
       let run =
-        Core.Run.run
-          ~options:
-            { Core.Options.default with
-              Core.Options.backend = Ftn_backend.Backend_vitis.make ~spec:spec' ()
-            }
+        run_on_spec
+          { spec with Fpga_spec.burst_inference = burst }
           (Ftn_linpack.Fortran_sources.sgesl ~n:n2)
       in
       Fmt.pr "  sgesl N=%d, burst %-3s  -> total  %8.3f ms@." n2

@@ -597,26 +597,27 @@ let mix_variants =
        Ftn_linpack.Fortran_sources.
          [| saxpy ~n:64; saxpy ~n:100; sgesl ~n:12; sgesl ~n:20 |])
 
+(* A job running one compiled variant under [own] faults, unless the
+   queue's fault device overrides them. *)
+let mix_job ?retry ?prio ?own ~tenant ~deps ~name (host, bs) =
+  Jobs.job ~tenant ~deps ?prio ~name (fun ?faults ~sched ~device ~start_s () ->
+      let faults = match faults with Some _ -> faults | None -> own in
+      Executor.run ?faults ?retry ~sched ~device ~start_s ~host ~bitstream:bs ())
+
 (* Job i runs variant i mod 4 under tenant t(i mod 4), at priority
-   i mod 3 when [prio]; every 7th job depends on the job 7 before it, so
-   the DAG has cross-tenant edges without ever deadlocking. [transient i]
-   is job i's own fault plan, overridden by the queue's fault device. *)
+   i mod 3 when [prio], with fault plan [transient i]; every 7th job
+   depends on the job 7 before it, so the DAG has cross-tenant edges
+   without ever deadlocking. *)
 let job_mix ?retry ?(prio = false) ?(transient = fun _ -> None) ~prefix n =
   let variants = Lazy.force mix_variants in
   let name i = Fmt.str "%s%04d" prefix i in
   List.init n (fun i ->
-      let host, bs = variants.(i mod Array.length variants) in
-      let deps = if i mod 7 = 0 && i >= 7 then [ name (i - 7) ] else [] in
-      let own = transient i in
-      Jobs.job
-        ~tenant:(Fmt.str "t%d" (i mod 4))
-        ~deps
+      mix_job ?retry ?own:(transient i)
         ?prio:(if prio then Some (i mod 3) else None)
+        ~tenant:(Fmt.str "t%d" (i mod 4))
+        ~deps:(if i mod 7 = 0 && i >= 7 then [ name (i - 7) ] else [])
         ~name:(name i)
-        (fun ?faults ~sched ~device ~start_s () ->
-          let faults = match faults with Some _ -> faults | None -> own in
-          Executor.run ?faults ?retry ~sched ~device ~start_s ~host
-            ~bitstream:bs ()))
+        variants.(i mod Array.length variants))
 
 (* Simulated times summed in a different order agree to 1e-9 relative. *)
 let sim_time =
@@ -667,12 +668,10 @@ let chaos_mix ~chaos () =
     job_mix ~retry:chaos_retry ~prio:true ~transient ~prefix:"c" chaos_jobs
   in
   if not chaos then base
-  else begin
-    let host, bs = (Lazy.force mix_variants).(0) in
+  else
     let poison ~tenant ~deps name =
-      Jobs.job ~tenant ~deps ~name (fun ?faults ~sched ~device ~start_s () ->
-          Executor.run ?faults ~retry:chaos_retry ~sched ~device ~start_s
-            ~host ~bitstream:bs ())
+      mix_job ~retry:chaos_retry ~tenant ~deps ~name
+        (Lazy.force mix_variants).(0)
     in
     base
     @ [
@@ -680,7 +679,6 @@ let chaos_mix ~chaos () =
         poison ~tenant:"t2" ~deps:[ "cyc_a" ] "cyc_b";
         poison ~tenant:"t3" ~deps:[ "no_such_job" ] "orphan";
       ]
-  end
 
 let campaign_tests =
   [

@@ -109,9 +109,7 @@ type context = {
   mutable drained : bool;
   mutable retries : int;
   mutable cpu_fallbacks : int;
-  cus : Cu_stats.t;
-      (** This context's compute-unit accounting; the owning device
-          keeps its own cross-context table in [device.dev_cus]. *)
+  cus : Cu_stats.t;  (** This context's compute-unit accounting. *)
 }
 
 type result = {
@@ -409,7 +407,6 @@ let cpu_fallback (ctx : context) state (design : Bitstream.kernel_design)
   ctx.cpu_fallbacks <- ctx.cpu_fallbacks + 1;
   Ftn_obs.Metrics.incr "fault.cpu_fallbacks";
   Cu_stats.note_fallback ctx.cus ~kernel:name;
-  Cu_stats.note_fallback ctx.device.Scheduler.dev_cus ~kernel:name;
   Trace.record ctx.trace (Trace.Fallback { kernel = name; steps; time_s = t });
   flight ctx ~cat:"fallback" "cpu fallback %s (%d steps)" name steps;
   Ftn_obs.Log.debugf "cpu fallback %s: %d steps, %.3f us" name steps
@@ -505,7 +502,6 @@ let execute_kernel (ctx : context) state (design : Bitstream.kernel_design)
     ctx.device.Scheduler.dev_launches <-
       ctx.device.Scheduler.dev_launches + 1;
     Cu_stats.note_launch ctx.cus ~kernel:name ~busy_s:t;
-    Cu_stats.note_launch ctx.device.Scheduler.dev_cus ~kernel:name ~busy_s:t;
     let latency = queue_wait +. overhead in
     Ftn_obs.Metrics.observe "device.launch_latency_s" latency;
     Ftn_obs.Metrics.observe

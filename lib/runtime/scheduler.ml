@@ -18,7 +18,6 @@
    a peer) or degraded (a kernel on it fell back to the host CPU);
    failed devices are skipped by placement. *)
 
-open Ftn_hlsim
 module Fault = Ftn_fault.Fault
 
 type device = {
@@ -35,7 +34,6 @@ type device = {
   mutable dev_jobs : int;
   mutable dev_degraded : bool;
   mutable dev_failed : bool;
-  dev_cus : Cu_stats.t;
 }
 
 type t = {
@@ -60,7 +58,6 @@ let make_device id =
     dev_jobs = 0;
     dev_degraded = false;
     dev_failed = false;
-    dev_cus = Cu_stats.create ();
   }
 
 let create ?(devices = 1) () =
@@ -188,7 +185,6 @@ type device_snapshot = {
   ds_makespan_s : float;
   ds_degraded : bool;
   ds_failed : bool;
-  ds_cus : Cu_stats.snapshot list;
 }
 
 let snapshot_device dev =
@@ -204,7 +200,6 @@ let snapshot_device dev =
     ds_makespan_s = device_makespan_s dev;
     ds_degraded = dev.dev_degraded;
     ds_failed = dev.dev_failed;
-    ds_cus = Cu_stats.snapshot dev.dev_cus ~window_s:(device_makespan_s dev);
   }
 
 let snapshot t = List.map snapshot_device (Array.to_list t.devices)

@@ -1,6 +1,6 @@
 (** Multi-device scheduler for the simulated host runtime: N identical
     accelerator cards, each with four engine lanes (duplex DMA, compute,
-    control) and its own {!Ftn_hlsim.Cu_stats} table.
+    control).
 
     Submitting an operation computes
     [start = max(ready, lane availability, dependency finishes)] and
@@ -26,7 +26,6 @@ type device = {
   mutable dev_failed : bool;
       (** Persistently faulted; its queue was drained to a peer and
           placement skips it. *)
-  dev_cus : Ftn_hlsim.Cu_stats.t;
 }
 
 type t
@@ -91,7 +90,6 @@ type device_snapshot = {
   ds_makespan_s : float;
   ds_degraded : bool;
   ds_failed : bool;
-  ds_cus : Ftn_hlsim.Cu_stats.snapshot list;
 }
 
 val snapshot_device : device -> device_snapshot

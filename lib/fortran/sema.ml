@@ -48,7 +48,17 @@ let lookup env loc name =
 
 (* --- constant folding for parameters and dimension extents --- *)
 
-let rec fold_const env e =
+(* Every integer folding step must stay in the default kind, the i32 that
+   lower_fir emits; checking each step keeps 2 ** 70 from wrapping back
+   into range in OCaml's 63-bit ints. *)
+let rec fold_const env loc e =
+  let in_kind n =
+    if n < -2147483648 || n > 2147483647 then
+      error loc
+        (Fmt.str "integer constant %d is out of range of the default kind" n)
+    else n
+  in
+  let int_lit n = Some (Ast.Int_lit (in_kind n)) in
   match e with
   | Ast.Int_lit _ | Ast.Real_lit _ | Ast.Logical_lit _ -> Some e
   | Ast.Var name -> (
@@ -56,29 +66,31 @@ let rec fold_const env e =
     | Some { sym_constant = Some c; _ } -> Some c
     | _ -> None)
   | Ast.Binop (op, a, b) -> (
-    match (fold_const env a, fold_const env b) with
+    match (fold_const env loc a, fold_const env loc b) with
     | Some (Ast.Int_lit x), Some (Ast.Int_lit y) -> (
       match op with
-      | Ast.Add -> Some (Ast.Int_lit (x + y))
-      | Ast.Sub -> Some (Ast.Int_lit (x - y))
-      | Ast.Mul -> Some (Ast.Int_lit (x * y))
-      | Ast.Div -> if y = 0 then None else Some (Ast.Int_lit (x / y))
+      | Ast.Add -> int_lit (x + y)
+      | Ast.Sub -> int_lit (x - y)
+      | Ast.Mul -> int_lit (x * y)
+      | Ast.Div -> if y = 0 then None else int_lit (x / y)
       | Ast.Pow ->
-        let rec pow acc n = if n <= 0 then acc else pow (acc * x) (n - 1) in
-        if y >= 0 then Some (Ast.Int_lit (pow 1 y)) else None
+        let rec pow acc n =
+          if n <= 0 then acc else pow (in_kind (acc * x)) (n - 1)
+        in
+        if y >= 0 then int_lit (pow 1 y) else None
       | _ -> None)
     | _ -> None)
   | Ast.Unop (Ast.Neg, a) -> (
-    match fold_const env a with
-    | Some (Ast.Int_lit x) -> Some (Ast.Int_lit (-x))
+    match fold_const env loc a with
+    | Some (Ast.Int_lit x) -> int_lit (-x)
     | Some (Ast.Real_lit (x, k)) -> Some (Ast.Real_lit (-.x, k))
     | _ -> None)
   | Ast.Unop (Ast.Not, _) | Ast.Index _ | Ast.Intrinsic _
   | Ast.User_call _ ->
     None
 
-let const_int env e =
-  match fold_const env e with Some (Ast.Int_lit n) -> Some n | _ -> None
+let const_int env loc e =
+  match fold_const env loc e with Some (Ast.Int_lit n) -> Some n | _ -> None
 
 (* --- expression typing and resolution --- *)
 
@@ -340,7 +352,7 @@ let build_symbols ?engine unit_ =
       let constant =
         match d.Ast.d_parameter with
         | Some e -> (
-          match fold_const !env e with
+          match fold_const !env loc e with
           | Some c -> Some c
           | None -> error loc ("parameter " ^ d.Ast.d_name ^ " is not constant"))
         | None -> None
@@ -348,7 +360,7 @@ let build_symbols ?engine unit_ =
       let dims =
         List.map
           (fun extent ->
-            match const_int !env extent with
+            match const_int !env loc extent with
             | Some n when n > 0 -> Dim_const n
             | Some _ -> Dim_expr extent
             | None -> Dim_expr extent)

@@ -27,8 +27,11 @@ type unit_info = {
 type checked = unit_info list
 
 val is_intrinsic : string -> bool
-val fold_const : symbol Env.t -> Ast.expr -> Ast.expr option
-val const_int : symbol Env.t -> Ast.expr -> int option
+val fold_const : symbol Env.t -> Ftn_diag.Loc.t -> Ast.expr -> Ast.expr option
+(** Raises {!Sema_error} at the location when an integer folding step
+    leaves the default kind's range, -2{^31}..2{^31}-1. *)
+
+val const_int : symbol Env.t -> Ftn_diag.Loc.t -> Ast.expr -> int option
 val expr_type : symbol Env.t -> Ftn_diag.Loc.t -> Ast.expr -> Ast.base_type
 (** Raises {!Sema_error} on ill-typed expressions. *)
 

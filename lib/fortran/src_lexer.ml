@@ -287,10 +287,10 @@ let tokenize_line ?(file = "") line_no text emit =
         emit_tok (REAL (float_of_string normalized, !is_double))
       end
       else
+        (* lower_fir emits literals as i32, the default integer kind *)
         match int_of_string_opt lit with
-        | Some n -> emit_tok (INT n)
-        | None ->
-          error_at start ("integer literal out of range: " ^ lit)
+        | Some n when n <= 2147483647 -> emit_tok (INT n)
+        | _ -> error_at start ("integer literal out of range: " ^ lit)
     end
     else if is_alpha c then begin
       let start = !pos in

@@ -380,6 +380,32 @@ let runtime_error_tests =
        a(k) = 1.0\n\
        print *, a(1)\n\
        end program hostoob\n";
+    tc "an integer literal beyond the default kind is located" (fun () ->
+        with_source_file "big"
+          "program big\n\
+           implicit none\n\
+           integer, parameter :: n = 3000000000\n\
+           real :: a(n)\n\
+           a(1) = 1.0\n\
+           print *, a(1)\n\
+           end program big\n"
+          (fun file ->
+            List.iter
+              (fun flags ->
+                let code, _, err =
+                  cli_capture
+                    (Fmt.str "../bin/ftnc.exe run %s%s" (Filename.quote file)
+                       flags)
+                in
+                check Alcotest.int (flags ^ " exit 1") 1 code;
+                (* "file:3:27: error: lexical error: ..." *)
+                check Alcotest.int (flags ^ " one error") 1
+                  (occurrences ": error:" err);
+                check Alcotest.bool (flags ^ " at the literal") true
+                  (contains err (Fmt.str "%s:3:" file));
+                check Alcotest.bool (flags ^ " no internal error") false
+                  (contains err "internal error"))
+              [ ""; " --cpu" ]));
   ]
 
 let backend_cli_tests =

@@ -78,6 +78,15 @@ let lexer_tests =
           (line_of (Src_lexer.IDENT "x"));
         check (Alcotest.option Alcotest.int) "y" (Some 2)
           (line_of (Src_lexer.IDENT "y")));
+    tc "integer literals beyond the default kind raise" (fun () ->
+        (try
+           ignore (toks "k = 1\nk = 3000000000");
+           Alcotest.fail "expected error"
+         with Src_lexer.Lex_error (_, loc) ->
+           check Alcotest.int "line" 2 loc.Ftn_diag.Loc.line);
+        match toks "k = 2147483647" with
+        | [ IDENT "k"; ASSIGN; INT 2147483647; NEWLINE; EOF ] -> ()
+        | _ -> Alcotest.fail "largest default integer");
   ]
 
 (* --- OpenMP directive parser --- *)
@@ -352,6 +361,34 @@ let sema_tests =
     tc "omp clause vars must exist" (fun () ->
         sema_err
           "program p\nreal :: a(4)\ninteger :: i\n!$omp target parallel do map(to:zz)\ndo i = 1, 4\na(i) = 0.0\nend do\n!$omp end target parallel do\nend program");
+    tc "constants folded beyond the default integer kind raise" (fun () ->
+        (* 2 ** 70 wraps back to 0 in 63 bits: every step is checked *)
+        List.iter
+          (fun decl ->
+            try
+              ignore (check_src ("program p\ninteger :: i\n" ^ decl ^ "\nend program"));
+              Alcotest.failf "expected an error for %s" decl
+            with Sema.Sema_error (_, loc) ->
+              check Alcotest.int decl 3 loc.Ftn_diag.Loc.line)
+          [
+            "integer, parameter :: n = 50000 * 100000";
+            "integer, parameter :: n = 2 ** 70";
+            "real :: a(50000 * 100000)";
+          ]);
+    tc "the default integer kind's bounds still fold" (fun () ->
+        match
+          check_src
+            "program p\ninteger, parameter :: hi = 2147483647\ninteger, \
+             parameter :: lo = -2147483647 - 1\nend program"
+        with
+        | [ info ] ->
+          List.iter
+            (fun (name, v) ->
+              check Alcotest.bool name true
+                ((Sema.Env.find name info.Sema.ui_symbols).Sema.sym_constant
+                = Some (Ast.Int_lit v)))
+            [ ("hi", 2147483647); ("lo", -2147483648) ]
+        | _ -> Alcotest.fail "unit count");
   ]
 
 (* --- lowering --- *)

@@ -203,7 +203,7 @@ let load text =
       (match String.split_on_char ' ' header with
       | [ ".kernel"; kname; len ] -> (
         match int_of_string_opt len with
-        | Some len when eol + 1 + len <= String.length text ->
+        | Some len when len >= 0 && eol + 1 + len <= String.length text ->
           let body = String.sub text (eol + 1) len in
           let m =
             try Ir_parser.parse_module body

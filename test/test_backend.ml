@@ -359,6 +359,95 @@ let layer_tests =
               bs.Ftn_hlsim.Bitstream.kernels));
   ]
 
+(* --- container loaders: mutated images fail as structured errors --- *)
+
+let saved_images =
+  lazy
+    (List.concat_map
+       (fun backend ->
+         List.map
+           (fun (name, src) ->
+             let _, bs = build backend src in
+             (backend, name, Backend.save_bitstream backend bs))
+           [
+             ("saxpy", Ftn_linpack.Fortran_sources.saxpy ~n:32);
+             ("sgesl", Ftn_linpack.Fortran_sources.sgesl ~n:16);
+             ( "reduction",
+               Ftn_linpack.Fortran_sources.dot_product ~n:64 ~simdlen:4 );
+           ])
+       [ vitis; rv ]
+    |> Array.of_list)
+
+(* A loader may accept an image or reject it with one of the errors ftnc
+   reports; anything else escapes as an internal error. *)
+let load_or_reject backend text =
+  match Backend.load_bitstream backend text with
+  | _ -> true
+  | exception
+      ( Ftn_hlsim.Bitstream_io.Format_error _
+      | Ftn_hlsim.Bitstream_io.Backend_mismatch _
+      | Ftn_hlsim.Synth.Synthesis_error _ ) ->
+    true
+
+type mutation = Truncate of int | Replace of (int * char) list
+
+let mutate text = function
+  | Truncate at -> String.sub text 0 at
+  | Replace edits ->
+    let b = Bytes.of_string text in
+    List.iter (fun (at, c) -> Bytes.set b at c) edits;
+    Bytes.to_string b
+
+(* One of the six images, and a cut or 1-4 printable bytes anywhere in it. *)
+let mutation_gen =
+  let open QCheck.Gen in
+  let* i = int_bound 5 in
+  let _, _, text = (Lazy.force saved_images).(i) in
+  let at = int_bound (String.length text - 1) in
+  let* m =
+    oneof
+      [
+        map (fun at -> Truncate at) at;
+        map
+          (fun edits -> Replace edits)
+          (list_size (int_range 1 4) (pair at (char_range ' ' '~')));
+      ]
+  in
+  return (i, m)
+
+let print_mutation (i, m) =
+  let backend, name, _ = (Lazy.force saved_images).(i) in
+  Fmt.str "%s image of %s, %s" (Backend.name backend) name
+    (match m with
+    | Truncate at -> Fmt.str "truncated at %d" at
+    | Replace edits ->
+      String.concat ", "
+        (List.map (fun (at, c) -> Fmt.str "byte %d := %C" at c) edits))
+
+let loader_tests =
+  [
+    tc "a negative record length is a format error" (fun () ->
+        let _, bs = build rv (Ftn_linpack.Fortran_sources.saxpy ~n:32) in
+        let text =
+          String.split_on_char '\n' (Backend.save_bitstream rv bs)
+          |> List.map (fun l ->
+                 match String.split_on_char ' ' l with
+                 | [ ".kernel"; k; _ ] -> String.concat " " [ ".kernel"; k; "-5" ]
+                 | _ -> l)
+          |> String.concat "\n"
+        in
+        match Backend.load_bitstream rv text with
+        | _ -> Alcotest.fail "expected Format_error"
+        | exception Ftn_hlsim.Bitstream_io.Format_error _ -> ());
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~count:1000
+         ~name:"truncated or overwritten images load or fail as errors"
+         (QCheck.make ~print:print_mutation mutation_gen)
+         (fun (i, m) ->
+           let backend, _, text = (Lazy.force saved_images).(i) in
+           load_or_reject backend (mutate text m)));
+  ]
+
 let () =
   Alcotest.run "backend"
     [
@@ -367,4 +456,5 @@ let () =
       ("containers", container_tests);
       ("differential", differential_tests);
       ("layers", layer_tests);
+      ("loaders", loader_tests);
     ]

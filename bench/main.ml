@@ -16,6 +16,7 @@
 
 open Ftn_hlsim
 open Ftn_runtime
+module Json = Ftn_obs.Json
 
 let quick =
   match Sys.argv with
@@ -60,8 +61,10 @@ let run_ftn name source n =
 
 let run_hand name
     (baseline :
-      ?spec:Fpga_spec.t -> n:int -> unit -> Ftn_linpack.Hls_baselines.baseline_run)
-    n =
+      ?spec:Fpga_spec.t ->
+      n:int ->
+      unit ->
+      Ftn_linpack.Hls_baselines.baseline_run) n =
   progress "  %s (hand-written HLS) N=%d ..." name n;
   let r = baseline ~n () in
   {
@@ -71,18 +74,22 @@ let run_hand name
   }
 
 let saxpy_ftn =
-  lazy (List.map (run_ftn "saxpy" Ftn_linpack.Fortran_sources.saxpy) saxpy_sizes)
+  lazy
+    (List.map (run_ftn "saxpy" Ftn_linpack.Fortran_sources.saxpy) saxpy_sizes)
 
 let saxpy_hand =
   lazy
-    (List.map (run_hand "saxpy" Ftn_linpack.Hls_baselines.run_saxpy) saxpy_sizes)
+    (List.map (run_hand "saxpy" Ftn_linpack.Hls_baselines.run_saxpy)
+       saxpy_sizes)
 
 let sgesl_ftn =
-  lazy (List.map (run_ftn "sgesl" Ftn_linpack.Fortran_sources.sgesl) sgesl_sizes)
+  lazy
+    (List.map (run_ftn "sgesl" Ftn_linpack.Fortran_sources.sgesl) sgesl_sizes)
 
 let sgesl_hand =
   lazy
-    (List.map (run_hand "sgesl" Ftn_linpack.Hls_baselines.run_sgesl) sgesl_sizes)
+    (List.map (run_hand "sgesl" Ftn_linpack.Hls_baselines.run_sgesl)
+       sgesl_sizes)
 
 (* --- formatting helpers --- *)
 
@@ -300,24 +307,27 @@ let dialect_census m =
   |> List.map (fun (k, v) -> Fmt.str "%s:%d" k v)
   |> String.concat " "
 
+(* The SAXPY compile that the figures and Ablations A and D trace. *)
+let saxpy_1024 =
+  lazy (Core.Compiler.compile (Ftn_linpack.Fortran_sources.saxpy ~n:1024))
+
 let figure1 () =
   header
     "Figure 1: lowering Flang output (FIR) to core dialects and LLVM-IR \
      (flow of [3]), traced on SAXPY";
-  let src = Ftn_linpack.Fortran_sources.saxpy ~n:1024 in
-  let fir = Ftn_frontend.Frontend.to_fir src in
+  let art = Lazy.force saxpy_1024 in
   Fmt.pr "  Fortran source            %d lines@."
-    (List.length (String.split_on_char '\n' src));
+    (List.length (String.split_on_char '\n' art.Core.Compiler.source));
   Fmt.pr "  | flang: parse + lower@.";
   Fmt.pr "  v@.";
-  Fmt.pr "  HLFIR/FIR + omp           [%s]@." (dialect_census fir);
+  Fmt.pr "  HLFIR/FIR + omp           [%s]@."
+    (dialect_census art.Core.Compiler.fir_module);
   Fmt.pr "  | fir-to-core [3]@.";
   Fmt.pr "  v@.";
-  let core = Ftn_frontend.Fir_to_core.run fir in
-  Fmt.pr "  core dialects + omp       [%s]@." (dialect_census core);
+  Fmt.pr "  core dialects + omp       [%s]@."
+    (dialect_census art.Core.Compiler.core_module);
   Fmt.pr "  | mlir-opt -> llvm dialect -> LLVM-IR (device path)@.";
   Fmt.pr "  v@.";
-  let art = Core.Compiler.compile src in
   match art.Core.Compiler.llvm_ir with
   | Some t ->
     Fmt.pr "  LLVM-IR                   %d lines@."
@@ -328,8 +338,7 @@ let figure2 () =
   header
     "Figure 2: full compilation flow, Fortran + OpenMP to host binary and \
      FPGA bitstream";
-  let src = Ftn_linpack.Fortran_sources.saxpy ~n:1024 in
-  let art = Core.Compiler.compile src in
+  let art = Lazy.force saxpy_1024 in
   let stage name m = Fmt.pr "  %-26s [%s]@." name (dialect_census m) in
   stage "1. FIR + omp (Flang)" art.Core.Compiler.fir_module;
   stage "2. core + omp ([3])" art.Core.Compiler.core_module;
@@ -370,7 +379,7 @@ let ablation_unroll () =
   header
     "Ablation A: unroll factor vs initiation interval (design-space \
      exploration over simdlen)";
-  let art = Core.Compiler.compile (Ftn_linpack.Fortran_sources.saxpy ~n:1024) in
+  let art = Lazy.force saxpy_1024 in
   match art.Core.Compiler.device_hls with
   | None -> ()
   | Some d ->
@@ -445,8 +454,7 @@ let ablation_launch_overhead () =
 (* Ablation D: what the canonicaliser buys on the device side. *)
 let ablation_canonicalise () =
   header "Ablation D: canonicalisation of the offloaded kernel";
-  let src = Ftn_linpack.Fortran_sources.saxpy ~n:1024 in
-  let core = Ftn_frontend.Frontend.to_core src in
+  let core = (Lazy.force saxpy_1024).Core.Compiler.core_module in
   let with_canon =
     Ftn_passes.Pipeline.run_mid_end ~to_llvm:false core
   in
@@ -524,11 +532,10 @@ let median_of xs =
   Array.sort compare a;
   a.(Array.length a / 2)
 
-let floats fields =
-  Ftn_obs.Json.Obj (List.map (fun (k, v) -> (k, Ftn_obs.Json.Float v)) fields)
+let floats fields = Json.Obj (List.map (fun (k, v) -> (k, Json.Float v)) fields)
 
 let write_json path j =
-  Ftn_obs.Json.write_file path j;
+  Json.write_file path j;
   Fmt.pr "  wrote %s@." path
 
 (* SGESL and the heat-diffusion stencil, compiled and synthesised once for
@@ -575,7 +582,9 @@ let measure_interp engine ~host ~bitstream =
         let s0 = Ftn_obs.Metrics.counter_value "interp.steps" in
         let c0 = hist_sum "interp.compile_ms" in
         let w0 = Gc.minor_words () in
-        let wall_s, _ = time (fun () -> Executor.run ~engine ~host ~bitstream ()) in
+        let wall_s, _ =
+          time (fun () -> Executor.run ~engine ~host ~bitstream ())
+        in
         let words = Gc.minor_words () -. w0 in
         let steps = Ftn_obs.Metrics.counter_value "interp.steps" - s0 in
         {
@@ -591,11 +600,13 @@ let measure_interp engine ~host ~bitstream =
   }
 
 let interp_gate programs =
-  header "Interpreter engines: compiled >= 3x the tree-walker (BENCH_interp.json)";
+  header
+    "Interpreter engines: compiled >= 3x the tree-walker (BENCH_interp.json)";
   let case (name, host, bitstream) =
     progress "  interp gate: %s ..." name;
     let measure engine = measure_interp engine ~host ~bitstream in
-    let tree = ref (measure `Tree) and comp = ref (measure `Compiled) in
+    let tree = ref (measure `Tree) in
+    let comp = ref (measure `Compiled) in
     let speedup () = !tree.wall_s /. Float.max 1e-9 !comp.wall_s in
     (* On a loaded box one engine can miss its wall floor within a single
        round (a preemption lands on all its reps). Extra rounds only lower
@@ -605,7 +616,8 @@ let interp_gate programs =
     let extra = ref 6 in
     while speedup () < 3.0 && !extra > 0 do
       decr extra;
-      let t = measure `Tree and c = measure `Compiled in
+      let t = measure `Tree in
+      let c = measure `Compiled in
       tree := { !tree with wall_s = Float.min !tree.wall_s t.wall_s };
       comp := { !comp with wall_s = Float.min !comp.wall_s c.wall_s }
     done;
@@ -631,15 +643,15 @@ let interp_gate programs =
         ]
     in
     ( name,
-      Ftn_obs.Json.Obj
+      Json.Obj
         [
           ("tree", side !tree);
           ("compiled", side !comp);
-          ("speedup", Ftn_obs.Json.Float speedup);
+          ("speedup", Json.Float speedup);
         ] )
   in
   write_json "BENCH_interp.json"
-    (Ftn_obs.Json.Obj [ ("cases", Ftn_obs.Json.Obj (List.map case programs)) ])
+    (Json.Obj [ ("cases", Json.Obj (List.map case programs)) ])
 
 (* BENCH_profile.json: executor wall time with profiling off and on, best
    of the reps. *)
@@ -677,10 +689,10 @@ let profile_gate programs =
         ] )
   in
   write_json "BENCH_profile.json"
-    (Ftn_obs.Json.Obj
+    (Json.Obj
        [
-         ("overhead_budget_pct", Ftn_obs.Json.Float 5.0);
-         ("cases", Ftn_obs.Json.Obj (List.map case programs));
+         ("overhead_budget_pct", Json.Float 5.0);
+         ("cases", Json.Obj (List.map case programs));
        ])
 
 (* BENCH_compile.json: median mid-end wall time of the many-kernel module
@@ -724,30 +736,22 @@ let compile_gate () =
     name (w0 *. 1e3) (w1 *. 1e3) (w2 *. 1e3) (w4 *. 1e3) speedup cores
     (if gated then ", gated >= 1.5x" else ", speedup informational");
   write_json "BENCH_compile.json"
-    (Ftn_obs.Json.Obj
+    (Json.Obj
        [
-         ("cores", Ftn_obs.Json.Int cores);
-         ( "cases",
-           Ftn_obs.Json.Obj
+         ("cores", Json.Int cores);
+         ("case", Json.String name);
+         ("reps", Json.Int reps);
+         ( "wall_ms",
+           floats
              [
-               ( name,
-                 Ftn_obs.Json.Obj
-                   [
-                     ("kernels", Ftn_obs.Json.Int kernels);
-                     ("reps", Ftn_obs.Json.Int reps);
-                     ( "wall_ms",
-                       floats
-                         [
-                           ("sequential", w0 *. 1e3);
-                           ("domains_1", w1 *. 1e3);
-                           ("domains_2", w2 *. 1e3);
-                           ("domains_4", w4 *. 1e3);
-                         ] );
-                     ("speedup_domains_4_vs_1", Ftn_obs.Json.Float speedup);
-                     ("speedup_target", Ftn_obs.Json.Float 1.5);
-                     ("speedup_gated", Ftn_obs.Json.Bool gated);
-                   ] );
+               ("sequential", w0 *. 1e3);
+               ("domains_1", w1 *. 1e3);
+               ("domains_2", w2 *. 1e3);
+               ("domains_4", w4 *. 1e3);
              ] );
+         ("speedup_domains_4_vs_1", Json.Float speedup);
+         ("speedup_target", Json.Float 1.5);
+         ("speedup_gated", Json.Bool gated);
        ])
 
 let () =

@@ -338,8 +338,10 @@ let layer_tests =
                 ~finally:(fun () -> Ftn_obs.Profile.set_enabled false)
                 (fun () ->
                   let art, bs = build backend src in
-                  ( bs,
-                    Executor.run ~host:art.Core.Compiler.host ~bitstream:bs () ))
+                  let on =
+                    Executor.run ~host:art.Core.Compiler.host ~bitstream:bs ()
+                  in
+                  (bs, on))
             in
             check Alcotest.string (name ^ " same output") off.Executor.output
               on.Executor.output;
@@ -432,7 +434,7 @@ let loader_tests =
           String.split_on_char '\n' (Backend.save_bitstream rv bs)
           |> List.map (fun l ->
                  match String.split_on_char ' ' l with
-                 | [ ".kernel"; k; _ ] -> String.concat " " [ ".kernel"; k; "-5" ]
+                 | [ ".kernel"; k; _ ] -> ".kernel " ^ k ^ " -5"
                  | _ -> l)
           |> String.concat "\n"
         in

@@ -366,7 +366,8 @@ let sema_tests =
         List.iter
           (fun decl ->
             try
-              ignore (check_src ("program p\ninteger :: i\n" ^ decl ^ "\nend program"));
+              let src = "program p\ninteger :: i\n" ^ decl ^ "\nend program" in
+              ignore (check_src src);
               Alcotest.failf "expected an error for %s" decl
             with Sema.Sema_error (_, loc) ->
               check Alcotest.int decl 3 loc.Ftn_diag.Loc.line)

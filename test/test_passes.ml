@@ -545,7 +545,9 @@ let mid_end_tests =
   [
     tc "many_kernels k=12 is byte-identical on 0, 1, 2 and 4 domains"
       (fun () ->
-        let pipeline domains = { Pipeline.default_options with Pipeline.domains } in
+        let pipeline domains =
+          { Pipeline.default_options with Pipeline.domains }
+        in
         let core =
           Ftn_frontend.Frontend.to_core
             (Ftn_linpack.Fortran_sources.many_kernels ~kernels:12 ~n:512)
@@ -555,29 +557,30 @@ let mid_end_tests =
         let artifacts domains =
           let c = Pipeline.run_mid_end ~options:(pipeline domains) core in
           List.map
-            (Option.fold ~none:"<none>" ~some:(fun m ->
-                 Printer.to_string (fst (Op.renumber m))))
-            [ Some c.Pipeline.host; c.Pipeline.device_hls; c.Pipeline.device_llvm ]
+            (fun m -> Printer.to_string (fst (Op.renumber m)))
+            [
+              c.Pipeline.host;
+              Option.get c.Pipeline.device_hls;
+              Option.get c.Pipeline.device_llvm;
+            ]
         in
         let reference = artifacts 1 in
         List.iter
-          (fun domains ->
-            check
-              Alcotest.(list string)
-              (Fmt.str "domains %d" domains)
-              reference (artifacts domains))
+          (fun d ->
+            check Alcotest.(list string) (Fmt.str "domains %d" d) reference
+              (artifacts d))
           [ 0; 2; 4 ];
         let src = Ftn_linpack.Fortran_sources.many_kernels ~kernels:12 ~n:128 in
         let output domains =
-          Core.Run.output
-            (Core.Run.run
-               ~options:
-                 { Core.Options.default with Core.Options.pipeline = pipeline domains }
-               src)
+          let options =
+            { Core.Options.default with Core.Options.pipeline = pipeline domains }
+          in
+          Core.Run.output (Core.Run.run ~options src)
         in
         let parallel = output 4 in
         check Alcotest.string "domains 0 output" parallel (output 0);
-        check Alcotest.string "cpu output" parallel (fst (Core.Run.run_cpu src)));
+        check Alcotest.string "cpu output" parallel
+          (fst (Core.Run.run_cpu src)));
   ]
 
 let () =

@@ -602,7 +602,8 @@ let mix_variants =
 let mix_job ?retry ?prio ?own ~tenant ~deps ~name (host, bs) =
   Jobs.job ~tenant ~deps ?prio ~name (fun ?faults ~sched ~device ~start_s () ->
       let faults = match faults with Some _ -> faults | None -> own in
-      Executor.run ?faults ?retry ~sched ~device ~start_s ~host ~bitstream:bs ())
+      Executor.run ?faults ?retry ~sched ~device ~start_s ~host
+        ~bitstream:bs ())
 
 (* Job i runs variant i mod 4 under tenant t(i mod 4), at priority
    i mod 3 when [prio], with fault plan [transient i]; every 7th job
@@ -723,7 +724,9 @@ let campaign_tests =
       (fun () ->
         let n_chaos = chaos_jobs + 3 in
         let deadline_s = 0.05 in
-        let clean = { Jobs.default_config with Jobs.devices = 4; queue_depth = 8 } in
+        let clean =
+          { Jobs.default_config with Jobs.devices = 4; queue_depth = 8 }
+        in
         (* every resilience feature armed, none able to trigger *)
         let armed =
           {

@@ -263,7 +263,8 @@ let executor_tests =
               tree.Executor.device_time_s comp.Executor.device_time_s)
           [
             ("sgesl n=64", Ftn_linpack.Fortran_sources.sgesl ~n:64);
-            ("stencil n=64x5", Ftn_linpack.Fortran_sources.stencil ~n:64 ~steps:5);
+            ( "stencil n=64x5",
+              Ftn_linpack.Fortran_sources.stencil ~n:64 ~steps:5 );
           ]);
   ]
 

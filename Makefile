@@ -10,7 +10,7 @@ build:
 test:
 	dune runtest
 
-check: ## build everything, run the full test suite, every example, and the bench's paper run with its timing gates
+check: ## build everything, run the full test suite, every example, the bench's paper run with its timing gates, and a short suite run that checks every workload's outputs
 	dune build && dune runtest
 	@for src in examples/*.ml; do \
 	  name=$$(basename $$src .ml); \
@@ -18,6 +18,7 @@ check: ## build everything, run the full test suite, every example, and the benc
 	  dune exec examples/$$name.exe > /dev/null || exit 1; \
 	done
 	dune exec bench/main.exe -- --quick
+	dune exec bench/suite/suite.exe -- --seconds 1
 
 bench:
 	dune exec bench/main.exe

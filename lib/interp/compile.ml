@@ -46,10 +46,17 @@
    calls through a closure raising its message.
 
    Compiled functions are cached per interpreter state, keyed by the
-   func.func op's physical identity, so func.call sites and kernel
-   relaunches reuse code. Compilation is lazy: a call site only forces
-   its callee's compilation on first execution (this also handles
-   recursion). *)
+   func.func op's physical identity, so func.call sites, kernel
+   relaunches and later runs of the same state reuse code; the runtime
+   keeps one state per artifact, so each function compiles once per
+   artifact. The cache also records the profiling stamp it was compiled
+   under and starts afresh when the stamp changes. Compiled code holds
+   no value of a run: operands pass through the frame, handler runners
+   read their run through the state, and the scratch the fallbacks and
+   parallel copies use is cleared after each value passes through it
+   ([copy_slots]) or when the run ends ([release]). Compilation is lazy:
+   a call site only forces its callee's compilation on first execution
+   (this also handles recursion). *)
 
 open Ftn_ir
 open Ftn_dialects
@@ -176,7 +183,9 @@ let move s d : code =
    per-closure scratch, one per register file) so overlapping src/dst
    sets — a yield forwarding an iter arg — behave like the tree-walker's
    read-the-list-then-bind sequence. The scratch is safe to share across
-   invocations: no interpreted code runs between its fill and drain. *)
+   invocations: no interpreted code runs between its fill and drain. A
+   boxed value leaves the scratch as it is written, so the closure keeps
+   no buffer of a finished run alive. *)
 let copy_slots ~src ~dst : code =
   let n = Array.length src in
   if Array.length dst <> n then
@@ -197,7 +206,10 @@ let copy_slots ~src ~dst : code =
           fun f -> sf f d (Float.Array.get tf k) )
       | _ ->
         let get = box s and set = unbox d in
-        ((fun f -> tv.(k) <- get f), fun f -> set f tv.(k))
+        ( (fun f -> tv.(k) <- get f),
+          fun f ->
+            set f tv.(k);
+            tv.(k) <- Rtval.Unit )
     in
     let steps = Array.init n (fun k -> step k src.(k) dst.(k)) in
     let reads = Array.map fst steps and writes = Array.map snd steps in
@@ -336,17 +348,25 @@ type cache = {
   scratch : Tree.frame;
       (** Frame handed to tree-semantics fallbacks, with the op's
           operands bound. *)
+  stamp : int;  (** [Profile.stamp] the entries were compiled under. *)
 }
 
 type Tree.cache += Compiled of cache
 
 let get_cache (st : Tree.state) =
+  let stamp = Ftn_obs.Profile.stamp () in
   match st.Tree.exec_cache with
-  | Compiled c -> c
+  | Compiled c when c.stamp = stamp -> c
   | _ ->
-    let c = { entries = []; scratch = Tree.new_frame () } in
+    let c = { entries = []; scratch = Tree.new_frame (); stamp } in
     st.Tree.exec_cache <- Compiled c;
     c
+
+(* Drop the operands a run's fallbacks left in the scratch frame. *)
+let release (st : Tree.state) =
+  match st.Tree.exec_cache with
+  | Compiled c -> Hashtbl.reset c.scratch.Tree.vals
+  | _ -> ()
 
 let entry_for cache fn =
   match List.assq_opt fn cache.entries with
@@ -494,9 +514,10 @@ and compile_op ctx op : code =
   let code = compile_op_dispatch ctx op in
   (* The profiling decision is paid at compile time: when enabled, the
      op's shared counter ref is resolved once and each execution is a
-     single [incr]; when disabled the closure is untouched. Functions
-     compiled while profiling was off stay uninstrumented (the cache is
-     per interpreter state, which never outlives a run). *)
+     single [incr]; when disabled the closure is untouched. The cache is
+     keyed on the profiling stamp ([get_cache]), so code compiled with
+     profiling off, or holding refs a [Profile.reset] dropped, is not
+     reused by a later run under another profiling state. *)
   if !Ftn_obs.Profile.on then begin
     let c = Ftn_obs.Profile.op_counter (Op.name op) in
     fun f ->

@@ -14,6 +14,8 @@ type domain = Tree.domain =
 type engine = Tree.engine
 
 type cache = Tree.cache = ..
+type embedder = Tree.embedder = ..
+type embedder += Unbound = Tree.Unbound
 
 type state = Tree.state = {
   modules : Op.t list;  (** Searched for function bodies, in order. *)
@@ -25,6 +27,7 @@ type state = Tree.state = {
           id and the trip count — the runtime's timing probe. *)
   engine : engine;
   mutable exec_cache : cache;
+  mutable embedder : embedder;
 }
 
 and handler = Tree.handler = {
@@ -52,3 +55,13 @@ let run state ~entry ~args =
   match find_function state entry with
   | Some fn -> call_function state fn args
   | None -> Tree.error "entry function %s not found" entry
+
+let with_embedder state e f =
+  state.steps <- 0;
+  state.on_loop <- None;
+  state.embedder <- e;
+  Fun.protect
+    ~finally:(fun () ->
+      state.embedder <- Unbound;
+      Compile.release state)
+    f

@@ -34,6 +34,14 @@ type cache = Tree.cache = ..
 (** Engine-private per-state storage (the compiled engine's function
     cache); opaque to callers. *)
 
+type embedder = Tree.embedder = ..
+(** What an embedding runtime binds to a state for the duration of one
+    run: the executor extends it with its run context. Staged runners
+    read the run through the state they are given, never by capturing
+    it, so one state and its compiled code can serve many runs. *)
+
+type embedder += Unbound  (** No run is bound. *)
+
 type state = {
   modules : Ftn_ir.Op.t list;  (** Searched for function bodies, in order. *)
   handlers : handler list;
@@ -44,6 +52,7 @@ type state = {
           id and the trip count — the runtime's timing probe. *)
   engine : engine;
   mutable exec_cache : cache;
+  mutable embedder : embedder;  (** [Unbound] outside {!with_embedder}. *)
 }
 
 and handler = {
@@ -64,6 +73,9 @@ and handler = {
     - the compiled engine stages each op once, when its function is
       compiled, and the tree-walker stages it on every execution; so
       everything that depends only on the op belongs in staging;
+    - a state and its compiled code may serve many runs, so a runner
+      reaches its run (an output sink, a device context) through the
+      state it is given, in its [embedder] slot, never by capturing it;
     - a [Fault.Error] with an unknown location that escapes a runner is
       re-raised at the op's location. *)
 
@@ -99,6 +111,13 @@ val call_function : state -> Ftn_ir.Op.t -> Rtval.t list -> Rtval.t list
 
 val run : state -> entry:string -> args:Rtval.t list -> Rtval.t list
 (** Resolve [entry] by symbol name and call it. *)
+
+val with_embedder : state -> embedder -> (unit -> 'a) -> 'a
+(** [with_embedder state e f] runs [f] as one run of a state that serves
+    many: [steps] restarts at 0, [on_loop] is cleared and [e] is bound.
+    When [f] returns or raises, [e] is unbound and the compiled engine's
+    fallback scratch is cleared, so no value of the run stays reachable
+    from the state; its compiled functions stay for the next run. *)
 
 val main_function : Ftn_ir.Op.t -> Ftn_ir.Op.t option
 (** The function carrying the frontend's [ftn.main] marker. *)

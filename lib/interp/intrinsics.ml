@@ -28,24 +28,25 @@ let unary op f =
   match Op.operands op with
   | [ _ ] ->
     Some
-      (fun _ -> function
-        | [ v ] -> f v
+      (fun st -> function
+        | [ v ] -> f st v
         | _ -> raise (Interp.Interp_error "expected one operand"))
   | _ -> None
 
 (* Handler for the ftn_print_* family. The callee and the text of a
-   string print are resolved when the call is staged. *)
-let print_handler sink : Interp.handler =
+   string print are resolved when the call is staged; the sink is read
+   from the executing state, so the staged runner serves every run. *)
+let print_handler sink_of : Interp.handler =
   Interp.handler ~domain:Interp.calls @@ fun op ->
   let print s =
     Some
-      (fun _ _ ->
-        output sink s;
+      (fun st _ ->
+        output (sink_of st) s;
         [])
   in
   let print1 f =
-    unary op (fun v ->
-        output sink (f v);
+    unary op (fun st v ->
+        output (sink_of st) (f v);
         [])
   in
   match Op.symbol_attr op "callee" with
@@ -65,9 +66,9 @@ let runtime_library_handler : Interp.handler =
   Interp.handler ~domain:Interp.calls @@ fun op ->
   match Op.symbol_attr op "callee" with
   | Some ("_hls_f32_to_f64" | "_hls_f64_to_f32") ->
-    unary op (fun v -> [ Rtval.Float (Rtval.as_float v) ])
+    unary op (fun _ v -> [ Rtval.Float (Rtval.as_float v) ])
   | Some "_hls_i32_to_f32" ->
-    unary op (fun v -> [ Rtval.Float (float_of_int (Rtval.as_int v)) ])
+    unary op (fun _ v -> [ Rtval.Float (float_of_int (Rtval.as_int v)) ])
   | Some
       ( "_ssdm_op_SpecInterface" | "_ssdm_op_SpecPipeline"
       | "_ssdm_op_SpecUnroll" | "_ssdm_op_SpecArrayPartition"

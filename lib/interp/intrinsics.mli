@@ -12,8 +12,9 @@ val contents : sink -> string
 val clear : sink -> unit
 val format_float : float -> string
 
-val print_handler : sink -> Interp.handler
-(** Handles the [ftn_print_*] call family. *)
+val print_handler : (Interp.state -> sink) -> Interp.handler
+(** Handles the [ftn_print_*] call family, writing to the sink
+    [sink_of state] names for the executing state. *)
 
 val runtime_library_handler : Interp.handler
 (** Handles [_hls_*] conversions and [_ssdm_op_*] directive calls. *)

@@ -55,6 +55,13 @@ type engine = [ `Tree | `Compiled ]
 type cache = ..
 type cache += No_cache
 
+(* What an embedding runtime binds to a state for one run (the executor
+   binds its context), so the runners it stages read the run through the
+   state they are given instead of capturing it, and a state and its
+   compiled code can serve many runs. *)
+type embedder = ..
+type embedder += Unbound
+
 type state = {
   modules : Op.t list;  (** Searched for func.func bodies, in order. *)
   handlers : handler list;
@@ -65,6 +72,7 @@ type state = {
           variable's id — used by the runtime to gather timing stats. *)
   engine : engine;
   mutable exec_cache : cache;
+  mutable embedder : embedder;
 }
 
 (* [h_stage op] decides from the op alone (its name, attributes and
@@ -124,6 +132,7 @@ let make ?(handlers = []) ?(max_steps = 2_000_000_000) ?engine modules =
     on_loop = None;
     engine;
     exec_cache = No_cache;
+    embedder = Unbound;
   }
 
 let new_frame () = { vals = Hashtbl.create 64 }

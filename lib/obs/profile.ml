@@ -3,9 +3,14 @@
    [on] is a plain bool ref so hot loops (the interpreters, the rewrite
    engines) can gate their instrumentation on a single load; everything
    costlier — hashtable lookups, gettimeofday — happens only when a user
-   asked for a profile (ftnc --profile, bench --profile). *)
+   asked for a profile (ftnc --profile) or a test or the bench's
+   profiling gate enabled it. *)
 
 let on = ref false
+
+(* Bumped by [reset], which drops the counter refs that instrumented
+   code compiled earlier still holds. *)
+let generation = ref 0
 
 let set_enabled b = on := b
 let enabled () = !on
@@ -36,4 +41,8 @@ let top_ops n =
          match Int.compare b a with 0 -> String.compare na nb | c -> c)
   |> List.filteri (fun i _ -> i < n)
 
-let reset () = Hashtbl.reset op_counts
+let reset () =
+  Hashtbl.reset op_counts;
+  incr generation
+
+let stamp () = if !on then !generation else -1

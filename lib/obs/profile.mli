@@ -28,3 +28,12 @@ val top_ops : int -> (string * int) list
 (** The [n] most-executed ops, descending by count. *)
 
 val reset : unit -> unit
+(** Drop every counter. Refs handed out by {!op_counter} earlier no
+    longer count into {!ops}. *)
+
+val stamp : unit -> int
+(** The profiling state code is instrumented for: [-1] while profiling
+    is off, else a number that changes with every {!reset}. Code that
+    resolved its counters under another stamp counts into dropped refs
+    or not at all, so the compiled interpreter engine recompiles when
+    the stamp changes. *)

@@ -32,7 +32,16 @@
    turns each device op into an OpenCL call with arguments fixed at
    compile time. Everything that depends only on the op — its dispatch,
    attributes, data-environment key, rendered location, kernel design
-   and labels — is resolved then; the runner does only the op's work. *)
+   and labels — is resolved then; the runner does only the op's work.
+
+   As the paper's host program loads its xclbin once, each artifact (a
+   host module and its bitstream) gets one runtime [program], built on
+   its first run and dropped with the artifact. It holds an interpreter
+   state per engine, whose context-free handlers read the run's context
+   through the state, and the artifact's record labels: span names and
+   attribute lists, metric names and flight texts. [run] borrows the
+   state for one run, so every function compiles once per artifact and
+   all spans of one kernel or buffer share one attribute list. *)
 
 open Ftn_ir
 open Ftn_interp
@@ -40,8 +49,130 @@ open Ftn_hlsim
 module Fault = Ftn_fault.Fault
 module Injector = Ftn_fault.Injector
 
+(* --- record labels ---
+
+   Every name, attribute list, metric name and flight text the executor
+   records that depends only on the artifact is rendered once and then
+   shared by reference. *)
+
+(* The span of one kind of charge: its name and track, the attributes
+   after the track and the device, and the complete attribute list per
+   device id, built on first use. *)
+type span_label = {
+  sl_name : string;
+  sl_track : string;
+  sl_attrs : (string * string) list;
+  mutable sl_by_device : (string * string) list array;  (** [[]] if unbuilt *)
+}
+
+let span_label ~track ~name attrs =
+  { sl_name = name; sl_track = track; sl_attrs = attrs; sl_by_device = [||] }
+
+type kernel = {
+  k_design : Bitstream.kernel_design;
+  k_span : span_label;  (** The kernel's run on the compute lane. *)
+  k_overhead : span_label;  (** Its launch overhead. *)
+  k_latency_metric : string;  (** [device.kernel.<k>.launch_latency_s] *)
+  k_time_metric : string;  (** [device.kernel.<k>.time_s] *)
+  k_flight : string;  (** [launch <k>] *)
+}
+
+let kernel_labels (design : Bitstream.kernel_design) =
+  let name = design.Bitstream.kd_name in
+  let attrs = [ ("kernel", name) ] in
+  {
+    k_design = design;
+    k_span = span_label ~track:"kernel" ~name attrs;
+    k_overhead = span_label ~track:"overhead" ~name:"launch_overhead" attrs;
+    k_latency_metric = "device.kernel." ^ name ^ ".launch_latency_s";
+    k_time_metric = "device.kernel." ^ name ^ ".time_s";
+    k_flight = "launch " ^ name;
+  }
+
+(* A buffer's transfer in one direction, or its allocation, at the byte
+   count it last had. *)
+type buffer_label = {
+  b_bytes : int;
+  b_span : span_label;
+  b_flight : string;
+}
+
+type labels = {
+  xclbin : string;
+  kernels : (string * kernel) list;  (** By name, in bitstream order. *)
+  h2d : (string, buffer_label) Hashtbl.t;  (** By buffer name. *)
+  d2h : (string, buffer_label) Hashtbl.t;
+  allocs : (string, buffer_label) Hashtbl.t;
+  mutable device_ids : string array;
+}
+
+let labels_of (bitstream : Bitstream.t) =
+  {
+    xclbin = bitstream.Bitstream.xclbin_name;
+    kernels =
+      List.map
+        (fun (d : Bitstream.kernel_design) ->
+          (d.Bitstream.kd_name, kernel_labels d))
+        bitstream.Bitstream.kernels;
+    h2d = Hashtbl.create 8;
+    d2h = Hashtbl.create 8;
+    allocs = Hashtbl.create 8;
+    device_ids = [||];
+  }
+
+(* [a] extended to hold index [i], a new slot [j] holding [fill j]. *)
+let grow a i fill =
+  let n = Array.length a in
+  if i < n then a
+  else Array.init (i + 1) (fun j -> if j < n then a.(j) else fill j)
+
+(* [l]'s complete attribute list on device [id]: the track, the device,
+   then its own. *)
+let span_attrs labels l id =
+  match if id < Array.length l.sl_by_device then l.sl_by_device.(id) else []
+  with
+  | _ :: _ as attrs -> attrs
+  | [] ->
+    labels.device_ids <- grow labels.device_ids id string_of_int;
+    let attrs =
+      ("track", l.sl_track) :: ("device", labels.device_ids.(id)) :: l.sl_attrs
+    in
+    l.sl_by_device <- grow l.sl_by_device id (fun _ -> []);
+    l.sl_by_device.(id) <- attrs;
+    attrs
+
+(* The label of buffer [name] at [bytes] bytes in [tbl], rendered by
+   [render] when the buffer is new or changed size. *)
+let buffer_label tbl ~name ~bytes render =
+  match Hashtbl.find_opt tbl name with
+  | Some b when b.b_bytes = bytes -> b
+  | _ ->
+    let b = render name bytes in
+    Hashtbl.replace tbl name b;
+    b
+
+(* Span ["<verb>:<name>"] with attributes buffer, [extra] and bytes;
+   flight text ["<verb> <name> (<bytes> bytes)"]. *)
+let render_buffer ~track ~verb ~extra name bytes =
+  let n = string_of_int bytes in
+  {
+    b_bytes = bytes;
+    b_span =
+      span_label ~track ~name:(verb ^ ":" ^ name)
+        ((("buffer", name) :: extra) @ [ ("bytes", n) ]);
+    b_flight = verb ^ " " ^ name ^ " (" ^ n ^ " bytes)";
+  }
+
+let render_h2d =
+  render_buffer ~track:"transfer" ~verb:"h2d" ~extra:[ ("direction", "h2d") ]
+
+let render_d2h =
+  render_buffer ~track:"transfer" ~verb:"d2h" ~extra:[ ("direction", "d2h") ]
+
+let render_alloc = render_buffer ~track:"overhead" ~verb:"alloc" ~extra:[]
+
 type kernel_handle = {
-  kh_design : Bitstream.kernel_design;
+  kh_kernel : kernel;
   kh_args : Rtval.t list;
 }
 
@@ -55,6 +186,7 @@ type context = {
       (** Timing model carried by the bitstream: kernels are always timed
           with the model of the device they were compiled for. *)
   bitstream : Bitstream.t;
+  labels : labels;  (** The bitstream's record labels. *)
   data : Data_env.t;
   trace : Trace.t;
   handles : (int, kernel_handle) Hashtbl.t;
@@ -133,7 +265,7 @@ type result = {
   cus : Cu_stats.snapshot list;
 }
 
-let create_context ?(echo = false) ?engine
+let make_context ~labels ?(echo = false) ?engine
     ?(diag = Ftn_diag.Diag_engine.default) ?faults
     ?(retry = Fault.default_retry) ?sched ?device ?(start_s = 0.0) bitstream =
   let obs = Ftn_obs.Span.current () in
@@ -147,6 +279,7 @@ let create_context ?(echo = false) ?engine
   {
     model = bitstream.Bitstream.model;
     bitstream;
+    labels;
     data = Data_env.create ();
     trace = Trace.create ();
     handles = Hashtbl.create 8;
@@ -178,30 +311,32 @@ let create_context ?(echo = false) ?engine
     cus = Cu_stats.create ();
   }
 
+let create_context ?echo ?engine ?diag ?faults ?retry ?sched ?device ?start_s
+    bitstream =
+  make_context ~labels:(labels_of bitstream) ?echo ?engine ?diag ?faults
+    ?retry ?sched ?device ?start_s bitstream
+
 let context_device (ctx : context) = ctx.device
 let context_scheduler (ctx : context) = ctx.sched
 
-(* Charge [t] simulated seconds to a track ("kernel", "transfer",
-   "overhead" or "fallback"): schedule an event on [lane] of the
-   context's device (submitted at the cursor unless [submit_s] says the
-   host enqueued it earlier), record a span at the event's scheduled
+(* Charge [t] simulated seconds to the track of [l] ("kernel",
+   "transfer", "overhead" or "fallback"): schedule an event on [lane] of
+   the context's device (submitted at the cursor unless [submit_s] says
+   the host enqueued it earlier), record a span at the event's scheduled
    start and bump the track's running total. Totals accumulate one
    addition per charge, in charge order — the same float additions the
    span fold over this context performs. The caller decides whether the
    operation blocks (advances the cursor to the event's finish). *)
-let charge (ctx : context) ~lane ~track ~name ?(attrs = []) ?submit_s
-    ?(deps = []) t =
+let charge (ctx : context) ~lane (l : span_label) ?submit_s ?(deps = []) t =
   let submit_s = Option.value ~default:ctx.cursor_s submit_s in
+  let track = l.sl_track and name = l.sl_name in
   let ev =
     Scheduler.submit ctx.sched ~device:ctx.device ~lane ~track ~label:name
       ~submit_s ~ready_s:ctx.cursor_s ~deps ~dur_s:t ()
   in
   ignore
     (Ftn_obs.Span.record_sim ~collector:ctx.obs
-       ~attrs:
-         (("track", track)
-         :: ("device", string_of_int ctx.device.Scheduler.dev_id)
-         :: attrs)
+       ~attrs:(span_attrs ctx.labels l ctx.device.Scheduler.dev_id)
        ~name ~start_s:ev.Event.ev_start_s ~dur_s:t ());
   ctx.charged_s <- ctx.charged_s +. t;
   (match track with
@@ -216,11 +351,8 @@ let block (ctx : context) (ev : Event.t) =
   ctx.cursor_s <- Float.max ctx.cursor_s ev.Event.ev_finish_s
 
 (* A blocking charge: the host does not proceed until it retires. *)
-let charge_sync (ctx : context) ~lane ~track ~name ?attrs ?deps t =
-  block ctx (charge ctx ~lane ~track ~name ?attrs ?deps t)
-
-let charge_overhead (ctx : context) ~name ?attrs t =
-  charge_sync ctx ~lane:Event.Ctrl ~track:"overhead" ~name ?attrs t
+let charge_sync (ctx : context) ~lane l ?deps t =
+  block ctx (charge ctx ~lane l ?deps t)
 
 (* Flight-recorder entry stamped with the device-timeline position, the
    owning device and the source location of the op currently executing. *)
@@ -273,8 +405,10 @@ let note_fault (ctx : context) ~name (fault : Fault.fault) =
     | Fault.Alloc_failure | Fault.Transfer_error | Fault.Launch_failure -> 0.0
   in
   if cost > 0.0 then
-    charge_sync ctx ~lane:Event.Compute ~track:"overhead"
-      ~name:("watchdog:" ^ name) ~attrs:[ ("fault", code) ] cost;
+    charge_sync ctx ~lane:Event.Compute
+      (span_label ~track:"overhead" ~name:("watchdog:" ^ name)
+         [ ("fault", code) ])
+      cost;
   Trace.record ctx.trace
     (Trace.Fault
        { target = name; kind = code; attempt = fault.Fault.attempt;
@@ -305,10 +439,10 @@ let with_faults (ctx : context) ~site ?kernel ~name
         note_fault ctx ~name fault;
         if attempt >= max_attempts then Error fault
         else begin
-          charge_overhead ctx ~name:("backoff:" ^ name)
-            ~attrs:
-              [ ("fault", Fault.kind_code fault.Fault.kind);
-                ("attempt", string_of_int attempt) ]
+          charge_sync ctx ~lane:Event.Ctrl
+            (span_label ~track:"overhead" ~name:("backoff:" ^ name)
+               [ ("fault", Fault.kind_code fault.Fault.kind);
+                 ("attempt", string_of_int attempt) ])
             (Fault.backoff_s ctx.retry ~attempt);
           ctx.retries <- ctx.retries + 1;
           Ftn_obs.Metrics.incr "fault.retries";
@@ -396,9 +530,9 @@ let cpu_fallback (ctx : context) state (design : Bitstream.kernel_design)
   let _stats, steps = interpret_kernel ctx state design args in
   let t = float_of_int steps *. ctx.retry.Fault.cpu_step_s in
   let ev =
-    charge ctx ~lane:Event.Ctrl ~track:"fallback"
-      ~name:("cpu_fallback:" ^ name)
-      ~attrs:[ ("kernel", name); ("steps", string_of_int steps) ]
+    charge ctx ~lane:Event.Ctrl
+      (span_label ~track:"fallback" ~name:("cpu_fallback:" ^ name)
+         [ ("kernel", name); ("steps", string_of_int steps) ])
       t
   in
   block ctx ev;
@@ -446,11 +580,10 @@ let drain_to_peer (ctx : context) ~name args (fault : Fault.fault) token =
       in
       if bytes > 0 then begin
         let t = ctx.model.Device_model.transfer_time_s ~bytes in
-        charge_sync ctx ~lane:Event.Copy_in ~track:"transfer"
-          ~name:("drain:" ^ name)
-          ~attrs:
-            [ ("kernel", name); ("bytes", string_of_int bytes);
-              ("from", string_of_int bad.Scheduler.dev_id) ]
+        charge_sync ctx ~lane:Event.Copy_in
+          (span_label ~track:"transfer" ~name:("drain:" ^ name)
+             [ ("kernel", name); ("bytes", string_of_int bytes);
+               ("from", string_of_int bad.Scheduler.dev_id) ])
           t;
         Trace.record ctx.trace
           (Trace.Transfer
@@ -476,8 +609,8 @@ let drain_to_peer (ctx : context) ~name args (fault : Fault.fault) token =
    and degrades to host execution otherwise. Returns the completion
    event — the launch is an async enqueue; the caller decides whether to
    block on it. *)
-let execute_kernel (ctx : context) state (design : Bitstream.kernel_design)
-    args =
+let execute_kernel (ctx : context) state (k : kernel) args =
+  let design = k.k_design in
   let name = design.Bitstream.kd_name in
   (* Host-timeline position when the launch was requested; everything
      between here and the compute engine picking the kernel up — retry
@@ -488,14 +621,10 @@ let execute_kernel (ctx : context) state (design : Bitstream.kernel_design)
     let stats, _steps = interpret_kernel ctx state design args in
     let t = ctx.model.Device_model.kernel_time_s design.Bitstream.kd_schedule stats in
     let overhead = ctx.model.Device_model.launch_overhead_s in
-    let kev =
-      charge ctx ~lane:Event.Compute ~track:"kernel" ~name
-        ~attrs:[ ("kernel", name) ] ~submit_s:enqueue_s t
-    in
+    let kev = charge ctx ~lane:Event.Compute k.k_span ~submit_s:enqueue_s t in
     let oev =
-      charge ctx ~lane:Event.Compute ~track:"overhead"
-        ~name:"launch_overhead" ~attrs:[ ("kernel", name) ]
-        ~submit_s:enqueue_s ~deps:[ kev ] overhead
+      charge ctx ~lane:Event.Compute k.k_overhead ~submit_s:enqueue_s
+        ~deps:[ kev ] overhead
     in
     let queue_wait = Event.queue_wait_s kev in
     Ftn_obs.Metrics.incr "device.kernel_launches";
@@ -504,13 +633,11 @@ let execute_kernel (ctx : context) state (design : Bitstream.kernel_design)
     Cu_stats.note_launch ctx.cus ~kernel:name ~busy_s:t;
     let latency = queue_wait +. overhead in
     Ftn_obs.Metrics.observe "device.launch_latency_s" latency;
-    Ftn_obs.Metrics.observe
-      ("device.kernel." ^ name ^ ".launch_latency_s")
-      latency;
-    Ftn_obs.Metrics.observe ("device.kernel." ^ name ^ ".time_s") t;
+    Ftn_obs.Metrics.observe k.k_latency_metric latency;
+    Ftn_obs.Metrics.observe k.k_time_metric t;
     Ftn_obs.Metrics.observe "device.queue_wait_s" queue_wait;
     Ftn_obs.Flight.record ~time_s:oev.Event.ev_finish_s ~loc:ctx.cur_loc_str
-      ~device:ctx.device.Scheduler.dev_id ~cat:"launch" ("launch " ^ name);
+      ~device:ctx.device.Scheduler.dev_id ~cat:"launch" k.k_flight;
     Ftn_obs.Log.debugf "launch %s: %.3f us kernel + %.3f us overhead" name
       (t *. 1e6) (overhead *. 1e6);
     Trace.record ctx.trace
@@ -532,28 +659,24 @@ let execute_kernel (ctx : context) state (design : Bitstream.kernel_design)
    program performs against the simulated device. The interpreter handler
    below routes the device dialect through these same functions. --- *)
 
-let alloc_key (ctx : context) (key : Data_env.key) ~elt ~shape =
+(* [op_name] is ["alloc:" ^ key.name], the allocation's name in fault
+   records and its span. *)
+let alloc_key (ctx : context) (key : Data_env.key) ~op_name ~elt ~shape =
   let name = key.Data_env.name in
   let do_alloc () =
     let buffer, fresh = Data_env.alloc ctx.data key ~elt ~shape in
     if fresh then begin
-      charge_overhead ctx ~name:("alloc:" ^ name)
-        ~attrs:[ ("buffer", name);
-                 ("bytes", string_of_int (Rtval.byte_size buffer)) ]
+      let bytes = Rtval.byte_size buffer in
+      let l = buffer_label ctx.labels.allocs ~name ~bytes render_alloc in
+      charge_sync ctx ~lane:Event.Ctrl l.b_span
         ctx.model.Device_model.alloc_overhead_s;
       Ftn_obs.Metrics.incr "device.allocs";
-      Ftn_obs.Metrics.incr ~by:(Rtval.byte_size buffer) "device.bytes_allocated";
+      Ftn_obs.Metrics.incr ~by:bytes "device.bytes_allocated";
       Ftn_obs.Flight.record ~time_s:ctx.cursor_s ~loc:ctx.cur_loc_str
-        ~device:ctx.device.Scheduler.dev_id ~cat:"alloc"
-        ("alloc " ^ name ^ " (" ^ string_of_int (Rtval.byte_size buffer)
-        ^ " bytes)");
+        ~device:ctx.device.Scheduler.dev_id ~cat:"alloc" l.b_flight;
       Trace.record ctx.trace
         (Trace.Alloc
-           {
-             name;
-             bytes = Rtval.byte_size buffer;
-             time_s = ctx.model.Device_model.alloc_overhead_s;
-           })
+           { name; bytes; time_s = ctx.model.Device_model.alloc_overhead_s })
     end;
     buffer
   in
@@ -577,15 +700,13 @@ let alloc_key (ctx : context) (key : Data_env.key) ~elt ~shape =
       end
     end
   in
-  match
-    with_faults ctx ~site:Fault.Alloc ~name:("alloc:" ^ name) ~recover
-      do_alloc
-  with
+  match with_faults ctx ~site:Fault.Alloc ~name:op_name ~recover do_alloc with
   | Ok buffer -> buffer
   | Error fault -> exhausted ctx fault
 
 let api_alloc (ctx : context) ~name ~memory_space ~elt ~shape =
-  alloc_key ctx (Data_env.key ~name ~memory_space) ~elt ~shape
+  alloc_key ctx (Data_env.key ~name ~memory_space) ~op_name:("alloc:" ^ name)
+    ~elt ~shape
 
 let api_transfer (ctx : context) ~src ~dst =
   (* Endpoint validation: transfers between buffers that disagree on
@@ -619,42 +740,32 @@ let api_transfer (ctx : context) ~src ~dst =
       if device_side.Rtval.label <> "" then device_side.Rtval.label
       else host_side.Rtval.label
     in
-    let dir_str =
-      match direction with Trace.Host_to_device -> "h2d" | _ -> "d2h"
-    in
-    let lane =
+    let lane, metric, l =
       match direction with
-      | Trace.Host_to_device -> Event.Copy_in
-      | Trace.Device_to_host -> Event.Copy_out
+      | Trace.Host_to_device ->
+        ( Event.Copy_in,
+          "device.bytes_h2d",
+          buffer_label ctx.labels.h2d ~name ~bytes render_h2d )
+      | Trace.Device_to_host ->
+        ( Event.Copy_out,
+          "device.bytes_d2h",
+          buffer_label ctx.labels.d2h ~name ~bytes render_d2h )
     in
     let do_transfer () =
       (* DMA engines are duplex, so the copy runs on its own lane and
          overlaps compute — but it must not start before any in-flight
          kernel of this context retires (the kernel produces or consumes
          the buffers being moved). *)
-      charge_sync ctx ~lane ~track:"transfer"
-        ~name:(dir_str ^ ":" ^ name)
-        ~attrs:
-          [ ("buffer", name); ("direction", dir_str);
-            ("bytes", string_of_int bytes) ]
-        ~deps:ctx.pending t;
-      Ftn_obs.Metrics.incr ~by:bytes
-        (match direction with
-        | Trace.Host_to_device -> "device.bytes_h2d"
-        | Trace.Device_to_host -> "device.bytes_d2h");
+      charge_sync ctx ~lane l.b_span ~deps:ctx.pending t;
+      Ftn_obs.Metrics.incr ~by:bytes metric;
       Trace.record ctx.trace
         (Trace.Transfer { name; direction; bytes; time_s = t });
-      (* hot path: plain concatenation, the entry's [time_s] already
-         positions it on the device timeline *)
       Ftn_obs.Flight.record ~time_s:ctx.cursor_s ~loc:ctx.cur_loc_str
-        ~device:ctx.device.Scheduler.dev_id ~cat:"transfer"
-        (dir_str ^ " " ^ name ^ " (" ^ string_of_int bytes ^ " bytes)");
+        ~device:ctx.device.Scheduler.dev_id ~cat:"transfer" l.b_flight;
       Rtval.copy_into ~src ~dst
     in
     match
-      with_faults ctx ~site:Fault.Transfer
-        ~name:(dir_str ^ ":" ^ name)
-        do_transfer
+      with_faults ctx ~site:Fault.Transfer ~name:l.b_span.sl_name do_transfer
     with
     | Ok () -> ()
     | Error fault -> exhausted ctx fault
@@ -674,28 +785,25 @@ let kernel_interp_state (ctx : context) =
     let s =
       Interp.make
         ~handlers:
-          [ Intrinsics.print_handler ctx.sink;
+          [ Intrinsics.print_handler (fun _ -> ctx.sink);
             Intrinsics.runtime_library_handler ]
         ~engine:ctx.engine [ device_module ]
     in
     ctx.kernel_state <- Some s;
     s
 
-let find_design (ctx : context) kernel =
-  match Bitstream.find_kernel ctx.bitstream kernel with
-  | Some design -> design
-  | None ->
-    Fault.fail
-      (Fault.Missing_kernel
-         { kernel; xclbin = ctx.bitstream.Bitstream.xclbin_name })
-
 (* Async enqueue: returns the completion event without advancing the
    host cursor, so a subsequent operation from another context (or an
    unordered one from this context) can overlap it. *)
 let api_launch_async (ctx : context) ~kernel args =
-  let ev =
-    execute_kernel ctx (kernel_interp_state ctx) (find_design ctx kernel) args
+  let k =
+    match List.assoc_opt kernel ctx.labels.kernels with
+    | Some k -> k
+    | None ->
+      Fault.fail
+        (Fault.Missing_kernel { kernel; xclbin = ctx.labels.xclbin })
   in
+  let ev = execute_kernel ctx (kernel_interp_state ctx) k args in
   ctx.pending <- ev :: ctx.pending;
   ev
 
@@ -723,10 +831,22 @@ let device_domain =
       "memref.dma_start";
     ]
 
-type runner = Interp.state -> Rtval.t list -> Rtval.t list
+(* The run a state serves, bound by [run] for its duration. *)
+type Interp.embedder += Run of context
+
+let bound (st : Interp.state) =
+  match st.Interp.embedder with
+  | Run ctx -> ctx
+  | _ ->
+    Fault.fail
+      (Fault.Invalid_host
+         { op = "device"; reason = "executed outside Executor.run" })
+
+(* A staged device op: it reaches its run's context as an argument. *)
+type runner = context -> Interp.state -> Rtval.t list -> Rtval.t list
 
 (* A runner raising [e] when it executes: how a malformed op stages. *)
-let failing e : runner = fun _ _ -> Fault.fail e
+let failing e : runner = fun _ _ _ -> Fault.fail e
 
 let invalid op reason = failing (Fault.Invalid_host { op; reason })
 
@@ -742,14 +862,14 @@ let with_key op (f : string -> Data_env.key -> runner) =
 
 (* A device-level telemetry counter, by the name a device.counter_get
    reads. *)
-let counter (ctx : context) = function
-  | "kernel_launches" -> Some (fun () -> Trace.count_launches ctx.trace)
-  | "bytes_transferred" -> Some (fun () -> Trace.bytes_transferred ctx.trace)
-  | "retries" -> Some (fun () -> ctx.retries)
-  | "cpu_fallbacks" -> Some (fun () -> ctx.cpu_fallbacks)
+let counter : string -> (context -> int) option = function
+  | "kernel_launches" -> Some (fun ctx -> Trace.count_launches ctx.trace)
+  | "bytes_transferred" -> Some (fun ctx -> Trace.bytes_transferred ctx.trace)
+  | "retries" -> Some (fun ctx -> ctx.retries)
+  | "cpu_fallbacks" -> Some (fun ctx -> ctx.cpu_fallbacks)
   | "faults_injected" ->
     Some
-      (fun () ->
+      (fun ctx ->
         match ctx.injector with Some i -> Injector.injected i | None -> 0)
   | _ -> None
 
@@ -774,35 +894,37 @@ let wait_handle (ctx : context) h =
          })
 
 (* The work of one device op, staged: everything that depends only on
-   the op (its dispatch, attributes, data-environment key, kernel design
-   and labels) is resolved here, once. *)
-let stage_device_op (ctx : context) op : runner option =
+   the op (its dispatch, attributes, data-environment key, kernel and
+   labels) is resolved here, once. *)
+let stage_device_op labels op : runner option =
   match Op.name op with
   | "device.alloc" ->
     Some
-      (with_key op (fun _ key ->
+      (with_key op (fun name key ->
+           let op_name = "alloc:" ^ name in
            match List.map Value.ty (Op.results op) with
            | [ Types.Memref mi ] ->
-             fun _ operands ->
+             fun ctx _ operands ->
                let shape =
                  resolve_shape ~op_name:"device.alloc" mi
                    (List.map Rtval.as_int operands)
                in
-               [ Rtval.Buf (alloc_key ctx key ~elt:mi.Types.elt ~shape) ]
+               [ Rtval.Buf
+                   (alloc_key ctx key ~op_name ~elt:mi.Types.elt ~shape) ]
            | _ -> invalid "device.alloc" "must produce a memref result"))
   | "device.lookup" ->
     Some
-      (with_key op (fun _ key _ _ ->
+      (with_key op (fun _ key ctx _ _ ->
            [ Rtval.Buf (Data_env.lookup_exn ctx.data key) ]))
   | "device.data_check_exists" ->
     Some
-      (with_key op (fun _ key _ _ ->
+      (with_key op (fun _ key ctx _ _ ->
            [ Rtval.Bool (Data_env.exists ctx.data key) ]))
   | "device.data_acquire" ->
     Some
       (with_key op (fun name key ->
            let label = "acquire:" ^ name in
-           fun _ _ ->
+           fun ctx _ _ ->
              Data_env.acquire ctx.data key;
              (* The acquire is a zero-cost control-plane event: it
                 participates in the event graph (so ordering is
@@ -815,7 +937,7 @@ let stage_device_op (ctx : context) op : runner option =
              []))
   | "device.data_release" ->
     Some
-      (with_key op (fun _ key _ _ ->
+      (with_key op (fun _ key ctx _ _ ->
            Data_env.release ctx.data key;
            []))
   | "device.counter_get" -> (
@@ -824,46 +946,44 @@ let stage_device_op (ctx : context) op : runner option =
        of a named data-environment entry. *)
     match Op.string_attr op "counter" with
     | Some name -> (
-      match counter ctx name with
-      | Some read -> Some (fun _ _ -> [ Rtval.Int (read ()) ])
+      match counter name with
+      | Some read -> Some (fun ctx _ _ -> [ Rtval.Int (read ctx) ])
       | None ->
         Some
           (invalid "device.counter_get"
              (Fmt.str "unknown device counter %S" name)))
     | None ->
       Some
-        (with_key op (fun _ key _ _ ->
+        (with_key op (fun _ key ctx _ _ ->
              [ Rtval.Int (Data_env.refcount ctx.data key) ])))
   | "device.kernel_create" -> (
     match Op.symbol_attr op "device_function" with
     | Some fname -> (
-      match Bitstream.find_kernel ctx.bitstream fname with
-      | Some design ->
+      match List.assoc_opt fname labels.kernels with
+      | Some k ->
         Some
-          (fun _ operands ->
+          (fun ctx _ operands ->
             let h = !handle_counter in
             incr handle_counter;
-            Hashtbl.replace ctx.handles h
-              { kh_design = design; kh_args = operands };
+            Hashtbl.replace ctx.handles h { kh_kernel = k; kh_args = operands };
             [ Rtval.Handle h ])
       | None ->
         Some
           (failing
-             (Fault.Missing_kernel
-                { kernel = fname; xclbin = ctx.bitstream.Bitstream.xclbin_name })))
+             (Fault.Missing_kernel { kernel = fname; xclbin = labels.xclbin })))
     | None ->
       Some
         (invalid "device.kernel_create" "missing a device_function attribute"))
   | "device.kernel_launch" ->
     Some
-      (fun state operands ->
+      (fun ctx state operands ->
         match operands with
         | [ Rtval.Handle h ] -> (
           match Hashtbl.find_opt ctx.handles h with
           | Some kh ->
             (* True async enqueue: the completion event is parked on the
                handle for device.kernel_wait; the host cursor stays put. *)
-            let ev = execute_kernel ctx state kh.kh_design kh.kh_args in
+            let ev = execute_kernel ctx state kh.kh_kernel kh.kh_args in
             Hashtbl.replace ctx.launched h ev;
             ctx.pending <- ev :: ctx.pending;
             []
@@ -879,7 +999,7 @@ let stage_device_op (ctx : context) op : runner option =
                  reason = "expects a handle operand" }))
   | "device.kernel_wait" ->
     Some
-      (fun _ operands ->
+      (fun ctx _ operands ->
         match operands with
         | [ Rtval.Handle h ] ->
           wait_handle ctx h;
@@ -892,7 +1012,7 @@ let stage_device_op (ctx : context) op : runner option =
     match Op.operands op with
     | [ _; _ ] ->
       Some
-        (fun _ operands ->
+        (fun ctx _ operands ->
           match operands with
           | [ src; dst ] ->
             api_transfer ctx ~src:(Rtval.as_buffer src)
@@ -906,25 +1026,27 @@ let stage_device_op (ctx : context) op : runner option =
   | _ -> None
 
 (* The interpreter handler implementing device.* ops and intercepting DMA
-   transfers that touch device memory. Each op is staged once per
-   compiled closure (per execution under the tree-walker): its runner
-   only makes the op's pre-rendered location current, records the op in
-   the flight recorder and does the staged work. *)
-let device_handler (ctx : context) : Interp.handler =
+   transfers that touch device memory, for a bitstream with [labels].
+   Each op is staged once per compiled closure (per execution under the
+   tree-walker): its runner only finds the run's context in the state,
+   makes the op's pre-rendered location current, records the op in the
+   flight recorder and does the staged work. *)
+let device_handler labels : Interp.handler =
   Interp.handler ~domain:device_domain @@ fun op ->
   Option.map
-    (fun (work : runner) : runner ->
+    (fun (work : runner) ->
       let name = Op.name op and loc = Op.loc op in
       let loc_str =
         if Ftn_diag.Loc.is_known loc then Ftn_diag.Loc.to_string loc else ""
       in
       fun state operands ->
+        let ctx = bound state in
         ctx.cur_loc <- loc;
         ctx.cur_loc_str <- loc_str;
         Ftn_obs.Flight.record ~time_s:ctx.cursor_s ~loc:loc_str
           ~device:ctx.device.Scheduler.dev_id ~cat:"op" name;
-        work state operands)
-    (stage_device_op ctx op)
+        work ctx state operands)
+    (stage_device_op labels op)
 
 (* End-of-run leak report: any entry still holding references at teardown
    means the lowered data-environment sequence lost a device.data_release
@@ -969,45 +1091,123 @@ let result_of_context (ctx : context) =
     cus = Cu_stats.snapshot ctx.cus ~window_s:ctx.charged_s;
   }
 
-(* Run the host module's main (or a named entry) against a bitstream. *)
-let run ?(echo = false) ?entry ?(args = []) ?engine ?diag ?faults
-    ?retry ?sched ?device ?start_s ~host ~bitstream () =
-  let ctx =
-    create_context ~echo ?engine ?diag ?faults ?retry ?sched ?device
-      ?start_s bitstream
-  in
+(* --- the runtime program of an artifact --- *)
+
+(* One interpreter state over an artifact's host module, with the
+   device, print and runtime-library handlers staged against [labels].
+   Its compiled functions and labels serve every run that borrows it. *)
+type instance = {
+  state : Interp.state;
+  labels : labels;
+}
+
+(* What the runs of one artifact share. [idle] holds the instances no
+   run is using: one per engine when runs follow one another; a run that
+   starts while another holds its engine's instance gets a new one. *)
+type program = {
+  host : Op.t;
+  bitstream : Bitstream.t;
+  main : Op.t option;
+  mutable idle : instance list;
+}
+
+(* Programs keyed weakly on the artifact, so each dies with its host
+   module and bitstream. The IR is immutable, so hashing the host's
+   structure is stable; equality is identity. *)
+module Programs =
+  Ephemeron.K2.Make
+    (struct
+      type t = Op.t
+
+      let equal = ( == )
+      let hash = Hashtbl.hash
+    end)
+    (struct
+      type t = Bitstream.t
+
+      let equal = ( == )
+      let hash (b : t) = Hashtbl.hash b.Bitstream.xclbin_name
+    end)
+
+let programs = Programs.create 16
+let programs_mu = Mutex.create ()
+
+let new_instance p engine =
+  let labels = labels_of p.bitstream in
   let handlers =
     [
-      device_handler ctx;
-      Intrinsics.print_handler ctx.sink;
+      device_handler labels;
+      Intrinsics.print_handler (fun st -> (bound st).sink);
       Intrinsics.runtime_library_handler;
     ]
   in
-  let state = Interp.make ~handlers ~engine:ctx.engine [ host ] in
-  (try
-     match entry with
-     | Some entry -> ignore (Interp.run state ~entry ~args)
-     | None -> (
-       match Interp.main_function host with
-       | Some fn -> ignore (Interp.call_function state fn args)
-       | None ->
-         Fault.fail
-           (Fault.Invalid_host
-              { op = "module"; reason = "host module has no main program" }))
-   with
-   | Fault.Error (e, loc) as exn ->
-     (* Record the structured runtime error in the context's diagnostics
-        stream before propagating, so drivers that accumulate diagnostics
-        see it alongside compile-time errors, with the launching op's
-        source location. *)
-     Ftn_diag.Diag_engine.error ctx.diag ~loc
-       (Fault.message e ^ Fault.flight_note ());
-     raise exn
-   | Interp.Interp_error msg ->
-     (* The same error in host code, which does not say which op was
-        executing, so it carries no location. *)
-     program_error ctx ~loc:Ftn_diag.Loc.unknown msg);
-  Ftn_obs.Metrics.incr ~by:state.Interp.steps "interp.steps";
+  { state = Interp.make ~handlers ~engine [ p.host ]; labels }
+
+(* Take an idle instance of the artifact's program for [engine], making
+   the program or the instance when there is none. *)
+let take ~host ~bitstream engine =
+  Mutex.protect programs_mu @@ fun () ->
+  let p =
+    match Programs.find_opt programs (host, bitstream) with
+    | Some p -> p
+    | None ->
+      let main = Interp.main_function host in
+      let p = { host; bitstream; main; idle = [] } in
+      Programs.replace programs (host, bitstream) p;
+      p
+  in
+  match
+    List.partition (fun i -> i.state.Interp.engine = engine) p.idle
+  with
+  | i :: same, others ->
+    p.idle <- same @ others;
+    (p, i)
+  | [], _ -> (p, new_instance p engine)
+
+let give_back p i = Mutex.protect programs_mu (fun () -> p.idle <- i :: p.idle)
+
+(* Run the host module's main (or a named entry) against a bitstream, on
+   an instance of the artifact's program bound to a fresh context. *)
+let run ?(echo = false) ?entry ?(args = []) ?engine ?diag ?faults
+    ?retry ?sched ?device ?start_s ~host ~bitstream () =
+  let engine =
+    match engine with Some e -> e | None -> Interp.default_engine ()
+  in
+  let p, inst = take ~host ~bitstream engine in
+  Fun.protect ~finally:(fun () -> give_back p inst) @@ fun () ->
+  let ctx =
+    make_context ~labels:inst.labels ~echo ~engine ?diag ?faults ?retry
+      ?sched ?device ?start_s bitstream
+  in
+  let state = inst.state in
+  let steps =
+    Interp.with_embedder state (Run ctx) @@ fun () ->
+    (try
+       match entry with
+       | Some entry -> ignore (Interp.run state ~entry ~args)
+       | None -> (
+         match p.main with
+         | Some fn -> ignore (Interp.call_function state fn args)
+         | None ->
+           Fault.fail
+             (Fault.Invalid_host
+                { op = "module"; reason = "host module has no main program" }))
+     with
+    | Fault.Error (e, loc) as exn ->
+      (* Record the structured runtime error in the context's diagnostics
+         stream before propagating, so drivers that accumulate diagnostics
+         see it alongside compile-time errors, with the launching op's
+         source location. *)
+      Ftn_diag.Diag_engine.error ctx.diag ~loc
+        (Fault.message e ^ Fault.flight_note ());
+      raise exn
+    | Interp.Interp_error msg ->
+      (* The same error in host code, which does not say which op was
+         executing, so it carries no location. *)
+      program_error ctx ~loc:Ftn_diag.Loc.unknown msg);
+    state.Interp.steps
+  in
+  Ftn_obs.Metrics.incr ~by:steps "interp.steps";
   result_of_context ctx
 
 (* CPU reference: run the core-level module with sequential OpenMP
@@ -1015,7 +1215,8 @@ let run ?(echo = false) ?entry ?(args = []) ?engine ?diag ?faults
 let run_cpu ?(echo = false) ?entry ?(args = []) ?engine core_module =
   let sink = Intrinsics.make_sink ~echo () in
   let handlers =
-    [ Intrinsics.print_handler sink; Intrinsics.runtime_library_handler ]
+    [ Intrinsics.print_handler (fun _ -> sink);
+      Intrinsics.runtime_library_handler ]
   in
   let state = Interp.make ~handlers ?engine [ core_module ] in
   (try

@@ -156,16 +156,6 @@ val track_time_from_spans : context -> string -> float
 
 (** {2 Interpreted host modules} *)
 
-val device_handler : context -> Ftn_interp.Interp.handler
-(** The interpreter handler implementing device.* ops and intercepting
-    two-operand memref.dma_start. It stages each op once, resolving its
-    attributes, data-environment key, source location and kernel design;
-    a malformed op raises its structured error only when it executes.
-    [device.kernel_launch] is an async enqueue; [device.kernel_wait]
-    genuinely blocks, and waiting on an unknown, foreign or
-    never-launched handle (or a non-handle operand) raises a structured
-    [Invalid_host] error. *)
-
 val run :
   ?echo:bool ->
   ?entry:string ->
@@ -185,7 +175,24 @@ val run :
     given) against a bitstream. An escaping {!Ftn_fault.Fault.Error} is
     recorded in [diag] (with the launching op's source location) before
     it propagates. [sched]/[device]/[start_s] place the run on a shared
-    multi-device scheduler, as in {!create_context}. *)
+    multi-device scheduler, as in {!create_context}.
+
+    The device.* ops and two-operand memref.dma_start are staged once
+    per op, resolving attributes, data-environment key, source location,
+    kernel design and record labels; a malformed op raises its
+    structured error only when it executes. [device.kernel_launch] is an
+    async enqueue; [device.kernel_wait] genuinely blocks, and waiting on
+    an unknown, foreign or never-launched handle (or a non-handle
+    operand) raises a structured [Invalid_host] error.
+
+    The artifact — [host] and [bitstream], by identity — gets one runtime
+    program on its first run, dropped when either is collected: an
+    interpreter state per engine, whose staged ops and compiled
+    functions serve every later run, and the artifact's record labels,
+    shared by every span, metric and flight entry they name. A run
+    borrows the state and binds its own context to it; afterwards no
+    value of the run stays reachable from the program. Each run is
+    isolated: its results equal those of a freshly compiled artifact. *)
 
 val run_cpu :
   ?echo:bool ->

@@ -5,8 +5,10 @@
    times print as hex floats; nothing measured on the wall clock is
    printed.
 
-   Each program runs under both interpreter engines. The executable exits
-   non-zero when the two renderings differ, and otherwise prints one.
+   Each program runs under both interpreter engines, then a second time
+   under the compiled engine on the same artifact, which reuses the
+   artifact's runtime program. The executable exits non-zero when any
+   two renderings differ, and otherwise prints one.
 
      print_run.exe *)
 
@@ -134,8 +136,13 @@ let () =
       let faults = Option.map plan faults in
       let tree = render ~engine:`Tree ?faults host bitstream in
       let compiled = render ~engine:`Compiled ?faults host bitstream in
+      let warm = render ~engine:`Compiled ?faults host bitstream in
       if tree <> compiled then begin
         Printf.eprintf "print_run: %s differs between the engines\n" name;
+        differ := true
+      end;
+      if warm <> compiled then begin
+        Printf.eprintf "print_run: %s differs on a second run\n" name;
         differ := true
       end;
       Printf.printf "==== %s ====\n%s" name compiled)

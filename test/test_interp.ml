@@ -749,7 +749,7 @@ let engine_tests =
         words_per_step "cpu program"
           (Interp.make ~engine:`Compiled
              ~handlers:
-               [ Intrinsics.print_handler sink;
+               [ Intrinsics.print_handler (fun _ -> sink);
                  Intrinsics.runtime_library_handler ]
              [ core ])
           ~fresh_args:(fun () -> [])

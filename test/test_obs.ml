@@ -564,6 +564,12 @@ let flight_tests =
 
 (* --- profiler op counters --- *)
 
+(* One offloaded loop for the profiled runs. *)
+let profiled_src =
+  "program p\nreal :: a(8)\ninteger :: i\n!$omp target parallel do\n\
+   do i = 1, 8\na(i) = a(i) * 2.0\nend do\n\
+   !$omp end target parallel do\nend program"
+
 let profile_tests =
   [
     tc "count_op accumulates and top_ops sorts by count" (fun () ->
@@ -591,18 +597,13 @@ let profile_tests =
           | _ -> -1);
         Profile.reset ());
     tc "both interpreter engines count the same ops" (fun () ->
-        let src =
-          "program p\nreal :: a(8)\ninteger :: i\n!$omp target parallel do\n\
-           do i = 1, 8\na(i) = a(i) * 2.0\nend do\n\
-           !$omp end target parallel do\nend program"
-        in
         let count engine =
           Profile.reset ();
           Profile.set_enabled true;
           Fun.protect
             ~finally:(fun () -> Profile.set_enabled false)
             (fun () ->
-              let art = Core.Compiler.compile src in
+              let art = Core.Compiler.compile profiled_src in
               let bs = Core.Compiler.synthesise art in
               ignore
                 (Ftn_runtime.Executor.run ~engine
@@ -620,6 +621,36 @@ let profile_tests =
         check
           Alcotest.(list (pair string int))
           "engines agree" tree compiled);
+    tc "reruns of one artifact follow the profiling state" (fun () ->
+        (* A rerun reuses the artifact's compiled code unless profiling
+           was toggled or reset since it was compiled. *)
+        let art = Core.Compiler.compile profiled_src in
+        let bs = Core.Compiler.synthesise art in
+        List.iter
+          (fun (engine, name) ->
+            let run profiled =
+              Profile.set_enabled profiled;
+              Fun.protect
+                ~finally:(fun () -> Profile.set_enabled false)
+                (fun () ->
+                  ignore
+                    (Ftn_runtime.Executor.run ~engine
+                       ~host:art.Core.Compiler.host ~bitstream:bs ()));
+              List.filter (fun (_, n) -> n > 0) (Profile.ops ())
+            in
+            Profile.reset ();
+            let unprofiled = run false in
+            let profiled = run true in
+            Profile.reset ();
+            let again = run true in
+            Profile.reset ();
+            let counts = Alcotest.(list (pair string int)) in
+            check counts (name ^ ": unprofiled counts nothing") [] unprofiled;
+            check Alcotest.bool (name ^ ": profiled counts") true
+              (profiled <> []);
+            check counts (name ^ ": the same counts after a reset") profiled
+              again)
+          [ (`Tree, "tree"); (`Compiled, "compiled") ]);
   ]
 
 (* --- Json parser round-trips (qcheck properties) --- *)

@@ -221,10 +221,12 @@ let executor_tests =
         let fpga_run = Core.Run.run src in
         check Alcotest.string "same printed results" cpu_out
           (Core.Run.output fpga_run));
-    tc "a compiled sgesl run allocates under 4000 words per launch"
+    tc "a compiled sgesl run allocates under 2300 words per launch"
       (fun () ->
-        (* The host<->device boundary is staged once per op, so a launch
-           allocates only its records: spans, trace, metrics, flight. *)
+        (* The host<->device boundary is staged once per op and the
+           artifact's labels are rendered once, so a second run compiles
+           nothing and a launch allocates only its records: spans, trace,
+           metrics, flight. *)
         let art =
           Core.Compiler.compile (Ftn_linpack.Fortran_sources.sgesl ~n:64)
         in
@@ -234,14 +236,83 @@ let executor_tests =
             ~bitstream ()
         in
         ignore (run ());
+        let fns = Ftn_obs.Metrics.counter_value "interp.compiled_fns" in
         let before = Gc.minor_words () in
         let r = run () in
         let per_launch =
           (Gc.minor_words () -. before)
           /. float_of_int r.Executor.kernel_launches
         in
-        if per_launch > 4000.0 then
-          Alcotest.failf "%.0f minor words per launch, over 4000" per_launch);
+        check Alcotest.int "the second run compiles nothing" fns
+          (Ftn_obs.Metrics.counter_value "interp.compiled_fns");
+        if per_launch > 2300.0 then
+          Alcotest.failf "%.0f minor words per launch, over 2300" per_launch);
+    tc "a clean rerun of a degraded artifact equals a fresh one" (fun () ->
+        let src = Ftn_linpack.Fortran_sources.sgesl ~n:16 in
+        let plan =
+          match Ftn_fault.Fault.parse_plan "launch:nth=1:persistent" with
+          | Ok p -> p
+          | Error msg -> failwith msg
+        in
+        let artifact () =
+          let art = Core.Compiler.compile src in
+          (art.Core.Compiler.host, Core.Compiler.synthesise art)
+        in
+        let fields (r : Executor.result) =
+          Fmt.str
+            "%h %h %h %h %h %h launches=%d bytes=%d degraded=%b drained=%b \
+             retries=%d fallbacks=%d faults=%d device=%d"
+            r.Executor.device_time_s r.Executor.kernel_time_s
+            r.Executor.transfer_time_s r.Executor.overhead_time_s
+            r.Executor.fallback_time_s r.Executor.finish_s
+            r.Executor.kernel_launches r.Executor.bytes_transferred
+            r.Executor.degraded r.Executor.drained r.Executor.retries
+            r.Executor.cpu_fallbacks r.Executor.faults_injected
+            r.Executor.device
+        in
+        List.iter
+          (fun (engine, name) ->
+            let run ?faults (host, bitstream) =
+              Executor.run ~engine ~diag:(Ftn_diag.Diag_engine.create ())
+                ?faults ~host ~bitstream ()
+            in
+            let art = artifact () in
+            let degraded = run ~faults:plan art in
+            check Alcotest.bool (name ^ ": the faulted run degrades") true
+              (degraded.Executor.cpu_fallbacks > 0);
+            let rerun = run art in
+            let fresh = run (artifact ()) in
+            check Alcotest.string (name ^ ": output") fresh.Executor.output
+              rerun.Executor.output;
+            check Alcotest.string (name ^ ": result fields") (fields fresh)
+              (fields rerun);
+            check Alcotest.bool (name ^ ": trace events") true
+              (Trace.events fresh.Executor.trace
+              = Trace.events rerun.Executor.trace);
+            check Alcotest.string (name ^ ": data environment")
+              (Data_env.snapshot fresh.Executor.data)
+              (Data_env.snapshot rerun.Executor.data))
+          [ (`Tree, "tree"); (`Compiled, "compiled") ]);
+    tc "a 50-job run compiles its artifact once" (fun () ->
+        let src = Ftn_linpack.Fortran_sources.sgesl ~n:16 in
+        let compiled_fns f =
+          let c0 = Ftn_obs.Metrics.counter_value "interp.compiled_fns" in
+          f ();
+          Ftn_obs.Metrics.counter_value "interp.compiled_fns" - c0
+        in
+        let one = compiled_fns (fun () -> ignore (Core.Run.run src)) in
+        let fifty =
+          compiled_fns (fun () ->
+              let _, _, stats =
+                Core.Run.run_jobs
+                  ~options:{ Core.Options.default with jobs = 50 }
+                  src
+              in
+              check Alcotest.int "every job ran" 50
+                (List.length stats.Jobs.results))
+        in
+        check Alcotest.bool "a run compiles its functions" true (one > 0);
+        check Alcotest.int "50 jobs compile them once" one fifty);
     tc "both engines agree on sgesl n=64 and stencil n=64x5" (fun () ->
         List.iter
           (fun (name, src) ->

@@ -122,13 +122,18 @@ let binop_cpp = function
   | "arith.xori" -> Some "^"
   | _ -> None
 
-let cmp_cpp = function
-  | "eq" | "oeq" -> "=="
-  | "ne" | "one" -> "!="
-  | "slt" | "olt" -> "<"
-  | "sle" | "ole" -> "<="
-  | "sgt" | "ogt" -> ">"
-  | "sge" | "oge" -> ">="
+(* A comparison of the C++ expressions [a] and [b]. C++ [!=] is true on a
+   NaN operand, as [une] is; [one] is false there. *)
+let cmp_cpp p a b =
+  let infix op = Fmt.str "((%s) %s (%s))" a op b in
+  match p with
+  | "eq" | "oeq" -> infix "=="
+  | "ne" | "une" -> infix "!="
+  | "one" -> Fmt.str "std::islessgreater(%s, %s)" a b
+  | "slt" | "olt" -> infix "<"
+  | "sle" | "ole" -> infix "<="
+  | "sgt" | "ogt" -> infix ">"
+  | "sge" | "oge" -> infix ">="
   | p -> raise (Cpp_error ("unknown predicate " ^ p))
 
 let ns ctx = match ctx.target with Opencl -> "ftn" | Rv -> "ftn_rv"
@@ -177,8 +182,7 @@ and emit_op ctx op =
   | "arith.cmpi" | "arith.cmpf" -> (
     match (Op.operands op, Op.string_attr op "predicate") with
     | [ a; b ], Some p ->
-      bind ctx (Op.result1 op)
-        (Fmt.str "((%s) %s (%s))" (expr ctx a) (cmp_cpp p) (expr ctx b))
+      bind ctx (Op.result1 op) (cmp_cpp p (expr ctx a) (expr ctx b))
     | _ -> raise (Cpp_error "cmp malformed"))
   | "arith.select" -> (
     match Op.operands op with

@@ -77,11 +77,12 @@ let cmpi b pred lhs rhs =
     ~attrs:[ ("predicate", Attr.String (string_of_int_pred pred)) ]
     Types.I1
 
-type float_pred = Oeq | One | Olt | Ole | Ogt | Oge
+type float_pred = Oeq | One | Une | Olt | Ole | Ogt | Oge
 
 let string_of_float_pred = function
   | Oeq -> "oeq"
   | One -> "one"
+  | Une -> "une"
   | Olt -> "olt"
   | Ole -> "ole"
   | Ogt -> "ogt"
@@ -90,6 +91,7 @@ let string_of_float_pred = function
 let float_pred_of_string = function
   | "oeq" -> Some Oeq
   | "one" -> Some One
+  | "une" -> Some Une
   | "olt" -> Some Olt
   | "ole" -> Some Ole
   | "ogt" -> Some Ogt
@@ -151,7 +153,8 @@ let eval_int_pred pred x y =
 let eval_float_pred pred x y =
   match pred with
   | Oeq -> x = y
-  | One -> x <> y
+  | One -> x < y || x > y
+  | Une -> x <> y
   | Olt -> x < y
   | Ole -> x <= y
   | Ogt -> x > y

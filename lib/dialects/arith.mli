@@ -52,7 +52,9 @@ val string_of_int_pred : int_pred -> string
 val int_pred_of_string : string -> int_pred option
 val cmpi : Builder.t -> int_pred -> Value.t -> Value.t -> Op.t
 
-type float_pred = Oeq | One | Olt | Ole | Ogt | Oge
+type float_pred = Oeq | One | Une | Olt | Ole | Ogt | Oge
+(** IEEE comparisons as in MLIR: the ordered predicates ([o*]) are false
+    when an operand is NaN; [Une] (unordered or not equal) is true. *)
 
 val string_of_float_pred : float_pred -> string
 val float_pred_of_string : string -> float_pred option

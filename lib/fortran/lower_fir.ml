@@ -190,7 +190,8 @@ and lower_binop ctx loc op a_e b_e =
       let pred =
         match op with
         | Ast.Eq -> Arith.Oeq
-        | Ast.Ne -> Arith.One
+        (* Fortran's /= is true when either operand is NaN. *)
+        | Ast.Ne -> Arith.Une
         | Ast.Lt -> Arith.Olt
         | Ast.Le -> Arith.Ole
         | Ast.Gt -> Arith.Ogt

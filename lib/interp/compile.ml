@@ -4,6 +4,10 @@
    [code : frame -> unit] closures: op-name dispatch, constant and
    attribute decoding, cmp-predicate resolution, loop-part destructuring,
    result arities and callee resolution are all paid at compile time.
+   Only ops that do work get a closure. A constant's value is written
+   once into the function's frame template, which each call's frame
+   copies, and a no-op (a terminator, a data marker, an hls directive,
+   memref.dealloc, memref.dma_wait) compiles to nothing.
 
    A frame is a set of typed register files. Each SSA value gets a slot in
    one of three arrays, fixed from its static type when it is first seen:
@@ -27,8 +31,19 @@
 
    On IR whose value types agree with its ops, the engine preserves
    [Tree]'s observable contract exactly:
-   - [steps] is bumped once per executed op (including no-op terminators)
-     before the op runs, and the [max_steps] error fires at the same op;
+   - [steps] equals the tree-walker's wherever it can be observed. The
+     tree-walker bumps it once per executed op, no-ops included, before
+     the op runs. Here a sequence runs as segments: a run of elided ops
+     and ops that can neither raise nor read [steps] (the fast forms of
+     arithmetic other than divsi/remsi, compares, select, casts, math
+     and same-file moves), closed by the next op that can (a load,
+     store, division, allocation, call, return, region op, handler-taken
+     op or tree-semantics fallback) or by the sequence's end. A segment's
+     op count is charged, and [max_steps] checked, once before its first
+     op. Only its last op can raise or read [steps], so it sees the
+     tree-walker's count, and the [max_steps] error leaves [steps] and
+     the profile counts where the tree-walker leaves them; the ops it
+     skips would only have written frame slots that nothing reads;
    - handlers take ops in place of default semantics — each op is
      staged once, when it is compiled (the tree-walker stages it on every
      execution), and an op a handler takes compiles to boxing its
@@ -111,6 +126,32 @@ let raisef fmt =
   Fmt.kstr (fun s -> fun (_ : frame) -> raise (Tree.Interp_error s)) fmt
 
 let nop : code = fun _ -> ()
+
+(* What an op compiles to. [Elided] ops do nothing at run time: a
+   constant, whose value is preloaded into the frame template, or a no-op
+   such as a terminator or an hls directive. [Pure] code cannot raise and
+   does not read [steps]. [Work] code may do either, so it closes its
+   segment. *)
+type op_code =
+  | Elided
+  | Pure of code
+  | Work of code
+
+(* A compiled op sequence, cut into segments: a segment is a run of ops
+   charged together, closed by an op that may raise or read [steps] or by
+   the sequence's end. [codes] are the ops that do work, in order;
+   [opens.(k)] is the op count, elided ops included, of the segment that
+   [codes.(k)] opens, or 0 when it continues one. [tail] is the op count
+   of a last segment that holds no code, or 0. Under profiling
+   [counters.(k)] and [tail_counters] hold those segments' ops'
+   [Profile.op_counter]s in op order; otherwise they are empty. *)
+type seq = {
+  codes : code array;
+  opens : int array;
+  tail : int;
+  counters : int ref array array;
+  tail_counters : int ref array;
+}
 
 (* --- boxing at the edges of compiled code --- *)
 
@@ -387,6 +428,8 @@ type ctx = {
   mutable nints : int;
   mutable nfloats : int;
   mutable nvals : int;
+  mutable preloads : code list;
+      (** Writes of the function's constants into its frame template. *)
 }
 
 let slot ctx v =
@@ -414,14 +457,38 @@ let slot ctx v =
 
 let slot_array ctx vs = Array.of_list (List.map (slot ctx) vs)
 
-(* Execute a compiled op sequence, accounting one step per op before it
-   runs — exactly [Tree.exec_op]'s bump-then-check-then-execute order. *)
-let run_seq (st : Tree.state) (codes : code array) (f : frame) =
-  for i = 0 to Array.length codes - 1 do
-    st.Tree.steps <- st.Tree.steps + 1;
-    if st.Tree.steps > st.Tree.max_steps then error "step limit exceeded";
-    (Array.unsafe_get codes i) f
+(* A segment that would pass [max_steps]. The tree-walker runs and
+   counts its ops up to the limit and fails at the next one. Those ops
+   only write frame slots, which nothing reads once the error is raised,
+   so here they are counted but not run. *)
+let[@inline never] over_limit (st : Tree.state) counters =
+  let allowed = st.Tree.max_steps - st.Tree.steps in
+  for k = 0 to min allowed (Array.length counters) - 1 do
+    incr counters.(k)
+  done;
+  st.Tree.steps <- max (st.Tree.steps + 1) (st.Tree.max_steps + 1);
+  error "step limit exceeded"
+
+(* Charge a segment of [n] ops before its first op runs. *)
+let[@inline] charge (st : Tree.state) n counters =
+  let steps = st.Tree.steps + n in
+  if steps > st.Tree.max_steps then over_limit st counters;
+  st.Tree.steps <- steps;
+  for k = 0 to Array.length counters - 1 do
+    incr (Array.unsafe_get counters k)
   done
+
+(* Execute a compiled op sequence. Only a segment's last op can raise or
+   read [steps], so whatever reads [steps] sees [Tree.exec_op]'s count:
+   one step per op, bumped before the op runs. *)
+let run_seq (st : Tree.state) (s : seq) (f : frame) =
+  let codes = s.codes and opens = s.opens and counters = s.counters in
+  for k = 0 to Array.length codes - 1 do
+    let n = Array.unsafe_get opens k in
+    if n > 0 then charge st n (Array.unsafe_get counters k);
+    (Array.unsafe_get codes k) f
+  done;
+  if s.tail > 0 then charge st s.tail s.tail_counters
 
 (* Write a runtime result list into result slots, with the tree-walker's
    arity error. *)
@@ -473,20 +540,37 @@ and compile_function st cache fn =
 
 and compile_fn_body st cache fn fname =
   let ctx =
-    { st; cache; slots = Hashtbl.create 64; nints = 0; nfloats = 0; nvals = 0 }
+    {
+      st;
+      cache;
+      slots = Hashtbl.create 64;
+      nints = 0;
+      nfloats = 0;
+      nvals = 0;
+      preloads = [];
+    }
   in
   let params =
     Array.of_list (List.map (fun p -> unbox (slot ctx p)) (Func_d.params fn))
   in
   let codes = compile_seq ctx (Func_d.body fn) in
-  let nints = ctx.nints and nfloats = ctx.nfloats and nvals = ctx.nvals in
+  (* Constants are written once, here; each call's frame starts as a copy
+     of the template. *)
+  let template =
+    {
+      ints = Array.make ctx.nints 0;
+      floats = Float.Array.make ctx.nfloats 0.0;
+      vals = Array.make ctx.nvals Rtval.Unit;
+    }
+  in
+  List.iter (fun preload -> preload template) ctx.preloads;
   let nparams = Array.length params in
   fun args ->
     let f =
       {
-        ints = Array.make nints 0;
-        floats = Float.Array.make nfloats 0.0;
-        vals = Array.make nvals Rtval.Unit;
+        ints = Array.copy template.ints;
+        floats = Float.Array.copy template.floats;
+        vals = Array.copy template.vals;
       }
     in
     let arity_err () =
@@ -508,35 +592,74 @@ and compile_fn_body st cache fn fname =
       []
     with Tree.Return rvs -> rvs
 
-and compile_seq ctx ops = Array.of_list (List.map (compile_op ctx) ops)
-
-and compile_op ctx op : code =
-  let code = compile_op_dispatch ctx op in
-  (* The profiling decision is paid at compile time: when enabled, the
-     op's shared counter ref is resolved once and each execution is a
-     single [incr]; when disabled the closure is untouched. The cache is
-     keyed on the profiling stamp ([get_cache]), so code compiled with
-     profiling off, or holding refs a [Profile.reset] dropped, is not
-     reused by a later run under another profiling state. *)
-  if !Ftn_obs.Profile.on then begin
-    let c = Ftn_obs.Profile.op_counter (Op.name op) in
-    fun f ->
-      incr c;
-      code f
-  end
-  else code
+(* Split a sequence into segments: each closes after an op that may
+   raise or read [steps], and the sequence's end closes the last one.
+   The profiling decision is paid here: under profiling each segment
+   holds its ops' shared counter refs, resolved once. The cache is keyed
+   on the profiling stamp ([get_cache]), so code compiled with profiling
+   off, or holding refs a [Profile.reset] dropped, is not reused by a
+   later run under another profiling state. *)
+and compile_seq ctx ops : seq =
+  let ops = Array.of_list ops in
+  let compiled = Array.map (compile_op ctx) ops in
+  let ncodes =
+    Array.fold_left
+      (fun n c -> match c with Elided -> n | Pure _ | Work _ -> n + 1)
+      0 compiled
+  in
+  let codes = Array.make ncodes nop and opens = Array.make ncodes 0 in
+  let counters = Array.make ncodes [||] in
+  let profiled = !Ftn_obs.Profile.on in
+  let counters_of first stop =
+    if profiled then
+      Array.init (stop - first) (fun i ->
+          Ftn_obs.Profile.op_counter (Op.name ops.(first + i)))
+    else [||]
+  in
+  (* The open segment starts at op [first]; [opener] is the index of its
+     first code, or -1 while it has none. *)
+  let k = ref 0 and first = ref 0 and opener = ref (-1) in
+  let add code =
+    if !opener < 0 then opener := !k;
+    codes.(!k) <- code;
+    incr k
+  in
+  let close stop =
+    opens.(!opener) <- stop - !first;
+    counters.(!opener) <- counters_of !first stop;
+    first := stop;
+    opener := -1
+  in
+  Array.iteri
+    (fun i c ->
+      match c with
+      | Elided -> ()
+      | Pure code -> add code
+      | Work code ->
+        add code;
+        close (i + 1))
+    compiled;
+  let n = Array.length ops in
+  if !opener >= 0 then close n;
+  {
+    codes;
+    opens;
+    tail = n - !first;
+    counters;
+    tail_counters = counters_of !first n;
+  }
 
 (* Handlers stage the op once, here: an op a handler takes runs its
    staged runner on boxed operands, and its default semantics are never
    compiled. *)
-and compile_op_dispatch ctx op : code =
+and compile_op ctx op : op_code =
   match Tree.stage_handlers ctx.st.Tree.handlers op with
   | None -> compile_default ctx op
   | Some run ->
     let operands = boxed_operands ctx op in
     let results = Array.map unbox (slot_array ctx (Op.results op)) in
     let st = ctx.st in
-    fun f -> set_result_list op results f (run st (operands f))
+    Work (fun f -> set_result_list op results f (run st (operands f)))
 
 (* The tree-walker's default semantics on boxed operands, bound into the
    scratch tree-frame where [Tree.exec_default] looks them up, for a leaf
@@ -560,11 +683,16 @@ and tree_semantics ctx op : code =
     Tree.exec_default st scratch op operands;
     List.iter (fun (r, set) -> set f (Tree.get scratch r)) sets
 
-and compile_default ctx op : code =
+and compile_default ctx op : op_code =
   let name = Op.name op in
   let sl v = slot ctx v in
   let d1 () = sl (Op.result1 op) in
-  let fallback () = tree_semantics ctx op in
+  let fallback () = Work (tree_semantics ctx op) in
+  (* A copy within one register file cannot fail; across files it
+     unboxes with [Rtval.as_int] / [Rtval.as_float], which can. *)
+  let move_op s d =
+    if s.file = d.file then Pure (move s d) else Work (move s d)
+  in
   match name with
   | "arith.constant" -> (
     let rv =
@@ -577,17 +705,21 @@ and compile_default ctx op : code =
     in
     match rv with
     | None -> fallback ()
-    | Some rv -> (
+    | Some rv ->
       let d = d1 () in
       let i = d.idx in
-      match d.file with
-      | Ints ->
-        let n = Rtval.as_int rv in
-        fun f -> si f i n
-      | Floats ->
-        let x = Rtval.as_float rv in
-        fun f -> sf f i x
-      | Vals -> fun f -> sv f i rv))
+      let preload : code =
+        match d.file with
+        | Ints ->
+          let n = Rtval.as_int rv in
+          fun f -> si f i n
+        | Floats ->
+          let x = Rtval.as_float rv in
+          fun f -> sf f i x
+        | Vals -> fun f -> sv f i rv
+      in
+      ctx.preloads <- preload :: ctx.preloads;
+      Elided)
   | "arith.addi" | "arith.subi" | "arith.muli" | "arith.divsi"
   | "arith.remsi" | "arith.maxsi" | "arith.minsi" | "arith.andi"
   | "arith.ori" | "arith.xori" -> (
@@ -601,34 +733,38 @@ and compile_default ctx op : code =
         when ty <> Types.I1
              || List.mem name [ "arith.andi"; "arith.ori"; "arith.xori" ] -> (
         match name with
-        | "arith.addi" -> fun f -> si f d (gi f a + gi f b)
-        | "arith.subi" -> fun f -> si f d (gi f a - gi f b)
-        | "arith.muli" -> fun f -> si f d (gi f a * gi f b)
+        | "arith.addi" -> Pure (fun f -> si f d (gi f a + gi f b))
+        | "arith.subi" -> Pure (fun f -> si f d (gi f a - gi f b))
+        | "arith.muli" -> Pure (fun f -> si f d (gi f a * gi f b))
         (* Division operators check the divisor first, like the
            tree-walker. *)
         | "arith.divsi" ->
-          fun f ->
-            let y = gi f b in
-            if y = 0 then error "integer division by zero"
-            else si f d (gi f a / y)
+          Work
+            (fun f ->
+              let y = gi f b in
+              if y = 0 then error "integer division by zero"
+              else si f d (gi f a / y))
         | "arith.remsi" ->
-          fun f ->
-            let y = gi f b in
-            if y = 0 then error "integer remainder by zero"
-            else si f d (gi f a mod y)
+          Work
+            (fun f ->
+              let y = gi f b in
+              if y = 0 then error "integer remainder by zero"
+              else si f d (gi f a mod y))
         | "arith.maxsi" ->
-          fun f ->
-            let x = gi f a and y = gi f b in
-            si f d (if x >= y then x else y)
+          Pure
+            (fun f ->
+              let x = gi f a and y = gi f b in
+              si f d (if x >= y then x else y))
         | "arith.minsi" ->
-          fun f ->
-            let x = gi f a and y = gi f b in
-            si f d (if x <= y then x else y)
+          Pure
+            (fun f ->
+              let x = gi f a and y = gi f b in
+              si f d (if x <= y then x else y))
         (* On i1 values held as 0/1 these are exactly the tree-walker's
            boolean and/or/xor. *)
-        | "arith.andi" -> fun f -> si f d (gi f a land gi f b)
-        | "arith.ori" -> fun f -> si f d (gi f a lor gi f b)
-        | _ -> fun f -> si f d (gi f a lxor gi f b))
+        | "arith.andi" -> Pure (fun f -> si f d (gi f a land gi f b))
+        | "arith.ori" -> Pure (fun f -> si f d (gi f a lor gi f b))
+        | _ -> Pure (fun f -> si f d (gi f a lxor gi f b)))
       | _ -> fallback ())
     | _ -> fallback ())
   | "arith.addf" | "arith.subf" | "arith.mulf" | "arith.divf"
@@ -637,28 +773,29 @@ and compile_default ctx op : code =
     | [ a; b ] -> (
       match (sl a, sl b, d1 ()) with
       | { file = Floats; idx = a; _ }, { file = Floats; idx = b; _ },
-        { file = Floats; idx = d; ty } -> (
+        { file = Floats; idx = d; ty } ->
         (* f32-typed arithmetic rounds to single precision per
            operation *)
-        match (name, ty) with
-        | "arith.addf", Types.F32 ->
-          fun f -> sf f d (round_f32 (gf f a +. gf f b))
-        | "arith.addf", _ -> fun f -> sf f d (gf f a +. gf f b)
-        | "arith.subf", Types.F32 ->
-          fun f -> sf f d (round_f32 (gf f a -. gf f b))
-        | "arith.subf", _ -> fun f -> sf f d (gf f a -. gf f b)
-        | "arith.mulf", Types.F32 ->
-          fun f -> sf f d (round_f32 (gf f a *. gf f b))
-        | "arith.mulf", _ -> fun f -> sf f d (gf f a *. gf f b)
-        | "arith.divf", Types.F32 ->
-          fun f -> sf f d (round_f32 (gf f a /. gf f b))
-        | "arith.divf", _ -> fun f -> sf f d (gf f a /. gf f b)
-        | "arith.maximumf", Types.F32 ->
-          fun f -> sf f d (round_f32 (Float.max (gf f a) (gf f b)))
-        | "arith.maximumf", _ -> fun f -> sf f d (Float.max (gf f a) (gf f b))
-        | _, Types.F32 ->
-          fun f -> sf f d (round_f32 (Float.min (gf f a) (gf f b)))
-        | _ -> fun f -> sf f d (Float.min (gf f a) (gf f b)))
+        Pure
+          (match (name, ty) with
+          | "arith.addf", Types.F32 ->
+            fun f -> sf f d (round_f32 (gf f a +. gf f b))
+          | "arith.addf", _ -> fun f -> sf f d (gf f a +. gf f b)
+          | "arith.subf", Types.F32 ->
+            fun f -> sf f d (round_f32 (gf f a -. gf f b))
+          | "arith.subf", _ -> fun f -> sf f d (gf f a -. gf f b)
+          | "arith.mulf", Types.F32 ->
+            fun f -> sf f d (round_f32 (gf f a *. gf f b))
+          | "arith.mulf", _ -> fun f -> sf f d (gf f a *. gf f b)
+          | "arith.divf", Types.F32 ->
+            fun f -> sf f d (round_f32 (gf f a /. gf f b))
+          | "arith.divf", _ -> fun f -> sf f d (gf f a /. gf f b)
+          | "arith.maximumf", Types.F32 ->
+            fun f -> sf f d (round_f32 (Float.max (gf f a) (gf f b)))
+          | "arith.maximumf", _ -> fun f -> sf f d (Float.max (gf f a) (gf f b))
+          | _, Types.F32 ->
+            fun f -> sf f d (round_f32 (Float.min (gf f a) (gf f b)))
+          | _ -> fun f -> sf f d (Float.min (gf f a) (gf f b)))
       | _ -> fallback ())
     | _ -> fallback ())
   | "arith.negf" -> (
@@ -666,7 +803,7 @@ and compile_default ctx op : code =
     | [ a ] -> (
       match (sl a, d1 ()) with
       | { file = Floats; idx = a; _ }, { file = Floats; idx = d; _ } ->
-        fun f -> sf f d (-.gf f a)
+        Pure (fun f -> sf f d (-.gf f a))
       | _ -> fallback ())
     | _ -> fallback ())
   | "arith.cmpi" -> (
@@ -676,14 +813,15 @@ and compile_default ctx op : code =
       | Some pred -> (
         match (sl a, sl b, d1 ()) with
         | { file = Ints; idx = a; _ }, { file = Ints; idx = b; _ },
-          { file = Ints; idx = d; _ } -> (
-          match pred with
-          | Arith.Eq -> fun f -> si f d (if gi f a = gi f b then 1 else 0)
-          | Arith.Ne -> fun f -> si f d (if gi f a <> gi f b then 1 else 0)
-          | Arith.Slt -> fun f -> si f d (if gi f a < gi f b then 1 else 0)
-          | Arith.Sle -> fun f -> si f d (if gi f a <= gi f b then 1 else 0)
-          | Arith.Sgt -> fun f -> si f d (if gi f a > gi f b then 1 else 0)
-          | Arith.Sge -> fun f -> si f d (if gi f a >= gi f b then 1 else 0))
+          { file = Ints; idx = d; _ } ->
+          Pure
+            (match pred with
+            | Arith.Eq -> fun f -> si f d (if gi f a = gi f b then 1 else 0)
+            | Arith.Ne -> fun f -> si f d (if gi f a <> gi f b then 1 else 0)
+            | Arith.Slt -> fun f -> si f d (if gi f a < gi f b then 1 else 0)
+            | Arith.Sle -> fun f -> si f d (if gi f a <= gi f b then 1 else 0)
+            | Arith.Sgt -> fun f -> si f d (if gi f a > gi f b then 1 else 0)
+            | Arith.Sge -> fun f -> si f d (if gi f a >= gi f b then 1 else 0))
         | _ -> fallback ())
       | None -> fallback ())
     | _ -> fallback ())
@@ -694,14 +832,20 @@ and compile_default ctx op : code =
       | Some pred -> (
         match (sl a, sl b, d1 ()) with
         | { file = Floats; idx = a; _ }, { file = Floats; idx = b; _ },
-          { file = Ints; idx = d; _ } -> (
-          match pred with
-          | Arith.Oeq -> fun f -> si f d (if gf f a = gf f b then 1 else 0)
-          | Arith.One -> fun f -> si f d (if gf f a <> gf f b then 1 else 0)
-          | Arith.Olt -> fun f -> si f d (if gf f a < gf f b then 1 else 0)
-          | Arith.Ole -> fun f -> si f d (if gf f a <= gf f b then 1 else 0)
-          | Arith.Ogt -> fun f -> si f d (if gf f a > gf f b then 1 else 0)
-          | Arith.Oge -> fun f -> si f d (if gf f a >= gf f b then 1 else 0))
+          { file = Ints; idx = d; _ } ->
+          (* Ordered predicates are false on a NaN operand, [une] true. *)
+          Pure
+            (match pred with
+            | Arith.Oeq -> fun f -> si f d (if gf f a = gf f b then 1 else 0)
+            | Arith.One ->
+              fun f ->
+                let x = gf f a and y = gf f b in
+                si f d (if x < y || x > y then 1 else 0)
+            | Arith.Une -> fun f -> si f d (if gf f a <> gf f b then 1 else 0)
+            | Arith.Olt -> fun f -> si f d (if gf f a < gf f b then 1 else 0)
+            | Arith.Ole -> fun f -> si f d (if gf f a <= gf f b then 1 else 0)
+            | Arith.Ogt -> fun f -> si f d (if gf f a > gf f b then 1 else 0)
+            | Arith.Oge -> fun f -> si f d (if gf f a >= gf f b then 1 else 0))
         | _ -> fallback ())
       | None -> fallback ())
     | _ -> fallback ())
@@ -710,12 +854,14 @@ and compile_default ctx op : code =
     | [ c; t; e ] -> (
       match (sl c, sl t, sl e, d1 ()) with
       | { file = Ints; idx = c; _ }, t, e, d
-        when t.file = d.file && e.file = d.file -> (
+        when t.file = d.file && e.file = d.file ->
         let t = t.idx and e = e.idx and d' = d.idx in
-        match d.file with
-        | Ints -> fun f -> si f d' (if gi f c <> 0 then gi f t else gi f e)
-        | Floats -> fun f -> sf f d' (if gi f c <> 0 then gf f t else gf f e)
-        | Vals -> fun f -> sv f d' (if gi f c <> 0 then gv f t else gv f e))
+        Pure
+          (match d.file with
+          | Ints -> fun f -> si f d' (if gi f c <> 0 then gi f t else gi f e)
+          | Floats ->
+            fun f -> sf f d' (if gi f c <> 0 then gf f t else gf f e)
+          | Vals -> fun f -> sv f d' (if gi f c <> 0 then gv f t else gv f e))
       | _ -> fallback ())
     | _ -> fallback ())
   | "arith.index_cast" | "arith.extsi" | "arith.trunci" | "arith.sitofp"
@@ -728,17 +874,18 @@ and compile_default ctx op : code =
       let s = sl a and d = d1 () in
       let a = s.idx and i = d.idx in
       match (s.file, d.ty) with
-      | Floats, Types.F32 -> fun f -> sf f i (round_f32 (gf f a))
-      | Ints, Types.F32 -> fun f -> sf f i (round_f32 (float_of_int (gi f a)))
-      | Floats, (Types.F16 | Types.F64) -> fun f -> sf f i (gf f a)
+      | Floats, Types.F32 -> Pure (fun f -> sf f i (round_f32 (gf f a)))
+      | Ints, Types.F32 ->
+        Pure (fun f -> sf f i (round_f32 (float_of_int (gi f a))))
+      | Floats, (Types.F16 | Types.F64) -> Pure (fun f -> sf f i (gf f a))
       | Ints, (Types.F16 | Types.F64) ->
-        fun f -> sf f i (float_of_int (gi f a))
-      | Ints, Types.I1 -> fun f -> si f i (if gi f a <> 0 then 1 else 0)
-      | Ints, _ when d.file = Ints -> fun f -> si f i (gi f a)
+        Pure (fun f -> sf f i (float_of_int (gi f a)))
+      | Ints, Types.I1 -> Pure (fun f -> si f i (if gi f a <> 0 then 1 else 0))
+      | Ints, _ when d.file = Ints -> Pure (fun f -> si f i (gi f a))
       (* a float to i1 is [Rtval.as_bool], which raises: left to the
          fallback *)
       | Floats, _ when d.file = Ints && d.ty <> Types.I1 ->
-        fun f -> si f i (int_of_float (gf f a))
+        Pure (fun f -> si f i (int_of_float (gf f a)))
       | _ -> fallback ())
     | _ -> fallback ())
   | "math.sqrt" | "math.exp" | "math.log" | "math.sin" | "math.cos"
@@ -747,7 +894,7 @@ and compile_default ctx op : code =
     | [ a ], Some g -> (
       match (sl a, d1 ()) with
       | { file = Floats; idx = a; _ }, { file = Floats; idx = d; _ } ->
-        fun f -> sf f d (g (gf f a))
+        Pure (fun f -> sf f d (g (gf f a)))
       | _ -> fallback ())
     | _ -> fallback ())
   | "math.powf" -> (
@@ -756,7 +903,7 @@ and compile_default ctx op : code =
       match (sl a, sl b, d1 ()) with
       | { file = Floats; idx = a; _ }, { file = Floats; idx = b; _ },
         { file = Floats; idx = d; _ } ->
-        fun f -> sf f d (Float.pow (gf f a) (gf f b))
+        Pure (fun f -> sf f d (Float.pow (gf f a) (gf f b)))
       | _ -> fallback ())
     | _ -> fallback ())
   | "memref.alloca" | "memref.alloc" -> (
@@ -765,120 +912,112 @@ and compile_default ctx op : code =
       let dyn = List.map (fun v -> int_reader (sl v)) (Op.operands op) in
       let set = unbox (d1 ()) in
       let elt = mi.Types.elt and mspace = mi.Types.memory_space in
-      fun f ->
-        let dynamic = List.map (fun r -> r f) dyn in
-        let shape = Tree.resolve_shape mi dynamic in
-        set f (Rtval.Buf (Rtval.alloc_buffer ~memory_space:mspace elt shape))
+      Work
+        (fun f ->
+          let dynamic = List.map (fun r -> r f) dyn in
+          let shape = Tree.resolve_shape mi dynamic in
+          set f (Rtval.Buf (Rtval.alloc_buffer ~memory_space:mspace elt shape)))
     | _ -> fallback ())
-  | "memref.dealloc" -> nop
   | "memref.load" -> (
     match Op.operands op with
-    | buf :: indices -> compile_load ctx op (sl buf) (List.map sl indices)
+    | buf :: indices ->
+      Work (compile_load ctx op (sl buf) (List.map sl indices))
     | [] -> fallback ())
   | "memref.store" -> (
     match Op.operands op with
     | value :: buf :: indices ->
-      compile_store ctx op (sl value) (sl buf) (List.map sl indices)
+      Work (compile_store ctx op (sl value) (sl buf) (List.map sl indices))
     | _ -> fallback ())
   | "memref.dim" -> (
     match Op.operands op with
     | [ buf; idx ] ->
       let b = box (sl buf) and i = int_reader (sl idx) in
       let set = unbox (d1 ()) in
-      fun f -> (
-        let bv = Rtval.as_buffer (b f) in
-        let i = i f in
-        match if i < 0 then None else List.nth_opt bv.Rtval.shape i with
-        | Some n -> set f (Rtval.Int n)
-        | None -> error "memref.dim out of range")
+      Work
+        (fun f ->
+          let bv = Rtval.as_buffer (b f) in
+          let i = i f in
+          match if i < 0 then None else List.nth_opt bv.Rtval.shape i with
+          | Some n -> set f (Rtval.Int n)
+          | None -> error "memref.dim out of range")
     | _ -> fallback ())
   | "memref.copy" | "memref.dma_start" -> (
     match Op.operands op with
     | [ src; dst ] ->
       let s = box (sl src) and d = box (sl dst) in
-      fun f ->
-        Rtval.copy_into ~src:(Rtval.as_buffer (s f))
-          ~dst:(Rtval.as_buffer (d f))
+      Work
+        (fun f ->
+          Rtval.copy_into ~src:(Rtval.as_buffer (s f))
+            ~dst:(Rtval.as_buffer (d f)))
     | _ -> fallback ())
-  | "memref.dma_wait" -> nop
-  | "memref.cast" -> (
+  | "memref.cast" | "builtin.unrealized_conversion_cast" -> (
     match Op.operands op with
-    | [ a ] -> move (sl a) (d1 ())
+    | [ a ] -> move_op (sl a) (d1 ())
     | _ -> fallback ())
-  | "scf.for" -> compile_for ctx op
-  | "scf.if" -> compile_if ctx op
-  | "scf.while" -> compile_while ctx op
-  | "scf.yield" | "scf.condition" | "omp.yield" | "omp.terminator" -> nop
-  | "func.call" | "fir.call" -> compile_call ctx op
+  | "scf.for" -> Work (compile_for ctx op)
+  | "scf.if" -> Work (compile_if ctx op)
+  | "scf.while" -> Work (compile_while ctx op)
+  | "func.call" | "fir.call" -> Work (compile_call ctx op)
   | "func.return" -> (
     match List.map (fun v -> box (sl v)) (Op.operands op) with
-    | [] -> fun _ -> raise (Tree.Return [])
-    | gets -> fun f -> raise (Tree.Return (List.map (fun get -> get f) gets)))
-  | "func.func" -> nop
-  | "builtin.module" -> nop
-  | "builtin.unrealized_conversion_cast" -> (
+    | [] -> Work (fun _ -> raise (Tree.Return []))
+    | gets ->
+      Work (fun f -> raise (Tree.Return (List.map (fun get -> get f) gets))))
+  (* The ops that do nothing here: terminators, data markers, hls
+     directives and the ops a function body never holds. *)
+  | "memref.dealloc" | "memref.dma_wait" | "scf.yield" | "scf.condition"
+  | "omp.yield" | "omp.terminator" | "omp.target_enter_data"
+  | "omp.target_exit_data" | "omp.target_update" | "acc.enter_data"
+  | "acc.exit_data" | "acc.update" | "acc.yield" | "acc.terminator"
+  | "hls.pipeline" | "hls.unroll" | "hls.interface" | "hls.array_partition"
+  | "hls.dataflow" | "func.func" | "builtin.module" ->
+    Elided
+  | "omp.map_info" | "acc.copy_info" -> (
     match Op.operands op with
-    | [ a ] -> move (sl a) (d1 ())
-    | _ -> fallback ())
-  | "omp.map_info" -> (
-    match Op.operands op with
-    | var :: _ -> move (sl var) (d1 ())
+    | var :: _ -> move_op (sl var) (d1 ())
     | [] -> fallback ())
   | "omp.bounds_info" ->
     let set = unbox (d1 ()) in
-    fun f -> set f (Rtval.Int 0)
-  | "omp.target" -> compile_region_entry ctx op "malformed omp.target"
-  | "omp.target_data" ->
+    Work (fun f -> set f (Rtval.Int 0))
+  | "omp.target" -> Work (compile_region_entry ctx op "malformed omp.target")
+  | "acc.parallel" ->
+    Work (compile_region_entry ctx op "malformed acc.parallel")
+  | "omp.target_data" | "acc.data" ->
     let body = compile_seq ctx (Op.region_body op 0) in
     let st = ctx.st in
-    fun f -> run_seq st body f
-  | "omp.target_enter_data" | "omp.target_exit_data" | "omp.target_update"
-    ->
-    nop
-  | "omp.parallel_do" -> compile_parallel_do ctx op
-  | "acc.copy_info" -> (
-    match Op.operands op with
-    | var :: _ -> move (sl var) (d1 ())
-    | [] -> fallback ())
-  | "acc.parallel" -> compile_region_entry ctx op "malformed acc.parallel"
-  | "acc.data" ->
-    let body = compile_seq ctx (Op.region_body op 0) in
-    let st = ctx.st in
-    fun f -> run_seq st body f
-  | "acc.enter_data" | "acc.exit_data" | "acc.update" -> nop
-  | "acc.loop" -> compile_acc_loop ctx op
-  | "acc.yield" | "acc.terminator" -> nop
-  | "hls.pipeline" | "hls.unroll" | "hls.interface" | "hls.array_partition"
-  | "hls.dataflow" ->
-    nop
+    Work (fun f -> run_seq st body f)
+  | "omp.parallel_do" -> Work (compile_parallel_do ctx op)
+  | "acc.loop" -> Work (compile_acc_loop ctx op)
   | "hls.axi_protocol" -> (
     match Op.operands op with
     | [ a ] ->
       let a = int_reader (sl a) and set = unbox (d1 ()) in
-      fun f -> set f (Rtval.Proto (a f))
+      Work (fun f -> set f (Rtval.Proto (a f)))
     | _ -> fallback ())
   | "hls.stream_create" ->
     let set = unbox (d1 ()) in
-    fun f -> set f (Rtval.StreamQ (Queue.create ()))
+    Work (fun f -> set f (Rtval.StreamQ (Queue.create ())))
   | "hls.stream_read" -> (
     match Op.operands op with
     | [ a ] ->
       let a = box (sl a) and set = unbox (d1 ()) in
-      fun f -> (
-        match a f with
-        | Rtval.StreamQ q ->
-          if Queue.is_empty q then error "read on an empty hls.stream"
-          else set f (Queue.pop q)
-        | _ -> error "hls.stream_read expects a stream")
+      Work
+        (fun f ->
+          match a f with
+          | Rtval.StreamQ q ->
+            if Queue.is_empty q then error "read on an empty hls.stream"
+            else set f (Queue.pop q)
+          | _ -> error "hls.stream_read expects a stream")
     | _ -> fallback ())
   | "hls.stream_write" -> (
     match Op.operands op with
     | [ a; v ] ->
       let a = box (sl a) and v = box (sl v) in
-      fun f -> (
-        match a f with
-        | Rtval.StreamQ q -> Queue.push (v f) q
-        | _ -> error "hls.stream_write expects a stream and a value")
+      Work
+        (fun f ->
+          match a f with
+          | Rtval.StreamQ q -> Queue.push (v f) q
+          | _ -> error "hls.stream_write expects a stream and a value")
     | _ -> fallback ())
   | _ -> fallback ()
 

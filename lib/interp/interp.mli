@@ -16,11 +16,15 @@
     — unboxed integer and float arrays plus an [Rtval.t] array for
     everything else ({!Compile}) — typically several times faster. On IR
     whose value types agree with its ops the engines are observationally
-    equivalent: same results, same [steps]
-    counts, same handler runs and [on_loop] callbacks, same error messages
-    on executed malformed ops. A runtime error of the interpreted program
-    (an out-of-bounds access, a division by zero) raises
-    {!Interp_error} under both. *)
+    equivalent: same results, same handler runs and [on_loop] callbacks,
+    same error messages on executed malformed ops, and [steps] equal to
+    the tree-walker's wherever it can be observed. The tree-walker counts
+    one step per executed op before running it. The compiled engine
+    charges a segment of ops at once: ops that cannot raise or read
+    [steps], up to and including the next op that can. The step limit
+    then fails with the same [steps] and profile counts. A runtime error
+    of the interpreted program (an out-of-bounds access, a division by
+    zero) raises {!Interp_error} under both. *)
 
 exception Interp_error of string
 
@@ -45,7 +49,8 @@ type embedder += Unbound  (** No run is bound. *)
 type state = {
   modules : Ftn_ir.Op.t list;  (** Searched for function bodies, in order. *)
   handlers : handler list;
-  mutable steps : int;  (** Executed op count. *)
+  mutable steps : int;
+      (** Executed op count, as the tree-walker counts it; see above. *)
   max_steps : int;
   mutable on_loop : (loop_key:int -> iters:int -> unit) option;
       (** Called after each scf.for completes with the induction variable's

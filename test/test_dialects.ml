@@ -71,7 +71,8 @@ let arith_tests =
           (fun p ->
             check Alcotest.bool "roundtrip" true
               (Arith.float_pred_of_string (Arith.string_of_float_pred p) = Some p))
-          [ Arith.Oeq; Arith.One; Arith.Olt; Arith.Ole; Arith.Ogt; Arith.Oge ]);
+          [ Arith.Oeq; Arith.One; Arith.Une; Arith.Olt; Arith.Ole; Arith.Ogt;
+            Arith.Oge ]);
     tc "fold tables" (fun () ->
         check (Alcotest.option Alcotest.int) "addi" (Some 7)
           (Arith.fold_int_binop "arith.addi" 3 4);
@@ -81,7 +82,20 @@ let arith_tests =
           (Alcotest.option (Alcotest.float 1e-9))
           "mulf" (Some 1.5)
           (Arith.fold_float_binop "arith.mulf" 0.5 3.0);
-        check Alcotest.bool "pred eval" true (Arith.eval_int_pred Arith.Slt 1 2));
+        check Alcotest.bool "pred eval" true (Arith.eval_int_pred Arith.Slt 1 2);
+        (* ordered predicates are false on a NaN operand, une is true *)
+        List.iter
+          (fun (what, p, x, y, expect) ->
+            check Alcotest.bool what expect (Arith.eval_float_pred p x y))
+          [
+            ("one on NaN", Arith.One, Float.nan, 1.0, false);
+            ("une on NaN", Arith.Une, Float.nan, 1.0, true);
+            ("oeq on NaN", Arith.Oeq, Float.nan, Float.nan, false);
+            ("one", Arith.One, 1.0, 2.0, true);
+            ("une", Arith.Une, 1.0, 2.0, true);
+            ("one on equals", Arith.One, 2.0, 2.0, false);
+            ("une on equals", Arith.Une, 2.0, 2.0, false);
+          ]);
     tc "verifier rejects operand mismatch" (fun () ->
         let b = Builder.create () in
         let x = Builder.fresh b Types.I32 in

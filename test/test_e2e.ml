@@ -245,6 +245,42 @@ let e2e_tests =
         in
         check Alcotest.bool "fpga about half of cpu" true
           (fpga < cpu /. 1.7 && fpga > cpu /. 3.0));
+    tc "real /= is true on a NaN and emits fcmp une" (fun () ->
+        (* Fortran's /= is IEEE unordered-not-equal: NaN /= NaN holds *)
+        let art =
+          Core.Compiler.compile
+            "program nancmp\n\
+             implicit none\n\
+             real :: a(4)\n\
+             integer :: i\n\
+             !$omp target parallel do map(from:a)\n\
+             do i = 1, 4\n\
+             if (0.0 / 0.0 /= 0.0 / 0.0) then\n\
+             a(i) = 1.0\n\
+             else\n\
+             a(i) = 2.0\n\
+             end if\n\
+             end do\n\
+             !$omp end target parallel do\n\
+             print *, a(1), a(4)\n\
+             end program nancmp\n"
+        in
+        let bitstream = Core.Compiler.synthesise art in
+        List.iter
+          (fun engine ->
+            let r =
+              Executor.run ~engine ~host:art.Core.Compiler.host ~bitstream ()
+            in
+            check Alcotest.string "device output" " 1.000000 1.000000\n"
+              r.Executor.output;
+            let cpu, _ =
+              Executor.run_cpu ~engine art.Core.Compiler.core_module
+            in
+            check Alcotest.string "cpu output" " 1.000000 1.000000\n" cpu)
+          [ `Tree; `Compiled ];
+        let llvm = Option.get art.Core.Compiler.llvm_ir in
+        check Alcotest.bool "fcmp une" true (contains llvm "fcmp une");
+        check Alcotest.bool "no fcmp one" false (contains llvm "fcmp one"));
   ]
 
 

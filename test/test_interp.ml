@@ -548,6 +548,89 @@ let stream_tests engine =
 
 (* --- engine equivalence --- *)
 
+(* Programs for the step-limit sweep: loops, branches, calls, prints, a
+   do-while with an if/else, a kernel that stores one element past the
+   end of its array and one that divides by zero. *)
+let sweep_sources =
+  [
+    ("saxpy n=8", Ftn_linpack.Fortran_sources.saxpy ~n:8);
+    ("sgesl n=6", Ftn_linpack.Fortran_sources.sgesl ~n:6);
+    ("stencil n=8x2", Ftn_linpack.Fortran_sources.stencil ~n:8 ~steps:2);
+    ( "do while",
+      "program w\n\
+       implicit none\n\
+       integer :: i, s\n\
+       i = 0\n\
+       s = 0\n\
+       do while (i < 6)\n\
+       i = i + 1\n\
+       if (i > 3) then\n\
+       s = s + i\n\
+       else\n\
+       s = s - 1\n\
+       end if\n\
+       end do\n\
+       print *, i, s\n\
+       end program w\n" );
+    ( "out-of-bounds kernel",
+      "program oob\n\
+       implicit none\n\
+       real :: a(16)\n\
+       integer :: i\n\
+       do i = 1, 16\n\
+       a(i) = 0.0\n\
+       end do\n\
+       print *, 'start'\n\
+       !$omp target parallel do map(tofrom:a)\n\
+       do i = 1, 17\n\
+       a(i) = real(i)\n\
+       end do\n\
+       !$omp end target parallel do\n\
+       print *, a(1)\n\
+       end program oob\n" );
+    ( "division by zero kernel",
+      "program div0\n\
+       implicit none\n\
+       integer :: a(8)\n\
+       integer :: i, z\n\
+       z = 0\n\
+       do i = 1, 8\n\
+       a(i) = i\n\
+       end do\n\
+       !$omp target parallel do map(tofrom:a) map(to:z)\n\
+       do i = 1, 8\n\
+       a(i) = a(i) / z\n\
+       end do\n\
+       !$omp end target parallel do\n\
+       print *, a(1)\n\
+       end program div0\n" );
+  ]
+
+(* Everything a run of [m]'s main program under [max_steps] lets a caller
+   see: its outcome (results or error message), steps, printed output and
+   executed op counts. *)
+let limited_run m ~max_steps engine =
+  let sink = Intrinsics.make_sink () in
+  let state =
+    Interp.make ~max_steps ~engine
+      ~handlers:
+        [ Intrinsics.print_handler (fun _ -> sink);
+          Intrinsics.runtime_library_handler ]
+      [ m ]
+  in
+  Ftn_obs.Profile.reset ();
+  let outcome =
+    match
+      Interp.call_function state (Option.get (Interp.main_function m)) []
+    with
+    | r -> Fmt.str "%a" (Fmt.Dump.list Rtval.pp) r
+    | exception Interp.Interp_error msg -> "error: " ^ msg
+  in
+  ( outcome,
+    state.Interp.steps,
+    Intrinsics.contents sink,
+    List.filter (fun (_, n) -> n > 0) (Ftn_obs.Profile.ops ()) )
+
 let engine_tests =
   [
     tc "tree and compiled agree on results and steps" (fun () ->
@@ -775,6 +858,40 @@ let engine_tests =
         in
         check Alcotest.bool "relaunches hit the cache" true
           (after - before >= 2));
+    tc "both engines agree at every step limit, profiled or not" (fun () ->
+        let mismatches = ref [] and limits = ref 0 in
+        Fun.protect
+          ~finally:(fun () ->
+            Ftn_obs.Profile.set_enabled false;
+            Ftn_obs.Profile.reset ())
+          (fun () ->
+            List.iter
+              (fun (name, src) ->
+                let m = (Core.Compiler.compile src).Core.Compiler.core_module in
+                Ftn_obs.Profile.set_enabled false;
+                let _, full, _, _ =
+                  limited_run m ~max_steps:max_int `Tree
+                in
+                List.iter
+                  (fun profiled ->
+                    Ftn_obs.Profile.set_enabled profiled;
+                    for max_steps = 1 to full + 2 do
+                      incr limits;
+                      let tree = limited_run m ~max_steps `Tree in
+                      let comp = limited_run m ~max_steps `Compiled in
+                      if tree <> comp then
+                        mismatches :=
+                          Fmt.str "%s, max_steps %d%s" name max_steps
+                            (if profiled then ", profiled" else "")
+                          :: !mismatches
+                    done)
+                  [ false; true ])
+              sweep_sources);
+        match List.rev !mismatches with
+        | [] -> ()
+        | first :: _ as all ->
+          Alcotest.failf "%d of %d limits disagree, first: %s"
+            (List.length all) !limits first);
   ]
 
 let () =

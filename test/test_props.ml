@@ -493,9 +493,11 @@ let over_release_reported =
 (* Differential testing of the two interpreter engines: random programs
    over i32, index, i1, f32 and f64 values — integer and float arith,
    casts, compares, select, scf.if and scf.for carrying mixed types,
-   memref.alloca of rank 0-2 and a call to a mixed-type helper — must
-   produce identical results (floats compared by bit pattern) AND
-   identical step counts under the tree-walker and the closure compiler. *)
+   scf.while carrying an i32 counter, memref.alloca of rank 0-2 and a
+   call to a mixed-type helper — must produce identical results (floats
+   compared by bit pattern) AND identical step counts under the
+   tree-walker and the closure compiler, run in full and stopped by a
+   step limit. *)
 
 (* 0.1 and -0.3 are changed by f32 rounding; 3.0e7 is not f32-exact
    after arithmetic. *)
@@ -617,10 +619,11 @@ let interp_program choices =
           emit_val (Arith.cmpi b pred.(a mod 6) (pick i32s a) (pick i32s c))
         else
           let pred =
-            [| Arith.Oeq; Arith.One; Arith.Olt; Arith.Ole; Arith.Ogt; Arith.Oge |]
+            [| Arith.Oeq; Arith.One; Arith.Une; Arith.Olt; Arith.Ole; Arith.Ogt;
+               Arith.Oge |]
           in
           let pool = fpool (c / 2) in
-          emit_val (Arith.cmpf b pred.(a mod 6) (pick pool a) (pick pool c))
+          emit_val (Arith.cmpf b pred.(a mod 7) (pick pool a) (pick pool c))
       | 13 ->
         let x = pick i1s a and y = pick i1s c in
         emit_val
@@ -686,6 +689,27 @@ let interp_program choices =
         let at k = List.map (fun d -> index (k mod d)) dims in
         emit (Memref_d.store (pick (pool_of elt) a) buf (at a));
         emit_val (Memref_d.load b buf (at (a + (c mod 2))))
+      | 18 ->
+        (* an i32 counter carried from [a mod 4] up to 4, with pure ops in
+           both regions, so the before-region's trailing scf.condition
+           shares its segment with them *)
+        let init = tmp (Arith.const_i32 b (a mod 4)) in
+        let other = pick i32s c in
+        emit_val
+          (Scf.while_ b ~inits:[ init ]
+             ~make_before:(fun args ->
+               let x = List.hd args in
+               let lim = Arith.const_i32 b 4 in
+               let lt = Arith.cmpi b Arith.Slt x (Op.result1 lim) in
+               let s = Arith.addi b x other in
+               [ lim; lt; s;
+                 Scf.condition ~cond:(Op.result1 lt) ~operands:[ x ] ])
+             ~make_after:(fun args ->
+               let x = List.hd args in
+               let one = Arith.const_i32 b 1 in
+               let x' = Arith.addi b x (Op.result1 one) in
+               let m = Arith.muli b (Op.result1 x') other in
+               [ one; x'; m; Scf.yield ~operands:[ Op.result1 x' ] () ]))
       | _ ->
         emit_val
           (Func_d.call b ~callee:"helper"
@@ -707,7 +731,7 @@ let interp_program_gen =
   let open QCheck.Gen in
   let* choices =
     list_size (int_range 4 24)
-      (pair (int_range 0 18) (pair (int_range 0 40) (int_range 0 40)))
+      (pair (int_range 0 19) (pair (int_range 0 40) (int_range 0 40)))
   in
   return (interp_program choices)
 
@@ -718,18 +742,29 @@ let rtval_bits =
     | Ftn_interp.Rtval.Float x -> `Bits (Int64.bits_of_float x)
     | v -> `Val v)
 
+(* Each program also runs under a step limit: [k] picks it from 1 to the
+   program's full step count. *)
 let engines_differential =
   QCheck.Test.make ~count:60
     ~name:"tree and compiled engines agree on results and steps"
-    (QCheck.make interp_program_gen ~print:Printer.to_string)
-    (fun m ->
+    (QCheck.make
+       QCheck.Gen.(pair interp_program_gen (int_bound 1_000_000))
+       ~print:(fun (m, k) -> Fmt.str "%s\nk = %d" (Printer.to_string m) k))
+    (fun (m, k) ->
       Verifier.verify_exn m;
-      let run engine =
-        let state = Ftn_interp.Interp.make ~engine [ m ] in
-        let r = Ftn_interp.Interp.run state ~entry:"f" ~args:[] in
-        (rtval_bits r, state.Ftn_interp.Interp.steps)
+      let run ?max_steps engine =
+        let state = Ftn_interp.Interp.make ?max_steps ~engine [ m ] in
+        let r =
+          match Ftn_interp.Interp.run state ~entry:"f" ~args:[] with
+          | r -> Ok (rtval_bits r)
+          | exception Ftn_interp.Interp.Interp_error msg -> Error msg
+        in
+        (r, state.Ftn_interp.Interp.steps)
       in
-      run `Tree = run `Compiled)
+      let full = run `Tree in
+      let max_steps = 1 + (k mod snd full) in
+      full = run `Compiled
+      && run ~max_steps `Tree = run ~max_steps `Compiled)
 
 
 (* --- cross-backend differential property --- *)

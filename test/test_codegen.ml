@@ -308,6 +308,35 @@ let gpp_tests =
             (Ftn_linpack.Fortran_sources.dot_product ~n:32 ~simdlen:4)
         in
         syntax_check_cpp "dot" (Option.get art.Core.Compiler.host_cpp));
+    tc "real comparisons print C++ that agrees on a NaN" (fun () ->
+        (* une is C++ [!=]; one, which is false on a NaN, is not *)
+        let m =
+          Ftn_ir.Ir_parser.parse_module
+            "\"builtin.module\"() ({\n\
+            \ ^bb0():\n\
+            \  \"func.func\"() <{sym_name = @p, function_type = () -> (), \
+             ftn.main = true}> ({\n\
+            \   ^bb0():\n\
+            \    %0 = \"arith.constant\"() <{value = 0.0 : f32}> : () -> (f32)\n\
+            \    %1 = \"arith.divf\"(%0, %0) : (f32, f32) -> (f32)\n\
+            \    %2 = \"arith.constant\"() <{value = 1.0 : f32}> : () -> (f32)\n\
+            \    %3 = \"arith.cmpf\"(%1, %2) <{predicate = \"one\"}> : \
+             (f32, f32) -> (i1)\n\
+            \    %4 = \"arith.cmpf\"(%1, %2) <{predicate = \"une\"}> : \
+             (f32, f32) -> (i1)\n\
+            \    %5 = \"arith.andi\"(%3, %4) : (i1, i1) -> (i1)\n\
+            \    \"scf.if\"(%5) ({\n\
+            \     ^bb0():\n\
+            \      \"scf.yield\"() : () -> ()\n\
+            \    }) : (i1) -> ()\n\
+            \    \"func.return\"() : () -> ()\n\
+            \  }) : () -> ()\n\
+             }) : () -> ()\n"
+        in
+        let t = Host_cpp.emit_module m in
+        check Alcotest.bool "one" true (contains t "std::islessgreater(");
+        check Alcotest.bool "une" true (contains t ") != (");
+        syntax_check_cpp "cmpf" t);
   ]
 
 let () =

@@ -1,11 +1,10 @@
 (* Benchmark harness: regenerates every figure and table of the paper's
    evaluation (Section 4) on the simulated U280, printing measured values
    next to the paper's published numbers, then the ablations, then the
-   three checks only a wall clock can make:
+   two checks only a wall clock can make:
 
      - the closure-compiled interpreter is >= 3x the tree-walker;
-     - profiling costs at most 5% of executor wall time;
-     - the 4-domain mid-end is >= 1.5x one domain, on >= 4 cores.
+     - profiling costs at most 5% of executor wall time.
 
    Each timing gate writes its measurements to BENCH_<gate>.json in the
    working directory, and the run exits 1 when one fails. Every check
@@ -527,11 +526,6 @@ let time f =
   let r = f () in
   (Unix.gettimeofday () -. t0, r)
 
-let median_of xs =
-  let a = Array.of_list xs in
-  Array.sort compare a;
-  a.(Array.length a / 2)
-
 let floats fields = Json.Obj (List.map (fun (k, v) -> (k, Json.Float v)) fields)
 
 let write_json path j =
@@ -695,65 +689,6 @@ let profile_gate programs =
          ("cases", Json.Obj (List.map case programs));
        ])
 
-(* BENCH_compile.json: median mid-end wall time of the many-kernel module
-   on the sequential pipeline and on 1, 2 and 4 domains. The 1.5x target
-   is enforced only when the machine has >= 4 cores
-   (Domain.recommended_domain_count); with fewer, parallelism cannot speed
-   anything up and the speedup is informational. *)
-
-let compile_gate () =
-  header "Domain-parallel mid-end: 4 domains >= 1.5x one (BENCH_compile.json)";
-  let kernels = if quick then 12 else 32 and n = if quick then 512 else 4096 in
-  let reps = if quick then 5 else 7 in
-  let cores = Domain.recommended_domain_count () in
-  let name = Fmt.str "many_kernels_k%d" kernels in
-  let core =
-    Ftn_frontend.Frontend.to_core
-      (Ftn_linpack.Fortran_sources.many_kernels ~kernels ~n)
-  in
-  let mid domains () =
-    ignore
-      (Ftn_passes.Pipeline.run_mid_end
-         ~options:{ Ftn_passes.Pipeline.default_options with domains }
-         core)
-  in
-  let wall domains =
-    mid domains ();
-    median_of (List.init reps (fun _ -> fst (time (mid domains))))
-  in
-  progress "  compile gate: %s ..." name;
-  let w0 = wall 0 and w1 = wall 1 and w2 = wall 2 and w4 = wall 4 in
-  let speedup = w1 /. Float.max 1e-9 w4 in
-  let gated = cores >= 4 in
-  if gated && speedup < 1.5 then
-    fail
-      "%s: 4-domain mid-end wall speedup %.2fx is below the 1.5x target on a \
-       %d-core machine"
-      name speedup cores;
-  Fmt.pr
-    "  %-20s seq %6.2f ms | d1 %6.2f ms | d2 %6.2f ms | d4 %6.2f ms | %.2fx \
-     d4-vs-d1 (%d cores%s)@."
-    name (w0 *. 1e3) (w1 *. 1e3) (w2 *. 1e3) (w4 *. 1e3) speedup cores
-    (if gated then ", gated >= 1.5x" else ", speedup informational");
-  write_json "BENCH_compile.json"
-    (Json.Obj
-       [
-         ("cores", Json.Int cores);
-         ("case", Json.String name);
-         ("reps", Json.Int reps);
-         ( "wall_ms",
-           floats
-             [
-               ("sequential", w0 *. 1e3);
-               ("domains_1", w1 *. 1e3);
-               ("domains_2", w2 *. 1e3);
-               ("domains_4", w4 *. 1e3);
-             ] );
-         ("speedup_domains_4_vs_1", Json.Float speedup);
-         ("speedup_target", Json.Float 1.5);
-         ("speedup_gated", Json.Bool gated);
-       ])
-
 let () =
   Fmt.pr
     "Reproduction of: An MLIR pipeline for offloading Fortran to FPGAs via \
@@ -778,7 +713,6 @@ let () =
   let programs = gate_programs () in
   interp_gate programs;
   profile_gate programs;
-  compile_gate ();
   match List.rev !failures with
   | [] -> Fmt.pr "@.done.@."
   | fs ->

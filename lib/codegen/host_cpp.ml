@@ -253,10 +253,15 @@ and emit_op ctx op =
     | mr :: indices ->
       let bi = buffer_info ctx mr in
       let r = Op.result1 op in
-      if bi.bi_dims = [] then bind ctx r (expr ctx mr)
-      else
-        bind ctx r
-          (Fmt.str "%s[%s]" (expr ctx mr) (index_expr ctx bi.bi_dims indices))
+      (* a load reads mutable state: it is a local at the op, not an
+         expression a later store could change before its use *)
+      line ctx "%s %s = %s;"
+        (cpp_scalar_type (Value.ty r))
+        (var r)
+        (if bi.bi_dims = [] then expr ctx mr
+         else
+           Fmt.str "%s[%s]" (expr ctx mr) (index_expr ctx bi.bi_dims indices));
+      bind ctx r (var r)
     | [] -> raise (Cpp_error "load malformed"))
   | "memref.store" -> (
     match Op.operands op with
@@ -380,9 +385,11 @@ and emit_op ctx op =
       bind ctx r (var r)
     | _ -> raise (Cpp_error "device.lookup malformed"))
   | "device.data_check_exists" ->
-    let name_attr = Option.value ~default:"buf" (Op.string_attr op "name") in
-    bind ctx (Op.result1 op)
-      (Fmt.str "%s::data_exists(\"%s\")" (ns ctx) name_attr)
+    (* evaluated here, before a later data_acquire of the same name *)
+    let r = Op.result1 op in
+    line ctx "bool %s = %s::data_exists(\"%s\");" (var r) (ns ctx)
+      (Option.value ~default:"buf" (Op.string_attr op "name"));
+    bind ctx r (var r)
   | "device.data_acquire" ->
     line ctx "%s::data_acquire(\"%s\");" (ns ctx)
       (Option.value ~default:"buf" (Op.string_attr op "name"))

@@ -21,11 +21,18 @@ let rec llvm_type ty =
   | Types.Ptr elt -> llvm_type elt ^ "*"
   | other -> raise (Emit_error ("type has no LLVM form: " ^ Types.to_string other))
 
-let float_lit x =
-  (* LLVM accepts scientific notation for exactly-representable doubles;
-     hex form is always safe. *)
-  if Float.is_integer x && Float.abs x < 1e15 then Fmt.str "%.6e" x
-  else Fmt.str "0x%LX" (Int64.bits_of_float x)
+(* LLVM reads a decimal constant only when it is exact for the type, and
+   the hexadecimal (double) form of a [float] constant only when it holds
+   an f32 value: round to f32 first. *)
+let float_lit ty x =
+  let x =
+    match ty with
+    | Types.F32 -> Int32.float_of_bits (Int32.bits_of_float x)
+    | _ -> x
+  in
+  match Attr.short_decimal x with
+  | Some d -> d
+  | None -> Fmt.str "0x%LX" (Int64.bits_of_float x)
 
 type fn_ctx = {
   names : (int, string) Hashtbl.t;  (** value id -> printed operand *)
@@ -112,7 +119,7 @@ let emit_instruction ctx op =
     | Some (Attr.Int (n, _)) ->
       Hashtbl.replace ctx.names (Value.id r) (string_of_int n)
     | Some (Attr.Float (x, _)) ->
-      Hashtbl.replace ctx.names (Value.id r) (float_lit x)
+      Hashtbl.replace ctx.names (Value.id r) (float_lit (Value.ty r) x)
     | Some (Attr.Bool b) ->
       Hashtbl.replace ctx.names (Value.id r) (if b then "1" else "0")
     | _ -> raise (Emit_error "constant without value"))

@@ -6,7 +6,9 @@
 exception Emit_error of string
 
 val llvm_type : Ftn_ir.Types.t -> string
-val float_lit : float -> string
+val float_lit : Ftn_ir.Types.t -> float -> string
+(** A float constant of the given type as LLVM reads it back exactly: an
+    f32 value is rounded to f32 before it is printed. *)
 
 val target_header : string
 (** ModuleID, datalayout and the [fpga64-xilinx-none] triple. *)

@@ -23,12 +23,7 @@ let error_count t = t.errors
 let warning_count t = t.warnings
 let has_errors t = t.errors > 0
 
-(* Emission is serialised: passes running on worker domains may warn
-   (e.g. rewrite nonconvergence) while the main domain compiles. *)
-let emit_mu = Mutex.create ()
-
 let emit t d =
-  Mutex.protect emit_mu @@ fun () ->
   t.diags <- d :: t.diags;
   (match d.Diag.severity with
   | Diag.Error ->

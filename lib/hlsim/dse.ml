@@ -59,8 +59,6 @@ let luts_with_unroll spec ~frontend (ks : Schedule.kernel_schedule)
   let ks' = { ks with Schedule.loops = List.map patch ks.Schedule.loops } in
   (Resources.estimate ~frontend spec ks').Resources.kernel.Resources.luts
 
-(* Evaluate one candidate factor. Pure model arithmetic — safe to run on
-   any domain; observability stays with the caller. *)
 let evaluate spec ~frontend ?lut_budget ks l unroll =
   let kernel_luts = luts_with_unroll spec ~frontend ks l unroll in
   let within_budget =
@@ -74,38 +72,15 @@ let evaluate spec ~frontend ?lut_budget ks l unroll =
   }
 
 let explore ~spec ?(frontend = Resources.Mlir_flow)
-    ?(factors = [ 1; 2; 4; 8; 10; 16; 32 ]) ?lut_budget ?(domains = 0) ks
+    ?(factors = [ 1; 2; 4; 8; 10; 16; 32 ]) ?lut_budget ks
     (l : Schedule.loop_info) =
   Ftn_obs.Span.with_span_sp ~name:"dse.explore"
     ~attrs:[ ("kernel", ks.Schedule.fn_name) ]
     (fun span ->
-  let factors = Array.of_list (List.sort_uniq compare factors) in
-  let nf = Array.length factors in
-  let out = Array.make nf None in
-  let eval_range lo hi =
-    for i = lo to hi - 1 do
-      out.(i) <- Some (evaluate spec ~frontend ?lut_budget ks l factors.(i))
-    done
-  in
-  let d = max 1 (min domains nf) in
-  (* Fan candidate evaluation across domains; results land in a
-     factor-indexed array, so the merge is the ascending-unroll order of
-     the input regardless of domain count or interleaving. *)
-  if d <= 1 then eval_range 0 nf
-  else begin
-    let chunk = (nf + d - 1) / d in
-    let workers =
-      List.init (d - 1) (fun k ->
-          let lo = (k + 1) * chunk in
-          let hi = min nf (lo + chunk) in
-          Domain.spawn (fun () -> eval_range lo hi))
-    in
-    eval_range 0 (min nf chunk);
-    List.iter Domain.join workers;
-    Ftn_obs.Span.set_attr span ~key:"domains" (string_of_int d)
-  end;
   let candidates =
-    Array.to_list out |> List.filter_map (fun c -> c)
+    List.map
+      (evaluate spec ~frontend ?lut_budget ks l)
+      (List.sort_uniq compare factors)
   in
   let dominates d c =
     d.cycles_per_iteration <= c.cycles_per_iteration
@@ -146,13 +121,13 @@ let explore ~spec ?(frontend = Resources.Mlir_flow)
   { candidates; pareto; best })
 
 (* Convenience: explore the first pipelined loop of a kernel. *)
-let explore_kernel ~spec ?frontend ?factors ?lut_budget ?domains ks =
+let explore_kernel ~spec ?frontend ?factors ?lut_budget ks =
   match
     List.find_opt
       (fun (l : Schedule.loop_info) -> l.Schedule.pipelined)
       (Schedule.flatten_loops ks.Schedule.loops)
   with
-  | Some l -> Some (explore ~spec ?frontend ?factors ?lut_budget ?domains ks l)
+  | Some l -> Some (explore ~spec ?frontend ?factors ?lut_budget ks l)
   | None -> None
 
 let pp_candidate fmt c =

@@ -17,7 +17,7 @@ let record_loop stats ~loop_key ~iters =
   bump stats.entries loop_key 1;
   bump stats.iterations loop_key iters
 
-let merge_into ~src ~dst =
+let merge ~src ~dst =
   Hashtbl.iter
     (fun k v ->
       Hashtbl.replace dst.entries k

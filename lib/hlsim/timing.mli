@@ -12,7 +12,7 @@ val make_stats : unit -> loop_stats
 val record_loop : loop_stats -> loop_key:int -> iters:int -> unit
 (** Record one completed execution of a loop. *)
 
-val merge_into : src:loop_stats -> dst:loop_stats -> unit
+val merge : src:loop_stats -> dst:loop_stats -> unit
 
 val kernel_cycles : Schedule.kernel_schedule -> loop_stats -> float
 (** Cycles for one kernel execution given the loops' observed entry and

@@ -99,9 +99,14 @@ let escape_string s =
     s;
   Buffer.contents buf
 
+let short_decimal x =
+  if Float.is_integer x && Float.abs x < 1e15 then
+    let d = Fmt.str "%.6e" x in
+    if float_of_string d = x then Some d else None
+  else None
+
 let float_repr x =
-  if Float.is_integer x && Float.abs x < 1e15 then Fmt.str "%.6e" x
-  else Fmt.str "%h" x
+  match short_decimal x with Some d -> d | None -> Fmt.str "%h" x
 
 let rec pp fmt = function
   | Unit -> Fmt.string fmt "unit"

@@ -30,5 +30,10 @@ val as_type : t -> Types.t option
 val as_array : t -> t list option
 val as_loc : t -> Ftn_diag.Loc.t option
 
+val short_decimal : float -> string option
+(** The [%.6e] text of an integral [x] below 1e15, when that text reads
+    back as [x]; [None] otherwise. The IR and LLVM printers use it and
+    print every other float in an exact hexadecimal form. *)
+
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

@@ -201,15 +201,11 @@ let with_module_body op body =
 
 (* Canonical dense renumbering: every value defined in the tree (results
    and block args) is reassigned a fresh id in pre-order traversal
-   position, starting at [start]. Operands defined inside the tree are
-   remapped; free values keep their original ids. Returns the next free
-   id, so callers can thread the counter across a sequence of trees
-   (Pass.run_pipeline_parallel renumbers the merged module this way to
-   make partitioned pipeline output independent of how fresh ids were
-   allocated per partition). *)
-let renumber ?(start = 0) op =
+   position, from 0. Operands defined inside the tree are remapped; free
+   values keep their original ids. *)
+let renumber op =
   let map = Hashtbl.create 256 in
-  let next = ref start in
+  let next = ref 0 in
   let fresh v =
     let v' = Value.make !next (Value.ty v) in
     incr next;
@@ -234,8 +230,7 @@ let renumber ?(start = 0) op =
     in
     { op with operands; results; regions }
   in
-  let op' = go op in
-  (op', !next)
+  go op
 
 (* Find a func.func by its sym_name inside a module. *)
 let find_function m fname =

@@ -97,14 +97,13 @@ val free_values : t -> Value.Set.t
 
 val free_values_of_ops : t list -> Value.Set.t
 
-val renumber : ?start:int -> t -> t * int
+val renumber : t -> t
 (** Canonical dense renumbering: every value defined in the tree (results
-    and block args) gets a fresh id in pre-order position starting at
-    [start] (default 0); internal uses are remapped, free values keep
-    their original ids (the caller must ensure those cannot collide with
-    the fresh range). Returns the renumbered tree and the next free id.
-    Two structurally identical trees renumber to byte-identical printed
-    IR regardless of how their ids were originally allocated. *)
+    and block args) gets a fresh id in pre-order position from 0;
+    internal uses are remapped, free values keep their original ids (the
+    caller must ensure those cannot collide with the fresh range). Two
+    structurally identical trees renumber to byte-identical printed IR
+    regardless of how their ids were originally allocated. *)
 
 val module_op : ?attrs:(string * Attr.t) list -> t list -> t
 (** Wrap ops into a [builtin.module]. *)

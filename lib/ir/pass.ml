@@ -120,163 +120,6 @@ let run_pipeline ?(verify_between = false) ?on_stage passes m =
 let run_pipeline_exn ?verify_between ?on_stage passes m =
   fst (run_pipeline ?verify_between ?on_stage passes m)
 
-(* ---------------- domain-parallel pipeline execution ---------------- *)
-
-(* A declaration-only symbol op: carries a sym_name and no region body.
-   Per-partition pass runs may each materialise the same extern decl
-   (e.g. hls intrinsic shims); the merge dedupes them by (op name,
-   symbol) and floats them to the front, matching the decl-hoisting
-   layout of the lowering passes. *)
-let is_decl o =
-  Op.has_attr o "sym_name"
-  && List.for_all
-       (fun blocks -> List.for_all (fun (b : Op.block) -> b.Op.body = []) blocks)
-       (Op.regions o)
-
-let decl_sym o =
-  match Op.symbol_attr o "sym_name" with
-  | Some s -> s
-  | None -> Option.value ~default:"" (Op.string_attr o "sym_name")
-
-(* Run [passes] over each top-level op of module [m] independently, fanned
-   across [domains] OCaml domains, and merge the results in the original
-   top-level order. Each unit is wrapped in its own single-op module (so
-   module-scoped patterns still see a module parent); the merged module is
-   canonically renumbered (Op.renumber), which makes the output a pure
-   function of the input — byte-identical for 1, 2 or N domains, and equal
-   to [Op.renumber] of the sequential pipeline's output for function-local
-   passes. Falls back to [run_pipeline] when the input is not a module,
-   has at most one top-level op, or has cross-unit value references. *)
-let run_pipeline_parallel ?(verify_between = false) ?(domains = 1) passes m =
-  let fallback () = run_pipeline ~verify_between passes m in
-  if not (Op.is_module m) then fallback ()
-  else
-    let units = Array.of_list (Op.module_body m) in
-    let n = Array.length units in
-    if
-      n <= 1
-      || not
-           (Array.for_all
-              (fun u -> Value.Set.is_empty (Op.free_values u))
-              units)
-    then fallback ()
-    else begin
-      let shell = Op.with_module_body m [] in
-      let n_passes = List.length passes in
-      let results = Array.make n (Ok []) in
-      let pass_wall = Array.make_matrix n n_passes 0.0 in
-      let pass_ops = Array.make_matrix n n_passes 0 in
-      let pass_alloc = Array.make_matrix n n_passes 0.0 in
-      let work lo hi =
-        for i = lo to hi - 1 do
-          results.(i) <-
-            (try
-               let u = ref (Op.with_module_body shell [ units.(i) ]) in
-               List.iteri
-                 (fun j p ->
-                   let t0 = Unix.gettimeofday () in
-                   let alloc0 = Gc.allocated_bytes () in
-                   let out =
-                     with_pass_context
-                       (Fmt.str "while running pass '%s'" p.pass_name)
-                       (fun () -> p.run !u)
-                   in
-                   pass_wall.(i).(j) <- Unix.gettimeofday () -. t0;
-                   pass_alloc.(i).(j) <- Gc.allocated_bytes () -. alloc0;
-                   pass_ops.(i).(j) <- count_ops out;
-                   if verify_between then
-                     with_pass_context
-                       (Fmt.str "in IR verification after pass '%s'"
-                          p.pass_name)
-                       (fun () -> Verifier.verify_exn out);
-                   u := out)
-                 passes;
-               Ok (Op.module_body !u)
-             with e -> Error e)
-        done
-      in
-      let d = max 1 (min domains n) in
-      let chunk = (n + d - 1) / d in
-      Ftn_obs.Span.with_span
-        ~attrs:
-          [
-            ("units", string_of_int n);
-            ("domains", string_of_int d);
-          ]
-        ~name:"pass.pipeline_parallel"
-        (fun () ->
-          if d = 1 then work 0 n
-          else begin
-            let workers =
-              List.init (d - 1) (fun k ->
-                  let lo = (k + 1) * chunk in
-                  let hi = min n (lo + chunk) in
-                  Domain.spawn (fun () -> work lo hi))
-            in
-            work 0 (min n chunk);
-            List.iter Domain.join workers
-          end);
-      (* deterministic error order: the first failing unit wins *)
-      Array.iter (function Error e -> raise e | Ok _ -> ()) results;
-      let seen = Hashtbl.create 16 in
-      let decls = ref [] and rest = ref [] in
-      Array.iter
-        (function
-          | Error _ -> ()
-          | Ok ops ->
-            List.iter
-              (fun o ->
-                if is_decl o then begin
-                  let key = (Op.name o, decl_sym o) in
-                  if not (Hashtbl.mem seen key) then begin
-                    Hashtbl.replace seen key ();
-                    decls := o :: !decls
-                  end
-                end
-                else rest := o :: !rest)
-              ops)
-        results;
-      let merged =
-        Op.with_module_body shell (List.rev !decls @ List.rev !rest)
-      in
-      let merged, _ = Op.renumber merged in
-      if verify_between then
-        with_pass_context "in IR verification after parallel pipeline merge"
-          (fun () -> Verifier.verify_exn merged);
-      let sum_over_units a j =
-        let s = ref 0.0 in
-        for i = 0 to n - 1 do
-          s := !s +. a.(i).(j)
-        done;
-        !s
-      in
-      let records =
-        {
-          stage_name = "input";
-          elapsed_s = 0.0;
-          op_count = count_ops m;
-          alloc_bytes = 0.0;
-        }
-        :: List.mapi
-             (fun j p ->
-               let ops = ref 0 in
-               for i = 0 to n - 1 do
-                 ops := !ops + pass_ops.(i).(j)
-               done;
-               {
-                 stage_name = p.pass_name;
-                 elapsed_s = sum_over_units pass_wall j;
-                 op_count = !ops;
-                 alloc_bytes = sum_over_units pass_alloc j;
-               })
-             passes
-      in
-      (merged, records)
-    end
-
-let run_pipeline_parallel_exn ?verify_between ?domains passes m =
-  fst (run_pipeline_parallel ?verify_between ?domains passes m)
-
 let pp_stage fmt r =
   Fmt.pf fmt "%-28s %6.2f ms  %5d ops" r.stage_name (r.elapsed_s *. 1000.)
     r.op_count;

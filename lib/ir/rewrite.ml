@@ -77,10 +77,9 @@ type stats = {
   converged : bool;
 }
 
-(* The module wrapper op is not counted as a visit: per-function pass
-   partitioning (Pass.run_pipeline_parallel) wraps each top-level op in
-   its own module, and keeping wrapper visits out of the totals makes the
-   rewrite metrics partition-invariant. *)
+(* The module op itself is not counted as a visit, so the visit totals
+   (and the [ir.rewrite.visited] benchmark counter) count only the ops
+   inside the module being rewritten. *)
 let counted name = not (String.equal name "builtin.module")
 
 (* --- cycle-guarded, path-compressing substitution resolution --- *)
@@ -166,8 +165,7 @@ let warn_nonconverged ~budget last_fired =
 (* Firing counts and attributed wall time per pattern name, process-wide
    (patterns are shared across pass instances). Only populated while
    [Ftn_obs.Profile.on] — the timing calls would otherwise tax every
-   match attempt of every compile. Guarded by a mutex: pass pipelines may
-   run rewrites from several domains concurrently. *)
+   match attempt of every compile. *)
 type pattern_stat = {
   mutable ps_attempts : int;
   mutable ps_fired : int;
@@ -175,9 +173,7 @@ type pattern_stat = {
 }
 
 let pattern_stats : (string, pattern_stat) Hashtbl.t = Hashtbl.create 32
-let pattern_stats_mu = Mutex.create ()
 
-(* callers hold [pattern_stats_mu] *)
 let stat_for name =
   match Hashtbl.find_opt pattern_stats name with
   | Some s -> s
@@ -186,15 +182,12 @@ let stat_for name =
     Hashtbl.replace pattern_stats name s;
     s
 
-let reset_pattern_profile () =
-  Mutex.protect pattern_stats_mu (fun () -> Hashtbl.reset pattern_stats)
+let reset_pattern_profile () = Hashtbl.reset pattern_stats
 
 let pattern_profile () =
-  Mutex.protect pattern_stats_mu (fun () ->
-      Hashtbl.fold
-        (fun name s acc ->
-          (name, s.ps_attempts, s.ps_fired, s.ps_time_s) :: acc)
-        pattern_stats [])
+  Hashtbl.fold
+    (fun name s acc -> (name, s.ps_attempts, s.ps_fired, s.ps_time_s) :: acc)
+    pattern_stats []
   |> List.sort (fun (na, _, _, a) (nb, _, _, b) ->
          match Float.compare b a with 0 -> String.compare na nb | c -> c)
 
@@ -206,11 +199,10 @@ let run_pattern p ctx op =
     let t0 = Unix.gettimeofday () in
     let r = with_pattern_context p op (fun () -> p.match_and_rewrite ctx op) in
     let dt = Unix.gettimeofday () -. t0 in
-    Mutex.protect pattern_stats_mu (fun () ->
-        let st = stat_for p.pat_name in
-        st.ps_attempts <- st.ps_attempts + 1;
-        st.ps_time_s <- st.ps_time_s +. dt;
-        match r with Some _ -> st.ps_fired <- st.ps_fired + 1 | None -> ());
+    let st = stat_for p.pat_name in
+    st.ps_attempts <- st.ps_attempts + 1;
+    st.ps_time_s <- st.ps_time_s +. dt;
+    (match r with Some _ -> st.ps_fired <- st.ps_fired + 1 | None -> ());
     r
   end
 

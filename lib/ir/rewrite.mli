@@ -76,9 +76,7 @@ val default_config : config
 type stats = {
   ops_visited : int;
       (** Ops popped from the worklist and examined, revisits included.
-          [builtin.module] wrapper ops are not counted, so totals are
-          invariant under per-function module partitioning
-          ({!Pass.run_pipeline_parallel}). *)
+          [builtin.module] ops are not counted. *)
   patterns_fired : int;
   ops_folded : int;
   ops_erased : int;  (** Trivially-dead ops removed by the driver. *)
@@ -88,8 +86,7 @@ type stats = {
 val pattern_profile : unit -> (string * int * int * float) list
 (** Per-pattern profiling data — [(name, attempts, fired, seconds)] —
     accumulated process-wide while [Ftn_obs.Profile.on] is set, sorted by
-    attributed time descending. Empty when profiling never ran.
-    Mutex-guarded: safe to populate from concurrent domains. *)
+    attributed time descending. Empty when profiling never ran. *)
 
 val reset_pattern_profile : unit -> unit
 

@@ -125,9 +125,9 @@ end program data_regions
 (* A many-kernel compile-time workload: [kernels] distinct offload
    regions over the same arrays, each with its own coefficient (and every
    other one a simd region), so kernel outlining produces [kernels]
-   independent device functions — the shape the domain-parallel device
-   pipelines fan out over. The regions chain through b, so the printed
-   result checks all of them executed in order. *)
+   independent device functions and the device pipelines' work grows with
+   [kernels]. The regions chain through b, so the printed result checks
+   all of them executed in order. *)
 let many_kernels ~kernels ~n =
   let buf = Buffer.create (1024 + (kernels * 256)) in
   Buffer.add_string buf

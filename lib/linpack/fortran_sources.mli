@@ -17,7 +17,7 @@ val data_regions : n:int -> string
 val many_kernels : kernels:int -> n:int -> string
 (** [kernels] distinct offload regions over shared arrays (every other
     one a simd region), yielding that many independent device kernels —
-    the compile-time workload for the domain-parallel pipelines. *)
+    a compile-time workload for the device pipelines. *)
 
 val stencil : n:int -> steps:int -> string
 (** 1-D heat-diffusion stencil: two kernels per timestep inside one

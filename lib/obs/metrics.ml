@@ -7,8 +7,9 @@
    single layout covers nanosecond launch overheads and megabyte
    transfer sizes alike. Quantiles are estimated by linear interpolation
    within the bucket containing the requested rank, clamped to the
-   observed min/max; histograms with identical layouts merge by bucket-
-   wise addition. *)
+   observed min/max.
+
+   Registries are unsynchronised: the library runs on a single domain. *)
 
 let buckets_per_decade = 4
 let min_exp = -9.0
@@ -72,16 +73,6 @@ type t = { metrics : (string, metric) Hashtbl.t }
 let create () = { metrics = Hashtbl.create 32 }
 let default = create ()
 
-(* One process-wide lock guards every registry (mutations and reads):
-   pass pipelines and DSE sweeps report from concurrent domains, and a
-   lost counter increment would make parallel compiles observably differ
-   from sequential ones. Contention is negligible — updates are a few
-   machine instructions — and a single lock keeps [merge_into] trivially
-   deadlock-free. *)
-let mu = Mutex.create ()
-
-let locked f = Mutex.protect mu f
-
 exception Kind_mismatch of string
 
 let kind_error name =
@@ -89,7 +80,6 @@ let kind_error name =
     (Kind_mismatch
        (Printf.sprintf "metric %S already registered with another kind" name))
 
-(* callers hold [mu] *)
 let get_metric ?(registry = default) name make =
   match Hashtbl.find_opt registry.metrics name with
   | Some m -> m
@@ -98,20 +88,15 @@ let get_metric ?(registry = default) name make =
     Hashtbl.replace registry.metrics name m;
     m
 
-let incr_unlocked ?registry ?(by = 1) name =
+let incr ?registry ?(by = 1) name =
   match get_metric ?registry name (fun () -> Counter (ref 0)) with
   | Counter r -> r := !r + by
   | _ -> kind_error name
 
-let incr ?registry ?by name = locked (fun () -> incr_unlocked ?registry ?by name)
-
-let set_gauge_unlocked ?registry name v =
+let set_gauge ?registry name v =
   match get_metric ?registry name (fun () -> Gauge (ref 0.0)) with
   | Gauge r -> r := v
   | _ -> kind_error name
-
-let set_gauge ?registry name v =
-  locked (fun () -> set_gauge_unlocked ?registry name v)
 
 let fresh_histogram () =
   {
@@ -123,42 +108,15 @@ let fresh_histogram () =
   }
 
 let observe ?registry name v =
-  locked (fun () ->
-      match
-        get_metric ?registry name (fun () -> Histogram (fresh_histogram ()))
-      with
-      | Histogram h ->
-        h.count <- h.count + 1;
-        h.sum <- h.sum +. v;
-        h.min_v <- Float.min h.min_v v;
-        h.max_v <- Float.max h.max_v v;
-        let k = bucket_index v in
-        h.buckets.(k) <- h.buckets.(k) + 1
-      | _ -> kind_error name)
-
-(* Merge [src] into [dst] bucket-wise: same layout by construction. *)
-let merge_into ~src ~dst =
-  locked (fun () ->
-      Hashtbl.iter
-        (fun name m ->
-          match m with
-          | Counter r -> incr_unlocked ~registry:dst ~by:!r name
-          | Gauge r -> set_gauge_unlocked ~registry:dst name !r
-          | Histogram h -> (
-            match
-              get_metric ~registry:dst name (fun () ->
-                  Histogram (fresh_histogram ()))
-            with
-            | Histogram d ->
-              d.count <- d.count + h.count;
-              d.sum <- d.sum +. h.sum;
-              d.min_v <- Float.min d.min_v h.min_v;
-              d.max_v <- Float.max d.max_v h.max_v;
-              Array.iteri
-                (fun k n -> d.buckets.(k) <- d.buckets.(k) + n)
-                h.buckets
-            | _ -> kind_error name))
-        src.metrics)
+  match get_metric ?registry name (fun () -> Histogram (fresh_histogram ())) with
+  | Histogram h ->
+    h.count <- h.count + 1;
+    h.sum <- h.sum +. v;
+    h.min_v <- Float.min h.min_v v;
+    h.max_v <- Float.max h.max_v v;
+    let k = bucket_index v in
+    h.buckets.(k) <- h.buckets.(k) + 1
+  | _ -> kind_error name
 
 let freeze = function
   | Counter r -> Counter_v !r
@@ -174,19 +132,16 @@ let freeze = function
       }
 
 let find ?(registry = default) name =
-  locked (fun () ->
-      Option.map freeze (Hashtbl.find_opt registry.metrics name))
+  Option.map freeze (Hashtbl.find_opt registry.metrics name)
 
 let counter_value ?registry name =
   match find ?registry name with Some (Counter_v n) -> n | _ -> 0
 
 let snapshot ?(registry = default) () =
-  locked (fun () ->
-      Hashtbl.fold (fun k m acc -> (k, freeze m) :: acc) registry.metrics [])
+  Hashtbl.fold (fun k m acc -> (k, freeze m) :: acc) registry.metrics []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
-let reset ?(registry = default) () =
-  locked (fun () -> Hashtbl.reset registry.metrics)
+let reset ?(registry = default) () = Hashtbl.reset registry.metrics
 
 (* Quantile estimation: find the bucket holding rank q*count, then
    interpolate linearly inside it. The underflow/overflow buckets have no

@@ -4,9 +4,12 @@
     dotted paths, e.g. ["passes.ops_removed"], ["device.bytes_h2d"].
 
     Histogram buckets are log-scaled (4 per decade over 1e-9 .. 1e9,
-    plus underflow/overflow), shared across all histograms so registries
-    merge bucket-wise; p50/p90/p99 are estimated by linear interpolation
-    within the covering bucket, clamped to the observed min/max. *)
+    plus underflow/overflow), shared across all histograms; p50/p90/p99
+    are estimated by linear interpolation within the covering bucket,
+    clamped to the observed min/max.
+
+    Registries are not synchronised: the library runs on a single
+    domain, and no operation may be called from two domains at once. *)
 
 type t
 
@@ -32,10 +35,6 @@ val default : t
 val incr : ?registry:t -> ?by:int -> string -> unit
 val set_gauge : ?registry:t -> string -> float -> unit
 val observe : ?registry:t -> string -> float -> unit
-
-val merge_into : src:t -> dst:t -> unit
-(** Fold [src] into [dst]: counters add, gauges take [src]'s last value,
-    histograms merge bucket-wise (identical layouts by construction). *)
 
 val find : ?registry:t -> string -> value option
 

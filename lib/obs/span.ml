@@ -4,7 +4,8 @@
    simulated device timeline: the caller supplies start and duration, so
    a deterministic cost model produces a deterministic trace. Spans
    accumulate in a collector; the ambient collector is a process-wide
-   default that any layer can swap out ([with_collector]) for isolation. *)
+   default that any layer can swap out ([with_collector]) for isolation.
+   Collectors are unsynchronised: the library runs on a single domain. *)
 
 type clock =
   | Wall
@@ -28,17 +29,13 @@ type t = {
 
 let create () = { spans = []; stack = []; next_id = 0 }
 
-(* The ambient collector is domain-local: spans from worker domains
-   (parallel pass pipelines, DSE sweeps) land in per-domain collectors
-   instead of racing on the main trace's mutable span list. *)
-let ambient = Domain.DLS.new_key create
-let current () = Domain.DLS.get ambient
-let set_current c = Domain.DLS.set ambient c
+let ambient = ref (create ())
+let current () = !ambient
 
 let with_collector c f =
-  let saved = current () in
-  Domain.DLS.set ambient c;
-  Fun.protect ~finally:(fun () -> Domain.DLS.set ambient saved) f
+  let saved = !ambient in
+  ambient := c;
+  Fun.protect ~finally:(fun () -> ambient := saved) f
 
 let next_id c = c.next_id
 let count c = c.next_id

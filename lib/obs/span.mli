@@ -1,6 +1,8 @@
 (** Hierarchical spans over two clocks: real wall-clock time for compiler
     work and the simulated device timeline for executor work. Spans
-    accumulate in a collector; most callers use the ambient one. *)
+    accumulate in a collector; most callers use the ambient one.
+    Collectors are not synchronised: the library runs on a single
+    domain, and no collector may be used from two domains at once. *)
 
 type clock =
   | Wall
@@ -22,8 +24,6 @@ val create : unit -> t
 
 val current : unit -> t
 (** The ambient collector all [?collector]-less calls record into. *)
-
-val set_current : t -> unit
 
 val with_collector : t -> (unit -> 'a) -> 'a
 (** Make [c] ambient for the duration of [f]; restores on exit. *)

@@ -6,11 +6,6 @@ type options = {
   data : Lower_omp_data.options;
   hls : Lower_omp_to_hls.options;
   canonicalize : bool;
-  domains : int;
-      (* 0 = legacy sequential pipelines; >= 1 routes the per-function
-         device pipelines through Pass.run_pipeline_parallel (1 = the
-         partitioned engine on a single domain — the determinism
-         reference the multi-domain output must be byte-identical to) *)
 }
 
 let default_options =
@@ -18,7 +13,6 @@ let default_options =
     data = Lower_omp_data.default_options;
     hls = Lower_omp_to_hls.default_options;
     canonicalize = true;
-    domains = 0;
   }
 
 let maybe_canon opts passes =
@@ -54,23 +48,12 @@ type compiled = {
 let run_mid_end ?(options = default_options) ?(to_llvm = true) m =
   let all_stages = ref [] in
   let record rs = all_stages := !all_stages @ rs in
-  (* The host pipeline stays sequential: before kernel outlining the
-     module is a single function, so there is nothing to partition. The
-     device pipelines fan per-kernel functions across domains when
-     [options.domains >= 1]. *)
+  (* The device modules are canonically renumbered, so the emitted
+     kernels' SSA names are dense and do not depend on how the passes
+     allocated fresh ids. *)
   let run_device passes d =
-    let out, stages =
-      if options.domains >= 1 then
-        Pass.run_pipeline_parallel ~verify_between:true
-          ~domains:options.domains passes d
-      else Pass.run_pipeline ~verify_between:true passes d
-    in
-    (* Canonically renumber either way (renumbering is idempotent, so the
-       parallel merge's own renumber is fine): the emitted device modules
-       are a pure function of the input module, byte-identical whatever
-       [options.domains] is. *)
-    let out, _ = Op.renumber out in
-    (out, stages)
+    let out, stages = Pass.run_pipeline ~verify_between:true passes d in
+    (Op.renumber out, stages)
   in
   let combined =
     Ftn_obs.Span.with_span ~name:"mid_end.host" (fun () ->

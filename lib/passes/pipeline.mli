@@ -4,13 +4,6 @@ type options = {
   data : Lower_omp_data.options;
   hls : Lower_omp_to_hls.options;
   canonicalize : bool;
-  domains : int;
-      (** 0 (default) keeps the legacy sequential pipelines. [n >= 1]
-          routes the device pipelines through
-          {!Ftn_ir.Pass.run_pipeline_parallel} over [n] domains: per-kernel
-          functions are lowered independently, merged deterministically and
-          canonically renumbered, so the compiled output is byte-identical
-          for every [n >= 1] (and [n = 1] is the sequential reference). *)
 }
 
 val default_options : options

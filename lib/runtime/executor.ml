@@ -1130,7 +1130,6 @@ module Programs =
     end)
 
 let programs = Programs.create 16
-let programs_mu = Mutex.create ()
 
 let new_instance p engine =
   let labels = labels_of p.bitstream in
@@ -1146,7 +1145,6 @@ let new_instance p engine =
 (* Take an idle instance of the artifact's program for [engine], making
    the program or the instance when there is none. *)
 let take ~host ~bitstream engine =
-  Mutex.protect programs_mu @@ fun () ->
   let p =
     match Programs.find_opt programs (host, bitstream) with
     | Some p -> p
@@ -1164,7 +1162,7 @@ let take ~host ~bitstream engine =
     (p, i)
   | [], _ -> (p, new_instance p engine)
 
-let give_back p i = Mutex.protect programs_mu (fun () -> p.idle <- i :: p.idle)
+let give_back p i = p.idle <- i :: p.idle
 
 (* Run the host module's main (or a named entry) against a bitstream, on
    an instance of the artifact's program bound to a fresh context. *)

@@ -14,7 +14,7 @@ let () =
   List.iter
     (fun (stage, m) ->
       Printf.printf "// ---- %s ----\n" stage;
-      print_string (Ftn_ir.Printer.to_string (fst (Ftn_ir.Op.renumber m))))
+      print_string (Ftn_ir.Printer.to_string (Ftn_ir.Op.renumber m)))
     [
       ("host", c.host);
       ("device_hls", Option.get c.device_hls);

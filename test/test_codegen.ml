@@ -207,6 +207,11 @@ let downgrade_tests =
 
 let host_cpp_text art = Option.get (Lazy.force art).Core.Compiler.host_cpp
 
+(* Both host targets print their bodies through the same code. *)
+let targets = [ (Host_cpp.Opencl, "ftn"); (Host_cpp.Rv, "ftn_rv") ]
+
+let trimmed_lines text = List.map String.trim (String.split_on_char '\n' text)
+
 let host_cpp_tests =
   [
     tc "opencl boilerplate present" (fun () ->
@@ -246,13 +251,92 @@ let host_cpp_tests =
         in
         check Alcotest.bool "name used" true
           (contains (Option.get art.Core.Compiler.host_cpp) "custom.xclbin"));
+    tc "data_exists is a local read before data_acquire" (fun () ->
+        let host =
+          (Core.Compiler.compile (Ftn_linpack.Fortran_sources.saxpy ~n:16))
+            .Core.Compiler.host
+        in
+        List.iter
+          (fun (target, ns) ->
+            let lines = trimmed_lines (Host_cpp.emit_module ~target host) in
+            let first p = List.find_index p lines in
+            let exists =
+              first (fun l ->
+                  String.starts_with ~prefix:"bool v" l
+                  && contains l (ns ^ "::data_exists(\"x\")"))
+            and acquire = first (fun l -> contains l (ns ^ "::data_acquire(\"x\")")) in
+            check Alcotest.bool ns true
+              (match (exists, acquire) with
+              | Some e, Some a -> e < a
+              | _ -> false))
+          targets);
+    tc "host loads are locals read before later stores" (fun () ->
+        (* t = a(i); a(i) = b(i); b(i) = t *)
+        let host =
+          (Core.Compiler.compile
+             "program swap\n\
+              real :: a(2), b(2), t\n\
+              integer :: i\n\
+              !$omp target parallel do map(from:a, b)\n\
+              do i = 1, 2\n\
+              a(i) = 1.0\n\
+              b(i) = 4.0\n\
+              end do\n\
+              !$omp end target parallel do\n\
+              do i = 1, 2\n\
+              t = a(i)\n\
+              a(i) = b(i)\n\
+              b(i) = t\n\
+              end do\n\
+              print *, 'r', a(1), a(2), b(1), b(2)\n\
+              end program swap\n")
+            .Core.Compiler.host
+        in
+        List.iter
+          (fun (target, ns) ->
+            (* "float vN = vA[...];" and "vA[...] = vN;" *)
+            let load l =
+              if String.starts_with ~prefix:"float v" l && contains l "[" then
+                Scanf.sscanf_opt l "float %s@ = %s@[" (fun v a -> (a, v))
+              else None
+            and store l =
+              if String.starts_with ~prefix:"v" l && contains l "] = " then
+                Scanf.sscanf_opt l "%s@[%_s@] = %s@;" (fun a v -> (a, v))
+              else None
+            in
+            let rec split loads = function
+              | l :: rest when store l <> None ->
+                (List.rev loads, List.filter_map store (l :: rest))
+              | l :: rest -> (
+                match load l with
+                | Some ld -> split (ld :: loads) rest
+                | None -> split loads rest)
+              | [] -> (List.rev loads, [])
+            in
+            match
+              split [] (trimmed_lines (Host_cpp.emit_module ~target host))
+            with
+            | [ (a, ta); (b, tb) ], (a', v1) :: (b', v2) :: _ ->
+              check
+                Alcotest.(list (pair string string))
+                ns
+                [ (a, tb); (b, ta) ]
+                [ (a', v1); (b', v2) ]
+            | loads, _ ->
+              Alcotest.failf "%s: %d loads before the first store" ns
+                (List.length loads))
+          targets);
   ]
 
 (* Compile the generated host programs with a real C++ compiler against a
-   stub OpenCL header (syntax/type checking only). Skipped when g++ is not
-   on PATH. *)
-let gpp_available =
-  lazy (Sys.command "g++ --version > /dev/null 2>&1" = 0)
+   stub OpenCL header (syntax/type checking only), and assemble the emitted
+   kernels with llvm-as. Each check is skipped when its tool is not on
+   PATH. *)
+let available tool =
+  lazy (Sys.command (tool ^ " --version > /dev/null 2>&1") = 0)
+
+let gpp_available = available "g++"
+let llvm_as_available = available "llvm-as"
 
 (* Alcotest chdirs into its log directory while running tests; resolve the
    stub include path eagerly at module initialisation. Under `dune runtest`
@@ -269,27 +353,46 @@ let cl_stub_dir =
   | Some d -> d
   | None -> Filename.concat cwd "cl_stub"
 
+(* Write [text] to a temporary file and run [cmd] on its quoted path;
+   fail with the tool's stderr when it exits non-zero. *)
+let tool_check ~what ~suffix cmd text =
+  let path = Filename.temp_file "ftn_check" suffix in
+  Out_channel.with_open_text path (fun oc -> output_string oc text);
+  let err_path = path ^ ".err" in
+  let rc =
+    Sys.command
+      (Printf.sprintf "%s 2> %s" (cmd (Filename.quote path))
+         (Filename.quote err_path))
+  in
+  let err = In_channel.with_open_text err_path In_channel.input_all in
+  Sys.remove path;
+  Sys.remove err_path;
+  if rc <> 0 then
+    Alcotest.failf "%s:\n%s" what
+      (String.sub err 0 (min 2000 (String.length err)))
+
 let syntax_check_cpp name text =
-  if not (Lazy.force gpp_available) then ()
-  else begin
-    let src_path = Filename.temp_file ("host_" ^ name) ".cpp" in
-    let oc = open_out src_path in
-    output_string oc text;
-    close_out oc;
-    let cmd =
-      Printf.sprintf
-        "g++ -std=c++17 -fsyntax-only -I %s %s 2> %s.err"
-        (Filename.quote cl_stub_dir) (Filename.quote src_path)
-        (Filename.quote src_path)
-    in
-    let rc = Sys.command cmd in
-    if rc <> 0 then begin
-      let ic = open_in (src_path ^ ".err") in
-      let err = really_input_string ic (min 2000 (in_channel_length ic)) in
-      close_in ic;
-      Alcotest.failf "g++ rejected %s host code:\n%s" name err
-    end
-  end
+  if Lazy.force gpp_available then
+    tool_check
+      ~what:(Fmt.str "g++ rejected %s host code" name)
+      ~suffix:".cpp"
+      (Printf.sprintf "g++ -std=c++17 -fsyntax-only -I %s %s"
+         (Filename.quote cl_stub_dir))
+      text
+
+let llvm_as_check name text =
+  if Lazy.force llvm_as_available then
+    tool_check
+      ~what:(Fmt.str "llvm-as rejected %s" name)
+      ~suffix:".ll"
+      (Printf.sprintf "llvm-as %s -o /dev/null")
+      text
+
+(* The emitted LLVM and its LLVM-7 form both assemble. *)
+let llvm_as_check_art name (art : Core.Compiler.artifacts) =
+  llvm_as_check name (Option.get art.Core.Compiler.llvm_ir);
+  llvm_as_check (name ^ " (LLVM 7)")
+    (Option.get art.Core.Compiler.llvm_ir_downgraded)
 
 let gpp_tests =
   [
@@ -339,6 +442,44 @@ let gpp_tests =
         syntax_check_cpp "cmpf" t);
   ]
 
+let llvm_as_tests =
+  [
+    tc "the corpus's kernels assemble before and after the downgrade"
+      (fun () ->
+        List.iter
+          (fun (name, src) -> llvm_as_check_art name (Core.Compiler.compile src))
+          Ftn_linpack.Fortran_sources.
+            [
+              ("saxpy", saxpy ~n:16);
+              ("sgesl", sgesl ~n:16);
+              ("dot_product", dot_product ~n:32 ~simdlen:4);
+              ("data_regions", data_regions ~n:16);
+              ("many_kernels", many_kernels ~kernels:4 ~n:64);
+              ("stencil", stencil ~n:8 ~steps:2);
+            ]);
+    tc "f32 literals print as f32 values LLVM reads back exactly" (fun () ->
+        (* 0.1 is not an f32 value; 12345678.0 is, but not in 7 digits *)
+        let art =
+          Core.Compiler.compile
+            "program lit\n\
+             real :: y(8)\n\
+             integer :: i\n\
+             !$omp target parallel do map(from:y)\n\
+             do i = 1, 8\n\
+             y(i) = 0.1 * real(i) + 12345678.0\n\
+             end do\n\
+             !$omp end target parallel do\n\
+             print *, y(8)\n\
+             end program lit\n"
+        in
+        let t = Option.get art.Core.Compiler.llvm_ir in
+        check Alcotest.bool "0.1 rounded to f32" true
+          (contains t "float 0x3FB99999A0000000");
+        check Alcotest.bool "12345678.0 exact" true
+          (contains t "0x41678C29C0000000");
+        llvm_as_check_art "literal kernel" art);
+  ]
+
 let () =
   Alcotest.run "codegen"
     [
@@ -346,4 +487,5 @@ let () =
       ("downgrade", downgrade_tests);
       ("host-cpp", host_cpp_tests);
       ("host-cpp-gpp", gpp_tests);
+      ("llvm-as", llvm_as_tests);
     ]

@@ -144,7 +144,7 @@ let timing_tests =
         let b = Timing.make_stats () in
         Timing.record_loop a ~loop_key:1 ~iters:10;
         Timing.record_loop b ~loop_key:1 ~iters:20;
-        Timing.merge_into ~src:a ~dst:b;
+        Timing.merge ~src:a ~dst:b;
         check
           (Alcotest.option Alcotest.int)
           "iters" (Some 30)

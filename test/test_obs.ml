@@ -121,50 +121,6 @@ let metrics_tests =
           (Astring_like.contains j "\"a.first\":{\"type\":\"counter\",\"value\":1}"));
   ]
 
-let domain_tests =
-  [
-    tc "metrics registry survives a 4-domain hammer without lost updates"
-      (fun () ->
-        let r = Metrics.create () in
-        let iters = 10_000 in
-        let work () =
-          for i = 1 to iters do
-            Metrics.incr ~registry:r "hammer.count";
-            Metrics.observe ~registry:r "hammer.hist" (float_of_int i);
-            Metrics.set_gauge ~registry:r "hammer.gauge" (float_of_int i)
-          done
-        in
-        let workers = List.init 3 (fun _ -> Domain.spawn work) in
-        work ();
-        List.iter Domain.join workers;
-        check Alcotest.int "no lost increments" (4 * iters)
-          (Metrics.counter_value ~registry:r "hammer.count");
-        (match Metrics.find ~registry:r "hammer.hist" with
-        | Some (Metrics.Histogram_v { count; _ }) ->
-          check Alcotest.int "no lost observations" (4 * iters) count
-        | _ -> Alcotest.fail "expected histogram");
-        match Metrics.find ~registry:r "hammer.gauge" with
-        | Some (Metrics.Gauge_v v) ->
-          check Alcotest.bool "gauge holds one of the written values" true
-            (v >= 1.0 && v <= float_of_int iters)
-        | _ -> Alcotest.fail "expected gauge");
-    tc "merge_into from 4 domains loses nothing" (fun () ->
-        let dst = Metrics.create () in
-        let iters = 2_000 in
-        let work () =
-          let local = Metrics.create () in
-          for _ = 1 to iters do
-            Metrics.incr ~registry:local "merged.count"
-          done;
-          Metrics.merge_into ~src:local ~dst
-        in
-        let workers = List.init 3 (fun _ -> Domain.spawn work) in
-        work ();
-        List.iter Domain.join workers;
-        check Alcotest.int "merged total" (4 * iters)
-          (Metrics.counter_value ~registry:dst "merged.count"));
-  ]
-
 let log_tests =
   [
     tc "capture records level and message" (fun () ->
@@ -413,16 +369,16 @@ let quantile_tests =
         in
         check Alcotest.bool "no quantile" true
           (Metrics.quantile empty 0.5 = None));
-    tc "merge_into adds counters and merges buckets" (fun () ->
-        let a = Metrics.create () and b = Metrics.create () in
-        Metrics.incr ~registry:a ~by:2 "c";
-        Metrics.incr ~registry:b ~by:3 "c";
-        Metrics.observe ~registry:a "h" 1e-6;
-        Metrics.observe ~registry:b "h" 1e-3;
-        Metrics.observe ~registry:b "h" 1e-3;
-        Metrics.merge_into ~src:a ~dst:b;
-        check Alcotest.int "counter" 5 (Metrics.counter_value ~registry:b "c");
-        match Metrics.find ~registry:b "h" with
+    tc "counters add and histograms keep count, bounds and median"
+      (fun () ->
+        let r = Metrics.create () in
+        Metrics.incr ~registry:r ~by:2 "c";
+        Metrics.incr ~registry:r ~by:3 "c";
+        Metrics.observe ~registry:r "h" 1e-6;
+        Metrics.observe ~registry:r "h" 1e-3;
+        Metrics.observe ~registry:r "h" 1e-3;
+        check Alcotest.int "counter" 5 (Metrics.counter_value ~registry:r "c");
+        match Metrics.find ~registry:r "h" with
         | Some (Metrics.Histogram_v { count; min_v; max_v; _ } as v) ->
           check Alcotest.int "count" 3 count;
           check (Alcotest.float 1e-12) "min" 1e-6 min_v;
@@ -748,7 +704,6 @@ let () =
     [
       ("spans", span_tests);
       ("metrics", metrics_tests);
-      ("domains", domain_tests);
       ("quantiles", quantile_tests);
       ("empty-histogram", empty_render_tests);
       ("openmetrics", openmetrics_tests);

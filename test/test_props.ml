@@ -920,73 +920,6 @@ let persistent_kernel_degrades =
       && faulted.Executor.cpu_fallbacks >= 1
       && faulted.Executor.fallback_time_s > 0.0)
 
-(* The domain-parallel pipeline is deterministic: over random
-   multi-function modules it produces byte-identical printed IR for 1, 2
-   and 4 domains, equal to the canonically renumbered sequential result,
-   with identical rewrite metrics totals (builtin.module visits are not
-   counted, so the per-unit module wrappers cannot skew them). *)
-let multi_fn_module_gen =
-  let open QCheck.Gen in
-  let* n_fns = int_range 2 6 in
-  let* seeds = list_repeat n_fns (int_range 1 12) in
-  return
-    (let fn k seed_ops =
-       let b = Builder.create () in
-       let pool = ref [] in
-       let ops = ref [] in
-       let emit op =
-         ops := op :: !ops;
-         pool := Op.result1 op :: !pool
-       in
-       emit (Arith.const_i32 b (k + 1));
-       emit (Arith.const_i32 b 2);
-       for i = 0 to seed_ops - 1 do
-         let x = List.nth !pool (i mod List.length !pool) in
-         let y = List.hd !pool in
-         emit
-           (if i mod 3 = 0 then Arith.addi b x y
-            else if i mod 3 = 1 then Arith.muli b x y
-            else Arith.subi b x y)
-       done;
-       Func_d.func ~sym_name:(Fmt.str "f%d" k) ~args:[] ~result_tys:[]
-         (List.rev (Func_d.return () :: !ops))
-     in
-     Op.module_op (List.mapi fn seeds))
-
-let parallel_pipeline_deterministic =
-  QCheck.Test.make ~count:30
-    ~name:"parallel pipeline is byte-identical for 1/2/4 domains"
-    (QCheck.make multi_fn_module_gen ~print:Printer.to_string)
-    (fun m ->
-      let passes = [ Ftn_passes.Canonicalize.pass ] in
-      let with_metrics f =
-        let grab () =
-          ( Ftn_obs.Metrics.counter_value "rewrite.ops_visited",
-            Ftn_obs.Metrics.counter_value "rewrite.patterns_fired" )
-        in
-        let v0, f0 = grab () in
-        let r = f () in
-        let v1, f1 = grab () in
-        (r, v1 - v0, f1 - f0)
-      in
-      let seq, sv, sf =
-        with_metrics (fun () -> Pass.run_pipeline_exn passes m)
-      in
-      let par d =
-        with_metrics (fun () ->
-            Pass.run_pipeline_parallel_exn ~domains:d passes m)
-      in
-      let p1, v1, f1 = par 1 in
-      let p2, v2, f2 = par 2 in
-      let p4, v4, f4 = par 4 in
-      let txt = Printer.to_string in
-      let canon_seq = Printer.to_string (fst (Op.renumber seq)) in
-      String.equal (txt p1) (txt p2)
-      && String.equal (txt p1) (txt p4)
-      && String.equal (txt p1) canon_seq
-      && v1 = sv && v2 = sv && v4 = sv
-      && f1 = sf && f2 = sf && f4 = sf)
-
 (* The IR parser is total: on arbitrarily mutated input it either parses
    or raises Parse_error — never any other exception. *)
 let parser_totality =
@@ -1032,7 +965,6 @@ let () =
             clone_preserves_structure;
             acc_omp_equivalence;
             parser_totality;
-            parallel_pipeline_deterministic;
             rewrite_fixpoint;
             cycle_detection;
             fold_matches_interp;

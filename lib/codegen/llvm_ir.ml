@@ -25,11 +25,7 @@ let rec llvm_type ty =
    the hexadecimal (double) form of a [float] constant only when it holds
    an f32 value: round to f32 first. *)
 let float_lit ty x =
-  let x =
-    match ty with
-    | Types.F32 -> Int32.float_of_bits (Int32.bits_of_float x)
-    | _ -> x
-  in
+  let x = Types.round_to ty x in
   match Attr.short_decimal x with
   | Some d -> d
   | None -> Fmt.str "0x%LX" (Int64.bits_of_float x)

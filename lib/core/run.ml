@@ -79,7 +79,7 @@ let run_cpu ?(echo = false) ?file ?engine source =
   let core = Ftn_frontend.Frontend.to_core ?file ?engine source in
   Executor.run_cpu ~echo core
 
-(* Read back a device buffer by its mapped identifier (memory space 1). *)
+(* Copy out a device buffer by its mapped identifier (memory space 1). *)
 let device_floats run ~name =
   match
     Data_env.lookup run.exec.Executor.data (Data_env.key ~name ~memory_space:1)

@@ -42,7 +42,8 @@ val run_cpu :
     (captured output, interpreter steps). *)
 
 val device_floats : t -> name:string -> float array option
-(** Read back a device buffer by mapped identifier (memory space 1). *)
+(** A copy of a device buffer's elements, found by mapped identifier
+    (memory space 1). *)
 
 val device_time : t -> float
 val kernel_time : t -> float

@@ -131,15 +131,19 @@ let fold_int_binop name x y =
   | "arith.xori" -> Some (x lxor y)
   | _ -> None
 
-let fold_float_binop name x y =
-  match name with
-  | "arith.addf" -> Some (x +. y)
-  | "arith.subf" -> Some (x -. y)
-  | "arith.mulf" -> Some (x *. y)
-  | "arith.divf" -> Some (x /. y)
-  | "arith.maximumf" -> Some (Float.max x y)
-  | "arith.minimumf" -> Some (Float.min x y)
-  | _ -> None
+(* At f32 the operands are taken as the f32 values the emitted code holds
+   and the result rounds, as every f32 op does. *)
+let fold_float_binop name ty x y =
+  let x = Types.round_to ty x and y = Types.round_to ty y in
+  Option.map (Types.round_to ty)
+    (match name with
+    | "arith.addf" -> Some (x +. y)
+    | "arith.subf" -> Some (x -. y)
+    | "arith.mulf" -> Some (x *. y)
+    | "arith.divf" -> Some (x /. y)
+    | "arith.maximumf" -> Some (Float.max x y)
+    | "arith.minimumf" -> Some (Float.min x y)
+    | _ -> None)
 
 let eval_int_pred pred x y =
   match pred with

@@ -76,7 +76,10 @@ val select : Builder.t -> Value.t -> Value.t -> Value.t -> Op.t
 val fold_int_binop : string -> int -> int -> int option
 (** [None] on unfoldable ops (division by zero, unknown name). *)
 
-val fold_float_binop : string -> float -> float -> float option
+val fold_float_binop : string -> Types.t -> float -> float -> float option
+(** [fold_float_binop name ty x y] folds at result type [ty]: at f32 the
+    operands and the result are rounded to f32. [None] on unknown names. *)
+
 val eval_int_pred : int_pred -> int -> int -> bool
 val eval_float_pred : float_pred -> float -> float -> bool
 val int_binop_names : string list

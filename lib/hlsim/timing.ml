@@ -17,18 +17,6 @@ let record_loop stats ~loop_key ~iters =
   bump stats.entries loop_key 1;
   bump stats.iterations loop_key iters
 
-let merge ~src ~dst =
-  Hashtbl.iter
-    (fun k v ->
-      Hashtbl.replace dst.entries k
-        (v + Option.value ~default:0 (Hashtbl.find_opt dst.entries k)))
-    src.entries;
-  Hashtbl.iter
-    (fun k v ->
-      Hashtbl.replace dst.iterations k
-        (v + Option.value ~default:0 (Hashtbl.find_opt dst.iterations k)))
-    src.iterations
-
 (* Cycles contributed by one loop (and its nested loops). *)
 let loop_cycles_observed stats (l : Schedule.loop_info) =
   let rec go (l : Schedule.loop_info) =

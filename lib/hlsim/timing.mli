@@ -12,8 +12,6 @@ val make_stats : unit -> loop_stats
 val record_loop : loop_stats -> loop_key:int -> iters:int -> unit
 (** Record one completed execution of a loop. *)
 
-val merge : src:loop_stats -> dst:loop_stats -> unit
-
 val kernel_cycles : Schedule.kernel_schedule -> loop_stats -> float
 (** Cycles for one kernel execution given the loops' observed entry and
     iteration counts. *)

@@ -114,8 +114,9 @@ let[@inline] sf f i x = Float.Array.unsafe_set f.floats i x
 let[@inline] gv f i = Array.unsafe_get f.vals i
 let[@inline] sv f i x = Array.unsafe_set f.vals i x
 
-(* Rounding to single precision, as [Rtval.round_to_elt F32], written
-   here so it inlines into the closures and its float never boxes. *)
+(* [Types.round_f32], written here so it inlines into the closures and
+   its float never boxes: the default (dev) build compiles with -opaque,
+   so a call into another module is never inlined. *)
 let[@inline] round_f32 x = Int32.float_of_bits (Int32.bits_of_float x)
 
 let error = Tree.error
@@ -316,6 +317,9 @@ let[@inline] buf_of = function
    as a [Bool], i.e. 0 or 1. *)
 let[@inline] load_float (b : Rtval.buffer) k =
   match b.Rtval.mem with
+  | Rtval.F32 a ->
+    check k (Bigarray.Array1.dim a);
+    Bigarray.Array1.unsafe_get a k
   | Rtval.F a ->
     check k (Array.length a);
     Array.unsafe_get a k
@@ -326,6 +330,9 @@ let[@inline] load_float (b : Rtval.buffer) k =
 
 let[@inline] load_int (b : Rtval.buffer) k =
   match b.Rtval.mem with
+  | Rtval.F32 a ->
+    check k (Bigarray.Array1.dim a);
+    int_of_float (Bigarray.Array1.unsafe_get a k)
   | Rtval.F a ->
     check k (Array.length a);
     int_of_float (Array.unsafe_get a k)
@@ -334,19 +341,25 @@ let[@inline] load_int (b : Rtval.buffer) k =
     let n = Array.unsafe_get a k in
     if b.Rtval.elt == Types.I1 && n <> 0 then 1 else n
 
-(* [Rtval.store] of a [Float], an [Int] and a [Bool]. *)
+(* [Rtval.store] of a [Float], an [Int] and a [Bool]. The float32 store
+   rounds. *)
 let[@inline] store_float (b : Rtval.buffer) k x =
   match b.Rtval.mem with
+  | Rtval.F32 a ->
+    check k (Bigarray.Array1.dim a);
+    Bigarray.Array1.unsafe_set a k x
   | Rtval.F a ->
     check k (Array.length a);
-    Array.unsafe_set a k
-      (match b.Rtval.elt with Types.F32 -> round_f32 x | _ -> x)
+    Array.unsafe_set a k x
   | Rtval.I a ->
     check k (Array.length a);
     Array.unsafe_set a k (int_of_float x)
 
 let[@inline] store_int (b : Rtval.buffer) k n =
   match b.Rtval.mem with
+  | Rtval.F32 a ->
+    check k (Bigarray.Array1.dim a);
+    Bigarray.Array1.unsafe_set a k (float_of_int n)
   | Rtval.F a ->
     check k (Array.length a);
     Array.unsafe_set a k (float_of_int n)
@@ -356,7 +369,7 @@ let[@inline] store_int (b : Rtval.buffer) k n =
 
 let[@inline] store_bool (b : Rtval.buffer) k n =
   match b.Rtval.mem with
-  | Rtval.F _ -> error "store: value/buffer type mismatch"
+  | Rtval.F _ | Rtval.F32 _ -> error "store: value/buffer type mismatch"
   | Rtval.I a ->
     check k (Array.length a);
     Array.unsafe_set a k n

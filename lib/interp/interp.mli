@@ -24,7 +24,8 @@
     [steps], up to and including the next op that can. The step limit
     then fails with the same [steps] and profile counts. A runtime error
     of the interpreted program (an out-of-bounds access, a division by
-    zero) raises {!Interp_error} under both. *)
+    zero, an array too large to allocate) raises {!Interp_error} under
+    both. *)
 
 exception Interp_error of string
 

@@ -1,13 +1,24 @@
 (** Runtime values for the IR interpreter. Buffers model memrefs: typed,
     shaped, mutable storage shared by reference (stores through one view
-    are seen by all aliases). f32-elemented buffers round stored values to
-    single precision, matching Fortran REAL semantics. *)
+    are seen by all aliases). An f32 buffer stores 4-byte floats, so every
+    write to it rounds to single precision, matching Fortran REAL
+    semantics. The constructors and {!float_buffer} copy: no buffer shares
+    storage with an OCaml array. *)
 
+exception Interp_error of string
+(** A runtime error of the interpreted program; [Interp.Interp_error]. *)
+
+type f32_array =
+  (float, Bigarray.float32_elt, Bigarray.c_layout) Bigarray.Array1.t
+
+(** Element storage, fixed by the element type: f32 in [F32], f16 and f64
+    in [F], integers (i1 as 0/1) in [I]. *)
 type mem =
   | F of float array
+  | F32 of f32_array
   | I of int array
 
-type buffer = {
+type buffer = private {
   elt : Ftn_ir.Types.t;
   shape : int list;
   mem : mem;
@@ -28,7 +39,8 @@ type t =
 val alloc_buffer :
   ?memory_space:int -> ?label:string -> Ftn_ir.Types.t -> int list -> buffer
 (** Zero-initialised buffer of the given element type and shape ([[]] for
-    rank 0). *)
+    rank 0). Raises {!Interp_error} naming the type and shape when the
+    size overflows or the storage cannot be allocated. *)
 
 val buffer_size : int list -> int
 val buffer_len : buffer -> int
@@ -36,9 +48,6 @@ val buffer_len : buffer -> int
 val linearize : int list -> int list -> int
 (** Row-major linear index; raises [Invalid_argument] when out of bounds
     or on rank mismatch. *)
-
-val round_to_elt : Ftn_ir.Types.t -> float -> float
-(** Round to the element type's precision (f32 rounds, others pass). *)
 
 val load : buffer -> int list -> t
 val store : buffer -> int list -> t -> unit
@@ -52,12 +61,22 @@ val as_int : t -> int
 val as_float : t -> float
 val as_bool : t -> bool
 val as_buffer : t -> buffer
+
 val float_buffer : buffer -> float array
-val int_buffer : buffer -> int array
+(** A copy of a float buffer's elements; later stores to the buffer do not
+    show in it. Raises [Invalid_argument] on an integer buffer. *)
+
 val of_float_array :
   ?memory_space:int -> ?label:string -> ?shape:int list ->
   Ftn_ir.Types.t -> float array -> buffer
+(** A float buffer holding a copy of the array, rounded when the element
+    type is f32; [shape] defaults to the array's length. Raises
+    [Invalid_argument] for an integer element type. *)
+
 val of_int_array :
   ?memory_space:int -> ?label:string -> ?shape:int list ->
   Ftn_ir.Types.t -> int array -> buffer
+(** An integer buffer holding a copy of the array. Raises
+    [Invalid_argument] for a float element type. *)
+
 val pp : Format.formatter -> t -> unit

@@ -23,7 +23,7 @@
 open Ftn_ir
 open Ftn_dialects
 
-exception Interp_error of string
+exception Interp_error = Rtval.Interp_error
 
 let error fmt = Fmt.kstr (fun s -> raise (Interp_error s)) fmt
 
@@ -169,7 +169,7 @@ let lift_arith_float f a b = Rtval.Float (f (Rtval.as_float a) (Rtval.as_float b
 let eval_cast op v =
   let dst = Value.ty (Op.result1 op) in
   match dst with
-  | Types.F32 -> Rtval.Float (Rtval.round_to_elt Types.F32 (Rtval.as_float v))
+  | Types.F32 -> Rtval.Float (Types.round_f32 (Rtval.as_float v))
   | Types.F16 | Types.F64 -> Rtval.Float (Rtval.as_float v)
   | Types.I1 -> Rtval.Bool (Rtval.as_bool v)
   | _ -> Rtval.Int (Rtval.as_int v)
@@ -216,8 +216,7 @@ and exec_default state frame op operand_values =
       let r = eval_float_binop name a b in
       let r =
         match (r, Value.ty (Op.result1 op)) with
-        | Rtval.Float x, Types.F32 ->
-          Rtval.Float (Rtval.round_to_elt Types.F32 x)
+        | Rtval.Float x, Types.F32 -> Rtval.Float (Types.round_f32 x)
         | _ -> r
       in
       ret1 r

@@ -85,6 +85,11 @@ let bitwidth = function
 
 let byte_size ty = (bitwidth ty + 7) / 8
 
+(* One cvtsd2ss and back: the rounding a float32 store does. *)
+let round_f32 x = Int32.float_of_bits (Int32.bits_of_float x)
+
+let round_to ty x = match ty with F32 -> round_f32 x | _ -> x
+
 (* Number of elements of a statically-shaped memref; raises on dynamic. *)
 let memref_num_elements mi =
   List.fold_left

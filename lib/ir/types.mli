@@ -55,6 +55,14 @@ val bitwidth : t -> int
 val byte_size : t -> int
 (** Width of a scalar type in bytes, rounded up. *)
 
+val round_f32 : float -> float
+(** The f32 value nearest [x] (ties to even), as a float32 store rounds
+    it: out-of-range values become infinities and a NaN stays a NaN. *)
+
+val round_to : t -> float -> float
+(** [x] at the precision of [ty]: {!round_f32} for f32, [x] itself for
+    every other type. *)
+
 val memref_num_elements : memref_info -> int
 (** Element count of a statically-shaped memref; raises on dynamic dims. *)
 

@@ -277,7 +277,6 @@ let run_sgesl ?(spec = Fpga_spec.u280) ~n () =
   let a, bvec, ipvt = References.sgesl_inputs ~n in
   let ha = Rtval.of_float_array Types.F32 a in
   let hb = Rtval.of_float_array Types.F32 bvec in
-  let hb_arr = Rtval.float_buffer hb in
   let da =
     Executor.api_alloc ctx ~name:"a" ~memory_space:1 ~elt:Types.F32
       ~shape:[ n ]
@@ -302,12 +301,14 @@ let run_sgesl ?(spec = Fpga_spec.u280) ~n () =
   Executor.api_transfer ctx ~src:hn ~dst:dn;
   for k = 1 to n - 1 do
     let l = ipvt.(k - 1) in
-    let t = hb_arr.(l - 1) in
+    let t = Rtval.load hb [ l - 1 ] in
     if l <> k then begin
-      hb_arr.(l - 1) <- hb_arr.(k - 1);
-      hb_arr.(k - 1) <- t
+      Rtval.store hb [ l - 1 ] (Rtval.load hb [ k - 1 ]);
+      Rtval.store hb [ k - 1 ] t
     end;
-    let ht = Rtval.of_float_array ~shape:[] Types.F32 [| t |] in
+    let ht =
+      Rtval.of_float_array ~shape:[] Types.F32 [| Rtval.as_float t |]
+    in
     let hk = Rtval.of_int_array ~shape:[] Types.I32 [| k |] in
     Executor.api_transfer ctx ~src:ht ~dst:dt;
     Executor.api_transfer ctx ~src:hk ~dst:dk;
@@ -319,5 +320,5 @@ let run_sgesl ?(spec = Fpga_spec.u280) ~n () =
   {
     result = Executor.result_of_context ctx;
     bitstream;
-    values = hb_arr;
+    values = Rtval.float_buffer hb;
   }

@@ -5,7 +5,7 @@
    each store, mirroring Fortran REAL semantics closely enough for
    element-wise comparison. *)
 
-let to_f32 x = Int32.float_of_bits (Int32.bits_of_float x)
+let to_f32 = Ftn_ir.Types.round_f32
 
 (* y(i) = y(i) + a * x(i) *)
 let saxpy ~a ~x ~y =

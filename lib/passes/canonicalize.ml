@@ -63,8 +63,9 @@ let folder ctx op =
     | [ x; y ] -> (
       match (float_of x, float_of y) with
       | Some a, Some c -> (
-        match Arith.fold_float_binop name a c with
-        | Some r -> to_const (Attr.Float (r, Value.ty (Op.result1 op)))
+        let ty = Value.ty (Op.result1 op) in
+        match Arith.fold_float_binop name ty a c with
+        | Some r -> to_const (Attr.Float (r, ty))
         | None -> None)
       (* x*1.0 and x/1.0 are exact; x+0.0 is not (-0.0 + 0.0 = +0.0) *)
       | _, Some 1.0 when List.mem name [ "arith.mulf"; "arith.divf" ] ->
@@ -96,7 +97,8 @@ let folder ctx op =
     | [ x ] -> (
       match int_of x with
       | Some a ->
-        to_const (Attr.Float (float_of_int a, Value.ty (Op.result1 op)))
+        let ty = Value.ty (Op.result1 op) in
+        to_const (Attr.Float (Types.round_to ty (float_of_int a), ty))
       | None -> None)
     | _ -> None
   else if String.equal name "arith.select" then

@@ -142,8 +142,10 @@ let snapshot t =
                 (Ftn_ir.Types.to_string b.Rtval.elt)
                 (String.concat "x" (List.map string_of_int b.Rtval.shape)));
            (match b.Rtval.mem with
-           | Rtval.F fs ->
-             Array.iter (fun f -> Buffer.add_string buf (Fmt.str " %h" f)) fs
+           | Rtval.F _ | Rtval.F32 _ ->
+             Array.iter
+               (fun f -> Buffer.add_string buf (Fmt.str " %h" f))
+               (Rtval.float_buffer b)
            | Rtval.I is ->
              Array.iter (fun i -> Buffer.add_string buf (Fmt.str " %d" i)) is));
          Buffer.add_char buf '\n');

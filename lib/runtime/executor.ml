@@ -660,11 +660,15 @@ let execute_kernel (ctx : context) state (k : kernel) args =
    below routes the device dialect through these same functions. --- *)
 
 (* [op_name] is ["alloc:" ^ key.name], the allocation's name in fault
-   records and its span. *)
+   records and its span. Storage too large to allocate is an error of the
+   program, located at the current op. *)
 let alloc_key (ctx : context) (key : Data_env.key) ~op_name ~elt ~shape =
   let name = key.Data_env.name in
   let do_alloc () =
-    let buffer, fresh = Data_env.alloc ctx.data key ~elt ~shape in
+    let buffer, fresh =
+      try Data_env.alloc ctx.data key ~elt ~shape
+      with Interp.Interp_error msg -> program_error ctx ~loc:ctx.cur_loc msg
+    in
     if fresh then begin
       let bytes = Rtval.byte_size buffer in
       let l = buffer_label ctx.labels.allocs ~name ~bytes render_alloc in

@@ -81,7 +81,7 @@ let arith_tests =
         check
           (Alcotest.option (Alcotest.float 1e-9))
           "mulf" (Some 1.5)
-          (Arith.fold_float_binop "arith.mulf" 0.5 3.0);
+          (Arith.fold_float_binop "arith.mulf" Types.F64 0.5 3.0);
         check Alcotest.bool "pred eval" true (Arith.eval_int_pred Arith.Slt 1 2);
         (* ordered predicates are false on a NaN operand, une is true *)
         List.iter

@@ -416,6 +416,22 @@ let runtime_error_tests =
        a(k) = 1.0\n\
        print *, a(1)\n\
        end program hostoob\n";
+    (* 2000000000^2 f32 elements take 1.6e19 bytes, more than an int
+       holds, so the size check fails before anything is allocated *)
+    runtime_error_case "an array too large to allocate is an error"
+      ~message:"cannot allocate f32[2000000000x2000000000]"
+      "program huge\n\
+       implicit none\n\
+       integer, parameter :: n = 2000000000\n\
+       real :: a(n, n)\n\
+       integer :: i\n\
+       !$omp target parallel do map(tofrom:a)\n\
+       do i = 1, 4\n\
+       a(i, 1) = 1.0\n\
+       end do\n\
+       !$omp end target parallel do\n\
+       print *, a(1, 1)\n\
+       end program huge\n";
     tc "an integer literal beyond the default kind is located" (fun () ->
         with_source_file "big"
           "program big\n\
@@ -442,6 +458,53 @@ let runtime_error_tests =
                 check Alcotest.bool (flags ^ " no internal error") false
                   (contains err "internal error"))
               [ ""; " --cpu" ]));
+  ]
+
+(* f32 folds round as f32 arithmetic does: 2^24 + 1 is 2^24 in f32, so
+   the kernel and the host statement compute 0 whether the mid-end folds
+   them (the device run) or not (--cpu). *)
+let fold_tests =
+  let src =
+    "program fold\n\
+     implicit none\n\
+     real :: y(2), z\n\
+     integer :: i\n\
+     z = (16777216.0 + 1.0) - 16777216.0\n\
+     !$omp target parallel do map(from:y)\n\
+     do i = 1, 2\n\
+     y(i) = (16777216.0 + 1.0) - 16777216.0\n\
+     end do\n\
+     !$omp end target parallel do\n\
+     print *, 'fold', y(1), y(2), z\n\
+     end program fold\n"
+  in
+  [
+    tc "f32 constant folds round like f32 arithmetic" (fun () ->
+        with_source_file "fold" src (fun file ->
+            List.iter
+              (fun (engine, cpu) ->
+                let code, out, _ =
+                  cli_capture
+                    (Fmt.str "../bin/ftnc.exe run %s --interp-engine %s%s"
+                       (Filename.quote file) engine
+                       (if cpu then " --cpu" else ""))
+                in
+                let what =
+                  Fmt.str "%s%s" engine (if cpu then ", cpu" else "")
+                in
+                check Alcotest.int (what ^ ": exit 0") 0 code;
+                check Alcotest.bool (what ^ ": prints 0") true
+                  (contains out "fold 0.000000 0.000000 0.000000"))
+              [ ("tree", false); ("compiled", false); ("tree", true);
+                ("compiled", true) ]);
+        let art = Core.Compiler.compile src in
+        let llvm = Option.get art.Core.Compiler.llvm_ir in
+        check Alcotest.bool "the kernel stores 0" true
+          (contains llvm "store float 0.000000e+00");
+        check Alcotest.bool "no folded 1.0 in the kernel" false
+          (contains llvm "1.000000e+00");
+        check Alcotest.bool "no folded 1.0 on the host" false
+          (contains (Option.get art.Core.Compiler.host_cpp) "1.0f"));
   ]
 
 let backend_cli_tests =
@@ -520,4 +583,5 @@ let () =
       ("pipeline", e2e_tests);
       ("backend-cli", backend_cli_tests);
       ("run-errors", runtime_error_tests);
+      ("folding", fold_tests);
     ]

@@ -377,6 +377,20 @@ let api_tests =
           Alcotest.fail "expected Transfer_mismatch"
         with Fault.Error (Fault.Transfer_mismatch { src_elt; dst_elt; _ }, _) ->
           check Alcotest.bool "elts differ" true (src_elt <> dst_elt));
+    tc "an allocation whose size overflows is a program error" (fun () ->
+        let diag = Ftn_diag.Diag_engine.create () in
+        let ctx = api_ctx ~diag () in
+        try
+          ignore
+            (Executor.api_alloc ctx ~name:"a" ~memory_space:1 ~elt:Types.F32
+               ~shape:[ 2_000_000_000; 2_000_000_000 ]);
+          Alcotest.fail "expected a diagnostic"
+        with Ftn_diag.Diag.Diag_failure [ d ] ->
+          check Alcotest.bool "names the type and shape" true
+            (Astring_like.contains d.Ftn_diag.Diag.message
+               "cannot allocate f32[2000000000x2000000000]");
+          check Alcotest.int "recorded" 1
+            (Ftn_diag.Diag_engine.error_count diag));
     tc "launching an unknown kernel raises Missing_kernel" (fun () ->
         let ctx = api_ctx () in
         try

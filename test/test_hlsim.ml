@@ -139,16 +139,6 @@ let timing_tests =
         let ks = saxpy_schedule () in
         check (Alcotest.float 0.0) "zero" 0.0
           (Timing.kernel_cycles ks (Timing.make_stats ())));
-    tc "stats merge accumulates" (fun () ->
-        let a = Timing.make_stats () in
-        let b = Timing.make_stats () in
-        Timing.record_loop a ~loop_key:1 ~iters:10;
-        Timing.record_loop b ~loop_key:1 ~iters:20;
-        Timing.merge ~src:a ~dst:b;
-        check
-          (Alcotest.option Alcotest.int)
-          "iters" (Some 30)
-          (Hashtbl.find_opt b.Timing.iterations 1));
     tc "static estimate uses trip counts" (fun () ->
         let ks = saxpy_schedule ~n:1000 () in
         let static = Timing.static_kernel_cycles ks in

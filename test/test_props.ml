@@ -194,6 +194,95 @@ let buffer_roundtrip =
       Ftn_interp.Rtval.store buf indices (Ftn_interp.Rtval.Float 3.25);
       Ftn_interp.Rtval.load buf indices = Ftn_interp.Rtval.Float 3.25)
 
+(* Every path that writes an f32 buffer leaves there the f32 rounding of
+   the value written, bit for bit, and a NaN as a NaN: memref.store of a
+   float and of an integer under both engines, [Rtval.store],
+   [copy_into] from an f64 and from an integer buffer, [of_float_array]
+   and a host->device->host DMA. *)
+let f32_write_gen =
+  let open QCheck.Gen in
+  let x =
+    oneof
+      [
+        oneofl
+          [ Float.nan; Float.infinity; Float.neg_infinity; 0.0; -0.0;
+            4.9e-324; -2.2250738585072009e-308; 1e-40; -1.4e-45; 7e-46;
+            3.5e38; -1e39; Float.max_float; 16777217.0; -16777217.0; 0.1 ];
+        map Int64.float_of_bits ui64;
+        float_range (-1e3) 1e3;
+      ]
+  in
+  let n =
+    oneof
+      [ oneofl [ 16777217; -16777217; (1 lsl 53) + 1; max_int; min_int; 0 ];
+        int ]
+  in
+  pair x n
+
+let f32_dma_bitstream =
+  lazy
+    (Ftn_hlsim.Synth.synthesise ~frontend:Ftn_hlsim.Resources.Clang_hls
+       ~spec:Ftn_hlsim.Fpga_spec.u280 ~xclbin_name:"f32.xclbin"
+       (Ftn_linpack.Hls_baselines.saxpy_device ~n:16))
+
+let f32_writes_round =
+  let module R = Ftn_interp.Rtval in
+  QCheck.Test.make ~count
+    ~name:"every write into an f32 buffer reads back as its f32 rounding"
+    (QCheck.make f32_write_gen ~print:(fun (x, n) ->
+         Printf.sprintf "x=%h n=%d" x n))
+    (fun (x, n) ->
+      let cell () = R.alloc_buffer Types.F32 [ 1 ] in
+      let read buf = R.as_float (R.load buf [ 0 ]) in
+      (* the oracle: one conversion to float and back *)
+      let holds x got =
+        let want = Int32.float_of_bits (Int32.bits_of_float x) in
+        if Float.is_nan want then Float.is_nan got
+        else Int64.equal (Int64.bits_of_float want) (Int64.bits_of_float got)
+      in
+      (* memref.store of a constant [attr] into a memref<1xf32> argument *)
+      let stored engine attr ty =
+        let b = Builder.create () in
+        let m = Builder.fresh b (Types.memref_static [ 1 ] Types.F32) in
+        let c = Arith.constant b attr ty and i = Arith.const_index b 0 in
+        let fn =
+          Func_d.func ~sym_name:"w" ~args:[ m ] ~result_tys:[]
+            [ c; i; Memref_d.store (Op.result1 c) m [ Op.result1 i ];
+              Func_d.return () ]
+        in
+        let buf = cell () in
+        let state = Ftn_interp.Interp.make ~engine [ Op.module_op [ fn ] ] in
+        ignore (Ftn_interp.Interp.run state ~entry:"w" ~args:[ R.Buf buf ]);
+        read buf
+      in
+      let via f =
+        let buf = cell () in
+        f buf;
+        read buf
+      in
+      let copied src = via (fun dst -> R.copy_into ~src ~dst) in
+      let dma () =
+        let module E = Ftn_runtime.Executor in
+        let ctx = E.create_context (Lazy.force f32_dma_bitstream) in
+        let dev =
+          E.api_alloc ctx ~name:"v" ~memory_space:1 ~elt:Types.F32 ~shape:[ 1 ]
+        in
+        E.api_transfer ctx ~src:(R.of_float_array Types.F32 [| x |]) ~dst:dev;
+        via (fun back -> E.api_transfer ctx ~src:dev ~dst:back)
+      in
+      let nf = float_of_int n in
+      List.for_all
+        (fun engine ->
+          holds x (stored engine (Attr.Float (x, Types.F32)) Types.F32)
+          && holds nf (stored engine (Attr.Int (n, Types.I64)) Types.I64))
+        [ `Tree; `Compiled ]
+      && holds x (via (fun buf -> R.store buf [ 0 ] (R.Float x)))
+      && holds nf (via (fun buf -> R.store buf [ 0 ] (R.Int n)))
+      && holds x (copied (R.of_float_array Types.F64 [| x |]))
+      && holds nf (copied (R.of_int_array Types.I64 [| n |]))
+      && holds x (read (R.of_float_array Types.F32 [| x |]))
+      && holds x (dma ()))
+
 (* Scheduler: more unroll never increases per-element cycles. *)
 let unroll_monotonicity =
   QCheck.Test.make ~count:20 ~name:"unroll never slows a pipelined loop down"
@@ -959,6 +1048,7 @@ let () =
             frontend_loops_verify;
             refcount_invariant;
             buffer_roundtrip;
+            f32_writes_round;
             unroll_monotonicity;
             saxpy_random_agreement;
             measure_props;

@@ -10,7 +10,11 @@ build:
 test:
 	dune runtest
 
-check: ## build everything, run the full test suite, every example, the bench's paper run with its timing gates, and a short suite run that checks every workload's outputs
+check: ## check that arith op names stay in Arith, then build everything, run the full test suite, every example, the bench's paper run with its timing gates, and a short suite run that checks every workload's outputs
+	@if grep -rn --include='*.ml' '"arith\.' lib | grep -v -e '^lib/dialects/arith\.ml:' -e '^lib/ir/'; then \
+	  echo 'arith op names belong to lib/dialects/arith.ml: match on Arith.kind or call its builders'; \
+	  exit 1; \
+	fi
 	dune build && dune runtest
 	@for src in examples/*.ml; do \
 	  name=$$(basename $$src .ml); \

@@ -111,16 +111,31 @@ let float_literal ?(single = false) x =
   let repr = if needs_dot then repr ^ ".0" else repr in
   if single then repr ^ "f" else repr
 
-let binop_cpp = function
-  | "arith.addi" | "arith.addf" -> Some "+"
-  | "arith.subi" | "arith.subf" -> Some "-"
-  | "arith.muli" | "arith.mulf" -> Some "*"
-  | "arith.divsi" | "arith.divf" -> Some "/"
-  | "arith.remsi" -> Some "%"
-  | "arith.andi" -> Some "&"
-  | "arith.ori" -> Some "|"
-  | "arith.xori" -> Some "^"
-  | _ -> None
+(* An arith binop over the C++ expressions [a] and [b]: an infix
+   operator or a std:: call. *)
+let infix sym a b = Fmt.str "%s %s %s" a sym b
+let call f a b = Fmt.str "%s(%s, %s)" f a b
+
+let int_binop_cpp : Arith.int_binop -> string -> string -> string = function
+  | Addi -> infix "+"
+  | Subi -> infix "-"
+  | Muli -> infix "*"
+  | Divsi -> infix "/"
+  | Remsi -> infix "%"
+  | Andi -> infix "&"
+  | Ori -> infix "|"
+  | Xori -> infix "^"
+  | Maxsi -> call "std::max"
+  | Minsi -> call "std::min"
+
+let float_binop_cpp : Arith.float_binop -> string -> string -> string =
+  function
+  | Addf -> infix "+"
+  | Subf -> infix "-"
+  | Mulf -> infix "*"
+  | Divf -> infix "/"
+  | Maximumf -> call "std::max"
+  | Minimumf -> call "std::min"
 
 (* A comparison of the C++ expressions [a] and [b]. C++ [!=] is true on a
    NaN operand, as [une] is; [one] is false there. *)
@@ -141,64 +156,55 @@ let ns ctx = match ctx.target with Opencl -> "ftn" | Rv -> "ftn_rv"
 let rec emit_ops ctx ops = List.iter (emit_op ctx) ops
 
 and emit_op ctx op =
+  match Arith.kind op with
+  | Some k -> emit_arith ctx op k
+  | None -> emit_other ctx op
+
+(* arith ops over SSA values inline as expressions, except binops, which
+   become locals. *)
+and emit_arith ctx op k =
+  let r = Op.result1 op in
+  let e = List.map (expr ctx) (Op.operands op) in
+  let malformed what = raise (Cpp_error (what ^ " malformed")) in
+  let binop rhs =
+    match e with
+    | [ a; b ] ->
+      line ctx "%s %s = %s;" (cpp_scalar_type (Value.ty r)) (var r) (rhs a b);
+      bind ctx r (var r)
+    | _ -> malformed (Op.name op)
+  in
+  match k with
+  | Arith.Constant ->
+    bind ctx r
+      (match Op.find_attr op "value" with
+      | Some (Attr.Int (n, Types.I1)) -> if n <> 0 then "true" else "false"
+      | Some (Attr.Int (n, _)) -> string_of_int n
+      | Some (Attr.Float (x, Types.F32)) -> float_literal ~single:true x
+      | Some (Attr.Float (x, _)) -> float_literal x
+      | _ -> raise (Cpp_error "constant without value"))
+  | Arith.Int_binop o -> binop (int_binop_cpp o)
+  | Arith.Float_binop o -> binop (float_binop_cpp o)
+  | Arith.Negf -> (
+    match e with
+    | [ a ] -> bind ctx r (Fmt.str "(-(%s))" a)
+    | _ -> malformed "negf")
+  | Arith.Cmpi | Arith.Cmpf -> (
+    match (e, Op.string_attr op "predicate") with
+    | [ a; b ], Some p -> bind ctx r (cmp_cpp p a b)
+    | _ -> malformed "cmp")
+  | Arith.Select -> (
+    match e with
+    | [ c; t; f ] -> bind ctx r (Fmt.str "((%s) ? (%s) : (%s))" c t f)
+    | _ -> malformed "select")
+  | Arith.Cast _ -> (
+    match e with
+    | [ a ] ->
+      bind ctx r (Fmt.str "((%s)(%s))" (cpp_scalar_type (Value.ty r)) a)
+    | _ -> malformed "cast")
+
+and emit_other ctx op =
   let name = Op.name op in
   match name with
-  | "arith.constant" -> (
-    match Op.find_attr op "value" with
-    | Some (Attr.Int (n, Types.I1)) ->
-      bind ctx (Op.result1 op) (if n <> 0 then "true" else "false")
-    | Some (Attr.Int (n, _)) -> bind ctx (Op.result1 op) (string_of_int n)
-    | Some (Attr.Float (x, Types.F32)) ->
-      bind ctx (Op.result1 op) (float_literal ~single:true x)
-    | Some (Attr.Float (x, _)) -> bind ctx (Op.result1 op) (float_literal x)
-    | _ -> raise (Cpp_error "constant without value"))
-  | _ when binop_cpp name <> None -> (
-    match (Op.operands op, binop_cpp name) with
-    | [ a; b ], Some sym ->
-      let r = Op.result1 op in
-      line ctx "%s %s = %s %s %s;"
-        (cpp_scalar_type (Value.ty r))
-        (var r) (expr ctx a) sym (expr ctx b);
-      bind ctx r (var r)
-    | _ -> raise (Cpp_error (name ^ " malformed")))
-  | "arith.maxsi" | "arith.maximumf" | "arith.minsi" | "arith.minimumf" -> (
-    match Op.operands op with
-    | [ a; b ] ->
-      let r = Op.result1 op in
-      let f =
-        if name = "arith.maxsi" || name = "arith.maximumf" then "std::max"
-        else "std::min"
-      in
-      line ctx "%s %s = %s(%s, %s);"
-        (cpp_scalar_type (Value.ty r))
-        (var r) f (expr ctx a) (expr ctx b);
-      bind ctx r (var r)
-    | _ -> raise (Cpp_error (name ^ " malformed")))
-  | "arith.negf" -> (
-    match Op.operands op with
-    | [ a ] ->
-      bind ctx (Op.result1 op) (Fmt.str "(-(%s))" (expr ctx a))
-    | _ -> raise (Cpp_error "negf malformed"))
-  | "arith.cmpi" | "arith.cmpf" -> (
-    match (Op.operands op, Op.string_attr op "predicate") with
-    | [ a; b ], Some p ->
-      bind ctx (Op.result1 op) (cmp_cpp p (expr ctx a) (expr ctx b))
-    | _ -> raise (Cpp_error "cmp malformed"))
-  | "arith.select" -> (
-    match Op.operands op with
-    | [ c; t; f ] ->
-      bind ctx (Op.result1 op)
-        (Fmt.str "((%s) ? (%s) : (%s))" (expr ctx c) (expr ctx t) (expr ctx f))
-    | _ -> raise (Cpp_error "select malformed"))
-  | "arith.index_cast" | "arith.extsi" | "arith.trunci" | "arith.sitofp"
-  | "arith.fptosi" | "arith.extf" | "arith.truncf" -> (
-    match Op.operands op with
-    | [ a ] ->
-      bind ctx (Op.result1 op)
-        (Fmt.str "((%s)(%s))"
-           (cpp_scalar_type (Value.ty (Op.result1 op)))
-           (expr ctx a))
-    | _ -> raise (Cpp_error "cast malformed"))
   | "math.sqrt" | "math.exp" | "math.log" | "math.sin" | "math.cos"
   | "math.tanh" | "math.absf" -> (
     match Op.operands op with

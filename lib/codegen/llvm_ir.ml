@@ -80,30 +80,8 @@ let collect_edges blocks =
 
 (* --- instruction emission --- *)
 
-let binop_mnemonic = function
-  | "llvm.add" -> "add"
-  | "llvm.sub" -> "sub"
-  | "llvm.mul" -> "mul"
-  | "llvm.sdiv" -> "sdiv"
-  | "llvm.srem" -> "srem"
-  | "llvm.and" -> "and"
-  | "llvm.or" -> "or"
-  | "llvm.xor" -> "xor"
-  | "llvm.fadd" -> "fadd"
-  | "llvm.fsub" -> "fsub"
-  | "llvm.fmul" -> "fmul"
-  | "llvm.fdiv" -> "fdiv"
-  | other -> raise (Emit_error ("unknown binop " ^ other))
-
-let cast_mnemonic = function
-  | "llvm.sext" -> "sext"
-  | "llvm.trunc" -> "trunc"
-  | "llvm.sitofp" -> "sitofp"
-  | "llvm.fptosi" -> "fptosi"
-  | "llvm.fpext" -> "fpext"
-  | "llvm.fptrunc" -> "fptrunc"
-  | "llvm.bitcast" -> "bitcast"
-  | other -> raise (Emit_error ("unknown cast " ^ other))
+(* An arith or cast instruction's mnemonic: its op name without "llvm.". *)
+let mnemonic name = String.sub name 5 (String.length name - 5)
 
 let emit_instruction ctx op =
   let name = Op.name op in
@@ -119,32 +97,13 @@ let emit_instruction ctx op =
     | Some (Attr.Bool b) ->
       Hashtbl.replace ctx.names (Value.id r) (if b then "1" else "0")
     | _ -> raise (Emit_error "constant without value"))
-  | "llvm.add" | "llvm.sub" | "llvm.mul" | "llvm.sdiv" | "llvm.srem"
-  | "llvm.and" | "llvm.or" | "llvm.xor" | "llvm.fadd" | "llvm.fsub"
-  | "llvm.fmul" | "llvm.fdiv" -> (
-    match Op.operands op with
-    | [ a; b ] ->
-      let fast =
-        match name with
-        | "llvm.fadd" | "llvm.fsub" | "llvm.fmul" | "llvm.fdiv" ->
-          "contract "
-        | _ -> ""
-      in
-      line ctx "%s = %s %s%s %s, %s"
-        (def ctx (Op.result1 op))
-        (binop_mnemonic name) fast
-        (llvm_type (Value.ty a))
-        (operand ctx a) (operand ctx b)
-    | _ -> raise (Emit_error (name ^ " expects two operands")))
   | "llvm.fneg" -> (
     (* LLVM 7 has no fneg instruction: emit the fsub identity instead *)
     match Op.operands op with
     | [ a ] ->
-      line ctx "%s = fsub %s %s, %s"
+      line ctx "%s = fsub %s -0.000000e+00, %s"
         (def ctx (Op.result1 op))
         (llvm_type (Value.ty a))
-        (if Types.equal (Value.ty a) Types.F64 then "-0.000000e+00"
-         else "-0.000000e+00")
         (operand ctx a)
     | _ -> raise (Emit_error "fneg expects one operand"))
   | "llvm.icmp" | "llvm.fcmp" -> (
@@ -164,15 +123,6 @@ let emit_instruction ctx op =
         (def ctx (Op.result1 op))
         (operand ctx c) (typed_operand ctx t) (typed_operand ctx f)
     | _ -> raise (Emit_error "select expects three operands"))
-  | "llvm.sext" | "llvm.trunc" | "llvm.sitofp" | "llvm.fptosi"
-  | "llvm.fpext" | "llvm.fptrunc" | "llvm.bitcast" -> (
-    match Op.operands op with
-    | [ a ] ->
-      line ctx "%s = %s %s to %s"
-        (def ctx (Op.result1 op))
-        (cast_mnemonic name) (typed_operand ctx a)
-        (llvm_type (Value.ty (Op.result1 op)))
-    | _ -> raise (Emit_error (name ^ " expects one operand")))
   | "llvm.getelementptr" -> (
     match Op.operands op with
     | base :: indices ->
@@ -244,6 +194,26 @@ let emit_instruction ctx op =
     | [] -> line ctx "ret void"
     | [ v ] -> line ctx "ret %s" (typed_operand ctx v)
     | _ -> raise (Emit_error "multi-value return"))
+  | _ when List.mem name Llvm_d.arith_op_names -> (
+    match Op.operands op with
+    | [ a; b ] ->
+      let m = mnemonic name in
+      (* float arithmetic may contract into fused operations *)
+      let fast = if m.[0] = 'f' then "contract " else "" in
+      line ctx "%s = %s %s%s %s, %s"
+        (def ctx (Op.result1 op))
+        m fast
+        (llvm_type (Value.ty a))
+        (operand ctx a) (operand ctx b)
+    | _ -> raise (Emit_error (name ^ " expects two operands")))
+  | _ when List.mem name Llvm_d.cast_op_names -> (
+    match Op.operands op with
+    | [ a ] ->
+      line ctx "%s = %s %s to %s"
+        (def ctx (Op.result1 op))
+        (mnemonic name) (typed_operand ctx a)
+        (llvm_type (Value.ty (Op.result1 op)))
+    | _ -> raise (Emit_error (name ^ " expects one operand")))
   | other -> raise (Emit_error ("cannot emit " ^ other))
 
 let emit_function buf fn =

@@ -1,55 +1,138 @@
-(* arith dialect: integer/float arithmetic, comparisons and casts. *)
+(* arith dialect: integer/float arithmetic, comparisons and casts. Each
+   op is one [kind], [name] is the one table of op names, and every
+   consumer dispatches on the variant, so a new or changed op is a compile
+   error wherever its meaning must be decided. The folder and the
+   tree-walker share the evaluators; the compiled engine inlines them. *)
 
 open Ftn_ir
 
+type int_binop =
+  | Addi | Subi | Muli | Divsi | Remsi | Maxsi | Minsi | Andi | Ori | Xori
+type float_binop = Addf | Subf | Mulf | Divf | Maximumf | Minimumf
+type cast = Index_cast | Sitofp | Fptosi | Extf | Truncf | Extsi | Trunci
+
+type kind =
+  | Constant
+  | Int_binop of int_binop
+  | Float_binop of float_binop
+  | Negf
+  | Cmpi
+  | Cmpf
+  | Cast of cast
+  | Select
+
+let name = function
+  | Constant -> "arith.constant"
+  | Int_binop Addi -> "arith.addi"
+  | Int_binop Subi -> "arith.subi"
+  | Int_binop Muli -> "arith.muli"
+  | Int_binop Divsi -> "arith.divsi"
+  | Int_binop Remsi -> "arith.remsi"
+  | Int_binop Maxsi -> "arith.maxsi"
+  | Int_binop Minsi -> "arith.minsi"
+  | Int_binop Andi -> "arith.andi"
+  | Int_binop Ori -> "arith.ori"
+  | Int_binop Xori -> "arith.xori"
+  | Float_binop Addf -> "arith.addf"
+  | Float_binop Subf -> "arith.subf"
+  | Float_binop Mulf -> "arith.mulf"
+  | Float_binop Divf -> "arith.divf"
+  | Float_binop Maximumf -> "arith.maximumf"
+  | Float_binop Minimumf -> "arith.minimumf"
+  | Negf -> "arith.negf"
+  | Cmpi -> "arith.cmpi"
+  | Cmpf -> "arith.cmpf"
+  | Cast Index_cast -> "arith.index_cast"
+  | Cast Sitofp -> "arith.sitofp"
+  | Cast Fptosi -> "arith.fptosi"
+  | Cast Extf -> "arith.extf"
+  | Cast Truncf -> "arith.truncf"
+  | Cast Extsi -> "arith.extsi"
+  | Cast Trunci -> "arith.trunci"
+  | Select -> "arith.select"
+
+let all =
+  Constant
+  :: List.map (fun o -> Int_binop o)
+       [ Addi; Subi; Muli; Divsi; Remsi; Maxsi; Minsi; Andi; Ori; Xori ]
+  @ List.map (fun o -> Float_binop o)
+      [ Addf; Subf; Mulf; Divf; Maximumf; Minimumf ]
+  @ [ Negf; Cmpi; Cmpf ]
+  @ List.map (fun c -> Cast c)
+      [ Index_cast; Sitofp; Fptosi; Extf; Truncf; Extsi; Trunci ]
+  @ [ Select ]
+
+let by_name =
+  let t = Hashtbl.create 32 in
+  List.iter (fun k -> Hashtbl.replace t (name k) k) all;
+  t
+
+let kind op = Hashtbl.find_opt by_name (Op.name op)
+
 (* --- constants --- *)
 
-let constant b attr ty = Builder.op1 b "arith.constant" ~attrs:[ ("value", attr) ] ty
+let constant b attr ty =
+  Builder.op1 b (name Constant) ~attrs:[ ("value", attr) ] ty
+
 let const_int b n ty = constant b (Attr.Int (n, ty)) ty
 let const_index b n = const_int b n Types.Index
 let const_i32 b n = const_int b n Types.I32
-let const_i64 b n = const_int b n Types.I64
 let const_float b x ty = constant b (Attr.Float (x, ty)) ty
 let const_f32 b x = const_float b x Types.F32
 let const_f64 b x = const_float b x Types.F64
 let const_bool b v = const_int b (if v then 1 else 0) Types.I1
 
-let is_constant op = String.equal (Op.name op) "arith.constant"
+let is_constant op = String.equal (Op.name op) (name Constant)
 
 let constant_value op =
   if is_constant op then Op.find_attr op "value" else None
 
+type scalar =
+  | Bool of bool
+  | Int of int
+  | Float of float
+
+(* An i1 is true when non-zero, and a float is its value at its type: an
+   f32 literal means the f32 value the emitted code holds, whatever f64
+   value the attribute keeps. *)
+let scalar_of_attr = function
+  | Attr.Int (n, Types.I1) -> Some (Bool (n <> 0))
+  | Attr.Int (n, _) -> Some (Int n)
+  | Attr.Float (x, ty) -> Some (Float (Types.round_to ty x))
+  | Attr.Bool b -> Some (Bool b)
+  | _ -> None
+
 let constant_int op = Option.bind (constant_value op) Attr.as_int
-let constant_float op = Option.bind (constant_value op) Attr.as_float
 
 (* --- binary ops --- *)
 
-let binop b name lhs rhs =
-  Builder.op1 b name ~operands:[ lhs; rhs ] (Value.ty lhs)
+let int_binop b o lhs rhs =
+  Builder.op1 b (name (Int_binop o)) ~operands:[ lhs; rhs ] (Value.ty lhs)
 
-let addi b = binop b "arith.addi"
-let subi b = binop b "arith.subi"
-let muli b = binop b "arith.muli"
-let divsi b = binop b "arith.divsi"
-let remsi b = binop b "arith.remsi"
-let maxsi b = binop b "arith.maxsi"
-let minsi b = binop b "arith.minsi"
-let andi b = binop b "arith.andi"
-let ori b = binop b "arith.ori"
-let xori b = binop b "arith.xori"
+let addi b = int_binop b Addi
+let subi b = int_binop b Subi
+let muli b = int_binop b Muli
+let divsi b = int_binop b Divsi
+let remsi b = int_binop b Remsi
+let maxsi b = int_binop b Maxsi
+let minsi b = int_binop b Minsi
+let andi b = int_binop b Andi
+let ori b = int_binop b Ori
+let xori b = int_binop b Xori
 
-let float_binop b name ?(fastmath = false) lhs rhs =
+let float_binop b o ?(fastmath = false) lhs rhs =
   let attrs = if fastmath then [ ("fastmath", Attr.String "contract") ] else [] in
-  Builder.op1 b name ~operands:[ lhs; rhs ] ~attrs (Value.ty lhs)
+  Builder.op1 b (name (Float_binop o)) ~operands:[ lhs; rhs ] ~attrs
+    (Value.ty lhs)
 
-let addf b ?fastmath = float_binop b "arith.addf" ?fastmath
-let subf b ?fastmath = float_binop b "arith.subf" ?fastmath
-let mulf b ?fastmath = float_binop b "arith.mulf" ?fastmath
-let divf b ?fastmath = float_binop b "arith.divf" ?fastmath
-let maxf b ?fastmath = float_binop b "arith.maximumf" ?fastmath
-let minf b ?fastmath = float_binop b "arith.minimumf" ?fastmath
+let addf b ?fastmath = float_binop b Addf ?fastmath
+let subf b ?fastmath = float_binop b Subf ?fastmath
+let mulf b ?fastmath = float_binop b Mulf ?fastmath
+let divf b ?fastmath = float_binop b Divf ?fastmath
+let maxf b ?fastmath = float_binop b Maximumf ?fastmath
+let minf b ?fastmath = float_binop b Minimumf ?fastmath
 
-let negf b v = Builder.op1 b "arith.negf" ~operands:[ v ] (Value.ty v)
+let negf b v = Builder.op1 b (name Negf) ~operands:[ v ] (Value.ty v)
 
 (* --- comparisons --- *)
 
@@ -73,7 +156,7 @@ let int_pred_of_string = function
   | _ -> None
 
 let cmpi b pred lhs rhs =
-  Builder.op1 b "arith.cmpi" ~operands:[ lhs; rhs ]
+  Builder.op1 b (name Cmpi) ~operands:[ lhs; rhs ]
     ~attrs:[ ("predicate", Attr.String (string_of_int_pred pred)) ]
     Types.I1
 
@@ -99,51 +182,52 @@ let float_pred_of_string = function
   | _ -> None
 
 let cmpf b pred lhs rhs =
-  Builder.op1 b "arith.cmpf" ~operands:[ lhs; rhs ]
+  Builder.op1 b (name Cmpf) ~operands:[ lhs; rhs ]
     ~attrs:[ ("predicate", Attr.String (string_of_float_pred pred)) ]
     Types.I1
 
 (* --- casts and select --- *)
 
-let index_cast b v ty = Builder.op1 b "arith.index_cast" ~operands:[ v ] ty
-let sitofp b v ty = Builder.op1 b "arith.sitofp" ~operands:[ v ] ty
-let fptosi b v ty = Builder.op1 b "arith.fptosi" ~operands:[ v ] ty
-let extf b v ty = Builder.op1 b "arith.extf" ~operands:[ v ] ty
-let truncf b v ty = Builder.op1 b "arith.truncf" ~operands:[ v ] ty
-let extsi b v ty = Builder.op1 b "arith.extsi" ~operands:[ v ] ty
-let trunci b v ty = Builder.op1 b "arith.trunci" ~operands:[ v ] ty
+let cast b c v ty = Builder.op1 b (name (Cast c)) ~operands:[ v ] ty
+let index_cast b = cast b Index_cast
+let sitofp b = cast b Sitofp
+let fptosi b = cast b Fptosi
+let extf b = cast b Extf
+let truncf b = cast b Truncf
 
 let select b cond t f =
-  Builder.op1 b "arith.select" ~operands:[ cond; t; f ] (Value.ty t)
+  Builder.op1 b (name Select) ~operands:[ cond; t; f ] (Value.ty t)
 
-(* Integer fold table used by canonicalisation. *)
-let fold_int_binop name x y =
-  match name with
-  | "arith.addi" -> Some (x + y)
-  | "arith.subi" -> Some (x - y)
-  | "arith.muli" -> Some (x * y)
-  | "arith.divsi" -> if y = 0 then None else Some (x / y)
-  | "arith.remsi" -> if y = 0 then None else Some (x mod y)
-  | "arith.maxsi" -> Some (max x y)
-  | "arith.minsi" -> Some (min x y)
-  | "arith.andi" -> Some (x land y)
-  | "arith.ori" -> Some (x lor y)
-  | "arith.xori" -> Some (x lxor y)
-  | _ -> None
+(* --- evaluators --- *)
 
-(* At f32 the operands are taken as the f32 values the emitted code holds
-   and the result rounds, as every f32 op does. *)
-let fold_float_binop name ty x y =
-  let x = Types.round_to ty x and y = Types.round_to ty y in
-  Option.map (Types.round_to ty)
-    (match name with
-    | "arith.addf" -> Some (x +. y)
-    | "arith.subf" -> Some (x -. y)
-    | "arith.mulf" -> Some (x *. y)
-    | "arith.divf" -> Some (x /. y)
-    | "arith.maximumf" -> Some (Float.max x y)
-    | "arith.minimumf" -> Some (Float.min x y)
-    | _ -> None)
+(* At result type [ty]: an i1 result is 0 or 1, non-zero meaning true.
+   [None] when divsi or remsi divides by zero. *)
+let eval_int_binop o ty x y =
+  let at_ty r =
+    Some (match ty with Types.I1 -> if r <> 0 then 1 else 0 | _ -> r)
+  in
+  match o with
+  | Addi -> at_ty (x + y)
+  | Subi -> at_ty (x - y)
+  | Muli -> at_ty (x * y)
+  | Divsi -> if y = 0 then None else at_ty (x / y)
+  | Remsi -> if y = 0 then None else at_ty (x mod y)
+  | Maxsi -> at_ty (if x >= y then x else y)
+  | Minsi -> at_ty (if x <= y then x else y)
+  | Andi -> at_ty (x land y)
+  | Ori -> at_ty (x lor y)
+  | Xori -> at_ty (x lxor y)
+
+(* At result type [ty]: an f32 result rounds, as every f32 op does. *)
+let eval_float_binop o ty x y =
+  Types.round_to ty
+    (match o with
+    | Addf -> x +. y
+    | Subf -> x -. y
+    | Mulf -> x *. y
+    | Divf -> x /. y
+    | Maximumf -> Float.max x y
+    | Minimumf -> Float.min x y)
 
 let eval_int_pred pred x y =
   match pred with
@@ -164,14 +248,6 @@ let eval_float_pred pred x y =
   | Ogt -> x > y
   | Oge -> x >= y
 
-let int_binop_names =
-  [ "arith.addi"; "arith.subi"; "arith.muli"; "arith.divsi"; "arith.remsi";
-    "arith.maxsi"; "arith.minsi"; "arith.andi"; "arith.ori"; "arith.xori" ]
-
-let float_binop_names =
-  [ "arith.addf"; "arith.subf"; "arith.mulf"; "arith.divf";
-    "arith.maximumf"; "arith.minimumf" ]
-
 let register () =
   let open Dialect in
   let verify_binop op =
@@ -179,33 +255,34 @@ let register () =
     let* () = expect_results op 1 in
     same_type_operands op
   in
-  Dialect.register "arith.constant" ~summary:"integer or float constant"
-    ~verify:(fun op ->
-      let* () = expect_operands op 0 in
-      let* () = expect_results op 1 in
-      expect_attr op "value");
+  let verify_unary op =
+    let* () = expect_operands op 1 in
+    expect_results op 1
+  in
   List.iter
-    (fun name -> Dialect.register name ~summary:"binary op" ~verify:verify_binop)
-    (int_binop_names @ float_binop_names);
-  Dialect.register "arith.negf" ~verify:(fun op ->
-      let* () = expect_operands op 1 in
-      expect_results op 1);
-  List.iter
-    (fun name ->
-      Dialect.register name ~summary:"comparison" ~verify:(fun op ->
-          let* () = expect_operands op 2 in
-          let* () = expect_results op 1 in
-          let* () = expect_attr op "predicate" in
-          same_type_operands op))
-    [ "arith.cmpi"; "arith.cmpf" ];
-  List.iter
-    (fun name ->
-      Dialect.register name ~summary:"cast" ~verify:(fun op ->
-          let* () = expect_operands op 1 in
-          expect_results op 1))
-    [ "arith.index_cast"; "arith.sitofp"; "arith.fptosi"; "arith.extf";
-      "arith.truncf"; "arith.extsi"; "arith.trunci" ];
-  Dialect.register "arith.select" ~verify:(fun op ->
-      let* () = expect_operands op 3 in
-      let* () = expect_results op 1 in
-      expect_operand_type op 0 Types.I1)
+    (fun k ->
+      let register ?summary verify =
+        Dialect.register ?summary ~verify (name k)
+      in
+      match k with
+      | Constant ->
+        register ~summary:"integer or float constant" (fun op ->
+            let* () = expect_operands op 0 in
+            let* () = expect_results op 1 in
+            expect_attr op "value")
+      | Int_binop _ | Float_binop _ ->
+        register ~summary:"binary op" verify_binop
+      | Negf -> register verify_unary
+      | Cmpi | Cmpf ->
+        register ~summary:"comparison" (fun op ->
+            let* () = expect_operands op 2 in
+            let* () = expect_results op 1 in
+            let* () = expect_attr op "predicate" in
+            same_type_operands op)
+      | Cast _ -> register ~summary:"cast" verify_unary
+      | Select ->
+        register (fun op ->
+            let* () = expect_operands op 3 in
+            let* () = expect_results op 1 in
+            expect_operand_type op 0 Types.I1))
+    all

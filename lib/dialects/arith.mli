@@ -1,7 +1,34 @@
-(** arith dialect: integer/float arithmetic, comparisons and casts, plus
-    the fold tables shared by canonicalisation and the interpreter. *)
+(** arith dialect: integer/float arithmetic, comparisons and casts, with
+    one variant per op and the evaluators shared by canonicalisation and
+    the interpreter. *)
 
 open Ftn_ir
+
+(** {2 Ops} *)
+
+type int_binop =
+  | Addi | Subi | Muli | Divsi | Remsi | Maxsi | Minsi | Andi | Ori | Xori
+type float_binop = Addf | Subf | Mulf | Divf | Maximumf | Minimumf
+type cast = Index_cast | Sitofp | Fptosi | Extf | Truncf | Extsi | Trunci
+
+type kind =
+  | Constant
+  | Int_binop of int_binop
+  | Float_binop of float_binop
+  | Negf
+  | Cmpi
+  | Cmpf
+  | Cast of cast
+  | Select
+
+val name : kind -> string
+(** The op's name: the dialect's one table of names. *)
+
+val all : kind list
+(** Every op, in registration order. *)
+
+val kind : Op.t -> kind option
+(** The op's variant, [None] for an op of another dialect. *)
 
 (** {2 Constants} *)
 
@@ -9,19 +36,28 @@ val constant : Builder.t -> Attr.t -> Types.t -> Op.t
 val const_int : Builder.t -> int -> Types.t -> Op.t
 val const_index : Builder.t -> int -> Op.t
 val const_i32 : Builder.t -> int -> Op.t
-val const_i64 : Builder.t -> int -> Op.t
 val const_float : Builder.t -> float -> Types.t -> Op.t
 val const_f32 : Builder.t -> float -> Op.t
 val const_f64 : Builder.t -> float -> Op.t
 val const_bool : Builder.t -> bool -> Op.t
 val is_constant : Op.t -> bool
 val constant_value : Op.t -> Attr.t option
+
+type scalar =
+  | Bool of bool
+  | Int of int
+  | Float of float
+
+val scalar_of_attr : Attr.t -> scalar option
+(** A constant's value as the folder and both engines read it: an i1 is
+    true when non-zero, and a float is rounded to its type, so an f32
+    literal means its f32 value. [None] for a non-scalar attribute. *)
+
 val constant_int : Op.t -> int option
-val constant_float : Op.t -> float option
 
 (** {2 Integer and float binary operations} *)
 
-val binop : Builder.t -> string -> Value.t -> Value.t -> Op.t
+val int_binop : Builder.t -> int_binop -> Value.t -> Value.t -> Op.t
 val addi : Builder.t -> Value.t -> Value.t -> Op.t
 val subi : Builder.t -> Value.t -> Value.t -> Op.t
 val muli : Builder.t -> Value.t -> Value.t -> Op.t
@@ -34,7 +70,7 @@ val ori : Builder.t -> Value.t -> Value.t -> Op.t
 val xori : Builder.t -> Value.t -> Value.t -> Op.t
 
 val float_binop :
-  Builder.t -> string -> ?fastmath:bool -> Value.t -> Value.t -> Op.t
+  Builder.t -> float_binop -> ?fastmath:bool -> Value.t -> Value.t -> Op.t
 
 val addf : Builder.t -> ?fastmath:bool -> Value.t -> Value.t -> Op.t
 val subf : Builder.t -> ?fastmath:bool -> Value.t -> Value.t -> Op.t
@@ -62,27 +98,25 @@ val cmpf : Builder.t -> float_pred -> Value.t -> Value.t -> Op.t
 
 (** {2 Casts and select} *)
 
+val cast : Builder.t -> cast -> Value.t -> Types.t -> Op.t
 val index_cast : Builder.t -> Value.t -> Types.t -> Op.t
 val sitofp : Builder.t -> Value.t -> Types.t -> Op.t
 val fptosi : Builder.t -> Value.t -> Types.t -> Op.t
 val extf : Builder.t -> Value.t -> Types.t -> Op.t
 val truncf : Builder.t -> Value.t -> Types.t -> Op.t
-val extsi : Builder.t -> Value.t -> Types.t -> Op.t
-val trunci : Builder.t -> Value.t -> Types.t -> Op.t
 val select : Builder.t -> Value.t -> Value.t -> Value.t -> Op.t
 
-(** {2 Fold tables} *)
+(** {2 Evaluators} *)
 
-val fold_int_binop : string -> int -> int -> int option
-(** [None] on unfoldable ops (division by zero, unknown name). *)
+val eval_int_binop : int_binop -> Types.t -> int -> int -> int option
+(** [eval_int_binop o ty x y] at result type [ty]: an i1 result is 0 or
+    1. [None] when divsi or remsi divides by zero. *)
 
-val fold_float_binop : string -> Types.t -> float -> float -> float option
-(** [fold_float_binop name ty x y] folds at result type [ty]: at f32 the
-    operands and the result are rounded to f32. [None] on unknown names. *)
+val eval_float_binop : float_binop -> Types.t -> float -> float -> float
+(** [eval_float_binop o ty x y] at result type [ty]: an f32 result is
+    rounded to f32. The operands are taken as given. *)
 
 val eval_int_pred : int_pred -> int -> int -> bool
 val eval_float_pred : float_pred -> float -> float -> bool
-val int_binop_names : string list
-val float_binop_names : string list
 
 val register : unit -> unit

@@ -15,23 +15,13 @@ let absf b = unary b "math.absf"
 let powf b base expo =
   Builder.op1 b "math.powf" ~operands:[ base; expo ] (Value.ty base)
 
-let unary_names =
-  [ "math.sqrt"; "math.exp"; "math.log"; "math.sin"; "math.cos";
-    "math.tanh"; "math.absf" ]
+let unary_fns =
+  [ ("math.sqrt", Float.sqrt); ("math.exp", Float.exp); ("math.log", Float.log);
+    ("math.sin", Float.sin); ("math.cos", Float.cos); ("math.tanh", Float.tanh);
+    ("math.absf", Float.abs) ]
 
-let unary_fn name =
-  match name with
-  | "math.sqrt" -> Some Float.sqrt
-  | "math.exp" -> Some Float.exp
-  | "math.log" -> Some Float.log
-  | "math.sin" -> Some Float.sin
-  | "math.cos" -> Some Float.cos
-  | "math.tanh" -> Some Float.tanh
-  | "math.absf" -> Some Float.abs
-  | _ -> None
-
-let eval_unary name x =
-  match unary_fn name with Some f -> Some (f x) | None -> None
+let unary_names = List.map fst unary_fns
+let unary_fn name = List.assoc_opt name unary_fns
 
 let register () =
   let open Dialect in

@@ -15,9 +15,6 @@ val unary_names : string list
 
 val unary_fn : string -> (float -> float) option
 (** Resolve a [math.*] op name to its evaluation function, so callers can
-    hoist the name dispatch out of hot loops. *)
-
-val eval_unary : string -> float -> float option
-(** Evaluation table shared with the interpreter. *)
+    hoist the name dispatch out of hot loops; shared by both engines. *)
 
 val register : unit -> unit

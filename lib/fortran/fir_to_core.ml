@@ -20,33 +20,29 @@ let build_convert b v ty =
   let src = Value.ty v in
   if Types.equal src ty then ([], v)
   else
-    let one name =
-      let op = Builder.op1 b name ~operands:[ v ] ty in
+    let one cast =
+      let op = Arith.cast b cast v ty in
       ([ op ], Op.result1 op)
     in
     match (src, ty) with
     | Types.Index, (Types.I32 | Types.I64) | (Types.I32 | Types.I64), Types.Index
       ->
-      one "arith.index_cast"
-    | Types.I1, (Types.I32 | Types.I64) -> one "arith.extsi"
-    | Types.I32, Types.I64 -> one "arith.extsi"
-    | Types.I64, Types.I32 -> one "arith.trunci"
-    | (Types.I32 | Types.I64), (Types.F32 | Types.F64) -> one "arith.sitofp"
+      one Index_cast
+    | Types.I1, (Types.I32 | Types.I64) -> one Extsi
+    | Types.I32, Types.I64 -> one Extsi
+    | Types.I64, Types.I32 -> one Trunci
+    | (Types.I32 | Types.I64), (Types.F32 | Types.F64) -> one Sitofp
     | Types.Index, (Types.F32 | Types.F64) ->
-      let cast = Builder.op1 b "arith.index_cast" ~operands:[ v ] Types.I64 in
-      let conv =
-        Builder.op1 b "arith.sitofp" ~operands:[ Op.result1 cast ] ty
-      in
+      let cast = Arith.index_cast b v Types.I64 in
+      let conv = Arith.sitofp b (Op.result1 cast) ty in
       ([ cast; conv ], Op.result1 conv)
-    | (Types.F32 | Types.F64), (Types.I32 | Types.I64) -> one "arith.fptosi"
+    | (Types.F32 | Types.F64), (Types.I32 | Types.I64) -> one Fptosi
     | (Types.F32 | Types.F64), Types.Index ->
-      let conv = Builder.op1 b "arith.fptosi" ~operands:[ v ] Types.I64 in
-      let cast =
-        Builder.op1 b "arith.index_cast" ~operands:[ Op.result1 conv ] ty
-      in
+      let conv = Arith.fptosi b v Types.I64 in
+      let cast = Arith.index_cast b (Op.result1 conv) ty in
       ([ conv; cast ], Op.result1 cast)
-    | Types.F32, Types.F64 -> one "arith.extf"
-    | Types.F64, Types.F32 -> one "arith.truncf"
+    | Types.F32, Types.F64 -> one Extf
+    | Types.F64, Types.F32 -> one Truncf
     | _ ->
       invalid_arg
         (Fmt.str "fir.convert: unsupported conversion %s -> %s"
@@ -93,13 +89,7 @@ and transform_op b subst op =
     | [ lb; ub; step ] ->
       let loc = Op.loc op in
       let one = Op.set_loc (Arith.const_index b 1) loc in
-      let ub_excl =
-        Op.set_loc
-          (Builder.op1 b "arith.addi"
-             ~operands:[ ub; Op.result1 one ]
-             Types.Index)
-          loc
-      in
+      let ub_excl = Op.set_loc (Arith.addi b ub (Op.result1 one)) loc in
       [
         one;
         ub_excl;

@@ -81,29 +81,41 @@ let count_ops_in body pred =
 
 (* MAC pairs: an addf/subf with a mulf-defined operand. *)
 let count_macs defs body =
+  let is_mulf op = Arith.kind op = Some (Arith.Float_binop Mulf) in
   count_ops_in body (fun op ->
-      match Op.name op with
-      | "arith.addf" | "arith.subf" ->
+      match Arith.kind op with
+      | Some (Arith.Float_binop (Addf | Subf)) ->
         List.exists
           (fun v ->
             match Hashtbl.find_opt defs (Value.id v) with
-            | Some d -> String.equal (Op.name d) "arith.mulf"
+            | Some d -> is_mulf d
             | None -> false)
           (Op.operands op)
       | _ -> false)
 
+(* Op classes of the cost model: float arithmetic and every math op are
+   float ops; integer arithmetic, cmpi and index_cast are integer ops;
+   cmpf, select and the other casts are in neither. *)
+let math_names = "math.powf" :: Math_d.unary_names
+
 let is_float_op op =
-  List.mem (Op.name op)
-    [ "arith.addf"; "arith.subf"; "arith.mulf"; "arith.divf"; "arith.negf";
-      "arith.maximumf"; "arith.minimumf"; "math.sqrt"; "math.exp";
-      "math.log"; "math.sin"; "math.cos"; "math.tanh"; "math.absf";
-      "math.powf" ]
+  match Arith.kind op with
+  | Some (Arith.Float_binop _ | Arith.Negf) -> true
+  | Some
+      ( Arith.Constant | Arith.Int_binop _ | Arith.Cmpi | Arith.Cmpf
+      | Arith.Cast _ | Arith.Select ) ->
+    false
+  | None -> List.mem (Op.name op) math_names
 
 let is_int_op op =
-  List.mem (Op.name op)
-    [ "arith.addi"; "arith.subi"; "arith.muli"; "arith.divsi";
-      "arith.remsi"; "arith.maxsi"; "arith.minsi"; "arith.andi";
-      "arith.ori"; "arith.xori"; "arith.cmpi"; "arith.index_cast" ]
+  match Arith.kind op with
+  | Some (Arith.Int_binop _ | Arith.Cmpi | Arith.Cast Index_cast) -> true
+  | Some
+      ( Arith.Constant | Arith.Float_binop _ | Arith.Negf | Arith.Cmpf
+      | Arith.Cast (Sitofp | Fptosi | Extf | Truncf | Extsi | Trunci)
+      | Arith.Select )
+  | None ->
+    false
 
 (* Direct ops of a body, not descending into nested scf.for. *)
 let direct_ops body =

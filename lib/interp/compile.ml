@@ -697,28 +697,39 @@ and tree_semantics ctx op : code =
     List.iter (fun (r, set) -> set f (Tree.get scratch r)) sets
 
 and compile_default ctx op : op_code =
-  let name = Op.name op in
+  match Arith.kind op with
+  | Some k -> compile_arith ctx op k
+  | None -> compile_other ctx op
+
+(* Each arith op compiles to one closure with its arithmetic, and its f32
+   rounding, inline. *)
+and compile_arith ctx op k : op_code =
   let sl v = slot ctx v in
   let d1 () = sl (Op.result1 op) in
   let fallback () = Work (tree_semantics ctx op) in
-  (* A copy within one register file cannot fail; across files it
-     unboxes with [Rtval.as_int] / [Rtval.as_float], which can. *)
-  let move_op s d =
-    if s.file = d.file then Pure (move s d) else Work (move s d)
+  (* A binary op with its operands in [operands] and its result in
+     [result]: [code a b d ty] over their slot indices and the result
+     type. Other files, or another operand count, take the fallback. *)
+  let binary operands result code =
+    match Op.operands op with
+    | [ a; b ] -> (
+      match (sl a, sl b, d1 ()) with
+      | { file = fa; idx = a; _ }, { file = fb; idx = b; _ },
+        { file = fd; idx = d; ty }
+        when fa = operands && fb = operands && fd = result ->
+        code a b d ty
+      | _ -> fallback ())
+    | _ -> fallback ()
   in
-  match name with
-  | "arith.constant" -> (
-    let rv =
-      match Op.find_attr op "value" with
-      | Some (Attr.Int (n, Types.I1)) -> Some (Rtval.Bool (n <> 0))
-      | Some (Attr.Int (n, _)) -> Some (Rtval.Int n)
-      | Some (Attr.Float (x, _)) -> Some (Rtval.Float x)
-      | Some (Attr.Bool b) -> Some (Rtval.Bool b)
-      | _ -> None
-    in
-    match rv with
+  let predicate of_string =
+    Option.bind (Op.string_attr op "predicate") of_string
+  in
+  match k with
+  | Arith.Constant -> (
+    match Option.bind (Op.find_attr op "value") Arith.scalar_of_attr with
     | None -> fallback ()
-    | Some rv ->
+    | Some s ->
+      let rv = Tree.rtval_of_scalar s in
       let d = d1 () in
       let i = d.idx in
       let preload : code =
@@ -733,85 +744,67 @@ and compile_default ctx op : op_code =
       in
       ctx.preloads <- preload :: ctx.preloads;
       Elided)
-  | "arith.addi" | "arith.subi" | "arith.muli" | "arith.divsi"
-  | "arith.remsi" | "arith.maxsi" | "arith.minsi" | "arith.andi"
-  | "arith.ori" | "arith.xori" -> (
-    match Op.operands op with
-    | [ a; b ] -> (
-      match (sl a, sl b, d1 ()) with
-      (* Other arithmetic on i1 values is left to the fallback, which
-         makes its result 0 or 1. *)
-      | { file = Ints; idx = a; _ }, { file = Ints; idx = b; _ },
-        { file = Ints; idx = d; ty }
-        when ty <> Types.I1
-             || List.mem name [ "arith.andi"; "arith.ori"; "arith.xori" ] -> (
-        match name with
-        | "arith.addi" -> Pure (fun f -> si f d (gi f a + gi f b))
-        | "arith.subi" -> Pure (fun f -> si f d (gi f a - gi f b))
-        | "arith.muli" -> Pure (fun f -> si f d (gi f a * gi f b))
-        (* Division operators check the divisor first, like the
-           tree-walker. *)
-        | "arith.divsi" ->
-          Work
-            (fun f ->
-              let y = gi f b in
-              if y = 0 then error "integer division by zero"
-              else si f d (gi f a / y))
-        | "arith.remsi" ->
-          Work
-            (fun f ->
-              let y = gi f b in
-              if y = 0 then error "integer remainder by zero"
-              else si f d (gi f a mod y))
-        | "arith.maxsi" ->
-          Pure
-            (fun f ->
-              let x = gi f a and y = gi f b in
-              si f d (if x >= y then x else y))
-        | "arith.minsi" ->
-          Pure
-            (fun f ->
-              let x = gi f a and y = gi f b in
-              si f d (if x <= y then x else y))
-        (* On i1 values held as 0/1 these are exactly the tree-walker's
-           boolean and/or/xor. *)
-        | "arith.andi" -> Pure (fun f -> si f d (gi f a land gi f b))
-        | "arith.ori" -> Pure (fun f -> si f d (gi f a lor gi f b))
-        | _ -> Pure (fun f -> si f d (gi f a lxor gi f b)))
-      | _ -> fallback ())
-    | _ -> fallback ())
-  | "arith.addf" | "arith.subf" | "arith.mulf" | "arith.divf"
-  | "arith.maximumf" | "arith.minimumf" -> (
-    match Op.operands op with
-    | [ a; b ] -> (
-      match (sl a, sl b, d1 ()) with
-      | { file = Floats; idx = a; _ }, { file = Floats; idx = b; _ },
-        { file = Floats; idx = d; ty } ->
-        (* f32-typed arithmetic rounds to single precision per
-           operation *)
+  | Arith.Int_binop o ->
+    binary Ints Ints (fun a b d ty ->
+        (* Other arithmetic on i1 values is left to the fallback, which
+           makes its result 0 or 1. *)
+        if ty = Types.I1 && not (List.mem o [ Andi; Ori; Xori ]) then
+          fallback ()
+        else
+          match o with
+          | Arith.Addi -> Pure (fun f -> si f d (gi f a + gi f b))
+          | Subi -> Pure (fun f -> si f d (gi f a - gi f b))
+          | Muli -> Pure (fun f -> si f d (gi f a * gi f b))
+          (* Division operators check the divisor first, like the
+             tree-walker. *)
+          | Divsi ->
+            Work
+              (fun f ->
+                let y = gi f b in
+                if y = 0 then error "integer division by zero"
+                else si f d (gi f a / y))
+          | Remsi ->
+            Work
+              (fun f ->
+                let y = gi f b in
+                if y = 0 then error "integer remainder by zero"
+                else si f d (gi f a mod y))
+          | Maxsi ->
+            Pure
+              (fun f ->
+                let x = gi f a and y = gi f b in
+                si f d (if x >= y then x else y))
+          | Minsi ->
+            Pure
+              (fun f ->
+                let x = gi f a and y = gi f b in
+                si f d (if x <= y then x else y))
+          (* On i1 values held as 0/1 these are exactly the tree-walker's
+             boolean and/or/xor. *)
+          | Andi -> Pure (fun f -> si f d (gi f a land gi f b))
+          | Ori -> Pure (fun f -> si f d (gi f a lor gi f b))
+          | Xori -> Pure (fun f -> si f d (gi f a lxor gi f b)))
+  | Arith.Float_binop o ->
+    (* f32-typed arithmetic rounds to single precision per operation *)
+    binary Floats Floats (fun a b d ty ->
         Pure
-          (match (name, ty) with
-          | "arith.addf", Types.F32 ->
+          (match (o, ty) with
+          | Arith.Addf, Types.F32 ->
             fun f -> sf f d (round_f32 (gf f a +. gf f b))
-          | "arith.addf", _ -> fun f -> sf f d (gf f a +. gf f b)
-          | "arith.subf", Types.F32 ->
-            fun f -> sf f d (round_f32 (gf f a -. gf f b))
-          | "arith.subf", _ -> fun f -> sf f d (gf f a -. gf f b)
-          | "arith.mulf", Types.F32 ->
-            fun f -> sf f d (round_f32 (gf f a *. gf f b))
-          | "arith.mulf", _ -> fun f -> sf f d (gf f a *. gf f b)
-          | "arith.divf", Types.F32 ->
-            fun f -> sf f d (round_f32 (gf f a /. gf f b))
-          | "arith.divf", _ -> fun f -> sf f d (gf f a /. gf f b)
-          | "arith.maximumf", Types.F32 ->
+          | Addf, _ -> fun f -> sf f d (gf f a +. gf f b)
+          | Subf, Types.F32 -> fun f -> sf f d (round_f32 (gf f a -. gf f b))
+          | Subf, _ -> fun f -> sf f d (gf f a -. gf f b)
+          | Mulf, Types.F32 -> fun f -> sf f d (round_f32 (gf f a *. gf f b))
+          | Mulf, _ -> fun f -> sf f d (gf f a *. gf f b)
+          | Divf, Types.F32 -> fun f -> sf f d (round_f32 (gf f a /. gf f b))
+          | Divf, _ -> fun f -> sf f d (gf f a /. gf f b)
+          | Maximumf, Types.F32 ->
             fun f -> sf f d (round_f32 (Float.max (gf f a) (gf f b)))
-          | "arith.maximumf", _ -> fun f -> sf f d (Float.max (gf f a) (gf f b))
-          | _, Types.F32 ->
+          | Maximumf, _ -> fun f -> sf f d (Float.max (gf f a) (gf f b))
+          | Minimumf, Types.F32 ->
             fun f -> sf f d (round_f32 (Float.min (gf f a) (gf f b)))
-          | _ -> fun f -> sf f d (Float.min (gf f a) (gf f b)))
-      | _ -> fallback ())
-    | _ -> fallback ())
-  | "arith.negf" -> (
+          | Minimumf, _ -> fun f -> sf f d (Float.min (gf f a) (gf f b))))
+  | Arith.Negf -> (
     match Op.operands op with
     | [ a ] -> (
       match (sl a, d1 ()) with
@@ -819,14 +812,11 @@ and compile_default ctx op : op_code =
         Pure (fun f -> sf f d (-.gf f a))
       | _ -> fallback ())
     | _ -> fallback ())
-  | "arith.cmpi" -> (
-    match (Op.operands op, Op.string_attr op "predicate") with
-    | [ a; b ], Some pred_s -> (
-      match Arith.int_pred_of_string pred_s with
-      | Some pred -> (
-        match (sl a, sl b, d1 ()) with
-        | { file = Ints; idx = a; _ }, { file = Ints; idx = b; _ },
-          { file = Ints; idx = d; _ } ->
+  | Arith.Cmpi -> (
+    match predicate Arith.int_pred_of_string with
+    | None -> fallback ()
+    | Some pred ->
+      binary Ints Ints (fun a b d _ ->
           Pure
             (match pred with
             | Arith.Eq -> fun f -> si f d (if gi f a = gi f b then 1 else 0)
@@ -834,19 +824,13 @@ and compile_default ctx op : op_code =
             | Arith.Slt -> fun f -> si f d (if gi f a < gi f b then 1 else 0)
             | Arith.Sle -> fun f -> si f d (if gi f a <= gi f b then 1 else 0)
             | Arith.Sgt -> fun f -> si f d (if gi f a > gi f b then 1 else 0)
-            | Arith.Sge -> fun f -> si f d (if gi f a >= gi f b then 1 else 0))
-        | _ -> fallback ())
-      | None -> fallback ())
-    | _ -> fallback ())
-  | "arith.cmpf" -> (
-    match (Op.operands op, Op.string_attr op "predicate") with
-    | [ a; b ], Some pred_s -> (
-      match Arith.float_pred_of_string pred_s with
-      | Some pred -> (
-        match (sl a, sl b, d1 ()) with
-        | { file = Floats; idx = a; _ }, { file = Floats; idx = b; _ },
-          { file = Ints; idx = d; _ } ->
-          (* Ordered predicates are false on a NaN operand, [une] true. *)
+            | Arith.Sge -> fun f -> si f d (if gi f a >= gi f b then 1 else 0))))
+  | Arith.Cmpf -> (
+    match predicate Arith.float_pred_of_string with
+    | None -> fallback ()
+    | Some pred ->
+      (* Ordered predicates are false on a NaN operand, [une] true. *)
+      binary Floats Ints (fun a b d _ ->
           Pure
             (match pred with
             | Arith.Oeq -> fun f -> si f d (if gf f a = gf f b then 1 else 0)
@@ -858,11 +842,8 @@ and compile_default ctx op : op_code =
             | Arith.Olt -> fun f -> si f d (if gf f a < gf f b then 1 else 0)
             | Arith.Ole -> fun f -> si f d (if gf f a <= gf f b then 1 else 0)
             | Arith.Ogt -> fun f -> si f d (if gf f a > gf f b then 1 else 0)
-            | Arith.Oge -> fun f -> si f d (if gf f a >= gf f b then 1 else 0))
-        | _ -> fallback ())
-      | None -> fallback ())
-    | _ -> fallback ())
-  | "arith.select" -> (
+            | Arith.Oge -> fun f -> si f d (if gf f a >= gf f b then 1 else 0))))
+  | Arith.Select -> (
     match Op.operands op with
     | [ c; t; e ] -> (
       match (sl c, sl t, sl e, d1 ()) with
@@ -877,10 +858,9 @@ and compile_default ctx op : op_code =
           | Vals -> fun f -> sv f d' (if gi f c <> 0 then gv f t else gv f e))
       | _ -> fallback ())
     | _ -> fallback ())
-  | "arith.index_cast" | "arith.extsi" | "arith.trunci" | "arith.sitofp"
-  | "arith.fptosi" | "arith.extf" | "arith.truncf" -> (
+  | Arith.Cast _ -> (
     (* The result type alone decides the conversion, as in
-       [Tree.eval_cast]: f32 rounds, f16 and f64 convert, i1 tests
+       the tree-walker: f32 rounds, f16 and f64 convert, i1 tests
        non-zero and every other type converts to an integer. *)
     match Op.operands op with
     | [ a ] -> (
@@ -901,13 +881,27 @@ and compile_default ctx op : op_code =
         Pure (fun f -> si f i (int_of_float (gf f a)))
       | _ -> fallback ())
     | _ -> fallback ())
+
+and compile_other ctx op : op_code =
+  let name = Op.name op in
+  let sl v = slot ctx v in
+  let d1 () = sl (Op.result1 op) in
+  let fallback () = Work (tree_semantics ctx op) in
+  (* A copy within one register file cannot fail; across files it
+     unboxes with [Rtval.as_int] / [Rtval.as_float], which can. *)
+  let move_op s d =
+    if s.file = d.file then Pure (move s d) else Work (move s d)
+  in
+  match name with
   | "math.sqrt" | "math.exp" | "math.log" | "math.sin" | "math.cos"
   | "math.tanh" | "math.absf" -> (
     match (Op.operands op, Math_d.unary_fn name) with
     | [ a ], Some g -> (
+      (* an f32 result rounds, as f32 arithmetic does *)
       match (sl a, d1 ()) with
-      | { file = Floats; idx = a; _ }, { file = Floats; idx = d; _ } ->
-        Pure (fun f -> sf f d (g (gf f a)))
+      | { file = Floats; idx = a; _ }, { file = Floats; idx = d; ty } ->
+        if ty = Types.F32 then Pure (fun f -> sf f d (round_f32 (g (gf f a))))
+        else Pure (fun f -> sf f d (g (gf f a)))
       | _ -> fallback ())
     | _ -> fallback ())
   | "math.powf" -> (
@@ -915,8 +909,10 @@ and compile_default ctx op : op_code =
     | [ a; b ] -> (
       match (sl a, sl b, d1 ()) with
       | { file = Floats; idx = a; _ }, { file = Floats; idx = b; _ },
-        { file = Floats; idx = d; _ } ->
-        Pure (fun f -> sf f d (Float.pow (gf f a) (gf f b)))
+        { file = Floats; idx = d; ty } ->
+        if ty = Types.F32 then
+          Pure (fun f -> sf f d (round_f32 (Float.pow (gf f a) (gf f b))))
+        else Pure (fun f -> sf f d (Float.pow (gf f a) (gf f b)))
       | _ -> fallback ())
     | _ -> fallback ())
   | "memref.alloca" | "memref.alloc" -> (

@@ -3,7 +3,8 @@
    This module holds everything both engines need — the interpreter
    [state], hashtable [frame]s, the [handler] protocol — plus the
    reference tree-walker: a direct recursive evaluator that re-dispatches
-   on [Op.name] for every executed op. [Compile] builds the fast
+   every executed op, an arith op on its [Arith.kind] and any other on
+   [Op.name]. [Compile] builds the fast
    closure-compiled engine on top of these definitions, using the
    tree-walker's [exec_default] as the semantic fallback for ops it does
    not compile; [Interp] is the public facade that picks an engine.
@@ -163,16 +164,60 @@ let find_function state name =
 
 (* --- scalar operations --- *)
 
-let lift_arith_int f a b = Rtval.Int (f (Rtval.as_int a) (Rtval.as_int b))
-let lift_arith_float f a b = Rtval.Float (f (Rtval.as_float a) (Rtval.as_float b))
+let rtval_of_scalar = function
+  | Arith.Bool b -> Rtval.Bool b
+  | Arith.Int n -> Rtval.Int n
+  | Arith.Float x -> Rtval.Float x
 
-let eval_cast op v =
-  let dst = Value.ty (Op.result1 op) in
-  match dst with
-  | Types.F32 -> Rtval.Float (Types.round_f32 (Rtval.as_float v))
-  | Types.F16 | Types.F64 -> Rtval.Float (Rtval.as_float v)
-  | Types.I1 -> Rtval.Bool (Rtval.as_bool v)
-  | _ -> Rtval.Int (Rtval.as_int v)
+(* An arith op's result, through [Arith]'s constant reader and
+   evaluators. *)
+let eval_arith op k operands =
+  let name = Op.name op in
+  let ty () = Value.ty (Op.result1 op) in
+  let pred () = Op.string_attr op "predicate" in
+  match (k, operands) with
+  | Arith.Constant, _ -> (
+    match Option.bind (Op.find_attr op "value") Arith.scalar_of_attr with
+    | Some s -> rtval_of_scalar s
+    | None -> error "%s without a value" name)
+  | Arith.Int_binop o, [ a; b ] -> (
+    let ty = ty () in
+    match Arith.eval_int_binop o ty (Rtval.as_int a) (Rtval.as_int b) with
+    (* an i1 result is a [Bool], non-zero meaning true as in
+       [Rtval.as_bool] *)
+    | Some n -> if ty = Types.I1 then Rtval.Bool (n <> 0) else Rtval.Int n
+    | None ->
+      error "integer %s by zero"
+        (if o = Arith.Remsi then "remainder" else "division"))
+  | Arith.Float_binop o, [ a; b ] ->
+    Rtval.Float
+      (Arith.eval_float_binop o (ty ()) (Rtval.as_float a) (Rtval.as_float b))
+  | Arith.Negf, [ a ] -> Rtval.Float (-.Rtval.as_float a)
+  | Arith.Cmpi, [ a; b ] -> (
+    match Option.map (fun s -> (s, Arith.int_pred_of_string s)) (pred ()) with
+    | Some (_, Some p) ->
+      Rtval.Bool (Arith.eval_int_pred p (Rtval.as_int a) (Rtval.as_int b))
+    | Some (s, None) -> error "unknown cmpi predicate %s" s
+    | None -> error "malformed %s" name)
+  | Arith.Cmpf, [ a; b ] -> (
+    match Option.map (fun s -> (s, Arith.float_pred_of_string s)) (pred ()) with
+    | Some (_, Some p) ->
+      Rtval.Bool (Arith.eval_float_pred p (Rtval.as_float a) (Rtval.as_float b))
+    | Some (s, None) -> error "unknown cmpf predicate %s" s
+    | None -> error "malformed %s" name)
+  (* the result type alone decides a cast's conversion *)
+  | Arith.Cast _, [ v ] -> (
+    match ty () with
+    | Types.F32 -> Rtval.Float (Types.round_f32 (Rtval.as_float v))
+    | Types.F16 | Types.F64 -> Rtval.Float (Rtval.as_float v)
+    | Types.I1 -> Rtval.Bool (Rtval.as_bool v)
+    | _ -> Rtval.Int (Rtval.as_int v))
+  | Arith.Select, [ c; t; f ] -> if Rtval.as_bool c then t else f
+  | (Arith.Int_binop _ | Arith.Float_binop _), _ ->
+    error "%s expects two operands" name
+  | (Arith.Negf | Arith.Cast _), _ -> error "%s expects one operand" name
+  | (Arith.Cmpi | Arith.Cmpf), _ -> error "malformed %s" name
+  | Arith.Select, _ -> error "%s expects three operands" name
 
 (* --- op dispatch --- *)
 
@@ -186,87 +231,34 @@ let rec exec_op state frame op =
   | None -> exec_default state frame op operand_values
 
 and exec_default state frame op operand_values =
+  match Arith.kind op with
+  | Some k -> set frame (Op.result1 op) (eval_arith op k operand_values)
+  | None -> exec_other state frame op operand_values
+
+and exec_other state frame op operand_values =
   let name = Op.name op in
   let operands () = operand_values in
   let ret1 rv = set frame (Op.result1 op) rv in
   match name with
-  | "arith.constant" -> (
-    match Op.find_attr op "value" with
-    | Some (Attr.Int (n, Types.I1)) -> ret1 (Rtval.Bool (n <> 0))
-    | Some (Attr.Int (n, _)) -> ret1 (Rtval.Int n)
-    | Some (Attr.Float (x, _)) -> ret1 (Rtval.Float x)
-    | Some (Attr.Bool b) -> ret1 (Rtval.Bool b)
-    | _ -> error "arith.constant without a value")
-  | "arith.addi" | "arith.subi" | "arith.muli" | "arith.divsi"
-  | "arith.remsi" | "arith.maxsi" | "arith.minsi" | "arith.andi"
-  | "arith.ori" | "arith.xori" -> (
-    match operands () with
-    | [ a; b ] -> (
-      (* an i1 result is a [Bool], non-zero meaning true as in
-         [Rtval.as_bool] *)
-      match (eval_int_binop name a b, Value.ty (Op.result1 op)) with
-      | Rtval.Int n, Types.I1 -> ret1 (Rtval.Bool (n <> 0))
-      | r, _ -> ret1 r)
-    | _ -> error "%s expects two operands" name)
-  | "arith.addf" | "arith.subf" | "arith.mulf" | "arith.divf"
-  | "arith.maximumf" | "arith.minimumf" -> (
-    match operands () with
-    | [ a; b ] ->
-      (* f32-typed arithmetic rounds to single precision per operation *)
-      let r = eval_float_binop name a b in
-      let r =
-        match (r, Value.ty (Op.result1 op)) with
-        | Rtval.Float x, Types.F32 -> Rtval.Float (Types.round_f32 x)
-        | _ -> r
-      in
-      ret1 r
-    | _ -> error "%s expects two operands" name)
-  | "arith.negf" -> (
-    match operands () with
-    | [ a ] -> ret1 (Rtval.Float (-.Rtval.as_float a))
-    | _ -> error "arith.negf expects one operand")
-  | "arith.cmpi" -> (
-    match (operands (), Op.string_attr op "predicate") with
-    | [ a; b ], Some pred_s -> (
-      match Arith.int_pred_of_string pred_s with
-      | Some pred ->
-        ret1
-          (Rtval.Bool
-             (Arith.eval_int_pred pred (Rtval.as_int a) (Rtval.as_int b)))
-      | None -> error "unknown cmpi predicate %s" pred_s)
-    | _ -> error "malformed arith.cmpi")
-  | "arith.cmpf" -> (
-    match (operands (), Op.string_attr op "predicate") with
-    | [ a; b ], Some pred_s -> (
-      match Arith.float_pred_of_string pred_s with
-      | Some pred ->
-        ret1
-          (Rtval.Bool
-             (Arith.eval_float_pred pred (Rtval.as_float a)
-                (Rtval.as_float b)))
-      | None -> error "unknown cmpf predicate %s" pred_s)
-    | _ -> error "malformed arith.cmpf")
-  | "arith.select" -> (
-    match operands () with
-    | [ c; t; f ] -> ret1 (if Rtval.as_bool c then t else f)
-    | _ -> error "arith.select expects three operands")
-  | "arith.index_cast" | "arith.extsi" | "arith.trunci" | "arith.sitofp"
-  | "arith.fptosi" | "arith.extf" | "arith.truncf" -> (
-    match operands () with
-    | [ v ] -> ret1 (eval_cast op v)
-    | _ -> error "%s expects one operand" name)
+  (* an f32 result rounds, as the libm call the kernel makes does *)
   | "math.sqrt" | "math.exp" | "math.log" | "math.sin" | "math.cos"
   | "math.tanh" | "math.absf" -> (
     match operands () with
     | [ v ] -> (
-      match Math_d.eval_unary name (Rtval.as_float v) with
-      | Some r -> ret1 (Rtval.Float r)
+      match Math_d.unary_fn name with
+      | Some g ->
+        let r = g (Rtval.as_float v) in
+        ret1 (Rtval.Float (Types.round_to (Value.ty (Op.result1 op)) r))
       | None -> error "cannot evaluate %s" name)
     | _ -> error "%s expects one operand" name)
   | "math.powf" -> (
     match operands () with
     | [ a; b ] ->
-      ret1 (Rtval.Float (Float.pow (Rtval.as_float a) (Rtval.as_float b)))
+      ret1
+        (Rtval.Float
+           (Types.round_to
+              (Value.ty (Op.result1 op))
+              (Float.pow (Rtval.as_float a) (Rtval.as_float b))))
     | _ -> error "math.powf expects two operands")
   | "memref.alloca" | "memref.alloc" -> (
     match Value.ty (Op.result1 op) with
@@ -381,43 +373,6 @@ and exec_default state frame op operand_values =
     | [ Rtval.StreamQ q; v ] -> Queue.push v q
     | _ -> error "hls.stream_write expects a stream and a value")
   | other -> error "no semantics for operation %s" other
-
-and eval_int_binop name a b =
-  match name with
-  | "arith.addi" -> lift_arith_int ( + ) a b
-  | "arith.subi" -> lift_arith_int ( - ) a b
-  | "arith.muli" -> lift_arith_int ( * ) a b
-  | "arith.divsi" ->
-    if Rtval.as_int b = 0 then error "integer division by zero"
-    else lift_arith_int ( / ) a b
-  | "arith.remsi" ->
-    if Rtval.as_int b = 0 then error "integer remainder by zero"
-    else lift_arith_int (fun x y -> x mod y) a b
-  | "arith.maxsi" -> lift_arith_int max a b
-  | "arith.minsi" -> lift_arith_int min a b
-  | "arith.andi" -> (
-    match (a, b) with
-    | Rtval.Bool x, Rtval.Bool y -> Rtval.Bool (x && y)
-    | _ -> lift_arith_int ( land ) a b)
-  | "arith.ori" -> (
-    match (a, b) with
-    | Rtval.Bool x, Rtval.Bool y -> Rtval.Bool (x || y)
-    | _ -> lift_arith_int ( lor ) a b)
-  | "arith.xori" -> (
-    match (a, b) with
-    | Rtval.Bool x, Rtval.Bool y -> Rtval.Bool (x <> y)
-    | _ -> lift_arith_int ( lxor ) a b)
-  | _ -> error "unknown integer binop %s" name
-
-and eval_float_binop name a b =
-  match name with
-  | "arith.addf" -> lift_arith_float ( +. ) a b
-  | "arith.subf" -> lift_arith_float ( -. ) a b
-  | "arith.mulf" -> lift_arith_float ( *. ) a b
-  | "arith.divf" -> lift_arith_float ( /. ) a b
-  | "arith.maximumf" -> lift_arith_float Float.max a b
-  | "arith.minimumf" -> lift_arith_float Float.min a b
-  | _ -> error "unknown float binop %s" name
 
 and resolve_shape mi dynamic =
   let rec go shape dynamic =

@@ -31,10 +31,12 @@ let sgesl_update ~n ~a ~b ~ipvt =
     done
   done
 
-(* Benchmark initialisation of Fortran_sources.sgesl. *)
+(* Benchmark initialisation of Fortran_sources.sgesl. The literal 0.001
+   is a default real, so it is its f32 value before it multiplies. *)
 let sgesl_inputs ~n =
   let a =
-    Array.init n (fun i -> to_f32 (0.001 *. float_of_int (((i + 1) mod 7) + 1)))
+    Array.init n (fun i ->
+        to_f32 (to_f32 0.001 *. float_of_int (((i + 1) mod 7) + 1)))
   in
   let b =
     Array.init n (fun i -> to_f32 (float_of_int ((i + 1) mod 13) *. 0.5))

@@ -22,94 +22,83 @@ let pure_op op =
 (* --- constant folding + identity simplification (driver fold hook) --- *)
 
 let folder ctx op =
+  (* operands read as both engines read constants *)
+  let scalar v = Option.bind (Rewrite.const_of ctx v) Arith.scalar_of_attr in
   let int_of v =
-    match Rewrite.const_of ctx v with
-    | Some (Attr.Int (n, _)) -> Some n
+    match scalar v with
+    | Some (Arith.Int n) -> Some n
+    | Some (Arith.Bool b) -> Some (Bool.to_int b)
     | _ -> None
   in
   let float_of v =
-    match Rewrite.const_of ctx v with
-    | Some (Attr.Float (x, _)) -> Some x
-    | _ -> None
+    match scalar v with Some (Arith.Float x) -> Some x | _ -> None
   in
-  let name = Op.name op in
+  let ty () = Value.ty (Op.result1 op) in
   let to_const a = Some [ Rewrite.To_constant a ] in
   let to_value v = Some [ Rewrite.To_value v ] in
-  if Arith.is_constant op then None
-  else if List.mem name Arith.int_binop_names then
+  match Arith.kind op with
+  | None
+  | Some
+      ( Arith.Constant | Arith.Negf | Arith.Cmpf
+      | Arith.Cast (Extsi | Trunci | Fptosi | Extf | Truncf) ) ->
+    None
+  | Some (Arith.Int_binop o) -> (
     match Op.operands op with
     | [ x; y ] -> (
-      let ty = Value.ty (Op.result1 op) in
+      let ty = ty () in
       match (int_of x, int_of y) with
       | Some a, Some c -> (
-        match Arith.fold_int_binop name a c with
+        match Arith.eval_int_binop o ty a c with
         | Some r -> to_const (Attr.Int (r, ty))
         | None -> None)
       (* identities: x+0, x-0, x*1, x*0, x/1 (and commuted forms) *)
-      | _, Some 0 when List.mem name [ "arith.addi"; "arith.subi" ] ->
-        to_value x
-      | Some 0, _ when String.equal name "arith.addi" -> to_value y
-      | _, Some 1 when List.mem name [ "arith.muli"; "arith.divsi" ] ->
-        to_value x
-      | Some 1, _ when String.equal name "arith.muli" -> to_value y
-      | _, Some 0 when String.equal name "arith.muli" ->
-        to_const (Attr.Int (0, ty))
-      | Some 0, _ when String.equal name "arith.muli" ->
-        to_const (Attr.Int (0, ty))
+      | _, Some 0 when o = Addi || o = Subi -> to_value x
+      | Some 0, _ when o = Addi -> to_value y
+      | _, Some 1 when o = Muli || o = Divsi -> to_value x
+      | Some 1, _ when o = Muli -> to_value y
+      | (_, Some 0 | Some 0, _) when o = Muli -> to_const (Attr.Int (0, ty))
       | _ -> None)
-    | _ -> None
-  else if List.mem name Arith.float_binop_names then
+    | _ -> None)
+  | Some (Arith.Float_binop o) -> (
     match Op.operands op with
     | [ x; y ] -> (
       match (float_of x, float_of y) with
-      | Some a, Some c -> (
-        let ty = Value.ty (Op.result1 op) in
-        match Arith.fold_float_binop name ty a c with
-        | Some r -> to_const (Attr.Float (r, ty))
-        | None -> None)
+      | Some a, Some c ->
+        let ty = ty () in
+        to_const (Attr.Float (Arith.eval_float_binop o ty a c, ty))
       (* x*1.0 and x/1.0 are exact; x+0.0 is not (-0.0 + 0.0 = +0.0) *)
-      | _, Some 1.0 when List.mem name [ "arith.mulf"; "arith.divf" ] ->
-        to_value x
-      | Some 1.0, _ when String.equal name "arith.mulf" -> to_value y
+      | _, Some 1.0 when o = Mulf || o = Divf -> to_value x
+      | Some 1.0, _ when o = Mulf -> to_value y
       | _ -> None)
-    | _ -> None
-  else if String.equal name "arith.cmpi" then
-    match Op.operands op with
-    | [ x; y ] -> (
-      match (int_of x, int_of y, Op.string_attr op "predicate") with
-      | Some a, Some c, Some pred_s -> (
-        match Arith.int_pred_of_string pred_s with
-        | Some pred ->
-          let r = if Arith.eval_int_pred pred a c then 1 else 0 in
-          to_const (Attr.Int (r, Types.I1))
-        | None -> None)
+    | _ -> None)
+  | Some Arith.Cmpi -> (
+    match (Op.operands op, Op.string_attr op "predicate") with
+    | [ x; y ], Some pred_s -> (
+      match (int_of x, int_of y, Arith.int_pred_of_string pred_s) with
+      | Some a, Some c, Some pred ->
+        let r = Bool.to_int (Arith.eval_int_pred pred a c) in
+        to_const (Attr.Int (r, Types.I1))
       | _ -> None)
-    | _ -> None
-  else if String.equal name "arith.index_cast" then
+    | _ -> None)
+  | Some (Arith.Cast Index_cast) -> (
     match Op.operands op with
-    | [ x ] -> (
-      match int_of x with
-      | Some a -> to_const (Attr.Int (a, Value.ty (Op.result1 op)))
-      | None -> None)
-    | _ -> None
-  else if String.equal name "arith.sitofp" then
+    | [ x ] -> Option.bind (int_of x) (fun a -> to_const (Attr.Int (a, ty ())))
+    | _ -> None)
+  | Some (Arith.Cast Sitofp) -> (
     match Op.operands op with
-    | [ x ] -> (
-      match int_of x with
-      | Some a ->
-        let ty = Value.ty (Op.result1 op) in
-        to_const (Attr.Float (Types.round_to ty (float_of_int a), ty))
-      | None -> None)
-    | _ -> None
-  else if String.equal name "arith.select" then
+    | [ x ] ->
+      Option.bind (int_of x) (fun a ->
+          let ty = ty () in
+          to_const (Attr.Float (Types.round_to ty (float_of_int a), ty)))
+    | _ -> None)
+  | Some Arith.Select -> (
     match Op.operands op with
     | [ c; t; f ] -> (
       match int_of c with
       | Some 1 -> to_value t
       | Some 0 -> to_value f
       | _ -> None)
-    | _ -> None
-  else None
+    | _ -> None)
 
 (* --- dead code elimination (driver dead-op hook) --- *)
 

@@ -103,17 +103,12 @@ let linearize ctx old_mr_ty indices =
   | _ -> raise (Unsupported "memref access on non-memref value")
 
 let math_callee ctx name ty =
+  (* libm's name: the op's, but for fabs and pow *)
   let base =
     match name with
-    | "math.sqrt" -> "sqrt"
-    | "math.exp" -> "exp"
-    | "math.log" -> "log"
-    | "math.sin" -> "sin"
-    | "math.cos" -> "cos"
-    | "math.tanh" -> "tanh"
     | "math.absf" -> "fabs"
     | "math.powf" -> "pow"
-    | other -> raise (Unsupported ("math op " ^ other))
+    | _ -> String.sub name 5 (String.length name - 5)
   in
   let callee, arg_ty =
     match ty with
@@ -126,20 +121,43 @@ let math_callee ctx name ty =
     ctx.math_decls <- sig_ :: ctx.math_decls;
   callee
 
-let arith_to_llvm = function
-  | "arith.addi" -> Some "add"
-  | "arith.subi" -> Some "sub"
-  | "arith.muli" -> Some "mul"
-  | "arith.divsi" -> Some "sdiv"
-  | "arith.remsi" -> Some "srem"
-  | "arith.andi" -> Some "and"
-  | "arith.ori" -> Some "or"
-  | "arith.xori" -> Some "xor"
-  | "arith.addf" -> Some "fadd"
-  | "arith.subf" -> Some "fsub"
-  | "arith.mulf" -> Some "fmul"
-  | "arith.divf" -> Some "fdiv"
-  | _ -> None
+(* An arith binop is one LLVM instruction, or for min/max a compare
+   ([icmp]/[fcmp] by the predicate that picks the lhs) feeding a select. *)
+let instr name ctx _cmp a c = emit_get ctx (Llvm_d.binop ctx.b name a c)
+
+let select_on pred ctx cmp a c =
+  let cond = emit_get ctx (cmp ctx.b pred a c) in
+  emit_get ctx
+    (Builder.op1 ctx.b "llvm.select" ~operands:[ cond; a; c ] (Value.ty a))
+
+let int_binop_llvm : Arith.int_binop -> _ = function
+  | Addi -> instr "add"
+  | Subi -> instr "sub"
+  | Muli -> instr "mul"
+  | Divsi -> instr "sdiv"
+  | Remsi -> instr "srem"
+  | Andi -> instr "and"
+  | Ori -> instr "or"
+  | Xori -> instr "xor"
+  | Maxsi -> select_on "sgt"
+  | Minsi -> select_on "slt"
+
+let float_binop_llvm : Arith.float_binop -> _ = function
+  | Addf -> instr "fadd"
+  | Subf -> instr "fsub"
+  | Mulf -> instr "fmul"
+  | Divf -> instr "fdiv"
+  | Maximumf -> select_on "ogt"
+  | Minimumf -> select_on "olt"
+
+(* The LLVM cast instruction; [None] for the integer casts, which sign
+   extend, truncate or vanish by width. *)
+let cast_llvm : Arith.cast -> string option = function
+  | Sitofp -> Some "sitofp"
+  | Fptosi -> Some "fptosi"
+  | Extf -> Some "fpext"
+  | Truncf -> Some "fptrunc"
+  | Index_cast | Extsi | Trunci -> None
 
 let rec emit_ops ctx ops = List.iter (emit_op ctx) ops
 
@@ -156,99 +174,72 @@ and emit_op ctx op =
          ])
 
 and emit_op_raw ctx op =
+  match Arith.kind op with
+  | Some k -> emit_arith ctx op k
+  | None -> emit_other ctx op
+
+and emit_arith ctx op k =
   let name = Op.name op in
-  let mapped () = List.map (map_value ctx) (Op.operands op) in
-  match name with
-  | "arith.constant" -> (
-    let r = Op.result1 op in
+  let r = Op.result1 op in
+  let lower f =
+    bind ctx r (f (List.map (map_value ctx) (Op.operands op)))
+  in
+  let binop cmp how =
+    lower (function
+      | [ a; c ] -> how ctx cmp a c
+      | _ -> raise (Unsupported name))
+  in
+  let compare cmp =
+    lower (function
+      | [ a; c ] ->
+        let pred = Option.value ~default:"eq" (Op.string_attr op "predicate") in
+        emit_get ctx (cmp ctx.b pred a c)
+      | _ -> raise (Unsupported name))
+  in
+  match k with
+  | Arith.Constant ->
     let value =
       match Op.find_attr op "value" with
       | Some (Attr.Int (n, Types.Index)) -> Attr.Int (n, Types.I64)
       | Some a -> a
       | None -> raise (Unsupported "constant without value")
     in
-    match Llvm_d.constant ctx.b value (convert_ty (Value.ty r)) with
-    | c ->
-      emit ctx c;
-      bind ctx r (Op.result1 c))
-  | _ when arith_to_llvm name <> None -> (
-    match (arith_to_llvm name, mapped ()) with
-    | Some llname, [ a; c ] ->
-      let r = emit_get ctx (Llvm_d.binop ctx.b llname a c) in
-      bind ctx (Op.result1 op) r
-    | _ -> raise (Unsupported name))
-  | "arith.maxsi" | "arith.minsi" | "arith.maximumf" | "arith.minimumf" -> (
-    match mapped () with
-    | [ a; c ] ->
-      let is_float = Types.is_float (Value.ty a) in
-      let cmp =
-        if is_float then
-          Llvm_d.fcmp ctx.b
-            (if name = "arith.maximumf" then "ogt" else "olt")
-            a c
-        else
-          Llvm_d.icmp ctx.b
-            (if name = "arith.maxsi" then "sgt" else "slt")
-            a c
-      in
-      let cond = emit_get ctx cmp in
-      let sel =
-        Builder.op1 ctx.b "llvm.select" ~operands:[ cond; a; c ] (Value.ty a)
-      in
-      let r = emit_get ctx sel in
-      bind ctx (Op.result1 op) r
-    | _ -> raise (Unsupported name))
-  | "arith.negf" -> (
-    match mapped () with
-    | [ a ] ->
-      let r = emit_get ctx (Llvm_d.cast ctx.b "fneg" a (Value.ty a)) in
-      bind ctx (Op.result1 op) r
-    | _ -> raise (Unsupported name))
-  | "arith.cmpi" | "arith.cmpf" -> (
-    match mapped () with
-    | [ a; c ] ->
-      let pred = Option.value ~default:"eq" (Op.string_attr op "predicate") in
-      let r =
-        if name = "arith.cmpi" then emit_get ctx (Llvm_d.icmp ctx.b pred a c)
-        else emit_get ctx (Llvm_d.fcmp ctx.b pred a c)
-      in
-      bind ctx (Op.result1 op) r
-    | _ -> raise (Unsupported name))
-  | "arith.select" -> (
-    match mapped () with
-    | [ c; t; f ] ->
-      let sel =
-        Builder.op1 ctx.b "llvm.select" ~operands:[ c; t; f ] (Value.ty t)
-      in
-      bind ctx (Op.result1 op) (emit_get ctx sel)
-    | _ -> raise (Unsupported name))
-  | "arith.index_cast" | "arith.extsi" | "arith.trunci" -> (
-    match mapped () with
-    | [ a ] ->
-      let src_w = Types.bitwidth (Value.ty a) in
-      let dst_ty = convert_ty (Value.ty (Op.result1 op)) in
-      let dst_w = Types.bitwidth dst_ty in
-      let r =
-        if src_w = dst_w then a
-        else if src_w < dst_w then
-          emit_get ctx (Llvm_d.cast ctx.b "sext" a dst_ty)
-        else emit_get ctx (Llvm_d.cast ctx.b "trunc" a dst_ty)
-      in
-      bind ctx (Op.result1 op) r
-    | _ -> raise (Unsupported name))
-  | "arith.sitofp" | "arith.fptosi" | "arith.extf" | "arith.truncf" -> (
-    match mapped () with
-    | [ a ] ->
-      let dst_ty = convert_ty (Value.ty (Op.result1 op)) in
-      let kind =
-        match name with
-        | "arith.sitofp" -> "sitofp"
-        | "arith.fptosi" -> "fptosi"
-        | "arith.extf" -> "fpext"
-        | _ -> "fptrunc"
-      in
-      bind ctx (Op.result1 op) (emit_get ctx (Llvm_d.cast ctx.b kind a dst_ty))
-    | _ -> raise (Unsupported name))
+    bind ctx r
+      (emit_get ctx (Llvm_d.constant ctx.b value (convert_ty (Value.ty r))))
+  | Arith.Int_binop o -> binop Llvm_d.icmp (int_binop_llvm o)
+  | Arith.Float_binop o -> binop Llvm_d.fcmp (float_binop_llvm o)
+  | Arith.Negf ->
+    lower (function
+      | [ a ] -> emit_get ctx (Llvm_d.cast ctx.b "fneg" a (Value.ty a))
+      | _ -> raise (Unsupported name))
+  | Arith.Cmpi -> compare Llvm_d.icmp
+  | Arith.Cmpf -> compare Llvm_d.fcmp
+  | Arith.Select ->
+    lower (function
+      | [ c; t; f ] ->
+        emit_get ctx
+          (Builder.op1 ctx.b "llvm.select" ~operands:[ c; t; f ] (Value.ty t))
+      | _ -> raise (Unsupported name))
+  | Arith.Cast c ->
+    lower (function
+      | [ a ] -> (
+        let dst_ty = convert_ty (Value.ty r) in
+        match cast_llvm c with
+        | Some instr -> emit_get ctx (Llvm_d.cast ctx.b instr a dst_ty)
+        | None ->
+          let src_w = Types.bitwidth (Value.ty a) in
+          let dst_w = Types.bitwidth dst_ty in
+          if src_w = dst_w then a
+          else
+            emit_get ctx
+              (Llvm_d.cast ctx.b (if src_w < dst_w then "sext" else "trunc") a
+                 dst_ty))
+      | _ -> raise (Unsupported name))
+
+and emit_other ctx op =
+  let name = Op.name op in
+  let mapped () = List.map (map_value ctx) (Op.operands op) in
+  match name with
   | "memref.alloca" | "memref.alloc" -> (
     match Value.ty (Op.result1 op) with
     | Types.Memref mi ->

@@ -152,11 +152,7 @@ let lower_parallel_do b opts op =
       else begin
         let n0 = match red_infos with (_, _, _, n) :: _ -> n | [] -> 1 in
         let n_const = Arith.const_index b n0 in
-        let slot =
-          Builder.op1 b "arith.remsi"
-            ~operands:[ innermost_iv; Op.result1 n_const ]
-            Types.Index
-        in
+        let slot = Arith.remsi b innermost_iv (Op.result1 n_const) in
         let slot_v = Op.result1 slot in
         let rewrite_acc op =
           match Op.name op with
@@ -228,11 +224,7 @@ let lower_parallel_do b opts op =
       match (lbs, ubs, steps, ivs) with
       | [ lb ], [ ub ], [ step ], [ iv ] ->
         let one = Arith.const_index b 1 in
-        let ub_excl =
-          Builder.op1 b "arith.addi"
-            ~operands:[ ub; Op.result1 one ]
-            Types.Index
-        in
+        let ub_excl = Arith.addi b ub (Op.result1 one) in
         let inner_body =
           directives @ mod_ops @ body @ [ Scf.yield () ]
         in
@@ -244,11 +236,7 @@ let lower_parallel_do b opts op =
         [ one; ub_excl; for_op ]
       | lb :: lbs, ub :: ubs, step :: steps, iv :: ivs ->
         let one = Arith.const_index b 1 in
-        let ub_excl =
-          Builder.op1 b "arith.addi"
-            ~operands:[ ub; Op.result1 one ]
-            Types.Index
-        in
+        let ub_excl = Arith.addi b ub (Op.result1 one) in
         let inner = build_nest lbs ubs steps ivs in
         let for_op =
           Op.make "scf.for"

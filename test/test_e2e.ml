@@ -460,6 +460,25 @@ let runtime_error_tests =
               [ ""; " --cpu" ]));
   ]
 
+(* [src] prints [expect] under both engines, with the mid-end (the device
+   run) and without it (--cpu). *)
+let prints_everywhere ~name src expect =
+  with_source_file name src (fun file ->
+      List.iter
+        (fun (engine, cpu) ->
+          let code, out, _ =
+            cli_capture
+              (Fmt.str "../bin/ftnc.exe run %s --interp-engine %s%s"
+                 (Filename.quote file) engine
+                 (if cpu then " --cpu" else ""))
+          in
+          let what = Fmt.str "%s%s" engine (if cpu then ", cpu" else "") in
+          check Alcotest.int (what ^ ": exit 0") 0 code;
+          check Alcotest.bool (what ^ ": prints " ^ expect) true
+            (contains out expect))
+        [ ("tree", false); ("compiled", false); ("tree", true);
+          ("compiled", true) ])
+
 (* f32 folds round as f32 arithmetic does: 2^24 + 1 is 2^24 in f32, so
    the kernel and the host statement compute 0 whether the mid-end folds
    them (the device run) or not (--cpu). *)
@@ -480,23 +499,7 @@ let fold_tests =
   in
   [
     tc "f32 constant folds round like f32 arithmetic" (fun () ->
-        with_source_file "fold" src (fun file ->
-            List.iter
-              (fun (engine, cpu) ->
-                let code, out, _ =
-                  cli_capture
-                    (Fmt.str "../bin/ftnc.exe run %s --interp-engine %s%s"
-                       (Filename.quote file) engine
-                       (if cpu then " --cpu" else ""))
-                in
-                let what =
-                  Fmt.str "%s%s" engine (if cpu then ", cpu" else "")
-                in
-                check Alcotest.int (what ^ ": exit 0") 0 code;
-                check Alcotest.bool (what ^ ": prints 0") true
-                  (contains out "fold 0.000000 0.000000 0.000000"))
-              [ ("tree", false); ("compiled", false); ("tree", true);
-                ("compiled", true) ]);
+        prints_everywhere ~name:"fold" src "fold 0.000000 0.000000 0.000000";
         let art = Core.Compiler.compile src in
         let llvm = Option.get art.Core.Compiler.llvm_ir in
         check Alcotest.bool "the kernel stores 0" true
@@ -505,6 +508,43 @@ let fold_tests =
           (contains llvm "1.000000e+00");
         check Alcotest.bool "no folded 1.0 on the host" false
           (contains (Option.get art.Core.Compiler.host_cpp) "1.0f"));
+    (* 0.1 is not an f32 value: as a default real it means 0x1.99999ap-4,
+       which the second literal spells out, so the difference is 0 folded
+       or not *)
+    tc "f32 literals mean their f32 value" (fun () ->
+        prints_everywhere ~name:"lit"
+          "program lit\n\
+           implicit none\n\
+           real :: y(2), z\n\
+           integer :: i\n\
+           z = (0.1 - 0.100000001490116119384765625) * 1.0e9\n\
+           !$omp target parallel do map(from:y)\n\
+           do i = 1, 2\n\
+           y(i) = (0.1 - 0.100000001490116119384765625) * 1.0e9\n\
+           end do\n\
+           !$omp end target parallel do\n\
+           print *, 'lit', y(1), y(2), z\n\
+           end program lit\n"
+          "lit 0.000000 0.000000 0.000000");
+    (* the kernel calls sqrtf and multiplies in float, so y(1) is the f32
+       value 3.20713472366333 rounds to *)
+    tc "f32 math results round to f32" (fun () ->
+        prints_everywhere ~name:"sqrt"
+          "program sq\n\
+           implicit none\n\
+           real :: x(4), y(4)\n\
+           integer :: i\n\
+           do i = 1, 4\n\
+           x(i) = 8.0 / 7.0\n\
+           end do\n\
+           !$omp target parallel do map(to:x) map(from:y)\n\
+           do i = 1, 4\n\
+           y(i) = sqrt(x(i)) * 3.0\n\
+           end do\n\
+           !$omp end target parallel do\n\
+           print *, 'sqrt', (y(1) - 3.20713472366333) * 1.0e7\n\
+           end program sq\n"
+          "sqrt 0.000000");
   ]
 
 let backend_cli_tests =

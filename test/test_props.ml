@@ -856,6 +856,173 @@ let engines_differential =
       && run ~max_steps `Tree = run ~max_steps `Compiled)
 
 
+(* --- the arith table: folder and engines agree --- *)
+
+(* One arith op over constant operands: [args] are the operands' values,
+   or for a constant its own value. *)
+type arith_case = {
+  kind : Arith.kind;
+  pred : string;  (** cmpi/cmpf predicate; unused by other ops. *)
+  args : Attr.t list;
+  ty : Types.t;  (** Result type. *)
+}
+
+(* Edge operands: the extremes of each integer width, and floats whose
+   f32 rounding differs from them (0.1, 2^24 + 1, a subnormal, values
+   beyond f32's range) beside the f32 values some of them round to. *)
+let int_edges = function
+  | Types.I1 -> [ 0; 1; -1 ]
+  | Types.I32 -> [ 0; 1; -1; 7; -2147483648; 2147483647 ]
+  | _ -> [ 0; 1; -1; 7; min_int; max_int ]
+
+let float_edges =
+  [ 0.0; -0.0; 1.0; -1.0; Float.nan; Float.infinity; Float.neg_infinity;
+    0x1p-149; 1e-40; 0x1.16c2p-133; 0.1; 0x1.99999ap-4; 16777217.0;
+    16777216.0; 3.4028234663852886e38; 1e39 ]
+
+let arith_case_gen =
+  let open QCheck.Gen in
+  let ints = [ Types.I1; Types.I32; Types.I64; Types.Index ] in
+  let floats = [ Types.F32; Types.F64 ] in
+  let const ty =
+    if Types.is_float ty then
+      map (fun x -> Attr.Float (x, ty)) (oneofl float_edges)
+    else map (fun n -> Attr.Int (n, ty)) (oneofl (int_edges ty))
+  in
+  let consts tys = flatten_l (List.map const tys) in
+  let case ?(pred = "") kind operand_tys ty =
+    map (fun args -> { kind; pred; args; ty }) (consts operand_tys)
+  in
+  let cast c srcs dsts =
+    let* src = oneofl srcs and* dst = oneofl dsts in
+    case (Arith.Cast c) [ src ] dst
+  in
+  let* kind = oneofl Arith.all in
+  match kind with
+  | Arith.Constant ->
+    let* ty = oneofl (ints @ floats) in
+    case kind [ ty ] ty
+  | Arith.Int_binop _ ->
+    let* ty = oneofl ints in
+    case kind [ ty; ty ] ty
+  | Arith.Float_binop _ ->
+    let* ty = oneofl floats in
+    case kind [ ty; ty ] ty
+  | Arith.Negf ->
+    let* ty = oneofl floats in
+    case kind [ ty ] ty
+  | Arith.Cmpi ->
+    let* ty = oneofl ints
+    and* pred = oneofl [ "eq"; "ne"; "slt"; "sle"; "sgt"; "sge" ] in
+    case ~pred kind [ ty; ty ] Types.I1
+  | Arith.Cmpf ->
+    let* ty = oneofl floats
+    and* pred = oneofl [ "oeq"; "one"; "une"; "olt"; "ole"; "ogt"; "oge" ] in
+    case ~pred kind [ ty; ty ] Types.I1
+  | Arith.Select ->
+    let* ty = oneofl (ints @ floats) in
+    case kind [ Types.I1; ty; ty ] ty
+  | Arith.Cast Index_cast ->
+    let tys = [ Types.I32; Types.I64; Types.Index ] in
+    cast Index_cast tys tys
+  | Arith.Cast Sitofp -> cast Sitofp [ Types.I1; Types.I32; Types.I64 ] floats
+  | Arith.Cast Fptosi -> cast Fptosi floats [ Types.I32; Types.I64 ]
+  | Arith.Cast Extf -> cast Extf [ Types.F32 ] [ Types.F64 ]
+  | Arith.Cast Truncf -> cast Truncf [ Types.F64 ] [ Types.F32 ]
+  | Arith.Cast Extsi -> (
+    let* src = oneofl [ Types.I1; Types.I32 ] in
+    match src with
+    | Types.I1 -> cast Extsi [ src ] [ Types.I32; Types.I64 ]
+    | _ -> cast Extsi [ src ] [ Types.I64 ])
+  | Arith.Cast Trunci -> (
+    let* src = oneofl [ Types.I64; Types.I32 ] in
+    match src with
+    | Types.I64 -> cast Trunci [ src ] [ Types.I32; Types.I1 ]
+    | _ -> cast Trunci [ src ] [ Types.I1 ])
+
+let arith_table_agrees =
+  QCheck.Test.make ~count:2000
+    ~name:"folder and both engines agree on every arith op"
+    (QCheck.make arith_case_gen ~print:(fun c ->
+         Fmt.str "%s%s %s : %s" (Arith.name c.kind)
+           (if c.pred = "" then "" else " " ^ c.pred)
+           (String.concat ", " (List.map Attr.to_string c.args))
+           (Types.to_string c.ty)))
+    (fun c ->
+      let b = Builder.create () in
+      let operands =
+        List.map
+          (fun a ->
+            match a with
+            | Attr.Int (_, ty) | Attr.Float (_, ty) -> Arith.constant b a ty
+            | _ -> invalid_arg "arith_case")
+          c.args
+      in
+      let op =
+        match c.kind with
+        | Arith.Constant -> List.hd operands
+        | _ ->
+          Builder.op1 b (Arith.name c.kind)
+            ~attrs:
+              (if c.pred = "" then []
+               else [ ("predicate", Attr.String c.pred) ])
+            ~operands:(List.map Op.result1 operands)
+            c.ty
+      in
+      let body =
+        (match c.kind with Arith.Constant -> [] | _ -> operands)
+        @ [ op; Func_d.return ~operands:[ Op.result1 op ] () ]
+      in
+      let m =
+        Op.module_op
+          [ Func_d.func ~sym_name:"f" ~args:[] ~result_tys:[ c.ty ] body ]
+      in
+      let run engine =
+        let state = Ftn_interp.Interp.make ~engine [ m ] in
+        match Ftn_interp.Interp.run state ~entry:"f" ~args:[] with
+        | r -> Ok (rtval_bits r)
+        | exception Ftn_interp.Interp.Interp_error msg -> Error msg
+      in
+      (* the folder's result: the constant the return reads after
+         canonicalisation, if the op folded *)
+      let folded =
+        let fn = List.hd (Op.module_body (Ftn_passes.Canonicalize.run m)) in
+        let body = Func_d.body fn in
+        let r = List.hd (Op.operands (List.find Func_d.is_return body)) in
+        List.find_map
+          (fun o ->
+            if List.exists (Value.equal r) (Op.results o) then
+              Option.bind (Arith.constant_value o) Arith.scalar_of_attr
+            else None)
+          body
+        |> Option.map (fun s ->
+               rtval_bits
+                 [
+                   (match s with
+                   | Arith.Bool b -> Ftn_interp.Rtval.Bool b
+                   | Arith.Int n -> Ftn_interp.Rtval.Int n
+                   | Arith.Float x -> Ftn_interp.Rtval.Float x);
+                 ])
+      in
+      let tree = run `Tree in
+      tree = run `Compiled
+      &&
+      match folded with
+      | Some r -> tree = Ok r
+      | None -> (
+        match c.kind with
+        (* the folder leaves these to run time *)
+        | Arith.Negf | Arith.Cmpf
+        | Arith.Cast (Extsi | Trunci | Fptosi | Extf | Truncf) ->
+          true
+        (* and declines a zero divisor, which both engines report *)
+        | Arith.Int_binop Divsi -> tree = Error "integer division by zero"
+        | Arith.Int_binop Remsi -> tree = Error "integer remainder by zero"
+        | Arith.Constant | Arith.Int_binop _ | Arith.Float_binop _
+        | Arith.Cmpi | Arith.Select | Arith.Cast (Index_cast | Sitofp) ->
+          false))
+
+
 (* --- cross-backend differential property --- *)
 
 (* Random arith/scf programs: an offloaded loop whose body is a random
@@ -1061,6 +1228,7 @@ let () =
             nonconvergence_reported;
             over_release_reported;
             engines_differential;
+            arith_table_agrees;
             backends_differential;
             transient_faults_transparent;
             persistent_kernel_degrades;

@@ -156,6 +156,15 @@ let utilization_timeline ?(bins = 60) () =
       Some (line, t_end)
     end
 
+(* The compute-unit occupancy block of the profile report. *)
+let pp_compute_units fmt (exec : Executor.result) =
+  if exec.Executor.cus <> [] then begin
+    Fmt.pf fmt "@.compute units:@.";
+    List.iter
+      (fun cu -> Fmt.pf fmt "  %a@." Cu_stats.pp_snapshot cu)
+      exec.Executor.cus
+  end
+
 let pp_profile fmt (run : Run.t) =
   let exec = run.Run.exec in
   Fmt.pf fmt "== profile ==@.";
@@ -199,13 +208,7 @@ let pp_profile fmt (run : Run.t) =
           (quantile_us h 0.5) (quantile_us h 0.9) (quantile_us h 0.99))
       kernels
   end;
-  (* compute-unit occupancy *)
-  if exec.Executor.cus <> [] then begin
-    Fmt.pf fmt "@.compute units:@.";
-    List.iter
-      (fun cu -> Fmt.pf fmt "  %a@." Cu_stats.pp_snapshot cu)
-      exec.Executor.cus
-  end;
+  pp_compute_units fmt exec;
   (* device utilization timeline *)
   (match utilization_timeline () with
   | None -> ()

@@ -14,6 +14,12 @@ val pp_sched : Format.formatter -> Ftn_runtime.Jobs.stats -> unit
 
 val sched_summary : Ftn_runtime.Jobs.stats -> string
 
+val pp_compute_units : Format.formatter -> Ftn_runtime.Executor.result -> unit
+(** The [--profile] report's compute-unit block: one line per kernel,
+    in first-use order, with its launches, busy time, occupancy of the
+    run's device time and CPU fallbacks; nothing for a run without
+    launches or fallbacks. Starts with a blank line. *)
+
 val pp_profile : Format.formatter -> Run.t -> unit
 (** The [--profile] report: top hot ops (interpreter dispatch counts),
     hottest rewrite patterns by attributed time, per-pass wall/alloc

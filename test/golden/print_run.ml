@@ -1,6 +1,6 @@
 (* Prints every runtime record of a few small programs executed on the
-   simulated device: program output, result counters, flight-recorder
-   entries, simulated spans, trace events, the data environment,
+   simulated device: program output, result counters, the run report's
+   summary and compute-unit lines, flight-recorder entries, simulated spans, trace events, the data environment,
    diagnostics and the device/fault/data-environment metrics. Simulated
    times print as hex floats; nothing measured on the wall clock is
    printed.
@@ -91,6 +91,8 @@ let render ~engine ?faults host bitstream =
     r.Executor.kernel_launches r.Executor.bytes_transferred
     r.Executor.degraded r.Executor.drained r.Executor.retries
     r.Executor.cpu_fallbacks r.Executor.faults_injected r.Executor.device;
+  p "-- report\n%s\n%s" (Fmt.str "%a" Core.Report.pp_exec r)
+    (Fmt.str "%a" Core.Report.pp_compute_units r);
   p "-- flight\n";
   List.iter
     (fun (e : Flight.entry) ->

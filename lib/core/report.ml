@@ -71,10 +71,9 @@ let pp_sched fmt (stats : Jobs.stats) =
   if stats.Jobs.sheds <> [] then begin
     Fmt.pf fmt "sheds:@.";
     List.iter
-      (fun (s : Jobs.shed) ->
-        Fmt.pf fmt "  %-12s tenant %s, %s, waited %.3f us@." s.Jobs.sh_job
-          s.Jobs.sh_tenant s.Jobs.sh_reason
-          (s.Jobs.sh_wait_s *. 1e6))
+      (fun (s : Trace.shed) ->
+        Fmt.pf fmt "  %-12s tenant %s, %s, waited %.3f us@." s.Trace.job
+          s.Trace.tenant s.Trace.reason (s.Trace.wait_s *. 1e6))
       stats.Jobs.sheds
   end
 
@@ -115,31 +114,29 @@ let utilization_timeline ?(bins = 60) () =
     else begin
       (* busy.(bin).(track): simulated seconds of each track inside the
          bin; the dominant track labels the bin. *)
-      let tracks = [| "kernel"; "transfer"; "overhead"; "fallback" |] in
+      let tracks =
+        [ Event.Kernel; Event.Transfer; Event.Overhead; Event.Fallback ]
+      in
       let chars = [| 'K'; 'T'; 'O'; 'F' |] in
-      let busy = Array.make_matrix bins (Array.length tracks) 0.0 in
+      let busy = Array.make_matrix bins (List.length tracks) 0.0 in
       let bin_w = t_end /. float_of_int bins in
       List.iter
         (fun (sp : Ftn_obs.Span.span) ->
-          match Ftn_obs.Span.attr sp "track" with
+          let track = Ftn_obs.Span.attr sp "track" in
+          match
+            List.find_index (fun t -> Some (Event.track_name t) = track) tracks
+          with
           | None -> ()
-          | Some track -> (
-            let ti = ref (-1) in
-            Array.iteri
-              (fun i t -> if String.equal t track then ti := i)
-              tracks;
-            match !ti with
-            | -1 -> ()
-            | ti ->
-              let s = sp.Ftn_obs.Span.start_s in
-              let e = s +. sp.Ftn_obs.Span.dur_s in
-              let b0 = max 0 (int_of_float (s /. bin_w)) in
-              let b1 = min (bins - 1) (int_of_float (e /. bin_w)) in
-              for b = b0 to b1 do
-                let lo = Float.max s (float_of_int b *. bin_w) in
-                let hi = Float.min e (float_of_int (b + 1) *. bin_w) in
-                if hi > lo then busy.(b).(ti) <- busy.(b).(ti) +. (hi -. lo)
-              done))
+          | Some ti ->
+            let s = sp.Ftn_obs.Span.start_s in
+            let e = s +. sp.Ftn_obs.Span.dur_s in
+            let b0 = max 0 (int_of_float (s /. bin_w)) in
+            let b1 = min (bins - 1) (int_of_float (e /. bin_w)) in
+            for b = b0 to b1 do
+              let lo = Float.max s (float_of_int b *. bin_w) in
+              let hi = Float.min e (float_of_int (b + 1) *. bin_w) in
+              if hi > lo then busy.(b).(ti) <- busy.(b).(ti) +. (hi -. lo)
+            done)
         sim;
       let line =
         String.init bins (fun b ->
@@ -156,14 +153,42 @@ let utilization_timeline ?(bins = 60) () =
       Some (line, t_end)
     end
 
-(* The compute-unit occupancy block of the profile report. *)
+(* The compute-unit occupancy block of the profile report: one unit per
+   kernel, in first-use order, folded from the launch and fallback events
+   of the run's trace. Occupancy is busy time over the run's device
+   time, the sum of its charges. *)
 let pp_compute_units fmt (exec : Executor.result) =
-  if exec.Executor.cus <> [] then begin
-    Fmt.pf fmt "@.compute units:@.";
-    List.iter
-      (fun cu -> Fmt.pf fmt "  %a@." Cu_stats.pp_snapshot cu)
-      exec.Executor.cus
-  end
+  let events = Trace.events exec.Executor.trace in
+  let kernels =
+    List.fold_left
+      (fun acc -> function
+        | (Trace.Launch { kernel; _ } | Trace.Fallback { kernel; _ })
+          when not (List.mem kernel acc) -> kernel :: acc
+        | _ -> acc)
+      [] events
+  in
+  if kernels <> [] then Fmt.pf fmt "@.compute units:@.";
+  List.iter
+    (fun k ->
+      let launches, busy_s, fallbacks =
+        List.fold_left
+          (fun ((n, busy_s, fallbacks) as acc) -> function
+            | Trace.Launch { kernel; kernel_time_s; _ } when kernel = k ->
+              (n + 1, busy_s +. kernel_time_s, fallbacks)
+            | Trace.Fallback { kernel; _ } when kernel = k ->
+              (n, busy_s, fallbacks + 1)
+            | _ -> acc)
+          (0, 0.0, 0) events
+      in
+      let window_s = exec.Executor.device_time_s in
+      Fmt.pf fmt
+        "  cu:%-16s %4d launches  busy %10.3f us  occupancy %5.1f%%%s@." k
+        launches (busy_s *. 1e6)
+        (if window_s > 0.0 then Float.min 1.0 (busy_s /. window_s) *. 100.
+         else 0.0)
+        (if fallbacks > 0 then Fmt.str "  (%d cpu fallbacks)" fallbacks
+         else ""))
+    (List.rev kernels)
 
 let pp_profile fmt (run : Run.t) =
   let exec = run.Run.exec in

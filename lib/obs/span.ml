@@ -37,7 +37,6 @@ let with_collector c f =
   ambient := c;
   Fun.protect ~finally:(fun () -> ambient := saved) f
 
-let next_id c = c.next_id
 let count c = c.next_id
 
 let clear c =

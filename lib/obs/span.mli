@@ -28,9 +28,6 @@ val current : unit -> t
 val with_collector : t -> (unit -> 'a) -> 'a
 (** Make [c] ambient for the duration of [f]; restores on exit. *)
 
-val next_id : t -> int
-(** Id the next span will get — a watermark for slicing. *)
-
 val count : t -> int
 val clear : t -> unit
 

@@ -21,18 +21,22 @@ type lane =
   | Compute
   | Ctrl
 
-let lane_code = function
-  | Copy_in -> "copy_in"
-  | Copy_out -> "copy_out"
-  | Compute -> "compute"
-  | Ctrl -> "ctrl"
+type track =
+  | Kernel
+  | Transfer
+  | Overhead
+  | Fallback
+
+let track_name = function
+  | Kernel -> "kernel"
+  | Transfer -> "transfer"
+  | Overhead -> "overhead"
+  | Fallback -> "fallback"
 
 type t = {
   ev_id : int;  (* unique within one scheduler *)
   ev_device : int;
   ev_lane : lane;
-  ev_track : string;  (* "kernel" | "transfer" | "overhead" | "fallback" *)
-  ev_label : string;
   ev_submit_s : float;  (* host enqueued the operation *)
   ev_start_s : float;  (* device picked it up *)
   ev_finish_s : float;
@@ -40,7 +44,6 @@ type t = {
 }
 
 let queue_wait_s ev = ev.ev_start_s -. ev.ev_submit_s
-let duration_s ev = ev.ev_finish_s -. ev.ev_start_s
 
 (* Two events overlap when their device-active intervals intersect with
    positive measure — the witness the transfer/compute overlap tests use. *)
@@ -48,8 +51,3 @@ let overlaps a b =
   Float.min a.ev_finish_s b.ev_finish_s
   -. Float.max a.ev_start_s b.ev_start_s
   > 0.0
-
-let pp fmt ev =
-  Fmt.pf fmt "ev%d d%d %s %-10s %s [%.3f..%.3f us, submitted %.3f us]"
-    ev.ev_id ev.ev_device (lane_code ev.ev_lane) ev.ev_track ev.ev_label
-    (ev.ev_start_s *. 1e6) (ev.ev_finish_s *. 1e6) (ev.ev_submit_s *. 1e6)

@@ -60,7 +60,7 @@ module Injector = Ftn_fault.Injector
    device id, built on first use. *)
 type span_label = {
   sl_name : string;
-  sl_track : string;
+  sl_track : Event.track;
   sl_attrs : (string * string) list;
   mutable sl_by_device : (string * string) list array;  (** [[]] if unbuilt *)
 }
@@ -82,8 +82,8 @@ let kernel_labels (design : Bitstream.kernel_design) =
   let attrs = [ ("kernel", name) ] in
   {
     k_design = design;
-    k_span = span_label ~track:"kernel" ~name attrs;
-    k_overhead = span_label ~track:"overhead" ~name:"launch_overhead" attrs;
+    k_span = span_label ~track:Event.Kernel ~name attrs;
+    k_overhead = span_label ~track:Event.Overhead ~name:"launch_overhead" attrs;
     k_latency_metric = "device.kernel." ^ name ^ ".launch_latency_s";
     k_time_metric = "device.kernel." ^ name ^ ".time_s";
     k_flight = "launch " ^ name;
@@ -135,7 +135,8 @@ let span_attrs labels l id =
   | [] ->
     labels.device_ids <- grow labels.device_ids id string_of_int;
     let attrs =
-      ("track", l.sl_track) :: ("device", labels.device_ids.(id)) :: l.sl_attrs
+      ("track", Event.track_name l.sl_track)
+      :: ("device", labels.device_ids.(id)) :: l.sl_attrs
     in
     l.sl_by_device <- grow l.sl_by_device id (fun _ -> []);
     l.sl_by_device.(id) <- attrs;
@@ -163,13 +164,13 @@ let render_buffer ~track ~verb ~extra name bytes =
     b_flight = verb ^ " " ^ name ^ " (" ^ n ^ " bytes)";
   }
 
-let render_h2d =
-  render_buffer ~track:"transfer" ~verb:"h2d" ~extra:[ ("direction", "h2d") ]
+let render_transfer dir =
+  render_buffer ~track:Event.Transfer ~verb:dir ~extra:[ ("direction", dir) ]
 
-let render_d2h =
-  render_buffer ~track:"transfer" ~verb:"d2h" ~extra:[ ("direction", "d2h") ]
+let render_h2d = render_transfer "h2d"
+let render_d2h = render_transfer "d2h"
 
-let render_alloc = render_buffer ~track:"overhead" ~verb:"alloc" ~extra:[]
+let render_alloc = render_buffer ~track:Event.Overhead ~verb:"alloc" ~extra:[]
 
 type kernel_handle = {
   kh_kernel : kernel;
@@ -189,6 +190,8 @@ type context = {
   labels : labels;  (** The bitstream's record labels. *)
   data : Data_env.t;
   trace : Trace.t;
+      (** The one record of the context's charges: its times and
+          counters are folded from it. *)
   handles : (int, kernel_handle) Hashtbl.t;
   launched : (int, Event.t) Hashtbl.t;
       (** Completion event of each launched kernel handle — what
@@ -196,9 +199,6 @@ type context = {
   obs : Ftn_obs.Span.t;
       (** Span collector (the ambient one at context creation): every
           simulated charge lands here as a sim-clock span. *)
-  obs_base : int;
-      (** First span id belonging to this context, so timing sums ignore
-          spans recorded by earlier work in the same collector. *)
   sched : Scheduler.t;
   mutable device : Scheduler.device;
       (** Current placement; a drain after a persistent device fault
@@ -207,20 +207,10 @@ type context = {
       (** The host program's position on the simulated timeline: where
           the next operation is submitted. Blocking operations advance
           it to their finish; async launches do not. *)
-  mutable charged_s : float;
-      (** Sum of every charge — the context's device time (busy time,
-          not makespan), accumulated in charge order exactly like the
-          old synchronous timeline. *)
   mutable pending : Event.t list;
       (** Completion events of async launches not yet waited on;
           transfers depend on them (a DMA must not start before the
           kernel producing or consuming its buffer retires). *)
-  mutable kernel_time_s : float;
-      (** Running per-track totals, updated by [charge] so timing queries
-          are O(1); the span fold remains as a test cross-check. *)
-  mutable transfer_time_s : float;
-  mutable overhead_time_s : float;
-  mutable fallback_time_s : float;
   mutable kernel_state : Interp.state option;
       (** Lazily-created interpreter used when kernels are launched through
           the host API rather than from an interpreted host module. *)
@@ -235,13 +225,7 @@ type context = {
   mutable cur_loc_str : string;
       (** [cur_loc] pre-rendered for flight-recorder entries ([""] when
           unknown) — rendered once per location change, not per event. *)
-  mutable degraded : bool;
-      (** This context ran a kernel on the host CPU. Per-job, not
-          per-device: a peer's fallback never marks this context. *)
   mutable drained : bool;
-  mutable retries : int;
-  mutable cpu_fallbacks : int;
-  cus : Cu_stats.t;  (** This context's compute-unit accounting. *)
 }
 
 type result = {
@@ -262,7 +246,6 @@ type result = {
   finish_s : float;
   trace : Trace.t;
   data : Data_env.t;
-  cus : Cu_stats.snapshot list;
 }
 
 let make_context ~labels ?(echo = false) ?engine
@@ -285,16 +268,10 @@ let make_context ~labels ?(echo = false) ?engine
     handles = Hashtbl.create 8;
     launched = Hashtbl.create 8;
     obs;
-    obs_base = Ftn_obs.Span.next_id obs;
     sched;
     device;
     cursor_s = start_s;
-    charged_s = 0.0;
     pending = [];
-    kernel_time_s = 0.0;
-    transfer_time_s = 0.0;
-    overhead_time_s = 0.0;
-    fallback_time_s = 0.0;
     kernel_state = None;
     engine =
       (match engine with Some e -> e | None -> Interp.default_engine ());
@@ -304,11 +281,7 @@ let make_context ~labels ?(echo = false) ?engine
     injector = Option.map Injector.create faults;
     cur_loc = Ftn_diag.Loc.unknown;
     cur_loc_str = "";
-    degraded = false;
     drained = false;
-    retries = 0;
-    cpu_fallbacks = 0;
-    cus = Cu_stats.create ();
   }
 
 let create_context ?echo ?engine ?diag ?faults ?retry ?sched ?device ?start_s
@@ -319,32 +292,22 @@ let create_context ?echo ?engine ?diag ?faults ?retry ?sched ?device ?start_s
 let context_device (ctx : context) = ctx.device
 let context_scheduler (ctx : context) = ctx.sched
 
-(* Charge [t] simulated seconds to the track of [l] ("kernel",
-   "transfer", "overhead" or "fallback"): schedule an event on [lane] of
-   the context's device (submitted at the cursor unless [submit_s] says
-   the host enqueued it earlier), record a span at the event's scheduled
-   start and bump the track's running total. Totals accumulate one
-   addition per charge, in charge order — the same float additions the
-   span fold over this context performs. The caller decides whether the
-   operation blocks (advances the cursor to the event's finish). *)
+(* Charge [t] simulated seconds to the track of [l]: schedule an event
+   on [lane] of the context's device (submitted at the cursor unless
+   [submit_s] says the host enqueued it earlier) and record a span at
+   its start. The caller records the charge in the trace right after,
+   and decides whether the operation blocks (advances the cursor to the
+   event's finish). *)
 let charge (ctx : context) ~lane (l : span_label) ?submit_s ?(deps = []) t =
   let submit_s = Option.value ~default:ctx.cursor_s submit_s in
-  let track = l.sl_track and name = l.sl_name in
   let ev =
-    Scheduler.submit ctx.sched ~device:ctx.device ~lane ~track ~label:name
+    Scheduler.submit ctx.sched ~device:ctx.device ~lane ~track:l.sl_track
       ~submit_s ~ready_s:ctx.cursor_s ~deps ~dur_s:t ()
   in
   ignore
     (Ftn_obs.Span.record_sim ~collector:ctx.obs
        ~attrs:(span_attrs ctx.labels l ctx.device.Scheduler.dev_id)
-       ~name ~start_s:ev.Event.ev_start_s ~dur_s:t ());
-  ctx.charged_s <- ctx.charged_s +. t;
-  (match track with
-  | "kernel" -> ctx.kernel_time_s <- ctx.kernel_time_s +. t
-  | "transfer" -> ctx.transfer_time_s <- ctx.transfer_time_s +. t
-  | "overhead" -> ctx.overhead_time_s <- ctx.overhead_time_s +. t
-  | "fallback" -> ctx.fallback_time_s <- ctx.fallback_time_s +. t
-  | _ -> ());
+       ~name:l.sl_name ~start_s:ev.Event.ev_start_s ~dur_s:t ());
   ev
 
 let block (ctx : context) (ev : Event.t) =
@@ -359,29 +322,6 @@ let charge_sync (ctx : context) ~lane l ?deps t =
 let flight (ctx : context) ~cat fmt =
   Ftn_obs.Flight.recordf ~time_s:ctx.cursor_s ~loc:ctx.cur_loc_str
     ~device:ctx.device.Scheduler.dev_id ~cat fmt
-
-let sim_spans (ctx : context) =
-  List.filter
-    (fun (sp : Ftn_obs.Span.span) ->
-      sp.Ftn_obs.Span.id >= ctx.obs_base
-      && sp.Ftn_obs.Span.clock = Ftn_obs.Span.Sim)
-    (Ftn_obs.Span.spans ctx.obs)
-
-(* Span-fold timing, kept as a cross-check for the running totals (the
-   tests compare the two). *)
-let track_time_from_spans (ctx : context) track =
-  List.fold_left
-    (fun acc (sp : Ftn_obs.Span.span) ->
-      if Ftn_obs.Span.attr sp "track" = Some track then
-        acc +. sp.Ftn_obs.Span.dur_s
-      else acc)
-    0.0 (sim_spans ctx)
-
-let device_time (ctx : context) = ctx.charged_s
-let kernel_time (ctx : context) = ctx.kernel_time_s
-let transfer_time (ctx : context) = ctx.transfer_time_s
-let overhead_time (ctx : context) = ctx.overhead_time_s
-let fallback_time (ctx : context) = ctx.fallback_time_s
 
 (* Where the context's work (including unwaited launches) retires. *)
 let finish_time (ctx : context) =
@@ -406,7 +346,7 @@ let note_fault (ctx : context) ~name (fault : Fault.fault) =
   in
   if cost > 0.0 then
     charge_sync ctx ~lane:Event.Compute
-      (span_label ~track:"overhead" ~name:("watchdog:" ^ name)
+      (span_label ~track:Event.Overhead ~name:("watchdog:" ^ name)
          [ ("fault", code) ])
       cost;
   Trace.record ctx.trace
@@ -420,11 +360,11 @@ let note_fault (ctx : context) ~name (fault : Fault.fault) =
    for the logical operation (a retry is the same occurrence), then
    attempt it up to the retry budget. The injector is consulted *before*
    [f] runs, so a failed attempt performs no work and charges nothing but
-   exponential backoff on the overhead track — the kernel and transfer
-   tracks are only ever charged by the attempt that succeeds, which is
-   what keeps retry accounting honest. [recover] runs between attempts
-   and may cure the token (e.g. eviction after a device OOM, or a queue
-   drain to a peer device). *)
+   exponential backoff on the overhead track, recorded as a retry — the
+   kernel and transfer tracks are only ever charged by the attempt that
+   succeeds, which is what keeps retry accounting honest. [recover] runs
+   between attempts and may cure the token (e.g. eviction after a device
+   OOM, or a queue drain to a peer device). *)
 let with_faults (ctx : context) ~site ?kernel ~name
     ?(recover = fun _ _ -> ()) f =
   match ctx.injector with
@@ -439,12 +379,14 @@ let with_faults (ctx : context) ~site ?kernel ~name
         note_fault ctx ~name fault;
         if attempt >= max_attempts then Error fault
         else begin
+          let backoff = Fault.backoff_s ctx.retry ~attempt in
           charge_sync ctx ~lane:Event.Ctrl
-            (span_label ~track:"overhead" ~name:("backoff:" ^ name)
+            (span_label ~track:Event.Overhead ~name:("backoff:" ^ name)
                [ ("fault", Fault.kind_code fault.Fault.kind);
                  ("attempt", string_of_int attempt) ])
-            (Fault.backoff_s ctx.retry ~attempt);
-          ctx.retries <- ctx.retries + 1;
+            backoff;
+          Trace.record ctx.trace
+            (Trace.Retry { target = name; attempt; time_s = backoff });
           Ftn_obs.Metrics.incr "fault.retries";
           flight ctx ~cat:"retry" "retry %s (attempt %d of %d)" name
             (attempt + 1) max_attempts;
@@ -521,9 +463,9 @@ let interpret_kernel (ctx : context) state (design : Bitstream.kernel_design)
 (* Graceful degradation: a kernel that persistently fails on the device
    (and cannot drain to a peer) runs on the host CPU instead. Results
    stay correct (the same function body runs in the same interpreter);
-   the cost lands on the "fallback" track at cpu_step_s per interpreter
-   step, and this context — plus the device that failed it, but no
-   healthy peer — is flagged degraded. *)
+   the cost lands on the fallback track at cpu_step_s per interpreter
+   step, and this context (through its trace's fallback event) and the
+   device that failed it, but no healthy peer, are degraded. *)
 let cpu_fallback (ctx : context) state (design : Bitstream.kernel_design)
     args =
   let name = design.Bitstream.kd_name in
@@ -531,17 +473,14 @@ let cpu_fallback (ctx : context) state (design : Bitstream.kernel_design)
   let t = float_of_int steps *. ctx.retry.Fault.cpu_step_s in
   let ev =
     charge ctx ~lane:Event.Ctrl
-      (span_label ~track:"fallback" ~name:("cpu_fallback:" ^ name)
+      (span_label ~track:Event.Fallback ~name:("cpu_fallback:" ^ name)
          [ ("kernel", name); ("steps", string_of_int steps) ])
       t
   in
-  block ctx ev;
-  ctx.degraded <- true;
-  ctx.device.Scheduler.dev_degraded <- true;
-  ctx.cpu_fallbacks <- ctx.cpu_fallbacks + 1;
-  Ftn_obs.Metrics.incr "fault.cpu_fallbacks";
-  Cu_stats.note_fallback ctx.cus ~kernel:name;
   Trace.record ctx.trace (Trace.Fallback { kernel = name; steps; time_s = t });
+  block ctx ev;
+  ctx.device.Scheduler.dev_degraded <- true;
+  Ftn_obs.Metrics.incr "fault.cpu_fallbacks";
   flight ctx ~cat:"fallback" "cpu fallback %s (%d steps)" name steps;
   Ftn_obs.Log.debugf "cpu fallback %s: %d steps, %.3f us" name steps
     (t *. 1e6);
@@ -581,7 +520,7 @@ let drain_to_peer (ctx : context) ~name args (fault : Fault.fault) token =
       if bytes > 0 then begin
         let t = ctx.model.Device_model.transfer_time_s ~bytes in
         charge_sync ctx ~lane:Event.Copy_in
-          (span_label ~track:"transfer" ~name:("drain:" ^ name)
+          (span_label ~track:Event.Transfer ~name:("drain:" ^ name)
              [ ("kernel", name); ("bytes", string_of_int bytes);
                ("from", string_of_int bad.Scheduler.dev_id) ])
           t;
@@ -630,7 +569,6 @@ let execute_kernel (ctx : context) state (k : kernel) args =
     Ftn_obs.Metrics.incr "device.kernel_launches";
     ctx.device.Scheduler.dev_launches <-
       ctx.device.Scheduler.dev_launches + 1;
-    Cu_stats.note_launch ctx.cus ~kernel:name ~busy_s:t;
     let latency = queue_wait +. overhead in
     Ftn_obs.Metrics.observe "device.launch_latency_s" latency;
     Ftn_obs.Metrics.observe k.k_latency_metric latency;
@@ -824,7 +762,8 @@ let api_launch (ctx : context) ~kernel args =
   wait_event ctx (api_launch_async ctx ~kernel args)
 
 let summary (ctx : context) =
-  (device_time ctx, kernel_time ctx, transfer_time ctx, overhead_time ctx)
+  let t = Trace.totals ctx.trace in
+  (t.Trace.device_s, t.Trace.kernel_s, t.Trace.transfer_s, t.Trace.overhead_s)
 
 let device_domain =
   Interp.Names
@@ -866,11 +805,13 @@ let with_key op (f : string -> Data_env.key -> runner) =
 
 (* A device-level telemetry counter, by the name a device.counter_get
    reads. *)
-let counter : string -> (context -> int) option = function
-  | "kernel_launches" -> Some (fun ctx -> Trace.count_launches ctx.trace)
-  | "bytes_transferred" -> Some (fun ctx -> Trace.bytes_transferred ctx.trace)
-  | "retries" -> Some (fun ctx -> ctx.retries)
-  | "cpu_fallbacks" -> Some (fun ctx -> ctx.cpu_fallbacks)
+let counter : string -> (context -> int) option =
+  let total f = Some (fun (ctx : context) -> f (Trace.totals ctx.trace)) in
+  function
+  | "kernel_launches" -> total (fun t -> t.Trace.launches)
+  | "bytes_transferred" -> total (fun t -> t.Trace.bytes)
+  | "retries" -> total (fun t -> t.Trace.retries)
+  | "cpu_fallbacks" -> total (fun t -> t.Trace.cpu_fallbacks)
   | "faults_injected" ->
     Some
       (fun ctx ->
@@ -926,19 +867,15 @@ let stage_device_op labels op : runner option =
            [ Rtval.Bool (Data_env.exists ctx.data key) ]))
   | "device.data_acquire" ->
     Some
-      (with_key op (fun name key ->
-           let label = "acquire:" ^ name in
-           fun ctx _ _ ->
-             Data_env.acquire ctx.data key;
-             (* The acquire is a zero-cost control-plane event: it
-                participates in the event graph (so ordering is
-                inspectable) without charging simulated time or recording
-                a span. *)
-             ignore
-               (Scheduler.submit ctx.sched ~device:ctx.device
-                  ~lane:Event.Ctrl ~track:"ctrl" ~label
-                  ~submit_s:ctx.cursor_s ~dur_s:0.0 ());
-             []))
+      (with_key op (fun _ key ctx _ _ ->
+           Data_env.acquire ctx.data key;
+           (* The acquire is a zero-cost control-plane event: it takes
+              its place on the control lane without charging simulated
+              time or recording a span. *)
+           ignore
+             (Scheduler.submit ctx.sched ~device:ctx.device ~lane:Event.Ctrl
+                ~track:Event.Overhead ~submit_s:ctx.cursor_s ~dur_s:0.0 ());
+           []))
   | "device.data_release" ->
     Some
       (with_key op (fun _ key ctx _ _ ->
@@ -1070,29 +1007,30 @@ let report_leaks (ctx : context) =
              (if rc = 1 then "" else "s")))
       leaks
 
-(* Build a result record from an API-driven context (hand-written host). *)
+(* Build a result record from an API-driven context (hand-written host):
+   its times and counters are one fold over its trace. *)
 let result_of_context (ctx : context) =
   report_leaks ctx;
+  let t = Trace.totals ctx.trace in
   {
     output = Intrinsics.contents ctx.sink;
-    device_time_s = device_time ctx;
-    kernel_time_s = kernel_time ctx;
-    transfer_time_s = transfer_time ctx;
-    overhead_time_s = overhead_time ctx;
-    fallback_time_s = fallback_time ctx;
-    kernel_launches = Trace.count_launches ctx.trace;
-    bytes_transferred = Trace.bytes_transferred ctx.trace;
-    degraded = ctx.degraded;
+    device_time_s = t.Trace.device_s;
+    kernel_time_s = t.Trace.kernel_s;
+    transfer_time_s = t.Trace.transfer_s;
+    overhead_time_s = t.Trace.overhead_s;
+    fallback_time_s = t.Trace.fallback_s;
+    kernel_launches = t.Trace.launches;
+    bytes_transferred = t.Trace.bytes;
+    degraded = t.Trace.cpu_fallbacks > 0;
     drained = ctx.drained;
-    retries = ctx.retries;
-    cpu_fallbacks = ctx.cpu_fallbacks;
+    retries = t.Trace.retries;
+    cpu_fallbacks = t.Trace.cpu_fallbacks;
     faults_injected =
       (match ctx.injector with Some i -> Injector.injected i | None -> 0);
     device = ctx.device.Scheduler.dev_id;
     finish_s = finish_time ctx;
     trace = ctx.trace;
     data = ctx.data;
-    cus = Cu_stats.snapshot ctx.cus ~window_s:ctx.charged_s;
   }
 
 (* --- the runtime program of an artifact --- *)

@@ -56,10 +56,10 @@ type result = {
       (** Scheduler-timeline instant the context's last operation
           (including unwaited launches) retires. *)
   trace : Trace.t;
+      (** Every charge of the run, in program order: the times and
+          counters above (but [drained] and [faults_injected]) are
+          folded from it. *)
   data : Data_env.t;
-  cus : Ftn_hlsim.Cu_stats.snapshot list;
-      (** Per-compute-unit launch/busy/occupancy snapshots, in
-          first-launch order (occupancy over the device-active window). *)
 }
 
 val create_context :
@@ -139,20 +139,12 @@ val result_of_context : context -> result
     through the context's diagnostic engine. *)
 
 val summary : context -> float * float * float * float
-(** (device, kernel, transfer, overhead) seconds so far — O(1), read from
-    running totals maintained by the charging functions. *)
-
-val fallback_time : context -> float
-(** Simulated seconds charged to the CPU-fallback track so far. *)
+(** (device, kernel, transfer, overhead) seconds so far, folded from the
+    context's trace ({!Trace.totals}). *)
 
 val finish_time : context -> float
 (** Scheduler-timeline instant the context's work so far (including
     unwaited launches) retires. *)
-
-val track_time_from_spans : context -> string -> float
-(** Recompute one track's total ("kernel", "transfer", "overhead" or
-    "fallback") by folding the context's sim-clock spans — the totals'
-    cross-check, exposed for tests. *)
 
 (** {2 Interpreted host modules} *)
 

@@ -92,14 +92,6 @@ let default_config =
     shed_watermark = None;
   }
 
-type shed = {
-  sh_job : string;
-  sh_tenant : string;
-  sh_reason : string;
-  sh_wait_s : float;
-  sh_time_s : float;
-}
-
 type tenant_stats = {
   t_name : string;
   t_run : int;
@@ -125,7 +117,7 @@ type stats = {
   drained_jobs : int;
   slo_violations : int;
   shed_wait_s : float;
-  sheds : shed list;
+  sheds : Trace.shed list;
   tenants : tenant_stats list;
   breakers : Breaker.snapshot list;
   trace : Trace.t;
@@ -215,9 +207,6 @@ let run ?(config = default_config) ?(diag = Ftn_diag.Diag_engine.default)
   let admission = Array.init config.devices (fun _ -> Queue.create ()) in
   let dropped = ref 0 in
   let shed_mark = Array.make n false in
-  let sheds = ref [] in
-  let shed_count = ref 0 in
-  let shed_wait = ref 0.0 in
   let shed_by_name : (string, unit) Hashtbl.t = Hashtbl.create 8 in
   let slo_violations = ref 0 in
   let tenant_slo : (string, int) Hashtbl.t = Hashtbl.create 8 in
@@ -237,17 +226,6 @@ let run ?(config = default_config) ?(diag = Ftn_diag.Diag_engine.default)
     let spec = specs_arr.(idx) in
     shed_mark.(idx) <- true;
     Hashtbl.replace shed_by_name spec.js_name ();
-    incr shed_count;
-    shed_wait := !shed_wait +. wait_s;
-    sheds :=
-      {
-        sh_job = spec.js_name;
-        sh_tenant = spec.js_tenant;
-        sh_reason = reason;
-        sh_wait_s = wait_s;
-        sh_time_s = time_s;
-      }
-      :: !sheds;
     Trace.record trace
       (Trace.Shed
          {
@@ -510,7 +488,11 @@ let run ?(config = default_config) ?(diag = Ftn_diag.Diag_engine.default)
     Option.value ~default:0.0
       (Ftn_obs.Metrics.histogram_quantile ~registry key q)
   in
-  let sheds = List.rev !sheds in
+  let sheds =
+    List.filter_map
+      (function Trace.Shed s -> Some s | _ -> None)
+      (Trace.events trace)
+  in
   let tenant_stats_list =
     List.map
       (fun t ->
@@ -526,7 +508,7 @@ let run ?(config = default_config) ?(diag = Ftn_diag.Diag_engine.default)
           t_run = !t_run;
           t_shed =
             List.length
-              (List.filter (fun s -> String.equal s.sh_tenant t) sheds);
+              (List.filter (fun (s : Trace.shed) -> s.tenant = t) sheds);
           t_p50_s = quantile ~key 0.5;
           t_p90_s = quantile ~key 0.9;
           t_p99_s = quantile ~key 0.99;
@@ -538,7 +520,7 @@ let run ?(config = default_config) ?(diag = Ftn_diag.Diag_engine.default)
   {
     jobs_run;
     jobs_dropped = !dropped;
-    jobs_shed = !shed_count;
+    jobs_shed = List.length sheds;
     elapsed_s = elapsed;
     throughput_jps =
       (if elapsed > 0.0 then float_of_int jobs_run /. elapsed else 0.0);
@@ -550,7 +532,8 @@ let run ?(config = default_config) ?(diag = Ftn_diag.Diag_engine.default)
     degraded_jobs = !degraded;
     drained_jobs = !drained;
     slo_violations = !slo_violations;
-    shed_wait_s = !shed_wait;
+    shed_wait_s =
+      List.fold_left (fun acc (s : Trace.shed) -> acc +. s.wait_s) 0.0 sheds;
     sheds;
     tenants = tenant_stats_list;
     breakers =

@@ -89,16 +89,6 @@ val default_config : config
 (** 1 device, queue depth 8, no fault device, every resilience feature
     off. *)
 
-type shed = {
-  sh_job : string;
-  sh_tenant : string;
-  sh_reason : string;
-      (** ["deadline"], ["overload"], ["dep_shed"] (a dependency was
-          shed) or ["no_device"] (all devices failed or quarantined). *)
-  sh_wait_s : float;  (** Queue wait charged to the shed job. *)
-  sh_time_s : float;  (** Simulated time the shed was decided. *)
-}
-
 type tenant_stats = {
   t_name : string;
   t_run : int;
@@ -131,7 +121,9 @@ type stats = {
   drained_jobs : int;  (** Jobs migrated off a failed device. *)
   slo_violations : int;  (** 0 unless [config.slo_s] is set. *)
   shed_wait_s : float;  (** Total queue wait charged to shed jobs. *)
-  sheds : shed list;  (** In shed order. *)
+  sheds : Trace.shed list;
+      (** The shed events of [trace], in shed order; [jobs_shed] and
+          [shed_wait_s] are folded from them. *)
   tenants : tenant_stats list;  (** In first-appearance order. *)
   breakers : Breaker.snapshot list;  (** Empty without [config.breaker]. *)
   trace : Trace.t;

@@ -91,7 +91,7 @@ let set_lane_avail dev lane v =
    (default [submit_s]) is the earliest the operation may start — the
    executor passes its program cursor so an operation never starts
    before the host-side work that precedes it. *)
-let submit t ~device:dev ~lane ~track ~label ~submit_s ?ready_s
+let submit t ~device:dev ~lane ~track ~submit_s ?ready_s
     ?(deps = []) ~dur_s () =
   let ready = Option.value ~default:submit_s ready_s in
   let start =
@@ -102,20 +102,17 @@ let submit t ~device:dev ~lane ~track ~label ~submit_s ?ready_s
   in
   let finish = start +. dur_s in
   set_lane_avail dev lane finish;
-  (match track with
-  | "kernel" -> dev.dev_kernel_s <- dev.dev_kernel_s +. dur_s
-  | "transfer" -> dev.dev_transfer_s <- dev.dev_transfer_s +. dur_s
-  | "overhead" -> dev.dev_overhead_s <- dev.dev_overhead_s +. dur_s
-  | "fallback" -> dev.dev_fallback_s <- dev.dev_fallback_s +. dur_s
-  | _ -> ());
+  (match (track : Event.track) with
+  | Kernel -> dev.dev_kernel_s <- dev.dev_kernel_s +. dur_s
+  | Transfer -> dev.dev_transfer_s <- dev.dev_transfer_s +. dur_s
+  | Overhead -> dev.dev_overhead_s <- dev.dev_overhead_s +. dur_s
+  | Fallback -> dev.dev_fallback_s <- dev.dev_fallback_s +. dur_s);
   let id = t.next_ev in
   t.next_ev <- id + 1;
   {
     Event.ev_id = id;
     ev_device = dev.dev_id;
     ev_lane = lane;
-    ev_track = track;
-    ev_label = label;
     ev_submit_s = submit_s;
     ev_start_s = start;
     ev_finish_s = finish;

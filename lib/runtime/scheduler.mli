@@ -41,8 +41,7 @@ val submit :
   t ->
   device:device ->
   lane:Event.lane ->
-  track:string ->
-  label:string ->
+  track:Event.track ->
   submit_s:float ->
   ?ready_s:float ->
   ?deps:Event.t list ->
@@ -52,8 +51,9 @@ val submit :
 (** Schedule one operation. [submit_s] is when the host enqueued it
     (queue wait is measured from here); [ready_s] (default [submit_s])
     is the earliest it may start. The event starts at
-    [max(ready_s, lane availability, dependency finishes)] and the lane
-    advances to its finish. *)
+    [max(ready_s, lane availability, dependency finishes)], the lane
+    advances to its finish and [dur_s] adds to the device's [track]
+    total. *)
 
 val lane_avail_s : device -> Event.lane -> float
 (** When the lane next becomes free. *)

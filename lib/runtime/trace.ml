@@ -1,9 +1,19 @@
-(* Event trace of simulated device activity: transfers, kernel launches,
-   allocations. Inspectable by tests and printed by the CLI. *)
+(* Event trace of simulated device activity, with the simulated cost of
+   each event. The executor records an event right after each charge, so
+   a run's trace is the one record of its device time. Inspectable by
+   tests and printed by the CLI. *)
 
 type direction =
   | Host_to_device
   | Device_to_host
+
+type shed = {
+  job : string;
+  tenant : string;
+  reason : string;  (* deadline | overload | dep_shed | no_device *)
+  wait_s : float;  (* queue wait charged to the shed job *)
+  time_s : float;
+}
 
 type event =
   | Alloc of {
@@ -29,7 +39,12 @@ type event =
       target : string;
       kind : string;  (** Fault.kind_code of the injected fault. *)
       attempt : int;
-      time_s : float;  (** Simulated cost charged on detection. *)
+      time_s : float;  (** Watchdog window charged on detection, or 0. *)
+    }
+  | Retry of {
+      target : string;
+      attempt : int;  (** The attempt that failed. *)
+      time_s : float;  (** Backoff before the next attempt. *)
     }
   | Fallback of {
       kernel : string;
@@ -43,28 +58,76 @@ type event =
       trips : int;
       time_s : float;
     }
-  | Shed of {
-      job : string;
-      tenant : string;
-      reason : string;  (* deadline | overload | dep_shed | no_device *)
-      wait_s : float;  (* queue wait charged to the shed job *)
-      time_s : float;
-    }
+  | Shed of shed
 
-type t = { mutable events : event list (* reversed *) }
+(* The first [len] slots of [events], in program order; the array
+   doubles when full. *)
+type t = {
+  mutable events : event array;
+  mutable len : int;
+}
 
-let create () = { events = [] }
-let record t e = t.events <- e :: t.events
-let events t = List.rev t.events
+let create () = { events = [||]; len = 0 }
 
-let count_launches t =
-  List.length (List.filter (function Launch _ -> true | _ -> false) t.events)
+let record t e =
+  if t.len = Array.length t.events then begin
+    let grown = Array.make (max 16 (2 * t.len)) e in
+    Array.blit t.events 0 grown 0 t.len;
+    t.events <- grown
+  end;
+  t.events.(t.len) <- e;
+  t.len <- t.len + 1
 
-let bytes_transferred t =
-  List.fold_left
-    (fun acc e ->
-      match e with Transfer { bytes; _ } -> acc + bytes | _ -> acc)
-    0 t.events
+let events t = Array.to_list (Array.sub t.events 0 t.len)
+
+type totals = {
+  device_s : float;
+  kernel_s : float;
+  transfer_s : float;
+  overhead_s : float;
+  fallback_s : float;
+  launches : int;
+  bytes : int;
+  retries : int;
+  cpu_fallbacks : int;
+}
+
+(* The accumulators are local refs no closure captures, so they stay
+   unboxed and the loop allocates nothing. A fault without a watchdog
+   window adds 0, which changes no sum. *)
+let totals t =
+  let device = ref 0.0 and kernel = ref 0.0 and transfer = ref 0.0 in
+  let overhead = ref 0.0 and fallback = ref 0.0 in
+  let launches = ref 0 and bytes = ref 0 and retries = ref 0 in
+  let cpu_fallbacks = ref 0 in
+  for i = 0 to t.len - 1 do
+    match t.events.(i) with
+    | Alloc { time_s; _ } | Fault { time_s; _ } ->
+      device := !device +. time_s;
+      overhead := !overhead +. time_s
+    | Retry { time_s; _ } ->
+      incr retries;
+      device := !device +. time_s;
+      overhead := !overhead +. time_s
+    | Transfer { bytes = b; time_s; _ } ->
+      bytes := !bytes + b;
+      device := !device +. time_s;
+      transfer := !transfer +. time_s
+    | Launch { kernel_time_s; overhead_s; _ } ->
+      incr launches;
+      device := !device +. kernel_time_s;
+      kernel := !kernel +. kernel_time_s;
+      device := !device +. overhead_s;
+      overhead := !overhead +. overhead_s
+    | Fallback { time_s; _ } ->
+      incr cpu_fallbacks;
+      device := !device +. time_s;
+      fallback := !fallback +. time_s
+    | Breaker _ | Shed _ -> ()
+  done;
+  { device_s = !device; kernel_s = !kernel; transfer_s = !transfer;
+    overhead_s = !overhead; fallback_s = !fallback; launches = !launches;
+    bytes = !bytes; retries = !retries; cpu_fallbacks = !cpu_fallbacks }
 
 let pp_event fmt = function
   | Alloc { name; bytes; time_s } ->
@@ -84,6 +147,9 @@ let pp_event fmt = function
       device
   | Fault { target; kind; attempt; time_s } ->
     Fmt.pf fmt "fault    %-12s  %s attempt %d  %.3f us" target kind attempt
+      (time_s *. 1e6)
+  | Retry { target; attempt; time_s } ->
+    Fmt.pf fmt "retry    %-12s  attempt %d  %.3f us" target attempt
       (time_s *. 1e6)
   | Fallback { kernel; steps; time_s } ->
     Fmt.pf fmt "fallback %-12s  %d host steps  %.3f us" kernel steps

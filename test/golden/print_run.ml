@@ -55,6 +55,8 @@ let event b (e : Trace.event) =
       kernel_time_s overhead_s queue_wait_s device
   | Trace.Fault { target; kind; attempt; time_s } ->
     p "fault %s %s attempt=%d time=%h\n" target kind attempt time_s
+  | Trace.Retry { target; attempt; time_s } ->
+    p "retry %s attempt=%d time=%h\n" target attempt time_s
   | Trace.Fallback { kernel; steps; time_s } ->
     p "fallback %s steps=%d time=%h\n" kernel steps time_s
   | Trace.Breaker { device; from_; to_; trips; time_s } ->

@@ -164,12 +164,12 @@ let deadline_tests =
         check Alcotest.int "none dropped" 0 stats.Jobs.jobs_dropped;
         (match stats.Jobs.sheds with
         | [ a; b ] ->
-          check Alcotest.string "a shed" "a" a.Jobs.sh_job;
-          check Alcotest.string "for its deadline" "deadline" a.Jobs.sh_reason;
+          check Alcotest.string "a shed" "a" a.Trace.job;
+          check Alcotest.string "for its deadline" "deadline" a.Trace.reason;
           check (Alcotest.float 0.0) "charged the deadline" 1e-9
-            a.Jobs.sh_wait_s;
-          check Alcotest.string "b cascaded" "b" b.Jobs.sh_job;
-          check Alcotest.string "as dep_shed" "dep_shed" b.Jobs.sh_reason
+            a.Trace.wait_s;
+          check Alcotest.string "b cascaded" "b" b.Trace.job;
+          check Alcotest.string "as dep_shed" "dep_shed" b.Trace.reason
         | l -> Alcotest.failf "expected 2 sheds, got %d" (List.length l));
         (* the shed is visible on the queue trace too *)
         check Alcotest.bool "trace has a shed event" true
@@ -304,14 +304,14 @@ let watermark_tests =
         check Alcotest.int "three ran" 3 stats.Jobs.jobs_run;
         let shed_names =
           List.sort compare
-            (List.map (fun s -> s.Jobs.sh_job) stats.Jobs.sheds)
+            (List.map (fun s -> s.Trace.job) stats.Jobs.sheds)
         in
         (* prio-0 jobs go first (newest of a tie first), then prio 1 *)
         check (Alcotest.list Alcotest.string) "victims" [ "j0"; "j3"; "j4" ]
           shed_names;
         List.iter
           (fun s ->
-            check Alcotest.string "reason" "overload" s.Jobs.sh_reason)
+            check Alcotest.string "reason" "overload" s.Trace.reason)
           stats.Jobs.sheds);
     tc "a watermark above the backlog sheds nothing" (fun () ->
         let specs = List.init 4 (fun i -> mk_job ~name:(Fmt.str "j%d" i) ()) in
@@ -355,7 +355,7 @@ let queue_breaker_tests =
         check Alcotest.int "first ran (degraded)" 1 stats.Jobs.jobs_run;
         check Alcotest.int "second shed" 1 stats.Jobs.jobs_shed;
         (match stats.Jobs.sheds with
-        | [ s ] -> check Alcotest.string "no_device" "no_device" s.Jobs.sh_reason
+        | [ s ] -> check Alcotest.string "no_device" "no_device" s.Trace.reason
         | _ -> Alcotest.fail "expected exactly one shed");
         match stats.Jobs.breakers with
         | [ b ] ->

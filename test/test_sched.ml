@@ -46,9 +46,9 @@ let persistent_plan =
 
 (* --- scheduler and event units --- *)
 
-let submit ?(lane = Event.Compute) ?(track = "kernel") ?ready_s ?(deps = [])
+let submit ?(lane = Event.Compute) ?(track = Event.Kernel) ?ready_s ?(deps = [])
     sched dev ~submit_s ~dur_s =
-  Scheduler.submit sched ~device:dev ~lane ~track ~label:"t" ~submit_s
+  Scheduler.submit sched ~device:dev ~lane ~track ~submit_s
     ?ready_s ~deps ~dur_s ()
 
 let scheduler_tests =
@@ -65,7 +65,7 @@ let scheduler_tests =
           (Event.queue_wait_s b);
         (* other lane is free, but the dependency gates it *)
         let c =
-          submit s d ~lane:Event.Copy_in ~track:"transfer" ~submit_s:0.0
+          submit s d ~lane:Event.Copy_in ~track:Event.Transfer ~submit_s:0.0
             ~deps:[ b ] ~dur_s:0.5
         in
         check (Alcotest.float 0.0) "dep gates start" 3.0 c.Event.ev_start_s;
@@ -77,13 +77,13 @@ let scheduler_tests =
         let d = Scheduler.device s 0 in
         ignore (submit s d ~submit_s:0.0 ~dur_s:5.0);
         let t =
-          submit s d ~lane:Event.Copy_in ~track:"transfer" ~submit_s:0.0
+          submit s d ~lane:Event.Copy_in ~track:Event.Transfer ~submit_s:0.0
             ~dur_s:1.0
         in
         check (Alcotest.float 0.0) "transfer overlaps compute" 0.0
           t.Event.ev_start_s;
         let o =
-          submit s d ~lane:Event.Copy_out ~track:"transfer" ~submit_s:0.0
+          submit s d ~lane:Event.Copy_out ~track:Event.Transfer ~submit_s:0.0
             ~dur_s:1.0
         in
         check (Alcotest.float 0.0) "duplex DMA: d2h overlaps h2d" 0.0
@@ -94,7 +94,7 @@ let scheduler_tests =
         ignore (submit s d0 ~submit_s:0.0 ~dur_s:2.0);
         ignore (submit s d1 ~submit_s:0.0 ~dur_s:3.0);
         ignore
-          (submit s d1 ~lane:Event.Copy_in ~track:"transfer" ~submit_s:0.0
+          (submit s d1 ~lane:Event.Copy_in ~track:Event.Transfer ~submit_s:0.0
              ~dur_s:1.0);
         check (Alcotest.float 0.0) "makespan" 3.0 (Scheduler.elapsed_s s);
         check (Alcotest.float 0.0) "busy sums tracks" 4.0
@@ -127,7 +127,7 @@ let scheduler_tests =
         let d = Scheduler.device s 0 in
         let a = submit s d ~submit_s:0.0 ~dur_s:2.0 in
         let b =
-          submit s d ~lane:Event.Copy_in ~track:"transfer" ~submit_s:0.0
+          submit s d ~lane:Event.Copy_in ~track:Event.Transfer ~submit_s:0.0
             ~dur_s:1.0
         in
         check Alcotest.bool "overlap" true (Event.overlaps a b);

@@ -9,7 +9,8 @@ open Ftn_ir
 type int_binop =
   | Addi | Subi | Muli | Divsi | Remsi | Maxsi | Minsi | Andi | Ori | Xori
 type float_binop = Addf | Subf | Mulf | Divf | Maximumf | Minimumf
-type cast = Index_cast | Sitofp | Fptosi | Extf | Truncf | Extsi | Trunci
+type cast =
+  | Index_cast | Sitofp | Fptosi | Extf | Truncf | Extsi | Extui | Trunci
 
 type kind =
   | Constant
@@ -48,6 +49,7 @@ let name = function
   | Cast Extf -> "arith.extf"
   | Cast Truncf -> "arith.truncf"
   | Cast Extsi -> "arith.extsi"
+  | Cast Extui -> "arith.extui"
   | Cast Trunci -> "arith.trunci"
   | Select -> "arith.select"
 
@@ -59,7 +61,7 @@ let all =
       [ Addf; Subf; Mulf; Divf; Maximumf; Minimumf ]
   @ [ Negf; Cmpi; Cmpf ]
   @ List.map (fun c -> Cast c)
-      [ Index_cast; Sitofp; Fptosi; Extf; Truncf; Extsi; Trunci ]
+      [ Index_cast; Sitofp; Fptosi; Extf; Truncf; Extsi; Extui; Trunci ]
   @ [ Select ]
 
 let by_name =

@@ -9,7 +9,8 @@ open Ftn_ir
 type int_binop =
   | Addi | Subi | Muli | Divsi | Remsi | Maxsi | Minsi | Andi | Ori | Xori
 type float_binop = Addf | Subf | Mulf | Divf | Maximumf | Minimumf
-type cast = Index_cast | Sitofp | Fptosi | Extf | Truncf | Extsi | Trunci
+type cast =
+  | Index_cast | Sitofp | Fptosi | Extf | Truncf | Extsi | Extui | Trunci
 
 type kind =
   | Constant

@@ -107,8 +107,8 @@ let arith_op_names =
     "llvm.or"; "llvm.xor" ]
 
 let cast_op_names =
-  [ "llvm.sitofp"; "llvm.fptosi"; "llvm.sext"; "llvm.trunc"; "llvm.fpext";
-    "llvm.fptrunc"; "llvm.bitcast"; "llvm.fneg" ]
+  [ "llvm.sitofp"; "llvm.fptosi"; "llvm.sext"; "llvm.zext"; "llvm.trunc";
+    "llvm.fpext"; "llvm.fptrunc"; "llvm.bitcast"; "llvm.fneg" ]
 
 let register () =
   let open Dialect in

@@ -28,7 +28,7 @@ let build_convert b v ty =
     | Types.Index, (Types.I32 | Types.I64) | (Types.I32 | Types.I64), Types.Index
       ->
       one Index_cast
-    | Types.I1, (Types.I32 | Types.I64) -> one Extsi
+    | Types.I1, (Types.I32 | Types.I64) -> one Extui
     | Types.I32, Types.I64 -> one Extsi
     | Types.I64, Types.I32 -> one Trunci
     | (Types.I32 | Types.I64), (Types.F32 | Types.F64) -> one Sitofp

@@ -112,7 +112,7 @@ let is_int_op op =
   | Some (Arith.Int_binop _ | Arith.Cmpi | Arith.Cast Index_cast) -> true
   | Some
       ( Arith.Constant | Arith.Float_binop _ | Arith.Negf | Arith.Cmpf
-      | Arith.Cast (Sitofp | Fptosi | Extf | Truncf | Extsi | Trunci)
+      | Arith.Cast (Sitofp | Fptosi | Extf | Truncf | Extsi | Extui | Trunci)
       | Arith.Select )
   | None ->
     false

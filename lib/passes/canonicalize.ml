@@ -40,7 +40,7 @@ let folder ctx op =
   | None
   | Some
       ( Arith.Constant | Arith.Negf | Arith.Cmpf
-      | Arith.Cast (Extsi | Trunci | Fptosi | Extf | Truncf) ) ->
+      | Arith.Cast (Extsi | Extui | Trunci | Fptosi | Extf | Truncf) ) ->
     None
   | Some (Arith.Int_binop o) -> (
     match Op.operands op with

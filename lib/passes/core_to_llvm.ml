@@ -157,6 +157,7 @@ let cast_llvm : Arith.cast -> string option = function
   | Fptosi -> Some "fptosi"
   | Extf -> Some "fpext"
   | Truncf -> Some "fptrunc"
+  | Extui -> Some "zext"
   | Index_cast | Extsi | Trunci -> None
 
 let rec emit_ops ctx ops = List.iter (emit_op ctx) ops

@@ -545,6 +545,40 @@ let fold_tests =
            print *, 'sqrt', (y(1) - 3.20713472366333) * 1.0e7\n\
            end program sq\n"
           "sqrt 0.000000");
+    (* a logical widened to an integer is 1 when true: the kernel
+       zero-extends it, as the interpreters convert it *)
+    tc "a logical assigned to an integer is 1 in the kernel too" (fun () ->
+        let src =
+          "program lg\n\
+           implicit none\n\
+           integer :: k(4)\n\
+           logical :: l\n\
+           integer :: i\n\
+           l = .true.\n\
+           !$omp target parallel do map(to:l) map(from:k)\n\
+           do i = 1, 4\n\
+           k(i) = l\n\
+           end do\n\
+           !$omp end target parallel do\n\
+           print *, 'lg', k(1), k(4)\n\
+           end program lg\n"
+        in
+        prints_everywhere ~name:"lg" src "lg 1 1";
+        let llvm =
+          Option.get (Core.Compiler.compile src).Core.Compiler.llvm_ir
+        in
+        check Alcotest.bool "zext i1" true (contains llvm "zext i1");
+        check Alcotest.bool "no sext i1" false (contains llvm "sext i1");
+        if Sys.command "llvm-as --version > /dev/null 2>&1" = 0 then begin
+          let ll = Filename.temp_file "lg" ".ll" in
+          Out_channel.with_open_text ll (fun oc -> output_string oc llvm);
+          let rc =
+            Sys.command
+              (Fmt.str "llvm-as %s -o /dev/null" (Filename.quote ll))
+          in
+          Sys.remove ll;
+          check Alcotest.int "llvm-as accepts the kernel" 0 rc
+        end);
   ]
 
 let backend_cli_tests =
@@ -617,11 +651,45 @@ let backend_cli_tests =
         List.iter (fun sub -> ignore (help sub)) subcommands);
   ]
 
+(* --- the run records ftnc prints: --report and --trace --- *)
+
+let record_cli_tests =
+  [
+    tc "a retried transfer shows in --report and --trace" (fun () ->
+        with_saxpy_file (fun src ->
+            let run flags =
+              cli_capture
+                (Fmt.str "../bin/ftnc.exe run %s%s" (Filename.quote src) flags)
+            in
+            let _, clean, _ = run "" in
+            let code, out, _ =
+              run " --fault-plan transfer:nth=1 --report --trace"
+            in
+            check Alcotest.int "exit 0" 0 code;
+            check Alcotest.bool "the clean run's output" true
+              (clean <> "" && String.starts_with ~prefix:clean out);
+            check Alcotest.bool "the report's faults line" true
+              (contains out "faults: 1 injected, 1 retries, 0 cpu fallbacks");
+            let rec after_fault = function
+              | f :: next :: _
+                when String.starts_with ~prefix:"fault    h2d:x " f ->
+                Some next
+              | _ :: rest -> after_fault rest
+              | [] -> None
+            in
+            match after_fault (String.split_on_char '\n' out) with
+            | Some next ->
+              check Alcotest.bool "a retry line follows the fault" true
+                (String.starts_with ~prefix:"retry    h2d:x " next)
+            | None -> Alcotest.fail "no fault line for h2d:x in the trace"));
+  ]
+
 let () =
   Alcotest.run "e2e"
     [
       ("pipeline", e2e_tests);
       ("backend-cli", backend_cli_tests);
+      ("record-cli", record_cli_tests);
       ("run-errors", runtime_error_tests);
       ("folding", fold_tests);
     ]

@@ -934,6 +934,8 @@ let arith_case_gen =
     match src with
     | Types.I1 -> cast Extsi [ src ] [ Types.I32; Types.I64 ]
     | _ -> cast Extsi [ src ] [ Types.I64 ])
+  (* a logical widened to an integer: 1 for true, as LLVM's zext *)
+  | Arith.Cast Extui -> cast Extui [ Types.I1 ] [ Types.I32; Types.I64 ]
   | Arith.Cast Trunci -> (
     let* src = oneofl [ Types.I64; Types.I32 ] in
     match src with
@@ -1013,7 +1015,7 @@ let arith_table_agrees =
         match c.kind with
         (* the folder leaves these to run time *)
         | Arith.Negf | Arith.Cmpf
-        | Arith.Cast (Extsi | Trunci | Fptosi | Extf | Truncf) ->
+        | Arith.Cast (Extsi | Extui | Trunci | Fptosi | Extf | Truncf) ->
           true
         (* and declines a zero divisor, which both engines report *)
         | Arith.Int_binop Divsi -> tree = Error "integer division by zero"

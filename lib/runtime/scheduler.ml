@@ -2,7 +2,7 @@
 
    Simulates N identical accelerator cards, each with four engine lanes
    (duplex DMA, compute, control; see {!Event.lane}) and its own
-   compute-unit statistics. Time is simulated: each lane remembers when
+   per-track busy totals. Time is simulated: each lane remembers when
    it next becomes free, and submitting an operation computes
 
      start = max(ready time, lane availability, dependency finishes)

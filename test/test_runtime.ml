@@ -93,10 +93,12 @@ let executor_tests =
           (r.Executor.kernel_time_s +. r.Executor.transfer_time_s
           +. r.Executor.overhead_time_s +. r.Executor.fallback_time_s));
     tc "running totals match span-folded totals" (fun () ->
-        (* The per-track totals folded from the trace must agree exactly
-           with a fold over the sim-clock spans of the same charges —
-           drive the host API directly so we can interrogate the context,
-           recording into a collector of its own. *)
+        (* The times folded from the trace must agree exactly with a fold
+           over the sim-clock spans of the same charges: each track with
+           its spans, the device time with all of them. Drive the host
+           API directly, recording into a collector of its own, once
+           clean and once with a watchdog timeout and its retry on the
+           first launch and a second launch that falls back to the CPU. *)
         let n = 32 in
         let spec = Fpga_spec.u280 in
         let bitstream =
@@ -104,55 +106,83 @@ let executor_tests =
             ~xclbin_name:"crosscheck.xclbin"
             (Ftn_linpack.Hls_baselines.saxpy_device ~n)
         in
-        let spans = Ftn_obs.Span.create () in
-        let ctx =
-          Ftn_obs.Span.with_collector spans (fun () ->
-              Executor.create_context bitstream)
-        in
-        let x, y = Ftn_linpack.References.saxpy_inputs ~n in
-        let hx = Rtval.of_float_array Ftn_ir.Types.F32 x in
-        let hy = Rtval.of_float_array Ftn_ir.Types.F32 y in
-        let ha = Rtval.of_float_array ~shape:[] Ftn_ir.Types.F32 [| 2.0 |] in
-        let dx =
-          Executor.api_alloc ctx ~name:"x" ~memory_space:1
-            ~elt:Ftn_ir.Types.F32 ~shape:[ n ]
-        in
-        let dy =
-          Executor.api_alloc ctx ~name:"y" ~memory_space:1
-            ~elt:Ftn_ir.Types.F32 ~shape:[ n ]
-        in
-        let da =
-          Executor.api_alloc ctx ~name:"a" ~memory_space:1
-            ~elt:Ftn_ir.Types.F32 ~shape:[]
-        in
-        Executor.api_transfer ctx ~src:hx ~dst:dx;
-        Executor.api_transfer ctx ~src:hy ~dst:dy;
-        Executor.api_transfer ctx ~src:ha ~dst:da;
-        Executor.api_launch ctx ~kernel:"saxpy_hw"
-          [ Rtval.Buf dx; Rtval.Buf dy; Rtval.Buf da ];
-        Executor.api_transfer ctx ~src:dy ~dst:hy;
-        let _, kernel, transfer, overhead = Executor.summary ctx in
-        check Alcotest.bool "kernel > 0" true (kernel > 0.0);
-        check Alcotest.bool "transfer > 0" true (transfer > 0.0);
-        check Alcotest.bool "overhead > 0" true (overhead > 0.0);
-        let span_total track =
-          List.fold_left
-            (fun acc (sp : Ftn_obs.Span.span) ->
-              if
-                sp.Ftn_obs.Span.clock = Ftn_obs.Span.Sim
-                && Ftn_obs.Span.attr sp "track" = Some track
-              then acc +. sp.Ftn_obs.Span.dur_s
-              else acc)
-            0.0 (Ftn_obs.Span.spans spans)
+        let plan =
+          match
+            Ftn_fault.Fault.parse_plan "timeout:nth=1,launch:nth=2:persistent"
+          with
+          | Ok p -> p
+          | Error msg -> failwith msg
         in
         List.iter
-          (fun (track, total) ->
-            check (Alcotest.float 0.0) track (span_total track) total)
-          [
-            ("kernel", kernel);
-            ("transfer", transfer);
-            ("overhead", overhead);
-          ]);
+          (fun faults ->
+            let spans = Ftn_obs.Span.create () in
+            let ctx =
+              Ftn_obs.Span.with_collector spans (fun () ->
+                  Executor.create_context
+                    ~diag:(Ftn_diag.Diag_engine.create ()) ?faults bitstream)
+            in
+            let x, y = Ftn_linpack.References.saxpy_inputs ~n in
+            let hx = Rtval.of_float_array Ftn_ir.Types.F32 x in
+            let hy = Rtval.of_float_array Ftn_ir.Types.F32 y in
+            let ha =
+              Rtval.of_float_array ~shape:[] Ftn_ir.Types.F32 [| 2.0 |]
+            in
+            let dx =
+              Executor.api_alloc ctx ~name:"x" ~memory_space:1
+                ~elt:Ftn_ir.Types.F32 ~shape:[ n ]
+            in
+            let dy =
+              Executor.api_alloc ctx ~name:"y" ~memory_space:1
+                ~elt:Ftn_ir.Types.F32 ~shape:[ n ]
+            in
+            let da =
+              Executor.api_alloc ctx ~name:"a" ~memory_space:1
+                ~elt:Ftn_ir.Types.F32 ~shape:[]
+            in
+            Executor.api_transfer ctx ~src:hx ~dst:dx;
+            Executor.api_transfer ctx ~src:hy ~dst:dy;
+            Executor.api_transfer ctx ~src:ha ~dst:da;
+            let args = [ Rtval.Buf dx; Rtval.Buf dy; Rtval.Buf da ] in
+            Executor.api_launch ctx ~kernel:"saxpy_hw" args;
+            Executor.api_launch ctx ~kernel:"saxpy_hw" args;
+            Executor.api_transfer ctx ~src:dy ~dst:hy;
+            let device, kernel, transfer, overhead = Executor.summary ctx in
+            let r = Executor.result_of_context ctx in
+            let what = if faults = None then "clean" else "faulted" in
+            check Alcotest.bool (what ^ ": kernel > 0") true (kernel > 0.0);
+            check Alcotest.bool (what ^ ": transfer > 0") true
+              (transfer > 0.0);
+            check Alcotest.bool (what ^ ": overhead > 0") true
+              (overhead > 0.0);
+            check Alcotest.int (what ^ ": retries")
+              (if faults = None then 0 else 4)
+              r.Executor.retries;
+            check Alcotest.int (what ^ ": cpu fallbacks")
+              (if faults = None then 0 else 1)
+              r.Executor.cpu_fallbacks;
+            let span_total track =
+              List.fold_left
+                (fun acc (sp : Ftn_obs.Span.span) ->
+                  if
+                    sp.Ftn_obs.Span.clock = Ftn_obs.Span.Sim
+                    && (track = None || Ftn_obs.Span.attr sp "track" = track)
+                  then acc +. sp.Ftn_obs.Span.dur_s
+                  else acc)
+                0.0 (Ftn_obs.Span.spans spans)
+            in
+            List.iter
+              (fun (track, total) ->
+                check (Alcotest.float 0.0)
+                  (what ^ ": " ^ Option.value ~default:"device" track)
+                  (span_total track) total)
+              [
+                (None, device);
+                (Some "kernel", kernel);
+                (Some "transfer", transfer);
+                (Some "overhead", overhead);
+                (Some "fallback", r.Executor.fallback_time_s);
+              ])
+          [ None; Some plan ]);
     tc "one launch for a single target" (fun () ->
         let run = saxpy_run 64 in
         check Alcotest.int "launches" 1 run.Core.Run.exec.Executor.kernel_launches);

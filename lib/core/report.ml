@@ -153,6 +153,15 @@ let utilization_timeline ?(bins = 60) () =
       Some (line, t_end)
     end
 
+let pp_device_timeline fmt () =
+  match utilization_timeline () with
+  | None -> ()
+  | Some (line, t_end) ->
+    Fmt.pf fmt
+      "@.device timeline (%.3f ms; K kernel, T transfer, O overhead, F \
+       fallback, . idle):@.  |%s|@."
+      (t_end *. 1e3) line
+
 (* The compute-unit occupancy block of the profile report: one unit per
    kernel, in first-use order, folded from the launch and fallback events
    of the run's trace. Occupancy is busy time over the run's device
@@ -234,14 +243,7 @@ let pp_profile fmt (run : Run.t) =
       kernels
   end;
   pp_compute_units fmt exec;
-  (* device utilization timeline *)
-  (match utilization_timeline () with
-  | None -> ()
-  | Some (line, t_end) ->
-    Fmt.pf fmt
-      "@.device timeline (%.3f ms; K kernel, T transfer, O overhead, F \
-       fallback, . idle):@.  |%s|@."
-      (t_end *. 1e3) line);
+  pp_device_timeline fmt ();
   (* transfer-vs-compute roofline summary *)
   let kt = exec.Executor.kernel_time_s
   and tt = exec.Executor.transfer_time_s in

@@ -1,6 +1,7 @@
 (* Prints every runtime record of a few small programs executed on the
    simulated device: program output, result counters, the run report's
-   summary and compute-unit lines, flight-recorder entries, simulated spans, trace events, the data environment,
+   summary, compute-unit and device-timeline lines, flight-recorder
+   entries, simulated spans, trace events, the data environment,
    diagnostics and the device/fault/data-environment metrics. Simulated
    times print as hex floats; nothing measured on the wall clock is
    printed.
@@ -18,18 +19,26 @@ module Flight = Ftn_obs.Flight
 module Metrics = Ftn_obs.Metrics
 module Span = Ftn_obs.Span
 
-(* name, source, fault plan *)
+(* name, source, fault plan, simulated devices *)
 let cases =
   [
-    ("sgesl_n16", Sources.sgesl ~n:16, None);
-    ("stencil_n32_s2", Sources.stencil ~n:32 ~steps:2, None);
-    ("data_regions_n8", Sources.data_regions ~n:8, None);
-    ("dot_product_n64_simd4", Sources.dot_product ~n:64 ~simdlen:4, None);
+    ("sgesl_n16", Sources.sgesl ~n:16, None, 1);
+    ("stencil_n32_s2", Sources.stencil ~n:32 ~steps:2, None, 1);
+    ("data_regions_n8", Sources.data_regions ~n:8, None, 1);
+    ("dot_product_n64_simd4", Sources.dot_product ~n:64 ~simdlen:4, None, 1);
     (* a transient transfer fault that one retry absorbs, then a
        persistent launch fault that degrades the kernel to the CPU *)
     ( "saxpy_n32_faulted",
       Sources.saxpy ~n:32,
-      Some "transfer:nth=1,launch:nth=1:persistent" );
+      Some "transfer:nth=1,launch:nth=1:persistent",
+      1 );
+    (* a hung first launch that the watchdog times out and one retry
+       absorbs, then a persistent fault on the second launch that drains
+       the run to the second device *)
+    ( "sgesl_n16_drained",
+      Sources.sgesl ~n:16,
+      Some "timeout:nth=1,launch:nth=2:persistent",
+      2 );
   ]
 
 let plan s =
@@ -70,17 +79,19 @@ let recorded_metric name =
     [ "device."; "fault."; "data_env." ]
   || name = "interp.steps"
 
-(* One run of [host] against [bitstream], rendered. *)
-let render ~engine ?faults host bitstream =
+(* One run of [host] against [bitstream] on a fresh scheduler of
+   [devices] devices, rendered. *)
+let render ~engine ?faults ~devices host bitstream =
   let b = Buffer.create 65536 in
   let p fmt = Printf.bprintf b fmt in
   Flight.clear ();
   Metrics.reset ();
   let diag = Ftn_diag.Diag_engine.create () in
   let spans = Span.create () in
+  let sched = Scheduler.create ~devices () in
   let r =
     Span.with_collector spans (fun () ->
-        Executor.run ~engine ~diag ?faults ~host ~bitstream ())
+        Executor.run ~engine ~diag ?faults ~sched ~host ~bitstream ())
   in
   p "-- output\n%s" r.Executor.output;
   p "-- result\n";
@@ -93,8 +104,10 @@ let render ~engine ?faults host bitstream =
     r.Executor.kernel_launches r.Executor.bytes_transferred
     r.Executor.degraded r.Executor.drained r.Executor.retries
     r.Executor.cpu_fallbacks r.Executor.faults_injected r.Executor.device;
-  p "-- report\n%s\n%s" (Fmt.str "%a" Core.Report.pp_exec r)
-    (Fmt.str "%a" Core.Report.pp_compute_units r);
+  p "-- report\n%s\n%s%s" (Fmt.str "%a" Core.Report.pp_exec r)
+    (Fmt.str "%a" Core.Report.pp_compute_units r)
+    (Span.with_collector spans (fun () ->
+         Fmt.str "%a" Core.Report.pp_device_timeline ()));
   p "-- flight\n";
   List.iter
     (fun (e : Flight.entry) ->
@@ -132,15 +145,15 @@ let () =
   Flight.set_capacity 100_000;
   let differ = ref false in
   List.iter
-    (fun (name, src, faults) ->
+    (fun (name, src, faults, devices) ->
       let file = name ^ ".f90" in
       let art = Core.Compiler.compile ~file src in
       let bitstream = Core.Compiler.synthesise art in
       let host = art.Core.Compiler.host in
       let faults = Option.map plan faults in
-      let tree = render ~engine:`Tree ?faults host bitstream in
-      let compiled = render ~engine:`Compiled ?faults host bitstream in
-      let warm = render ~engine:`Compiled ?faults host bitstream in
+      let tree = render ~engine:`Tree ?faults ~devices host bitstream in
+      let compiled = render ~engine:`Compiled ?faults ~devices host bitstream in
+      let warm = render ~engine:`Compiled ?faults ~devices host bitstream in
       if tree <> compiled then begin
         Printf.eprintf "print_run: %s differs between the engines\n" name;
         differ := true

@@ -682,6 +682,84 @@ let record_cli_tests =
               check Alcotest.bool "a retry line follows the fault" true
                 (String.starts_with ~prefix:"retry    h2d:x " next)
             | None -> Alcotest.fail "no fault line for h2d:x in the trace"));
+    tc "--trace-out writes every charge of a run or a job mix" (fun () ->
+        (* A SAXPY n=32 run charges three allocations, four transfers
+           (388 bytes), a kernel and its launch overhead; the faulted
+           run adds the backoff of its retried transfer. *)
+        let field k = function
+          | Ftn_obs.Json.Obj kvs -> List.assoc_opt k kvs
+          | _ -> None
+        in
+        let str k e =
+          match field k e with Some (Ftn_obs.Json.String s) -> s | _ -> ""
+        in
+        let int k e =
+          match field k e with Some (Ftn_obs.Json.Int n) -> n | _ -> -1
+        in
+        List.iter
+          (fun (flags, spans, runs) ->
+            with_saxpy_file (fun src ->
+                let json = Filename.temp_file "trace" ".json" in
+                let code, _, _ =
+                  cli_capture
+                    (Fmt.str "../bin/ftnc.exe run %s %s --trace-out %s"
+                       (Filename.quote src) flags (Filename.quote json))
+                in
+                let text = In_channel.with_open_bin json In_channel.input_all in
+                Sys.remove json;
+                check Alcotest.int (flags ^ ": exit 0") 0 code;
+                let events =
+                  match Ftn_obs.Json.parse text with
+                  | Ok j -> (
+                    match field "traceEvents" j with
+                    | Some (Ftn_obs.Json.List evs) -> evs
+                    | _ -> Alcotest.fail "no traceEvents")
+                  | Error msg -> Alcotest.fail msg
+                in
+                let sim = List.filter (fun e -> str "cat" e = "sim") events in
+                check Alcotest.int (flags ^ ": one sim event per charge") spans
+                  (List.length sim);
+                let cu_lanes =
+                  List.filter_map
+                    (fun e ->
+                      let name = str "name" (Option.get (field "args" e)) in
+                      if str "name" e = "thread_name"
+                         && String.starts_with ~prefix:"cu:" name
+                      then Some (int "tid" e)
+                      else None)
+                    events
+                in
+                let kernels =
+                  List.filter
+                    (fun e ->
+                      field "args" e
+                      |> Option.map (str "track")
+                      = Some "kernel")
+                    sim
+                in
+                check Alcotest.int (flags ^ ": kernel events") runs
+                  (List.length kernels);
+                List.iter
+                  (fun e ->
+                    let tid = int "tid" e in
+                    check Alcotest.bool (flags ^ ": on a cu: lane") true
+                      (tid >= 10 && List.mem tid cu_lanes))
+                  kernels;
+                let totals =
+                  List.filter_map
+                    (fun e ->
+                      if str "name" e = "device.bytes_transferred" then
+                        Option.map (int "total") (field "args" e)
+                      else None)
+                    events
+                in
+                check
+                  Alcotest.(option int)
+                  (flags ^ ": last bytes total")
+                  (Some (388 * runs))
+                  (List.nth_opt totals (List.length totals - 1))))
+          [ ("--fault-plan transfer:nth=1", 10, 1);
+            ("--jobs 3 --devices 2", 27, 3) ]);
   ]
 
 let () =

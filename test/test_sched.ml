@@ -453,6 +453,30 @@ let jobs_tests =
         check Alcotest.bool "at least one drained" true
           (stats.Jobs.drained_jobs >= 1);
         check Alcotest.int "none degraded" 0 stats.Jobs.degraded_jobs);
+    tc "the devices' launches add up to the jobs', a drain included"
+      (fun () ->
+        let specs =
+          List.init 6 (fun i -> mk_job ~name:(Fmt.str "j%d" i) (i mod 2))
+        in
+        let stats =
+          Jobs.run
+            ~config:
+              {
+                Jobs.default_config with
+                Jobs.devices = 2;
+                fault_device = Some (1, persistent_plan);
+              }
+            specs
+        in
+        check Alcotest.bool "a job drained" true (stats.Jobs.drained_jobs >= 1);
+        check Alcotest.int "launches"
+          (List.fold_left
+             (fun acc (_, r) -> acc + r.Executor.kernel_launches)
+             0 stats.Jobs.results)
+          (List.fold_left
+             (fun acc ds -> acc + ds.Scheduler.ds_launches)
+             0
+             (Scheduler.snapshot stats.Jobs.scheduler)));
   ]
 
 (* --- determinism property: any DAG, 1 vs N devices --- *)

@@ -593,6 +593,10 @@ let run_term =
             Core.Run.run_jobs ~options ~file:source
               ~engine:Ftn_diag.Diag_engine.default ?fault_device src
           in
+          if obs.trace_out <> None then
+            List.iter
+              (fun (_, r) -> Ftn_runtime.(Trace.replay_spans r.Executor.trace))
+              stats.Ftn_runtime.Jobs.results;
           print_string stats.Ftn_runtime.Jobs.output;
           if report then print_string (Core.Report.sched_summary stats)
         end
@@ -617,6 +621,8 @@ let run_term =
               Core.Run.run ~options ~file:source
                 ~engine:Ftn_diag.Diag_engine.default src
           in
+          if obs.trace_out <> None then
+            Ftn_runtime.Trace.replay_spans r.Core.Run.exec.trace;
           print_string (Core.Run.output r);
           if report then print_string (Core.Report.summary r);
           if obs.profile then print_string (Core.Report.profile_summary r);

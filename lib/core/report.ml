@@ -91,76 +91,53 @@ let hist_count name =
   | Some (Ftn_obs.Metrics.Histogram_v { count; _ }) -> count
   | _ -> 0
 
-(* One character per bin of the device-active window, labelled by the
-   track that dominates the bin: K kernel, T transfer, O overhead,
-   F cpu-fallback, '.' idle. Built from the ambient collector's
-   sim-clock spans, so it must run before the collector is cleared. *)
-let utilization_timeline ?(bins = 60) () =
-  let sim =
-    List.filter
-      (fun (sp : Ftn_obs.Span.span) -> sp.Ftn_obs.Span.clock = Ftn_obs.Span.Sim)
-      (Ftn_obs.Span.spans (Ftn_obs.Span.current ()))
+(* The device-active window in 60 characters, each naming the track
+   that dominates its bin: K kernel, T transfer, O overhead,
+   F cpu-fallback, '.' idle. Built from the spans the run's trace
+   replays. *)
+let pp_device_timeline fmt (exec : Executor.result) =
+  let c = Ftn_obs.Span.create () in
+  Trace.replay_spans ~collector:c exec.Executor.trace;
+  let spans = Ftn_obs.Span.spans c in
+  let t_end =
+    List.fold_left
+      (fun acc (sp : Ftn_obs.Span.span) ->
+        Float.max acc (sp.start_s +. sp.dur_s))
+      0.0 spans
   in
-  match sim with
-  | [] -> None
-  | _ ->
-    let t_end =
-      List.fold_left
-        (fun acc (sp : Ftn_obs.Span.span) ->
-          Float.max acc (sp.Ftn_obs.Span.start_s +. sp.Ftn_obs.Span.dur_s))
-        0.0 sim
+  if t_end > 0.0 then begin
+    (* busy.(bin).(track): simulated seconds of each track in the bin *)
+    let bins = 60 in
+    let tracks = [| "kernel"; "transfer"; "overhead"; "fallback" |] in
+    let busy = Array.make_matrix bins (Array.length tracks) 0.0 in
+    let bin_w = t_end /. float_of_int bins in
+    List.iter
+      (fun (sp : Ftn_obs.Span.span) ->
+        let track = Ftn_obs.Span.attr sp "track" in
+        match Array.find_index (fun t -> Some t = track) tracks with
+        | None -> ()
+        | Some ti ->
+          let s = sp.start_s and e = sp.start_s +. sp.dur_s in
+          let b0 = max 0 (int_of_float (s /. bin_w)) in
+          for b = b0 to min (bins - 1) (int_of_float (e /. bin_w)) do
+            let lo = Float.max s (float_of_int b *. bin_w) in
+            let hi = Float.min e (float_of_int (b + 1) *. bin_w) in
+            if hi > lo then busy.(b).(ti) <- busy.(b).(ti) +. (hi -. lo)
+          done)
+      spans;
+    let line =
+      String.init bins (fun b ->
+          let best = ref (-1) and best_t = ref 0.0 in
+          Array.iteri
+            (fun ti t -> if t > !best_t then (best := ti; best_t := t))
+            busy.(b);
+          if !best < 0 then '.' else "KTOF".[!best])
     in
-    if t_end <= 0.0 then None
-    else begin
-      (* busy.(bin).(track): simulated seconds of each track inside the
-         bin; the dominant track labels the bin. *)
-      let tracks =
-        [ Event.Kernel; Event.Transfer; Event.Overhead; Event.Fallback ]
-      in
-      let chars = [| 'K'; 'T'; 'O'; 'F' |] in
-      let busy = Array.make_matrix bins (List.length tracks) 0.0 in
-      let bin_w = t_end /. float_of_int bins in
-      List.iter
-        (fun (sp : Ftn_obs.Span.span) ->
-          let track = Ftn_obs.Span.attr sp "track" in
-          match
-            List.find_index (fun t -> Some (Event.track_name t) = track) tracks
-          with
-          | None -> ()
-          | Some ti ->
-            let s = sp.Ftn_obs.Span.start_s in
-            let e = s +. sp.Ftn_obs.Span.dur_s in
-            let b0 = max 0 (int_of_float (s /. bin_w)) in
-            let b1 = min (bins - 1) (int_of_float (e /. bin_w)) in
-            for b = b0 to b1 do
-              let lo = Float.max s (float_of_int b *. bin_w) in
-              let hi = Float.min e (float_of_int (b + 1) *. bin_w) in
-              if hi > lo then busy.(b).(ti) <- busy.(b).(ti) +. (hi -. lo)
-            done)
-        sim;
-      let line =
-        String.init bins (fun b ->
-            let best = ref (-1) and best_t = ref 0.0 in
-            Array.iteri
-              (fun ti t ->
-                if t > !best_t then begin
-                  best := ti;
-                  best_t := t
-                end)
-              busy.(b);
-            if !best < 0 then '.' else chars.(!best))
-      in
-      Some (line, t_end)
-    end
-
-let pp_device_timeline fmt () =
-  match utilization_timeline () with
-  | None -> ()
-  | Some (line, t_end) ->
     Fmt.pf fmt
       "@.device timeline (%.3f ms; K kernel, T transfer, O overhead, F \
        fallback, . idle):@.  |%s|@."
       (t_end *. 1e3) line
+  end
 
 (* The compute-unit occupancy block of the profile report: one unit per
    kernel, in first-use order, folded from the launch and fallback events
@@ -243,7 +220,7 @@ let pp_profile fmt (run : Run.t) =
       kernels
   end;
   pp_compute_units fmt exec;
-  pp_device_timeline fmt ();
+  pp_device_timeline fmt exec;
   (* transfer-vs-compute roofline summary *)
   let kt = exec.Executor.kernel_time_s
   and tt = exec.Executor.transfer_time_s in

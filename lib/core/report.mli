@@ -20,18 +20,18 @@ val pp_compute_units : Format.formatter -> Ftn_runtime.Executor.result -> unit
     run's device time and CPU fallbacks; nothing for a run without
     launches or fallbacks. Starts with a blank line. *)
 
-val pp_device_timeline : Format.formatter -> unit -> unit
+val pp_device_timeline :
+  Format.formatter -> Ftn_runtime.Executor.result -> unit
 (** The [--profile] report's device-utilization timeline: a blank line,
     a header with the window's length, and one character per bin naming
-    the track that dominates it. Built from the ambient collector's sim
-    spans (render before clearing it); nothing when it holds none. *)
+    the track that dominates it. Built from the run's trace; nothing for
+    a run that charged nothing. *)
 
 val pp_profile : Format.formatter -> Run.t -> unit
 (** The [--profile] report: top hot ops (interpreter dispatch counts),
     hottest rewrite patterns by attributed time, per-pass wall/alloc
     table, per-kernel launch-latency quantiles, per-CU occupancy, an
-    ASCII device-utilization timeline (from the ambient collector's sim
-    spans — render before clearing it) and a transfer-vs-compute
-    roofline summary. *)
+    ASCII device-utilization timeline and a transfer-vs-compute roofline
+    summary. *)
 
 val profile_summary : Run.t -> string

@@ -7,8 +7,9 @@
 
    Timing is event-based and asynchronous: every charge becomes an
    {!Event.t} scheduled on one engine lane of the context's simulated
-   device (see {!Scheduler}), so several contexts sharing a scheduler
-   queue against each other and overlap transfers with compute.
+   device (see {!Scheduler}), recorded once in the run's {!Trace}, so
+   several contexts sharing a scheduler queue against each other and
+   overlap transfers with compute.
    device.kernel_launch is a true async enqueue — it returns without
    advancing the host's timeline cursor — and device.kernel_wait
    genuinely blocks: the cursor jumps to the launch's completion event,
@@ -38,10 +39,9 @@
    host module and its bitstream) gets one runtime [program], built on
    its first run and dropped with the artifact. It holds an interpreter
    state per engine, whose context-free handlers read the run's context
-   through the state, and the artifact's record labels: span names and
-   attribute lists, metric names and flight texts. [run] borrows the
-   state for one run, so every function compiles once per artifact and
-   all spans of one kernel or buffer share one attribute list. *)
+   through the state, and the artifact's record labels: metric names,
+   fault targets and flight texts. [run] borrows the state for one run,
+   so every function compiles once per artifact. *)
 
 open Ftn_ir
 open Ftn_interp
@@ -51,27 +51,12 @@ module Injector = Ftn_fault.Injector
 
 (* --- record labels ---
 
-   Every name, attribute list, metric name and flight text the executor
-   records that depends only on the artifact is rendered once and then
-   shared by reference. *)
-
-(* The span of one kind of charge: its name and track, the attributes
-   after the track and the device, and the complete attribute list per
-   device id, built on first use. *)
-type span_label = {
-  sl_name : string;
-  sl_track : Event.track;
-  sl_attrs : (string * string) list;
-  mutable sl_by_device : (string * string) list array;  (** [[]] if unbuilt *)
-}
-
-let span_label ~track ~name attrs =
-  { sl_name = name; sl_track = track; sl_attrs = attrs; sl_by_device = [||] }
+   Every name, metric name and flight text the executor records that
+   depends only on the artifact is rendered once and then shared by
+   reference. *)
 
 type kernel = {
   k_design : Bitstream.kernel_design;
-  k_span : span_label;  (** The kernel's run on the compute lane. *)
-  k_overhead : span_label;  (** Its launch overhead. *)
   k_latency_metric : string;  (** [device.kernel.<k>.launch_latency_s] *)
   k_time_metric : string;  (** [device.kernel.<k>.time_s] *)
   k_flight : string;  (** [launch <k>] *)
@@ -79,11 +64,8 @@ type kernel = {
 
 let kernel_labels (design : Bitstream.kernel_design) =
   let name = design.Bitstream.kd_name in
-  let attrs = [ ("kernel", name) ] in
   {
     k_design = design;
-    k_span = span_label ~track:Event.Kernel ~name attrs;
-    k_overhead = span_label ~track:Event.Overhead ~name:"launch_overhead" attrs;
     k_latency_metric = "device.kernel." ^ name ^ ".launch_latency_s";
     k_time_metric = "device.kernel." ^ name ^ ".time_s";
     k_flight = "launch " ^ name;
@@ -93,7 +75,7 @@ let kernel_labels (design : Bitstream.kernel_design) =
    count it last had. *)
 type buffer_label = {
   b_bytes : int;
-  b_span : span_label;
+  b_op : string;  (** ["<verb>:<name>"], its name in fault records *)
   b_flight : string;
 }
 
@@ -103,7 +85,6 @@ type labels = {
   h2d : (string, buffer_label) Hashtbl.t;  (** By buffer name. *)
   d2h : (string, buffer_label) Hashtbl.t;
   allocs : (string, buffer_label) Hashtbl.t;
-  mutable device_ids : string array;
 }
 
 let labels_of (bitstream : Bitstream.t) =
@@ -117,60 +98,22 @@ let labels_of (bitstream : Bitstream.t) =
     h2d = Hashtbl.create 8;
     d2h = Hashtbl.create 8;
     allocs = Hashtbl.create 8;
-    device_ids = [||];
   }
 
-(* [a] extended to hold index [i], a new slot [j] holding [fill j]. *)
-let grow a i fill =
-  let n = Array.length a in
-  if i < n then a
-  else Array.init (i + 1) (fun j -> if j < n then a.(j) else fill j)
-
-(* [l]'s complete attribute list on device [id]: the track, the device,
-   then its own. *)
-let span_attrs labels l id =
-  match if id < Array.length l.sl_by_device then l.sl_by_device.(id) else []
-  with
-  | _ :: _ as attrs -> attrs
-  | [] ->
-    labels.device_ids <- grow labels.device_ids id string_of_int;
-    let attrs =
-      ("track", Event.track_name l.sl_track)
-      :: ("device", labels.device_ids.(id)) :: l.sl_attrs
-    in
-    l.sl_by_device <- grow l.sl_by_device id (fun _ -> []);
-    l.sl_by_device.(id) <- attrs;
-    attrs
-
-(* The label of buffer [name] at [bytes] bytes in [tbl], rendered by
-   [render] when the buffer is new or changed size. *)
-let buffer_label tbl ~name ~bytes render =
+(* The label of buffer [name] at [bytes] bytes in [tbl], rendered when
+   the buffer is new or changed size: operation ["<verb>:<name>"] and
+   flight text ["<verb> <name> (<bytes> bytes)"]. *)
+let buffer_label tbl ~verb ~name ~bytes =
   match Hashtbl.find_opt tbl name with
   | Some b when b.b_bytes = bytes -> b
   | _ ->
-    let b = render name bytes in
+    let n = string_of_int bytes in
+    let b =
+      { b_bytes = bytes; b_op = verb ^ ":" ^ name;
+        b_flight = verb ^ " " ^ name ^ " (" ^ n ^ " bytes)" }
+    in
     Hashtbl.replace tbl name b;
     b
-
-(* Span ["<verb>:<name>"] with attributes buffer, [extra] and bytes;
-   flight text ["<verb> <name> (<bytes> bytes)"]. *)
-let render_buffer ~track ~verb ~extra name bytes =
-  let n = string_of_int bytes in
-  {
-    b_bytes = bytes;
-    b_span =
-      span_label ~track ~name:(verb ^ ":" ^ name)
-        ((("buffer", name) :: extra) @ [ ("bytes", n) ]);
-    b_flight = verb ^ " " ^ name ^ " (" ^ n ^ " bytes)";
-  }
-
-let render_transfer dir =
-  render_buffer ~track:Event.Transfer ~verb:dir ~extra:[ ("direction", dir) ]
-
-let render_h2d = render_transfer "h2d"
-let render_d2h = render_transfer "d2h"
-
-let render_alloc = render_buffer ~track:Event.Overhead ~verb:"alloc" ~extra:[]
 
 type kernel_handle = {
   kh_kernel : kernel;
@@ -196,9 +139,6 @@ type context = {
   launched : (int, Event.t) Hashtbl.t;
       (** Completion event of each launched kernel handle — what
           device.kernel_wait blocks on. *)
-  obs : Ftn_obs.Span.t;
-      (** Span collector (the ambient one at context creation): every
-          simulated charge lands here as a sim-clock span. *)
   sched : Scheduler.t;
   mutable device : Scheduler.device;
       (** Current placement; a drain after a persistent device fault
@@ -251,7 +191,6 @@ type result = {
 let make_context ~labels ?(echo = false) ?engine
     ?(diag = Ftn_diag.Diag_engine.default) ?faults
     ?(retry = Fault.default_retry) ?sched ?device ?(start_s = 0.0) bitstream =
-  let obs = Ftn_obs.Span.current () in
   let sched =
     match sched with Some s -> s | None -> Scheduler.create ()
   in
@@ -267,7 +206,6 @@ let make_context ~labels ?(echo = false) ?engine
     trace = Trace.create ();
     handles = Hashtbl.create 8;
     launched = Hashtbl.create 8;
-    obs;
     sched;
     device;
     cursor_s = start_s;
@@ -292,30 +230,24 @@ let create_context ?echo ?engine ?diag ?faults ?retry ?sched ?device ?start_s
 let context_device (ctx : context) = ctx.device
 let context_scheduler (ctx : context) = ctx.sched
 
-(* Charge [t] simulated seconds to the track of [l]: schedule an event
-   on [lane] of the context's device (submitted at the cursor unless
-   [submit_s] says the host enqueued it earlier) and record a span at
-   its start. The caller records the charge in the trace right after,
-   and decides whether the operation blocks (advances the cursor to the
-   event's finish). *)
-let charge (ctx : context) ~lane (l : span_label) ?submit_s ?(deps = []) t =
+(* Charge [t] simulated seconds to [track]: schedule an event on [lane]
+   of the context's device (submitted at the cursor unless [submit_s]
+   says the host enqueued it earlier). The caller records the charge in
+   the trace right after, on the event's device and at its start, and
+   decides whether it blocks (advances the cursor to its finish). *)
+let charge (ctx : context) ~lane ~track ?submit_s ?(deps = []) t =
   let submit_s = Option.value ~default:ctx.cursor_s submit_s in
-  let ev =
-    Scheduler.submit ctx.sched ~device:ctx.device ~lane ~track:l.sl_track
-      ~submit_s ~ready_s:ctx.cursor_s ~deps ~dur_s:t ()
-  in
-  ignore
-    (Ftn_obs.Span.record_sim ~collector:ctx.obs
-       ~attrs:(span_attrs ctx.labels l ctx.device.Scheduler.dev_id)
-       ~name:l.sl_name ~start_s:ev.Event.ev_start_s ~dur_s:t ());
-  ev
+  Scheduler.submit ctx.sched ~device:ctx.device ~lane ~track ~submit_s
+    ~ready_s:ctx.cursor_s ~deps ~dur_s:t ()
 
 let block (ctx : context) (ev : Event.t) =
   ctx.cursor_s <- Float.max ctx.cursor_s ev.Event.ev_finish_s
 
 (* A blocking charge: the host does not proceed until it retires. *)
-let charge_sync (ctx : context) ~lane l ?deps t =
-  block ctx (charge ctx ~lane l ?deps t)
+let charge_sync (ctx : context) ~lane ~track ?deps t =
+  let ev = charge ctx ~lane ~track ?deps t in
+  block ctx ev;
+  ev
 
 (* Flight-recorder entry stamped with the device-timeline position, the
    owning device and the source location of the op currently executing. *)
@@ -344,15 +276,16 @@ let note_fault (ctx : context) ~name (fault : Fault.fault) =
     | Fault.Kernel_timeout -> ctx.retry.Fault.timeout_s
     | Fault.Alloc_failure | Fault.Transfer_error | Fault.Launch_failure -> 0.0
   in
-  if cost > 0.0 then
-    charge_sync ctx ~lane:Event.Compute
-      (span_label ~track:Event.Overhead ~name:("watchdog:" ^ name)
-         [ ("fault", code) ])
-      cost;
+  let start_s =
+    if cost > 0.0 then
+      (charge_sync ctx ~lane:Event.Compute ~track:Event.Overhead cost)
+        .Event.ev_start_s
+    else ctx.cursor_s
+  in
   Trace.record ctx.trace
     (Trace.Fault
        { target = name; kind = code; attempt = fault.Fault.attempt;
-         time_s = cost });
+         device = ctx.device.Scheduler.dev_id; start_s; time_s = cost });
   flight ctx ~cat:"fault" "%s on %s" (Fault.describe_fault fault) name;
   Ftn_obs.Log.debugf "injected %s on %s" (Fault.describe_fault fault) name
 
@@ -380,13 +313,13 @@ let with_faults (ctx : context) ~site ?kernel ~name
         if attempt >= max_attempts then Error fault
         else begin
           let backoff = Fault.backoff_s ctx.retry ~attempt in
-          charge_sync ctx ~lane:Event.Ctrl
-            (span_label ~track:Event.Overhead ~name:("backoff:" ^ name)
-               [ ("fault", Fault.kind_code fault.Fault.kind);
-                 ("attempt", string_of_int attempt) ])
-            backoff;
+          let { Event.ev_device = device; ev_start_s = start_s; _ } =
+            charge_sync ctx ~lane:Event.Ctrl ~track:Event.Overhead backoff
+          in
           Trace.record ctx.trace
-            (Trace.Retry { target = name; attempt; time_s = backoff });
+            (Trace.Retry
+               { target = name; kind = Fault.kind_code fault.Fault.kind;
+                 attempt; device; start_s; time_s = backoff });
           Ftn_obs.Metrics.incr "fault.retries";
           flight ctx ~cat:"retry" "retry %s (attempt %d of %d)" name
             (attempt + 1) max_attempts;
@@ -471,13 +404,11 @@ let cpu_fallback (ctx : context) state (design : Bitstream.kernel_design)
   let name = design.Bitstream.kd_name in
   let _stats, steps = interpret_kernel ctx state design args in
   let t = float_of_int steps *. ctx.retry.Fault.cpu_step_s in
-  let ev =
-    charge ctx ~lane:Event.Ctrl
-      (span_label ~track:Event.Fallback ~name:("cpu_fallback:" ^ name)
-         [ ("kernel", name); ("steps", string_of_int steps) ])
-      t
-  in
-  Trace.record ctx.trace (Trace.Fallback { kernel = name; steps; time_s = t });
+  let ev = charge ctx ~lane:Event.Ctrl ~track:Event.Fallback t in
+  Trace.record ctx.trace
+    (Trace.Fallback
+       { kernel = name; steps; device = ev.Event.ev_device;
+         start_s = ev.Event.ev_start_s; time_s = t });
   block ctx ev;
   ctx.device.Scheduler.dev_degraded <- true;
   Ftn_obs.Metrics.incr "fault.cpu_fallbacks";
@@ -519,15 +450,16 @@ let drain_to_peer (ctx : context) ~name args (fault : Fault.fault) token =
       in
       if bytes > 0 then begin
         let t = ctx.model.Device_model.transfer_time_s ~bytes in
-        charge_sync ctx ~lane:Event.Copy_in
-          (span_label ~track:Event.Transfer ~name:("drain:" ^ name)
-             [ ("kernel", name); ("bytes", string_of_int bytes);
-               ("from", string_of_int bad.Scheduler.dev_id) ])
-          t;
+        let { Event.ev_device = device; ev_start_s = start_s; _ } =
+          charge_sync ctx ~lane:Event.Copy_in ~track:Event.Transfer t
+        in
+        let drain =
+          { Trace.kernel = name; from_device = bad.Scheduler.dev_id }
+        in
         Trace.record ctx.trace
           (Trace.Transfer
              { name = "drain:" ^ name; direction = Trace.Host_to_device;
-               bytes; time_s = t })
+               bytes; device; start_s; time_s = t; drain = Some drain })
       end;
       flight ctx ~cat:"drain"
         "device %d failed persistently; drained %s to device %d (%d bytes \
@@ -560,15 +492,15 @@ let execute_kernel (ctx : context) state (k : kernel) args =
     let stats, _steps = interpret_kernel ctx state design args in
     let t = ctx.model.Device_model.kernel_time_s design.Bitstream.kd_schedule stats in
     let overhead = ctx.model.Device_model.launch_overhead_s in
-    let kev = charge ctx ~lane:Event.Compute k.k_span ~submit_s:enqueue_s t in
+    let kev =
+      charge ctx ~lane:Event.Compute ~track:Event.Kernel ~submit_s:enqueue_s t
+    in
     let oev =
-      charge ctx ~lane:Event.Compute k.k_overhead ~submit_s:enqueue_s
+      charge ctx ~lane:Event.Compute ~track:Event.Overhead ~submit_s:enqueue_s
         ~deps:[ kev ] overhead
     in
     let queue_wait = Event.queue_wait_s kev in
     Ftn_obs.Metrics.incr "device.kernel_launches";
-    ctx.device.Scheduler.dev_launches <-
-      ctx.device.Scheduler.dev_launches + 1;
     let latency = queue_wait +. overhead in
     Ftn_obs.Metrics.observe "device.launch_latency_s" latency;
     Ftn_obs.Metrics.observe k.k_latency_metric latency;
@@ -581,8 +513,8 @@ let execute_kernel (ctx : context) state (k : kernel) args =
     Trace.record ctx.trace
       (Trace.Launch
          { kernel = name; kernel_time_s = t; overhead_s = overhead;
-           queue_wait_s = queue_wait;
-           device = ctx.device.Scheduler.dev_id });
+           queue_wait_s = queue_wait; device = kev.Event.ev_device;
+           start_s = kev.Event.ev_start_s });
     oev
   in
   match
@@ -598,7 +530,7 @@ let execute_kernel (ctx : context) state (k : kernel) args =
    below routes the device dialect through these same functions. --- *)
 
 (* [op_name] is ["alloc:" ^ key.name], the allocation's name in fault
-   records and its span. Storage too large to allocate is an error of the
+   records. Storage too large to allocate is an error of the
    program, located at the current op. *)
 let alloc_key (ctx : context) (key : Data_env.key) ~op_name ~elt ~shape =
   let name = key.Data_env.name in
@@ -609,16 +541,17 @@ let alloc_key (ctx : context) (key : Data_env.key) ~op_name ~elt ~shape =
     in
     if fresh then begin
       let bytes = Rtval.byte_size buffer in
-      let l = buffer_label ctx.labels.allocs ~name ~bytes render_alloc in
-      charge_sync ctx ~lane:Event.Ctrl l.b_span
-        ctx.model.Device_model.alloc_overhead_s;
+      let l = buffer_label ctx.labels.allocs ~verb:"alloc" ~name ~bytes in
+      let t = ctx.model.Device_model.alloc_overhead_s in
+      let { Event.ev_device = device; ev_start_s = start_s; _ } =
+        charge_sync ctx ~lane:Event.Ctrl ~track:Event.Overhead t
+      in
       Ftn_obs.Metrics.incr "device.allocs";
       Ftn_obs.Metrics.incr ~by:bytes "device.bytes_allocated";
       Ftn_obs.Flight.record ~time_s:ctx.cursor_s ~loc:ctx.cur_loc_str
         ~device:ctx.device.Scheduler.dev_id ~cat:"alloc" l.b_flight;
       Trace.record ctx.trace
-        (Trace.Alloc
-           { name; bytes; time_s = ctx.model.Device_model.alloc_overhead_s })
+        (Trace.Alloc { name; bytes; device; start_s; time_s = t })
     end;
     buffer
   in
@@ -687,27 +620,31 @@ let api_transfer (ctx : context) ~src ~dst =
       | Trace.Host_to_device ->
         ( Event.Copy_in,
           "device.bytes_h2d",
-          buffer_label ctx.labels.h2d ~name ~bytes render_h2d )
+          buffer_label ctx.labels.h2d ~verb:"h2d" ~name ~bytes )
       | Trace.Device_to_host ->
         ( Event.Copy_out,
           "device.bytes_d2h",
-          buffer_label ctx.labels.d2h ~name ~bytes render_d2h )
+          buffer_label ctx.labels.d2h ~verb:"d2h" ~name ~bytes )
     in
     let do_transfer () =
       (* DMA engines are duplex, so the copy runs on its own lane and
          overlaps compute — but it must not start before any in-flight
          kernel of this context retires (the kernel produces or consumes
          the buffers being moved). *)
-      charge_sync ctx ~lane l.b_span ~deps:ctx.pending t;
+      let { Event.ev_device = device; ev_start_s = start_s; _ } =
+        charge_sync ctx ~lane ~track:Event.Transfer ~deps:ctx.pending t
+      in
       Ftn_obs.Metrics.incr ~by:bytes metric;
       Trace.record ctx.trace
-        (Trace.Transfer { name; direction; bytes; time_s = t });
+        (Trace.Transfer
+           { name; direction; bytes; device; start_s; time_s = t;
+             drain = None });
       Ftn_obs.Flight.record ~time_s:ctx.cursor_s ~loc:ctx.cur_loc_str
         ~device:ctx.device.Scheduler.dev_id ~cat:"transfer" l.b_flight;
       Rtval.copy_into ~src ~dst
     in
     match
-      with_faults ctx ~site:Fault.Transfer ~name:l.b_span.sl_name do_transfer
+      with_faults ctx ~site:Fault.Transfer ~name:l.b_op do_transfer
     with
     | Ok () -> ()
     | Error fault -> exhausted ctx fault
@@ -760,10 +697,6 @@ let wait_event (ctx : context) (ev : Event.t) =
    immediately wait, exactly an OpenCL enqueue + clFinish pair. *)
 let api_launch (ctx : context) ~kernel args =
   wait_event ctx (api_launch_async ctx ~kernel args)
-
-let summary (ctx : context) =
-  let t = Trace.totals ctx.trace in
-  (t.Trace.device_s, t.Trace.kernel_s, t.Trace.transfer_s, t.Trace.overhead_s)
 
 let device_domain =
   Interp.Names
@@ -871,7 +804,7 @@ let stage_device_op labels op : runner option =
            Data_env.acquire ctx.data key;
            (* The acquire is a zero-cost control-plane event: it takes
               its place on the control lane without charging simulated
-              time or recording a span. *)
+              time or recording a trace event. *)
            ignore
              (Scheduler.submit ctx.sched ~device:ctx.device ~lane:Event.Ctrl
                 ~track:Event.Overhead ~submit_s:ctx.cursor_s ~dur_s:0.0 ());

@@ -138,10 +138,6 @@ val result_of_context : context -> result
     references at teardown bump the [data_env.leaked] metric and warn
     through the context's diagnostic engine. *)
 
-val summary : context -> float * float * float * float
-(** (device, kernel, transfer, overhead) seconds so far, folded from the
-    context's trace ({!Trace.totals}). *)
-
 val finish_time : context -> float
 (** Scheduler-timeline instant the context's work so far (including
     unwaited launches) retires. *)
@@ -181,7 +177,7 @@ val run :
     program on its first run, dropped when either is collected: an
     interpreter state per engine, whose staged ops and compiled
     functions serve every later run, and the artifact's record labels,
-    shared by every span, metric and flight entry they name. A run
+    shared by every metric and flight entry they name. A run
     borrows the state and binds its own context to it; afterwards no
     value of the run stays reachable from the program. Each run is
     isolated: its results equal those of a freshly compiled artifact. *)

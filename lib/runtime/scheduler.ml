@@ -90,7 +90,7 @@ let set_lane_avail dev lane v =
    host enqueued it (queue wait is measured from here); [ready_s]
    (default [submit_s]) is the earliest the operation may start — the
    executor passes its program cursor so an operation never starts
-   before the host-side work that precedes it. *)
+   before the host-side work that precedes it. A kernel is a launch. *)
 let submit t ~device:dev ~lane ~track ~submit_s ?ready_s
     ?(deps = []) ~dur_s () =
   let ready = Option.value ~default:submit_s ready_s in
@@ -103,7 +103,9 @@ let submit t ~device:dev ~lane ~track ~submit_s ?ready_s
   let finish = start +. dur_s in
   set_lane_avail dev lane finish;
   (match (track : Event.track) with
-  | Kernel -> dev.dev_kernel_s <- dev.dev_kernel_s +. dur_s
+  | Kernel ->
+    dev.dev_kernel_s <- dev.dev_kernel_s +. dur_s;
+    dev.dev_launches <- dev.dev_launches + 1
   | Transfer -> dev.dev_transfer_s <- dev.dev_transfer_s +. dur_s
   | Overhead -> dev.dev_overhead_s <- dev.dev_overhead_s +. dur_s
   | Fallback -> dev.dev_fallback_s <- dev.dev_fallback_s +. dur_s);

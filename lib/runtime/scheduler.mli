@@ -19,7 +19,7 @@ type device = {
   mutable dev_transfer_s : float;
   mutable dev_overhead_s : float;
   mutable dev_fallback_s : float;
-  mutable dev_launches : int;
+  mutable dev_launches : int;  (** [Kernel]-track submissions. *)
   mutable dev_jobs : int;
   mutable dev_degraded : bool;
       (** A kernel on this device fell back to the host CPU. *)
@@ -53,7 +53,7 @@ val submit :
     is the earliest it may start. The event starts at
     [max(ready_s, lane availability, dependency finishes)], the lane
     advances to its finish and [dur_s] adds to the device's [track]
-    total. *)
+    total; a [Kernel]-track operation also counts one launch. *)
 
 val lane_avail_s : device -> Event.lane -> float
 (** When the lane next becomes free. *)

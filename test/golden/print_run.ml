@@ -1,8 +1,9 @@
 (* Prints every runtime record of a few small programs executed on the
    simulated device: program output, result counters, the run report's
    summary, compute-unit and device-timeline lines, flight-recorder
-   entries, simulated spans, trace events, the data environment,
-   diagnostics and the device/fault/data-environment metrics. Simulated
+   entries, simulated spans (replayed from the trace), trace events, the
+   data environment, diagnostics and the device/fault/data-environment
+   metrics. Simulated
    times print as hex floats; nothing measured on the wall clock is
    printed.
 
@@ -51,23 +52,33 @@ let attrs kvs = String.concat " " (List.map (fun (k, v) -> k ^ "=" ^ v) kvs)
 let event b (e : Trace.event) =
   let p fmt = Printf.bprintf b fmt in
   match e with
-  | Trace.Alloc { name; bytes; time_s } ->
-    p "alloc %s bytes=%d time=%h\n" name bytes time_s
-  | Trace.Transfer { name; direction; bytes; time_s } ->
-    p "transfer %s %s bytes=%d time=%h\n" name
+  | Trace.Alloc { name; bytes; device; start_s; time_s } ->
+    p "alloc %s bytes=%d time=%h device=%d start=%h\n" name bytes time_s
+      device start_s
+  | Trace.Transfer { name; direction; bytes; device; start_s; time_s; drain }
+    ->
+    p "transfer %s %s bytes=%d time=%h device=%d start=%h%s\n" name
       (match direction with
       | Trace.Host_to_device -> "h2d"
       | Trace.Device_to_host -> "d2h")
-      bytes time_s
-  | Trace.Launch { kernel; kernel_time_s; overhead_s; queue_wait_s; device } ->
-    p "launch %s kernel=%h overhead=%h queue_wait=%h device=%d\n" kernel
-      kernel_time_s overhead_s queue_wait_s device
-  | Trace.Fault { target; kind; attempt; time_s } ->
-    p "fault %s %s attempt=%d time=%h\n" target kind attempt time_s
-  | Trace.Retry { target; attempt; time_s } ->
-    p "retry %s attempt=%d time=%h\n" target attempt time_s
-  | Trace.Fallback { kernel; steps; time_s } ->
-    p "fallback %s steps=%d time=%h\n" kernel steps time_s
+      bytes time_s device start_s
+      (match drain with
+      | Some { Trace.kernel; from_device } ->
+        Printf.sprintf " kernel=%s from=%d" kernel from_device
+      | None -> "")
+  | Trace.Launch
+      { kernel; kernel_time_s; overhead_s; queue_wait_s; device; start_s } ->
+    p "launch %s kernel=%h overhead=%h queue_wait=%h device=%d start=%h\n"
+      kernel kernel_time_s overhead_s queue_wait_s device start_s
+  | Trace.Fault { target; kind; attempt; device; start_s; time_s } ->
+    p "fault %s %s attempt=%d time=%h device=%d start=%h\n" target kind
+      attempt time_s device start_s
+  | Trace.Retry { target; kind; attempt; device; start_s; time_s } ->
+    p "retry %s attempt=%d time=%h device=%d start=%h kind=%s\n" target
+      attempt time_s device start_s kind
+  | Trace.Fallback { kernel; steps; device; start_s; time_s } ->
+    p "fallback %s steps=%d time=%h device=%d start=%h\n" kernel steps time_s
+      device start_s
   | Trace.Breaker { device; from_; to_; trips; time_s } ->
     p "breaker %d %s->%s trips=%d time=%h\n" device from_ to_ trips time_s
   | Trace.Shed { job; tenant; reason; wait_s; time_s } ->
@@ -87,12 +98,8 @@ let render ~engine ?faults ~devices host bitstream =
   Flight.clear ();
   Metrics.reset ();
   let diag = Ftn_diag.Diag_engine.create () in
-  let spans = Span.create () in
   let sched = Scheduler.create ~devices () in
-  let r =
-    Span.with_collector spans (fun () ->
-        Executor.run ~engine ~diag ?faults ~sched ~host ~bitstream ())
-  in
+  let r = Executor.run ~engine ~diag ?faults ~sched ~host ~bitstream () in
   p "-- output\n%s" r.Executor.output;
   p "-- result\n";
   p "device=%h kernel=%h transfer=%h overhead=%h fallback=%h finish=%h\n"
@@ -106,8 +113,7 @@ let render ~engine ?faults ~devices host bitstream =
     r.Executor.cpu_fallbacks r.Executor.faults_injected r.Executor.device;
   p "-- report\n%s\n%s%s" (Fmt.str "%a" Core.Report.pp_exec r)
     (Fmt.str "%a" Core.Report.pp_compute_units r)
-    (Span.with_collector spans (fun () ->
-         Fmt.str "%a" Core.Report.pp_device_timeline ()));
+    (Fmt.str "%a" Core.Report.pp_device_timeline r);
   p "-- flight\n";
   List.iter
     (fun (e : Flight.entry) ->
@@ -115,6 +121,8 @@ let render ~engine ?faults ~devices host bitstream =
         e.Flight.msg e.Flight.time_s e.Flight.loc e.Flight.device)
     (Flight.entries ());
   p "-- spans\n";
+  let spans = Span.create () in
+  Trace.replay_spans ~collector:spans r.Executor.trace;
   List.iter
     (fun (sp : Span.span) ->
       if sp.Span.clock = Span.Sim then

@@ -247,7 +247,8 @@ let chrome_tests =
              "\"metrics\":{\"interp.steps\":{\"type\":\"counter\",\"value\":7}}"));
   ]
 
-(* End-to-end: a compiled-and-executed SAXPY reports into one collector;
+(* End-to-end: a compiled-and-executed SAXPY reports its compiler spans
+   into one collector, and its trace replays its device charges there;
    the executor's result record must agree with the span timeline. *)
 let e2e_tests =
   [
@@ -257,6 +258,8 @@ let e2e_tests =
           Span.with_collector c (fun () ->
               Core.Run.run (Ftn_linpack.Fortran_sources.saxpy ~n:64))
         in
+        Ftn_runtime.Trace.replay_spans ~collector:c
+          run.Core.Run.exec.Ftn_runtime.Executor.trace;
         let spans = Span.spans c in
         let with_name prefix =
           List.filter

@@ -92,13 +92,13 @@ let executor_tests =
           r.Executor.device_time_s
           (r.Executor.kernel_time_s +. r.Executor.transfer_time_s
           +. r.Executor.overhead_time_s +. r.Executor.fallback_time_s));
-    tc "running totals match span-folded totals" (fun () ->
-        (* The times folded from the trace must agree exactly with a fold
-           over the sim-clock spans of the same charges: each track with
-           its spans, the device time with all of them. Drive the host
-           API directly, recording into a collector of its own, once
-           clean and once with a watchdog timeout and its retry on the
-           first launch and a second launch that falls back to the CPU. *)
+    tc "running totals match trace-folded totals" (fun () ->
+        (* The times and launches folded from the trace must agree
+           exactly with the scheduler's running per-device totals, which
+           it accumulates on its own as each charge is submitted. Drive
+           the host API directly on a scheduler of its own, once clean
+           and once with a watchdog timeout and its retry on the first
+           launch and a second launch that falls back to the CPU. *)
         let n = 32 in
         let spec = Fpga_spec.u280 in
         let bitstream =
@@ -115,11 +115,9 @@ let executor_tests =
         in
         List.iter
           (fun faults ->
-            let spans = Ftn_obs.Span.create () in
             let ctx =
-              Ftn_obs.Span.with_collector spans (fun () ->
-                  Executor.create_context
-                    ~diag:(Ftn_diag.Diag_engine.create ()) ?faults bitstream)
+              Executor.create_context ~diag:(Ftn_diag.Diag_engine.create ())
+                ?faults bitstream
             in
             let x, y = Ftn_linpack.References.saxpy_inputs ~n in
             let hx = Rtval.of_float_array Ftn_ir.Types.F32 x in
@@ -146,8 +144,10 @@ let executor_tests =
             Executor.api_launch ctx ~kernel:"saxpy_hw" args;
             Executor.api_launch ctx ~kernel:"saxpy_hw" args;
             Executor.api_transfer ctx ~src:dy ~dst:hy;
-            let device, kernel, transfer, overhead = Executor.summary ctx in
             let r = Executor.result_of_context ctx in
+            let kernel = r.Executor.kernel_time_s
+            and transfer = r.Executor.transfer_time_s
+            and overhead = r.Executor.overhead_time_s in
             let what = if faults = None then "clean" else "faulted" in
             check Alcotest.bool (what ^ ": kernel > 0") true (kernel > 0.0);
             check Alcotest.bool (what ^ ": transfer > 0") true
@@ -160,28 +160,24 @@ let executor_tests =
             check Alcotest.int (what ^ ": cpu fallbacks")
               (if faults = None then 0 else 1)
               r.Executor.cpu_fallbacks;
-            let span_total track =
-              List.fold_left
-                (fun acc (sp : Ftn_obs.Span.span) ->
-                  if
-                    sp.Ftn_obs.Span.clock = Ftn_obs.Span.Sim
-                    && (track = None || Ftn_obs.Span.attr sp "track" = track)
-                  then acc +. sp.Ftn_obs.Span.dur_s
-                  else acc)
-                0.0 (Ftn_obs.Span.spans spans)
+            let ds =
+              match Scheduler.snapshot (Executor.context_scheduler ctx) with
+              | [ ds ] -> ds
+              | _ -> Alcotest.fail "one device"
             in
             List.iter
-              (fun (track, total) ->
-                check (Alcotest.float 0.0)
-                  (what ^ ": " ^ Option.value ~default:"device" track)
-                  (span_total track) total)
+              (fun (track, running, folded) ->
+                check (Alcotest.float 0.0) (what ^ ": " ^ track) running
+                  folded)
               [
-                (None, device);
-                (Some "kernel", kernel);
-                (Some "transfer", transfer);
-                (Some "overhead", overhead);
-                (Some "fallback", r.Executor.fallback_time_s);
-              ])
+                ("kernel", ds.Scheduler.ds_kernel_s, kernel);
+                ("transfer", ds.Scheduler.ds_transfer_s, transfer);
+                ("overhead", ds.Scheduler.ds_overhead_s, overhead);
+                ("fallback", ds.Scheduler.ds_fallback_s,
+                 r.Executor.fallback_time_s);
+              ];
+            check Alcotest.int (what ^ ": launches") ds.Scheduler.ds_launches
+              r.Executor.kernel_launches)
           [ None; Some plan ]);
     tc "one launch for a single target" (fun () ->
         let run = saxpy_run 64 in
@@ -268,7 +264,7 @@ let executor_tests =
       (fun () ->
         (* The host<->device boundary is staged once per op and the
            artifact's labels are rendered once, so a second run compiles
-           nothing and a launch allocates only its records: spans, trace,
+           nothing and a launch allocates only its records: trace,
            metrics, flight. *)
         let art =
           Core.Compiler.compile (Ftn_linpack.Fortran_sources.sgesl ~n:64)

@@ -196,9 +196,12 @@ and emit_arith ctx op k =
     match e with
     | [ c; t; f ] -> bind ctx r (Fmt.str "((%s) ? (%s) : (%s))" c t f)
     | _ -> malformed "select")
-  | Arith.Cast _ -> (
-    match e with
-    | [ a ] ->
+  | Arith.Cast c -> (
+    match (e, Op.operands op) with
+    (* an i1 sign-extends as LLVM's sext does: true is -1 *)
+    | [ a ], [ v ] when c = Arith.Extsi && Value.ty v = Types.I1 ->
+      bind ctx r (Fmt.str "(-(%s)(%s))" (cpp_scalar_type (Value.ty r)) a)
+    | [ a ], _ ->
       bind ctx r (Fmt.str "((%s)(%s))" (cpp_scalar_type (Value.ty r)) a)
     | _ -> malformed "cast")
 

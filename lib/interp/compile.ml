@@ -858,10 +858,11 @@ and compile_arith ctx op k : op_code =
           | Vals -> fun f -> sv f d' (if gi f c <> 0 then gv f t else gv f e))
       | _ -> fallback ())
     | _ -> fallback ())
-  | Arith.Cast _ -> (
-    (* The result type alone decides the conversion, as in
-       the tree-walker: f32 rounds, f16 and f64 convert, i1 tests
-       non-zero and every other type converts to an integer. *)
+  | Arith.Cast c -> (
+    (* As in the tree-walker, an i1 sign-extends to 0 or -1, and
+       otherwise the result type alone decides the conversion: f32
+       rounds, f16 and f64 convert, i1 tests non-zero and every other
+       type converts to an integer. *)
     match Op.operands op with
     | [ a ] -> (
       let s = sl a and d = d1 () in
@@ -874,6 +875,8 @@ and compile_arith ctx op k : op_code =
       | Ints, (Types.F16 | Types.F64) ->
         Pure (fun f -> sf f i (float_of_int (gi f a)))
       | Ints, Types.I1 -> Pure (fun f -> si f i (if gi f a <> 0 then 1 else 0))
+      | Ints, _ when c = Arith.Extsi && s.ty = Types.I1 && d.file = Ints ->
+        Pure (fun f -> si f i (if gi f a <> 0 then -1 else 0))
       | Ints, _ when d.file = Ints -> Pure (fun f -> si f i (gi f a))
       (* a float to i1 is [Rtval.as_bool], which raises: left to the
          fallback *)

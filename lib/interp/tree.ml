@@ -205,7 +205,13 @@ let eval_arith op k operands =
       Rtval.Bool (Arith.eval_float_pred p (Rtval.as_float a) (Rtval.as_float b))
     | Some (s, None) -> error "unknown cmpf predicate %s" s
     | None -> error "malformed %s" name)
-  (* the result type alone decides a cast's conversion *)
+  (* an i1 sign-extends as LLVM's sext does: true is -1 *)
+  | Arith.Cast Arith.Extsi, [ v ]
+    when (match Op.operands op with
+         | [ a ] -> Value.ty a = Types.I1
+         | _ -> false) ->
+    Rtval.Int (if Rtval.as_bool v then -1 else 0)
+  (* otherwise the result type alone decides a cast's conversion *)
   | Arith.Cast _, [ v ] -> (
     match ty () with
     | Types.F32 -> Rtval.Float (Types.round_f32 (Rtval.as_float v))

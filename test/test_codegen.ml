@@ -270,6 +270,25 @@ let host_cpp_tests =
               | Some e, Some a -> e < a
               | _ -> false))
           targets);
+    tc "an i1 sign-extends to -1 and zero-extends to 1" (fun () ->
+        let m =
+          Ftn_ir.Ir_parser.parse_module
+            "\"builtin.module\"() ({\n\
+            \ ^bb0():\n\
+            \  \"func.func\"() <{sym_name = @p, function_type = () -> (), \
+             ftn.main = true}> ({\n\
+            \   ^bb0():\n\
+            \    %0 = \"arith.constant\"() <{value = 1 : i1}> : () -> (i1)\n\
+            \    %1 = \"arith.extsi\"(%0) : (i1) -> (i32)\n\
+            \    %2 = \"arith.extui\"(%0) : (i1) -> (i32)\n\
+            \    %3 = \"arith.addi\"(%1, %2) : (i32, i32) -> (i32)\n\
+            \    \"func.return\"() : () -> ()\n\
+            \  }) : () -> ()\n\
+             }) : () -> ()\n"
+        in
+        let t = Host_cpp.emit_module m in
+        check Alcotest.bool "sext" true (contains t "(-(int32_t)(true))");
+        check Alcotest.bool "zext" true (contains t "((int32_t)(true))"));
     tc "host loads are locals read before later stores" (fun () ->
         (* t = a(i); a(i) = b(i); b(i) = t *)
         let host =

@@ -154,6 +154,25 @@ let scalar_tests engine =
               | _ -> assert false)
         in
         check (Alcotest.list rtval) "truncates" [ Rtval.Int 3 ] r);
+    tc "extsi sign-extends an i1, extui zero-extends it" (fun () ->
+        (* as LLVM's sext and zext: true is -1 and 1 *)
+        let r =
+          run_fn ~engine ~args:[ Rtval.Bool true ] ~arg_tys:[ Types.I1 ]
+            ~result_tys:[ Types.I32; Types.I32; Types.I64 ]
+            (fun b params ->
+              match params with
+              | [ x ] ->
+                let s = Arith.cast b Arith.Extsi x Types.I32 in
+                let u = Arith.cast b Arith.Extui x Types.I32 in
+                let t = Arith.const_bool b true in
+                let s64 = Arith.cast b Arith.Extsi (Op.result1 t) Types.I64 in
+                [ s; u; t; s64;
+                  Func_d.return
+                    ~operands:(List.map Op.result1 [ s; u; s64 ]) () ]
+              | _ -> assert false)
+        in
+        check (Alcotest.list rtval) "sext, zext, sext"
+          [ Rtval.Int (-1); Rtval.Int 1; Rtval.Int (-1) ] r);
   ]
 
 (* --- control flow --- *)

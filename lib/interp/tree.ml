@@ -207,9 +207,7 @@ let eval_arith op k operands =
     | None -> error "malformed %s" name)
   (* an i1 sign-extends as LLVM's sext does: true is -1 *)
   | Arith.Cast Arith.Extsi, [ v ]
-    when (match Op.operands op with
-         | [ a ] -> Value.ty a = Types.I1
-         | _ -> false) ->
+    when List.map Value.ty (Op.operands op) = [ Types.I1 ] ->
     Rtval.Int (if Rtval.as_bool v then -1 else 0)
   (* otherwise the result type alone decides a cast's conversion *)
   | Arith.Cast _, [ v ] -> (

@@ -404,12 +404,11 @@ let cpu_fallback (ctx : context) state (design : Bitstream.kernel_design)
   let name = design.Bitstream.kd_name in
   let _stats, steps = interpret_kernel ctx state design args in
   let t = float_of_int steps *. ctx.retry.Fault.cpu_step_s in
-  let ev = charge ctx ~lane:Event.Ctrl ~track:Event.Fallback t in
+  let ev = charge_sync ctx ~lane:Event.Ctrl ~track:Event.Fallback t in
   Trace.record ctx.trace
     (Trace.Fallback
        { kernel = name; steps; device = ev.Event.ev_device;
          start_s = ev.Event.ev_start_s; time_s = t });
-  block ctx ev;
   ctx.device.Scheduler.dev_degraded <- true;
   Ftn_obs.Metrics.incr "fault.cpu_fallbacks";
   flight ctx ~cat:"fallback" "cpu fallback %s (%d steps)" name steps;

@@ -48,23 +48,23 @@ type event =
     }
   | Fault of {
       target : string;
-      kind : string;  (* Fault.kind_code of the injected fault *)
+      kind : string;  (** Fault.kind_code of the injected fault. *)
       attempt : int;
       device : int;
       start_s : float;
-      time_s : float;  (* watchdog window charged on detection, or 0 *)
+      time_s : float;  (** Watchdog window charged on detection, or 0. *)
     }
   | Retry of {
       target : string;
       kind : string;
-      attempt : int;  (* the attempt that failed *)
+      attempt : int;  (** The attempt that failed. *)
       device : int;
       start_s : float;
-      time_s : float;  (* backoff before the next attempt *)
+      time_s : float;  (** Backoff before the next attempt. *)
     }
   | Fallback of {
       kernel : string;
-      steps : int;  (* interpreter steps of the host-CPU execution *)
+      steps : int;  (** Interpreter steps of the host-CPU execution. *)
       device : int;
       start_s : float;
       time_s : float;
@@ -190,12 +190,12 @@ let replay_spans ?collector t =
 let pp_event fmt = function
   | Alloc { name; bytes; time_s; _ } ->
     Fmt.pf fmt "alloc    %-12s %10d B  %.3f us" name bytes (time_s *. 1e6)
-  | Transfer { name; direction; bytes; time_s; drain; _ } ->
-    Fmt.pf fmt "%s      %-12s %10d B  %.3f us%s"
-      (if direction = Host_to_device then "h2d" else "d2h")
+  | Transfer { name; direction; bytes; time_s; _ } ->
+    Fmt.pf fmt "%s %-12s %10d B  %.3f us"
+      (match direction with
+      | Host_to_device -> "h2d     "
+      | Device_to_host -> "d2h     ")
       name bytes (time_s *. 1e6)
-      (Option.fold drain ~none:"" ~some:(fun d ->
-           Fmt.str " from d%d" d.from_device))
   | Launch { kernel; kernel_time_s; overhead_s; queue_wait_s; device; _ } ->
     Fmt.pf fmt "launch   %-12s  kernel %.3f us (+%.3f us overhead%s) d%d"
       kernel (kernel_time_s *. 1e6) (overhead_s *. 1e6)
@@ -206,8 +206,8 @@ let pp_event fmt = function
   | Fault { target; kind; attempt; time_s; _ } ->
     Fmt.pf fmt "fault    %-12s  %s attempt %d  %.3f us" target kind attempt
       (time_s *. 1e6)
-  | Retry { target; kind; attempt; time_s; _ } ->
-    Fmt.pf fmt "retry    %-12s  %s attempt %d  %.3f us" target kind attempt
+  | Retry { target; attempt; time_s; _ } ->
+    Fmt.pf fmt "retry    %-12s  attempt %d  %.3f us" target attempt
       (time_s *. 1e6)
   | Fallback { kernel; steps; time_s; _ } ->
     Fmt.pf fmt "fallback %-12s  %d host steps  %.3f us" kernel steps

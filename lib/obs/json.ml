@@ -65,43 +65,6 @@ let to_string j =
   write buf j;
   Buffer.contents buf
 
-(* Indented variant for human-facing dumps. *)
-let rec write_pretty buf indent = function
-  | List (_ :: _ as xs) ->
-    let pad = String.make indent ' ' in
-    Buffer.add_string buf "[\n";
-    List.iteri
-      (fun i x ->
-        if i > 0 then Buffer.add_string buf ",\n";
-        Buffer.add_string buf pad;
-        Buffer.add_string buf "  ";
-        write_pretty buf (indent + 2) x)
-      xs;
-    Buffer.add_char buf '\n';
-    Buffer.add_string buf pad;
-    Buffer.add_char buf ']'
-  | Obj (_ :: _ as fields) ->
-    let pad = String.make indent ' ' in
-    Buffer.add_string buf "{\n";
-    List.iteri
-      (fun i (k, v) ->
-        if i > 0 then Buffer.add_string buf ",\n";
-        Buffer.add_string buf pad;
-        Buffer.add_string buf "  \"";
-        escape buf k;
-        Buffer.add_string buf "\": ";
-        write_pretty buf (indent + 2) v)
-      fields;
-    Buffer.add_char buf '\n';
-    Buffer.add_string buf pad;
-    Buffer.add_char buf '}'
-  | j -> write buf j
-
-let to_string_pretty j =
-  let buf = Buffer.create 1024 in
-  write_pretty buf 0 j;
-  Buffer.contents buf
-
 let write_file path j =
   let oc = open_out path in
   output_string oc (to_string j);

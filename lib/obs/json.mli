@@ -11,7 +11,6 @@ type t =
   | Obj of (string * t) list
 
 val to_string : t -> string
-val to_string_pretty : t -> string
 val write_file : string -> t -> unit
 
 val parse : string -> (t, string) result

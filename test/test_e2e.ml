@@ -722,11 +722,13 @@ let record_cli_tests =
                 let cu_lanes =
                   List.filter_map
                     (fun e ->
-                      let name = str "name" (Option.get (field "args" e)) in
-                      if str "name" e = "thread_name"
-                         && String.starts_with ~prefix:"cu:" name
-                      then Some (int "tid" e)
-                      else None)
+                      match field "args" e with
+                      | Some args
+                        when str "name" e = "thread_name"
+                             && String.starts_with ~prefix:"cu:"
+                                  (str "name" args) ->
+                        Some (int "tid" e)
+                      | _ -> None)
                     events
                 in
                 let kernels =

@@ -128,6 +128,25 @@ let rec rewrite_bottom_up f op =
   in
   f { op with regions }
 
+(* List rebuilds that return the input list itself when nothing in it
+   changed, so an unchanged subtree stays physically shared. *)
+let rec map_shared f = function
+  | [] -> []
+  | x :: rest as l ->
+    let y = f x in
+    let rest' = map_shared f rest in
+    if y == x && rest' == rest then l else y :: rest'
+
+let rec filter_map_shared f = function
+  | [] -> []
+  | x :: rest as l -> (
+    let y = f x in
+    let rest' = filter_map_shared f rest in
+    match y with
+    | Some y when y == x && rest' == rest -> l
+    | Some y -> y :: rest'
+    | None -> rest')
+
 (* Substitute values across an op tree (operands and nested ops). Block
    arguments and results are definitions, never substituted. *)
 let rec substitute subst op =

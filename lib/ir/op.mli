@@ -84,6 +84,15 @@ val rewrite_bottom_up : (t -> t list) -> t -> t list
 (** Rebuild bottom-up: the callback sees each op after its regions have been
     rewritten and may drop it ([[]]), keep it ([[op]]) or expand it. *)
 
+val map_shared : ('a -> 'a) -> 'a list -> 'a list
+(** [List.map f l], except that it returns [l] itself when [f] returns
+    every element physically unchanged, so a rebuild that changes
+    nothing keeps sharing the original list. *)
+
+val filter_map_shared : ('a -> 'a option) -> 'a list -> 'a list
+(** [List.filter_map f l], returning [l] itself when [f] keeps every
+    element physically unchanged. *)
+
 val substitute : (Value.t -> Value.t option) -> t -> t
 (** Replace operand uses throughout the tree. Definitions are untouched. *)
 

@@ -7,14 +7,20 @@
    def/use/substitution side tables are dense arrays indexed by SSA value
    id (Arena), not hashtables. Patterns are indexed by root op name with
    the candidate list per root precomputed when the pattern set is
-   compiled; a successful rewrite re-enqueues only the replacement ops,
-   the users of redirected values and the producers feeding the erased op.
-   Each node caches its materialised Op.t subtree; a mutation invalidates
-   only the spine from the mutated node to the root, so repeat visits and
-   the final export share every unchanged subtree instead of re-copying
-   whole functions. A rewrite never rebuilds the block it happens in: the
-   replaced node stays listed, dead, with its replacements recorded on
-   it, and materialisation flattens them.
+   compiled. The worklist is seeded, at the start and with the ops each
+   rewrite imports, only with ops a rule can act on: an op whose name
+   roots a pattern, every op when the pattern set has a wildcard pattern
+   or the config a fold hook, and an op that is already trivially dead.
+   A successful rewrite re-enqueues the users of redirected values and
+   the producers feeding the erased op.
+
+   Each node caches its materialised Op.t subtree, and import records an
+   untouched op as its node's materialisation, so an unchanged subtree is
+   exported as the very op it came from and a run that changes nothing
+   returns its input. A mutation invalidates only the spine from the
+   mutated node to the root. A rewrite never rebuilds the block it
+   happens in: the replaced node stays listed, dead, with its
+   replacements recorded on it, and materialisation flattens them.
 
    Value redirections go through a substitution table whose [resolve] is
    cycle-guarded (two patterns replacing each other's results raise a
@@ -275,8 +281,9 @@ module Wl = struct
         (* set when the node is spliced out: the nodes that stand in its
            place in its block, which still lists the dead node *)
     mutable n_cached : Op.t option;
-        (* materialised subtree; invariant: a node with no cache has no
-           cached ancestor (materialising a node caches every
+        (* materialised subtree, the imported op itself while the
+           subtree is untouched; invariant: a node with no cache has no
+           cached ancestor (import and materialisation cache every
            descendant, and invalidation clears the whole spine up to
            the root) *)
   }
@@ -292,6 +299,7 @@ module Wl = struct
     eb : Builder.t;
     cfg : config;
     index : compiled;
+    seed_all : bool;  (* a fold hook or a wildcard pattern: any op may act *)
     mutable next_nid : int;
     defs : node option Arena.t;  (* value id -> defining node *)
     uses : node list Arena.t;
@@ -315,6 +323,7 @@ module Wl = struct
       eb = Builder.create ();
       cfg;
       index;
+      seed_all = cfg.fold <> None || Array.length index.wildcard_only > 0;
       next_nid = 0;
       defs = Arena.create ~capacity:256 None;
       uses = Arena.create ~capacity:256 [];
@@ -345,14 +354,6 @@ module Wl = struct
       Queue.push n e.queue
     end
 
-  (* Post-order (children first): the initial tree is visited bottom-up. *)
-  let rec enqueue_tree e n =
-    List.iter
-      (fun blocks ->
-        List.iter (fun nb -> List.iter (enqueue_tree e) nb.nb_body) blocks)
-      n.n_regions;
-    enqueue e n
-
   let resolve e v =
     resolve_subst e.subst ~pat_name:"<engine>" ~loc:Ftn_diag.Loc.unknown v
 
@@ -366,8 +367,12 @@ module Wl = struct
       n.n_cached <- None;
       (match n.n_parent with Some p -> invalidate p | None -> ())
 
+  (* Import [op] as a fresh node subtree. A node whose operands all
+     resolve to themselves and whose children are all untouched records
+     [op] itself as its materialisation. *)
   let rec import e parent block (op : Op.t) =
-    let operands = List.map (resolve e) op.Op.operands in
+    let operands = Op.map_shared (resolve e) op.Op.operands in
+    let untouched = ref (operands == op.Op.operands) in
     let n =
       {
         nid = (e.next_nid <- e.next_nid + 1; e.next_nid);
@@ -384,11 +389,16 @@ module Wl = struct
         n_cached = None;
       }
     in
-    List.iter (fun r -> Arena.set e.defs (Value.id r) (Some n)) n.n_results;
-    List.iter (fun v -> add_use e v n) operands;
     List.iter
-      (fun v -> Builder.reserve_above e.eb (Value.id v))
-      (n.n_results @ operands);
+      (fun r ->
+        Arena.set e.defs (Value.id r) (Some n);
+        Builder.reserve_above e.eb (Value.id r))
+      n.n_results;
+    List.iter
+      (fun v ->
+        add_use e v n;
+        Builder.reserve_above e.eb (Value.id v))
+      operands;
     n.n_regions <-
       List.map
         (fun blocks ->
@@ -406,10 +416,16 @@ module Wl = struct
                 (fun v -> Builder.reserve_above e.eb (Value.id v))
                 b.Op.args;
               nb.nb_body <-
-                List.map (fun o -> import e (Some n) (Some nb) o) b.Op.body;
+                List.map
+                  (fun o ->
+                    let c = import e (Some n) (Some nb) o in
+                    if Option.is_none c.n_cached then untouched := false;
+                    c)
+                  b.Op.body;
               nb)
             blocks)
         op.Op.regions;
+    if !untouched then n.n_cached <- Some op;
     n
 
   (* A block entry stands for itself while live and for its recorded
@@ -448,6 +464,26 @@ module Wl = struct
       body = List.map materialize nodes;
     }
 
+  (* Whether visiting [n] could act: a pattern is rooted at its name, any
+     op may act ([seed_all]), or it is trivially dead already. An op that
+     becomes dead later is enqueued when its last user dies. *)
+  let may_act e n =
+    e.seed_all
+    || Hashtbl.mem e.index.by_root n.n_name
+    || n.n_parent <> None
+       && List.for_all (fun r -> not (has_live_user e r)) n.n_results
+       && e.cfg.is_trivially_dead (materialize n)
+
+  (* Enqueue the ops of [n]'s subtree a visit could act on, in post-order
+     (children first), so a fresh tree is visited bottom-up. The skipped
+     ops' visits would have done nothing, so every acting visit keeps its
+     place in the order. *)
+  let rec seed e n =
+    List.iter
+      (fun blocks -> List.iter (fun nb -> List.iter (seed e) nb.nb_body) blocks)
+      n.n_regions;
+    if may_act e n then enqueue e n
+
   (* Killing a node unregisters its defs; producers that just lost a user
      are re-enqueued so the driver can notice they became trivially dead
      (the use lists themselves are lazily deleted). A node that was
@@ -474,8 +510,9 @@ module Wl = struct
         n.n_results
     end
 
-  (* Replace [n] with [new_ops] in its containing block; enqueue the fresh
-     nodes and the users of any result value a new op redefines in place.
+  (* Replace [n] with [new_ops] in its containing block; seed the fresh
+     nodes and enqueue the users of any result value a new op redefines
+     in place.
      The block itself is not rebuilt: [n] stays in it, dead, with the new
      nodes recorded as its replacements, so a splice costs the size of
      the rewrite and not of the block. *)
@@ -488,7 +525,7 @@ module Wl = struct
         kill e n;
         let n' = import e None None op in
         e.root <- Some n';
-        enqueue_tree e n'
+        seed e n'
       | _ -> invalid_arg "Rewrite: top-level op was erased or split")
     | Some nb ->
       kill e n;
@@ -496,7 +533,7 @@ module Wl = struct
       let news = List.map (import e n.n_parent (Some nb)) new_ops in
       n.n_repl <- news;
       nb.nb_spliced <- true;
-      List.iter (enqueue_tree e) news;
+      List.iter (seed e) news;
       List.iter
         (fun r ->
           match Arena.get e.defs (Value.id r) with
@@ -627,7 +664,7 @@ module Wl = struct
     let e = create cfg index in
     let root = import e None None top in
     e.root <- Some root;
-    enqueue_tree e root;
+    seed e root;
     let initial = e.next_nid in
     let budget = cfg.max_iterations * (initial + 16) in
     let converged = ref true in

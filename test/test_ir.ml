@@ -730,12 +730,13 @@ let rewrite_tests =
            mid ops whose results all join in a single user. Renaming
            each mid op re-enqueues the join; without the in-queue flag
            the join would be pushed once per mid and visited up to M
-           extra times. With coalescing the total visit count is
-           exactly: initial ops (func + src + M mids + join + return =
-           M+4) plus the M renamed replacement ops plus one revisit of
-           the source (each kill re-enqueues the producer for the
-           dead-code check; those M re-enqueues coalesce too) — the
-           join's M re-enqueues collapse into its single queued entry. *)
+           extra times. Only the M mids are seeded (no other op roots a
+           pattern, and none is dead), and the renamed replacements root
+           none either. With coalescing the total visit count is
+           exactly: the M mids, one visit of the source (each kill
+           re-enqueues the producer for the dead-code check; those M
+           re-enqueues coalesce) and one of the join, whose M
+           re-enqueues collapse into its single queued entry. *)
         let m_mids = 8 in
         let b = Builder.create () in
         let src = Builder.op1 b "test.src" Types.I32 in

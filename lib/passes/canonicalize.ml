@@ -191,58 +191,43 @@ let cse_key op =
         match v with Attr.Loc _ -> not (String.equal k "loc") | _ -> true)
       (Op.attrs op) )
 
+(* One walk with one id-keyed substitution for the whole module: a value
+   is used only after its definition in walk order, nested regions
+   included, so every use is resolved as the walk reaches it. Ops merge
+   only within a block. Whatever the walk leaves unchanged stays shared,
+   and a module with nothing to merge is returned as is. *)
 let cse m =
+  let subst : Value.t option Arena.t = Arena.create None in
+  let resolve v =
+    match Arena.get subst (Value.id v) with Some v' -> v' | None -> v
+  in
   let rec walk_op op =
-    {
-      op with
-      Op.regions =
-        List.map
-          (fun blocks -> List.map walk_block blocks)
-          op.Op.regions;
-    }
+    let operands = Op.map_shared resolve op.Op.operands in
+    let regions = Op.map_shared (Op.map_shared walk_block) op.Op.regions in
+    if operands == op.Op.operands && regions == op.Op.regions then op
+    else { op with Op.operands; regions }
   and walk_block blk =
-    let seen : Value.t list Cse_key.t = Cse_key.create 32 in
-    let subst : (int, Value.t) Hashtbl.t = Hashtbl.create 16 in
-    let resolve v =
-      match Hashtbl.find_opt subst (Value.id v) with
-      | Some v' -> v'
-      | None -> v
-    in
+    let seen : Value.t list Cse_key.t = Cse_key.create 16 in
     let body =
-      List.concat_map
+      Op.filter_map_shared
         (fun op ->
-          let op =
-            { op with Op.operands = List.map resolve op.Op.operands }
-          in
           let op = walk_op op in
           if pure_op op && op.Op.regions = [] && Op.results op <> [] then begin
             let k = cse_key op in
             match Cse_key.find_opt seen k with
             | Some prior_results ->
               List.iter2
-                (fun r p -> Hashtbl.replace subst (Value.id r) p)
+                (fun r p -> Arena.set subst (Value.id r) (Some p))
                 (Op.results op) prior_results;
-              []
+              None
             | None ->
               Cse_key.add seen k (Op.results op);
-              [ op ]
+              Some op
           end
-          else [ op ])
+          else Some op)
         blk.Op.body
     in
-    (* a substitution may be recorded after some uses were emitted if ops
-       are reordered; a second resolve sweep keeps everything consistent *)
-    let body =
-      List.map
-        (fun op ->
-          Op.substitute
-            (fun v ->
-              let v' = resolve v in
-              if Value.equal v v' then None else Some v')
-            op)
-        body
-    in
-    { blk with Op.body }
+    if body == blk.Op.body then blk else { blk with Op.body }
   in
   walk_op m
 
@@ -253,67 +238,53 @@ let is_scalar_alloca_ty v =
   | Types.Memref { shape = []; _ } -> true
   | _ -> false
 
+(* Track, per block, the last value stored to each rank-0 memref that an
+   alloca produced; any op with regions or a call forgets them all
+   (conservative). A forwarded load's uses may sit anywhere after it,
+   nested regions included, so as in [cse] one walk resolves every use
+   through one substitution for the whole module. *)
 let forward_stores m =
-  (* Track, per block, the last value stored to each rank-0 memref that was
-     produced by an alloca in this function. Any op with regions or a call
-     invalidates everything (conservative). *)
-  let allocas = ref Value.Set.empty in
-  Op.walk
-    (fun op ->
-      if
-        String.equal (Op.name op) "memref.alloca"
-        && is_scalar_alloca_ty (Op.result1 op)
-      then allocas := Value.Set.add (Op.result1 op) !allocas)
-    m;
+  let scalar_alloca : bool Arena.t = Arena.create false in
+  let subst : Value.t option Arena.t = Arena.create None in
+  let resolve v =
+    match Arena.get subst (Value.id v) with Some v' -> v' | None -> v
+  in
+  let is_scalar_alloca v = Arena.get scalar_alloca (Value.id v) in
   let rec walk_op op =
-    {
-      op with
-      Op.regions =
-        List.map (fun blocks -> List.map walk_block blocks) op.Op.regions;
-    }
+    let operands = Op.map_shared resolve op.Op.operands in
+    let regions = Op.map_shared (Op.map_shared walk_block) op.Op.regions in
+    if operands == op.Op.operands && regions == op.Op.regions then op
+    else { op with Op.operands; regions }
   and walk_block blk =
     let last_store : (int, Value.t) Hashtbl.t = Hashtbl.create 8 in
-    let subst : (int, Value.t) Hashtbl.t = Hashtbl.create 8 in
-    let resolve v =
-      match Hashtbl.find_opt subst (Value.id v) with
-      | Some v' -> v'
-      | None -> v
-    in
     let body =
-      List.concat_map
+      Op.filter_map_shared
         (fun op ->
-          let op =
-            { op with Op.operands = List.map resolve op.Op.operands }
-          in
-          match Op.name op with
-          | "memref.store" -> (
-            match Op.operands op with
-            | [ value; mr ] when Value.Set.mem mr !allocas ->
-              Hashtbl.replace last_store (Value.id mr) value;
-              [ op ]
-            | _ -> [ op ])
-          | "memref.load" -> (
-            match Op.operands op with
-            | [ mr ] when Value.Set.mem mr !allocas -> (
-              match Hashtbl.find_opt last_store (Value.id mr) with
-              | Some value ->
-                Hashtbl.replace subst (Value.id (Op.result1 op)) value;
-                []
-              | None -> [ op ])
-            | _ -> [ op ])
-          | "func.call" | "fir.call" ->
+          let op = walk_op op in
+          match (Op.name op, Op.operands op) with
+          | "memref.alloca", _ ->
+            let r = Op.result1 op in
+            if is_scalar_alloca_ty r then
+              Arena.set scalar_alloca (Value.id r) true;
+            Some op
+          | "memref.store", [ value; mr ] when is_scalar_alloca mr ->
+            Hashtbl.replace last_store (Value.id mr) value;
+            Some op
+          | "memref.load", [ mr ] when is_scalar_alloca mr -> (
+            match Hashtbl.find_opt last_store (Value.id mr) with
+            | Some value ->
+              Arena.set subst (Value.id (Op.result1 op)) (Some value);
+              None
+            | None -> Some op)
+          | ("func.call" | "fir.call"), _ ->
             Hashtbl.reset last_store;
-            [ op ]
+            Some op
           | _ ->
-            if op.Op.regions <> [] then begin
-              let op = walk_op op in
-              Hashtbl.reset last_store;
-              [ op ]
-            end
-            else [ op ])
+            if op.Op.regions <> [] then Hashtbl.reset last_store;
+            Some op)
         blk.Op.body
     in
-    { blk with Op.body }
+    if body == blk.Op.body then blk else { blk with Op.body }
   in
   walk_op m
 
@@ -376,8 +347,13 @@ let dead_alloca_elimination m =
 
 let simplify m = Rewrite.apply_compiled ~config no_patterns m
 
+(* [simplify] reaches a fixpoint, so it reruns only after a sweep that
+   changed the module. *)
 let run m =
-  m |> simplify |> cse |> forward_stores |> simplify
-  |> dead_alloca_elimination |> simplify
+  let m = simplify m in
+  let swept = forward_stores (cse m) in
+  let m = if swept == m then m else simplify swept in
+  let swept = dead_alloca_elimination m in
+  if swept == m then m else simplify swept
 
 let pass = Pass.make "canonicalize" run

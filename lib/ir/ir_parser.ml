@@ -399,8 +399,11 @@ let parse_attr_dict st =
 
 (* --- values, operations --- *)
 
+(* Value ids are non-negative, as Builder allocates them: the verifier
+   and the rewrite driver index dense tables by id. *)
 let parse_value_id st =
   expect_char st '%';
+  if peek st = Some '-' then error st "expected a non-negative value id";
   parse_int st
 
 let parse_value_id_list st =

@@ -16,8 +16,6 @@
 let isolated_from_above name =
   List.mem name [ "builtin.module"; "func.func"; "device.kernel_create" ]
 
-module Ids = Hashtbl.Make (Int)
-
 let verify ?(strict = false) top =
   let diags = ref [] in
   let add op message =
@@ -26,25 +24,22 @@ let verify ?(strict = false) top =
         (Fmt.str "'%s': %s" op.Op.name message)
       :: !diags
   in
-  let defined : unit Ids.t = Ids.create 256 in
+  (* Both tables are dense arrays indexed by value id. *)
+  let defined = Arena.create ~capacity:256 false in
   let define op v =
-    if Ids.mem defined (Value.id v) then
+    if Arena.get defined (Value.id v) then
       add op (Fmt.str "value %%%d defined twice" (Value.id v))
-    else Ids.add defined (Value.id v) ()
+    else Arena.set defined (Value.id v) true
   in
-  (* [scope] binds each value id in scope to the isolation depth it was
-     bound at, and only bindings at the current [depth] are visible, so
-     entering an isolated op hides the enclosing scope without copying
-     it. A binding shadows any earlier one for the same id; each region
-     logs what it binds and unbinds it when it ends, which restores the
-     scope of the op that holds it. *)
-  let scope : int Ids.t = Ids.create 256 in
+  (* [scope] holds, per value, the isolation depth of its innermost
+     binding (-1 when unbound), and only bindings at the current [depth]
+     are visible, so entering an isolated op hides the enclosing scope
+     without copying it. A binding shadows any earlier one for the same
+     value; each region logs what it overwrote and restores it when it
+     ends, which restores the scope of the op that holds it. *)
+  let scope = Arena.create ~capacity:256 (-1) in
   let depth = ref 0 in
-  let visible v =
-    match Ids.find scope (Value.id v) with
-    | d -> d = !depth
-    | exception Not_found -> false
-  in
+  let visible v = Arena.get scope (Value.id v) = !depth in
   let rec check_op op =
     List.iter
       (fun v ->
@@ -80,8 +75,9 @@ let verify ?(strict = false) top =
         (fun blocks ->
           let undo = ref [] in
           let bind v =
-            Ids.add scope (Value.id v) !depth;
-            undo := Value.id v :: !undo
+            let i = Value.id v in
+            undo := (i, Arena.get scope i) :: !undo;
+            Arena.set scope i !depth
           in
           List.iter bind seeded;
           List.iter bind op.Op.results;
@@ -95,7 +91,7 @@ let verify ?(strict = false) top =
                   List.iter bind o.Op.results)
                 b.Op.body)
             blocks;
-          List.iter (Ids.remove scope) !undo)
+          List.iter (fun (i, prev) -> Arena.set scope i prev) !undo)
         op.Op.regions;
       if isolated then decr depth
     end

@@ -7,7 +7,8 @@
 val verify : ?strict:bool -> Op.t -> Ftn_diag.Diag.t list
 (** Returns all diagnostics, each located at the offending op's [loc]
     attribute when present; empty means valid. [strict] also flags
-    unregistered operations. *)
+    unregistered operations. Value ids must be non-negative, as
+    {!Builder} and {!Ir_parser} produce them. *)
 
 val verify_exn : ?strict:bool -> Op.t -> unit
 (** Raises {!Ftn_diag.Diag.Diag_failure} with the collected diagnostics if

@@ -130,6 +130,41 @@ let canonicalize_tests =
           Canonicalize.forward_stores (wrap_fn [ slot; v; st; call; ld; keep ])
         in
         check Alcotest.int "load kept" 1 (count "memref.load" m));
+    tc "a forwarded load's uses in a later loop follow it" (fun () ->
+        (* %3 = load %1 forwards to the stored constant; the loop body's
+           store of %3 must store the constant too, or erasing the load
+           leaves it using an undefined value *)
+        let b = Builder.create () in
+        let out = Builder.fresh b (Types.memref_static [ 8 ] Types.F32) in
+        let slot = Memref_d.alloca b (Types.memref [] Types.F32) in
+        let two = Arith.const_f32 b 2.0 in
+        let st = Memref_d.store (Op.result1 two) (Op.result1 slot) [] in
+        let ld = Memref_d.load b (Op.result1 slot) [] in
+        let bound n = Arith.const_index b n in
+        let lb = bound 0 and ub = bound 8 and step = bound 1 in
+        let loop =
+          Scf.for_ b ~lb:(Op.result1 lb) ~ub:(Op.result1 ub)
+            ~step:(Op.result1 step) (fun iv _ ->
+              [ Memref_d.store (Op.result1 ld) out [ iv ]; Scf.yield () ])
+        in
+        let m =
+          Canonicalize.run
+            (wrap_fn ~args:[ out ] [ slot; two; st; ld; lb; ub; step; loop ])
+        in
+        check
+          Alcotest.(list string)
+          "verifies" []
+          (List.map
+             (fun d -> d.Ftn_diag.Diag.message)
+             (Verifier.verify m));
+        check Alcotest.int "alloca gone" 0 (count "memref.alloca" m);
+        let loop' = List.hd (Op.collect Scf.is_for m) in
+        match Op.collect Memref_d.is_store loop' with
+        | [ store ] ->
+          check Alcotest.bool "the loop stores the constant" true
+            (Value.equal (Op.operand store 0) (Op.result1 two))
+        | stores ->
+          Alcotest.failf "%d stores in the loop" (List.length stores));
     tc "dce removes unused pure ops" (fun () ->
         let b = Builder.create () in
         let dead = Arith.const_i32 b 5 in

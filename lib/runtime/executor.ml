@@ -452,6 +452,7 @@ let drain_to_peer (ctx : context) ~name args (fault : Fault.fault) token =
         let { Event.ev_device = device; ev_start_s = start_s; _ } =
           charge_sync ctx ~lane:Event.Copy_in ~track:Event.Transfer t
         in
+        Ftn_obs.Metrics.incr ~by:bytes "device.bytes_h2d";
         let drain =
           { Trace.kernel = name; from_device = bad.Scheduler.dev_id }
         in
@@ -505,7 +506,7 @@ let execute_kernel (ctx : context) state (k : kernel) args =
     Ftn_obs.Metrics.observe k.k_latency_metric latency;
     Ftn_obs.Metrics.observe k.k_time_metric t;
     Ftn_obs.Metrics.observe "device.queue_wait_s" queue_wait;
-    Ftn_obs.Flight.record ~time_s:oev.Event.ev_finish_s ~loc:ctx.cur_loc_str
+    Ftn_obs.Flight.record ~time_s:ctx.cursor_s ~loc:ctx.cur_loc_str
       ~device:ctx.device.Scheduler.dev_id ~cat:"launch" k.k_flight;
     Ftn_obs.Log.debugf "launch %s: %.3f us kernel + %.3f us overhead" name
       (t *. 1e6) (overhead *. 1e6);

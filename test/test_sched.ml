@@ -266,6 +266,49 @@ let fault_tests =
         check Alcotest.bool "degraded" true r.Executor.degraded;
         check Alcotest.bool "not drained" false r.Executor.drained;
         check Alcotest.int "cpu fallbacks" 1 r.Executor.cpu_fallbacks);
+    tc "a drained run counts its bytes and keeps its flight in time order"
+      (fun () ->
+        (* SGESL n=16 on two devices: a hung first launch that one retry
+           absorbs, then a persistent fault on the second launch that
+           drains the run to device 1 *)
+        let art =
+          Core.Compiler.compile (Ftn_linpack.Fortran_sources.sgesl ~n:16)
+        in
+        let bitstream = Core.Compiler.synthesise art in
+        let faults =
+          match Fault.parse_plan "timeout:nth=1,launch:nth=2:persistent" with
+          | Ok p -> p
+          | Error m -> Fmt.failwith "bad plan: %s" m
+        in
+        let module Flight = Ftn_obs.Flight in
+        let saved = Flight.capacity () in
+        Flight.set_capacity 100_000;
+        Flight.clear ();
+        Fun.protect
+          ~finally:(fun () -> Flight.set_capacity saved)
+          (fun () ->
+            let bytes () =
+              Ftn_obs.Metrics.counter_value "device.bytes_h2d"
+              + Ftn_obs.Metrics.counter_value "device.bytes_d2h"
+            in
+            let bytes0 = bytes () and dropped0 = Flight.dropped () in
+            let r =
+              Executor.run ~faults ~sched:(Scheduler.create ~devices:2 ())
+                ~host:art.Core.Compiler.host ~bitstream ()
+            in
+            check Alcotest.bool "drained" true r.Executor.drained;
+            check Alcotest.int "h2d + d2h bytes are the bytes moved"
+              r.Executor.bytes_transferred (bytes () - bytes0);
+            let entries = Flight.entries () in
+            check Alcotest.int "no entry dropped" dropped0 (Flight.dropped ());
+            ignore
+              (List.fold_left
+                 (fun prev (e : Flight.entry) ->
+                   if e.Flight.time_s < prev then
+                     Alcotest.failf "#%d %s at %h precedes the entry before (%h)"
+                       e.Flight.seq e.Flight.cat e.Flight.time_s prev;
+                   e.Flight.time_s)
+                 neg_infinity entries)));
   ]
 
 (* --- queue wait on the owning device's timeline --- *)

@@ -367,12 +367,36 @@ module Wl = struct
       n.n_cached <- None;
       (match n.n_parent with Some p -> invalidate p | None -> ())
 
+  (* [List.map (resolve e)], returning the list itself when every value
+     resolves to itself. *)
+  let rec resolve_all e = function
+    | [] -> []
+    | v :: rest as l ->
+      let v' = resolve e v in
+      let rest' = resolve_all e rest in
+      if v' == v && rest' == rest then l else v' :: rest'
+
+  let rec define_all e def = function
+    | [] -> ()
+    | r :: rest ->
+      Arena.set e.defs (Value.id r) def;
+      Builder.reserve_above e.eb (Value.id r);
+      define_all e def rest
+
+  let rec use_all e n = function
+    | [] -> ()
+    | v :: rest ->
+      add_use e v n;
+      Builder.reserve_above e.eb (Value.id v);
+      use_all e n rest
+
+  let cached n = Option.is_some n.n_cached
+
   (* Import [op] as a fresh node subtree. A node whose operands all
      resolve to themselves and whose children are all untouched records
      [op] itself as its materialisation. *)
   let rec import e parent block (op : Op.t) =
-    let operands = Op.map_shared (resolve e) op.Op.operands in
-    let untouched = ref (operands == op.Op.operands) in
+    let operands = resolve_all e op.Op.operands in
     let n =
       {
         nid = (e.next_nid <- e.next_nid + 1; e.next_nid);
@@ -389,44 +413,29 @@ module Wl = struct
         n_cached = None;
       }
     in
-    List.iter
-      (fun r ->
-        Arena.set e.defs (Value.id r) (Some n);
-        Builder.reserve_above e.eb (Value.id r))
-      n.n_results;
-    List.iter
-      (fun v ->
-        add_use e v n;
-        Builder.reserve_above e.eb (Value.id v))
-      operands;
-    n.n_regions <-
-      List.map
-        (fun blocks ->
-          List.map
-            (fun (b : Op.block) ->
-              let nb =
-                {
-                  nb_label = b.Op.label;
-                  nb_args = b.Op.args;
-                  nb_body = [];
-                  nb_spliced = false;
-                }
-              in
-              List.iter
-                (fun v -> Builder.reserve_above e.eb (Value.id v))
-                b.Op.args;
-              nb.nb_body <-
-                List.map
-                  (fun o ->
-                    let c = import e (Some n) (Some nb) o in
-                    if Option.is_none c.n_cached then untouched := false;
-                    c)
-                  b.Op.body;
-              nb)
-            blocks)
-        op.Op.regions;
-    if !untouched then n.n_cached <- Some op;
+    let self = Some n in
+    define_all e self n.n_results;
+    use_all e n operands;
+    let untouched =
+      match op.Op.regions with
+      | [] -> true
+      | regions ->
+        n.n_regions <- List.map (List.map (import_block e self)) regions;
+        List.for_all
+          (List.for_all (fun nb -> List.for_all cached nb.nb_body))
+          n.n_regions
+    in
+    if untouched && operands == op.Op.operands then n.n_cached <- Some op;
     n
+
+  and import_block e parent (b : Op.block) =
+    let nb =
+      { nb_label = b.Op.label; nb_args = b.Op.args; nb_body = []; nb_spliced = false }
+    in
+    List.iter (fun v -> Builder.reserve_above e.eb (Value.id v)) b.Op.args;
+    let block = Some nb in
+    nb.nb_body <- List.map (fun o -> import e parent block o) b.Op.body;
+    nb
 
   (* A block entry stands for itself while live and for its recorded
      replacements once spliced out. *)
@@ -467,11 +476,15 @@ module Wl = struct
   (* Whether visiting [n] could act: a pattern is rooted at its name, any
      op may act ([seed_all]), or it is trivially dead already. An op that
      becomes dead later is enqueued when its last user dies. *)
+  let rec unused e = function
+    | [] -> true
+    | r :: rest -> (not (has_live_user e r)) && unused e rest
+
   let may_act e n =
     e.seed_all
     || Hashtbl.mem e.index.by_root n.n_name
     || n.n_parent <> None
-       && List.for_all (fun r -> not (has_live_user e r)) n.n_results
+       && unused e n.n_results
        && e.cfg.is_trivially_dead (materialize n)
 
   (* Enqueue the ops of [n]'s subtree a visit could act on, in post-order
@@ -479,9 +492,10 @@ module Wl = struct
      ops' visits would have done nothing, so every acting visit keeps its
      place in the order. *)
   let rec seed e n =
-    List.iter
-      (fun blocks -> List.iter (fun nb -> List.iter (seed e) nb.nb_body) blocks)
-      n.n_regions;
+    if n.n_regions <> [] then
+      List.iter
+        (List.iter (fun nb -> List.iter (seed e) nb.nb_body))
+        n.n_regions;
     if may_act e n then enqueue e n
 
   (* Killing a node unregisters its defs; producers that just lost a user

@@ -165,6 +165,29 @@ let canonicalize_tests =
             (Value.equal (Op.operand store 0) (Op.result1 two))
         | stores ->
           Alcotest.failf "%d stores in the loop" (List.length stores));
+    tc "cse and forwarding return a module they leave alone" (fun () ->
+        (* a second sweep over a swept module finds nothing to merge or
+           forward, and hands back the very module it was given *)
+        let open Ftn_linpack.Fortran_sources in
+        List.iter
+          (fun (source, src) ->
+            let core = Ftn_frontend.Frontend.to_core src in
+            List.iter
+              (fun (sweep, f) ->
+                let once = f core in
+                check Alcotest.bool (source ^ " " ^ sweep) true (f once == once))
+              [
+                ("cse", Canonicalize.cse);
+                ("forward_stores", Canonicalize.forward_stores);
+              ])
+          [
+            ("sgesl", sgesl ~n:16);
+            ("many_kernels", many_kernels ~kernels:4 ~n:64);
+            ("saxpy", saxpy ~n:1000);
+            ("dot_product", dot_product ~n:64 ~simdlen:4);
+            ("data_regions", data_regions ~n:64);
+            ("stencil", stencil ~n:32 ~steps:2);
+          ]);
     tc "dce removes unused pure ops" (fun () ->
         let b = Builder.create () in
         let dead = Arith.const_i32 b 5 in
@@ -251,6 +274,42 @@ let canonicalize_tests =
             ("data_regions", data_regions ~n:64);
             ("stencil", stencil ~n:32 ~steps:2);
           ]);
+  ]
+
+(* --- allocation of the rewrite driver --- *)
+
+let driver_alloc_tests =
+  [
+    tc "a driver run that fires nothing allocates a bounded amount per op"
+      (fun () ->
+        (* a pattern rooted at func.func that always declines, over the
+           host module of SGESL n=64: import builds one node per op, only
+           the functions are seeded and visited, and the export hands
+           back the input. It allocates 45.3 minor words per op; before
+           seeding and sharing the same run allocated 119.4. The bound is
+           about 1.5x the measurement. *)
+        let host =
+          (Pipeline.run_mid_end
+             (Ftn_frontend.Frontend.to_core
+                (Ftn_linpack.Fortran_sources.sgesl ~n:64)))
+            .Pipeline.host
+        in
+        let never =
+          Rewrite.compile
+            [ Rewrite.pattern ~roots:[ "func.func" ] "never" (fun _ _ -> None) ]
+        in
+        let run () = Rewrite.apply_compiled_with_stats never host in
+        ignore (run ());
+        let words0 = Gc.minor_words () in
+        let out, st = run () in
+        let per_op =
+          (Gc.minor_words () -. words0) /. float_of_int (Pass.count_ops host)
+        in
+        check Alcotest.int "nothing fired" 0 st.Rewrite.patterns_fired;
+        check Alcotest.bool "input returned" true (out == host);
+        check Alcotest.bool
+          (Fmt.str "%.1f minor words per op <= 68" per_op)
+          true (per_op <= 68.0));
   ]
 
 (* --- lower_omp_data --- *)
@@ -590,6 +649,7 @@ let () =
   Alcotest.run "passes"
     [
       ("canonicalize", canonicalize_tests);
+      ("driver-alloc", driver_alloc_tests);
       ("lower-omp-data", omp_data_tests);
       ("lower-omp-target", omp_target_tests);
       ("lower-omp-to-hls", hls_tests);

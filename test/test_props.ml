@@ -440,6 +440,57 @@ let rewrite_fixpoint =
       && st.Rewrite.ops_erased = 0
       && String.equal (Printer.to_string once) (Printer.to_string twice))
 
+(* Seeding the worklist only with the ops a rule can act on changes no
+   outcome. A config without a fold hook seeds those ops; the same
+   config with a fold hook that always declines seeds every op. On
+   random arith modules both print alike and fire, fold and erase
+   equally often, with dead-op erasure on or off and patterns that
+   rename ops or redirect a result to an operand and erase the op. *)
+let seeding_changes_no_outcome =
+  let rename from into =
+    Rewrite.pattern ~roots:[ from ] (from ^ "->" ^ into) (fun _ op ->
+        Some (Rewrite.replace_with [ { op with Op.name = into } ]))
+  in
+  let forward root =
+    Rewrite.pattern ~roots:[ root ] (root ^ "->lhs") (fun _ op ->
+        Some
+          (Rewrite.replace_with
+             ~replacements:[ (Op.result1 op, Op.operand op 0) ]
+             []))
+  in
+  let gen =
+    let open QCheck.Gen in
+    let* m = arith_module_gen in
+    let* mode = int_range 0 3 in
+    return (m, mode)
+  in
+  QCheck.Test.make ~count:100 ~name:"seeding only acting ops changes no outcome"
+    (QCheck.make gen ~print:(fun (m, mode) ->
+         Printf.sprintf "mode=%d\n%s" mode (Printer.to_string m)))
+    (fun (m, mode) ->
+      let pats, config =
+        match mode with
+        | 0 -> ([], Rewrite.default_config)
+        | 1 ->
+          ( [ rename "arith.subi" "arith.addi"; rename "arith.muli" "test.mul" ],
+            Rewrite.default_config )
+        | 2 ->
+          ( [ forward "arith.subi"; rename "arith.muli" "test.mul" ],
+            Rewrite.default_config )
+        | _ ->
+          ( [ forward "arith.muli" ],
+            { Rewrite.default_config with is_trivially_dead = (fun _ -> false) }
+          )
+      in
+      let run config =
+        let out, st = Rewrite.apply_with_stats ~config pats m in
+        ( Printer.to_string out,
+          st.Rewrite.patterns_fired,
+          st.Rewrite.ops_folded,
+          st.Rewrite.ops_erased )
+      in
+      run config = run { config with Rewrite.fold = Some (fun _ _ -> None) })
+
 (* Substitution cycles of any length — pattern i redirects result i to
    result (i+1) mod k — are detected and reported as a located diagnostic
    naming a pattern, never an infinite loop. *)
@@ -1225,6 +1276,7 @@ let () =
             acc_omp_equivalence;
             parser_totality;
             rewrite_fixpoint;
+            seeding_changes_no_outcome;
             cycle_detection;
             fold_matches_interp;
             nonconvergence_reported;

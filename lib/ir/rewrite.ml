@@ -306,6 +306,7 @@ module Wl = struct
         (* value id -> user nodes; lazily deleted (dead nodes linger and
            are filtered on read) *)
     subst : Value.t option Arena.t;  (* path-compressed union-find *)
+    resolve : Value.t -> Value.t;  (* [resolve_subst] over [subst] *)
     queue : node Queue.t;
     mutable root : node option;
     mutable cur : node option;  (* node being visited, for ctx_parents *)
@@ -317,6 +318,7 @@ module Wl = struct
   }
 
   let create cfg index =
+    let subst = Arena.create ~capacity:256 None in
     {
       (* import reserves every value id it sees before any pattern runs,
          so no up-front Builder.for_op pre-walk is needed *)
@@ -327,7 +329,9 @@ module Wl = struct
       next_nid = 0;
       defs = Arena.create ~capacity:256 None;
       uses = Arena.create ~capacity:256 [];
-      subst = Arena.create ~capacity:256 None;
+      subst;
+      resolve =
+        resolve_subst subst ~pat_name:"<engine>" ~loc:Ftn_diag.Loc.unknown;
       queue = Queue.create ();
       root = None;
       cur = None;
@@ -354,9 +358,6 @@ module Wl = struct
       Queue.push n e.queue
     end
 
-  let resolve e v =
-    resolve_subst e.subst ~pat_name:"<engine>" ~loc:Ftn_diag.Loc.unknown v
-
   (* Drop a node's cached materialisation and its ancestors' (theirs embed
      this subtree). Stops at the first uncached node: by the invariant its
      ancestors are uncached too. *)
@@ -366,15 +367,6 @@ module Wl = struct
     | Some _ ->
       n.n_cached <- None;
       (match n.n_parent with Some p -> invalidate p | None -> ())
-
-  (* [List.map (resolve e)], returning the list itself when every value
-     resolves to itself. *)
-  let rec resolve_all e = function
-    | [] -> []
-    | v :: rest as l ->
-      let v' = resolve e v in
-      let rest' = resolve_all e rest in
-      if v' == v && rest' == rest then l else v' :: rest'
 
   let rec define_all e def = function
     | [] -> ()
@@ -396,7 +388,7 @@ module Wl = struct
      resolve to themselves and whose children are all untouched records
      [op] itself as its materialisation. *)
   let rec import e parent block (op : Op.t) =
-    let operands = resolve_all e op.Op.operands in
+    let operands = Op.map_shared e.resolve op.Op.operands in
     let n =
       {
         nid = (e.next_nid <- e.next_nid + 1; e.next_nid);
@@ -585,7 +577,7 @@ module Wl = struct
   (* One ctx serves the whole run; per-visit state lives in [e.cur]. *)
   let ctx_of e =
     let def_node v =
-      let v = resolve e v in
+      let v = e.resolve v in
       match Arena.get e.defs (Value.id v) with
       | Some d when d.n_live -> Some d
       | _ -> None

@@ -191,13 +191,14 @@ let cse_key op =
         match v with Attr.Loc _ -> not (String.equal k "loc") | _ -> true)
       (Op.attrs op) )
 
-(* One walk with one id-keyed substitution for the whole module: a value
-   is used only after its definition in walk order, nested regions
-   included, so every use is resolved as the walk reaches it. Ops merge
-   only within a block. Whatever the walk leaves unchanged stays shared,
-   and a module with nothing to merge is returned as is. *)
-let cse m =
-  let subst : Value.t option Arena.t = Arena.create None in
+(* One walk over [m] that resolves every operand through [subst], an
+   id-keyed substitution for the whole module, and rebuilds each block's
+   ops with [body] (which walks an op's regions through the function it
+   is given). A value is used only after its definition in walk order,
+   nested regions included, so every use is resolved as the walk reaches
+   it. Whatever the walk leaves unchanged stays shared, so a sweep that
+   changes nothing returns [m] itself. *)
+let sweep subst body m =
   let resolve v =
     match Arena.get subst (Value.id v) with Some v' -> v' | None -> v
   in
@@ -207,8 +208,17 @@ let cse m =
     if operands == op.Op.operands && regions == op.Op.regions then op
     else { op with Op.operands; regions }
   and walk_block blk =
-    let seen : Value.t list Cse_key.t = Cse_key.create 16 in
-    let body =
+    let ops = body walk_op blk.Op.body in
+    if ops == blk.Op.body then blk else { blk with Op.body = ops }
+  in
+  walk_op m
+
+(* Ops merge only within a block. *)
+let cse m =
+  let subst = Arena.create None in
+  sweep subst
+    (fun walk_op ops ->
+      let seen : Value.t list Cse_key.t = Cse_key.create 16 in
       Op.filter_map_shared
         (fun op ->
           let op = walk_op op in
@@ -225,11 +235,8 @@ let cse m =
               Some op
           end
           else Some op)
-        blk.Op.body
-    in
-    if body == blk.Op.body then blk else { blk with Op.body }
-  in
-  walk_op m
+        ops)
+    m
 
 (* --- store-to-load forwarding on rank-0 allocas --- *)
 
@@ -241,23 +248,14 @@ let is_scalar_alloca_ty v =
 (* Track, per block, the last value stored to each rank-0 memref that an
    alloca produced; any op with regions or a call forgets them all
    (conservative). A forwarded load's uses may sit anywhere after it,
-   nested regions included, so as in [cse] one walk resolves every use
-   through one substitution for the whole module. *)
+   nested regions included. *)
 let forward_stores m =
-  let scalar_alloca : bool Arena.t = Arena.create false in
-  let subst : Value.t option Arena.t = Arena.create None in
-  let resolve v =
-    match Arena.get subst (Value.id v) with Some v' -> v' | None -> v
-  in
+  let subst = Arena.create None in
+  let scalar_alloca = Arena.create false in
   let is_scalar_alloca v = Arena.get scalar_alloca (Value.id v) in
-  let rec walk_op op =
-    let operands = Op.map_shared resolve op.Op.operands in
-    let regions = Op.map_shared (Op.map_shared walk_block) op.Op.regions in
-    if operands == op.Op.operands && regions == op.Op.regions then op
-    else { op with Op.operands; regions }
-  and walk_block blk =
-    let last_store : (int, Value.t) Hashtbl.t = Hashtbl.create 8 in
-    let body =
+  sweep subst
+    (fun walk_op ops ->
+      let last_store : (int, Value.t) Hashtbl.t = Hashtbl.create 8 in
       Op.filter_map_shared
         (fun op ->
           let op = walk_op op in
@@ -282,11 +280,8 @@ let forward_stores m =
           | _ ->
             if op.Op.regions <> [] then Hashtbl.reset last_store;
             Some op)
-        blk.Op.body
-    in
-    if body == blk.Op.body then blk else { blk with Op.body }
-  in
-  walk_op m
+        ops)
+    m
 
 (* Remove allocas whose only remaining uses are stores. *)
 let dead_alloca_elimination m =

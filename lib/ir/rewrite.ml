@@ -368,6 +368,8 @@ module Wl = struct
       n.n_cached <- None;
       (match n.n_parent with Some p -> invalidate p | None -> ())
 
+  (* Explicit loops rather than closures: import runs once per op of every
+     driver run, and these allocate nothing. *)
   let rec define_all e def = function
     | [] -> ()
     | r :: rest ->
@@ -422,7 +424,12 @@ module Wl = struct
 
   and import_block e parent (b : Op.block) =
     let nb =
-      { nb_label = b.Op.label; nb_args = b.Op.args; nb_body = []; nb_spliced = false }
+      {
+        nb_label = b.Op.label;
+        nb_args = b.Op.args;
+        nb_body = [];
+        nb_spliced = false;
+      }
     in
     List.iter (fun v -> Builder.reserve_above e.eb (Value.id v)) b.Op.args;
     let block = Some nb in
@@ -465,13 +472,13 @@ module Wl = struct
       body = List.map materialize nodes;
     }
 
-  (* Whether visiting [n] could act: a pattern is rooted at its name, any
-     op may act ([seed_all]), or it is trivially dead already. An op that
-     becomes dead later is enqueued when its last user dies. *)
   let rec unused e = function
     | [] -> true
     | r :: rest -> (not (has_live_user e r)) && unused e rest
 
+  (* Whether visiting [n] could act: a pattern is rooted at its name, any
+     op may act ([seed_all]), or it is trivially dead already. An op that
+     becomes dead later is enqueued when its last user dies. *)
   let may_act e n =
     e.seed_all
     || Hashtbl.mem e.index.by_root n.n_name

@@ -1,11 +1,18 @@
 (** Greedy pattern-rewrite driver (MLIR's [applyPatternsAndFoldGreedily]
     analogue). The driver is worklist-driven: patterns are indexed by the
     op name they root at (with a wildcard bucket for root-agnostic
-    patterns), and a successful rewrite only re-enqueues the ops that could
-    have been affected — the replacement ops, the users of any redirected
-    values, and the producers of operands the erased op was keeping alive.
-    Constant folding (via a per-pass {!folder} hook) and trivially-dead-op
-    elimination run as part of the driver. *)
+    patterns). The worklist is seeded only with ops a rule can act on —
+    ops a pattern is rooted at, every op when there is a wildcard pattern
+    or a {!folder}, and ops already trivially dead — both at the start and
+    among the replacement ops of each rewrite. A successful rewrite also
+    re-enqueues the users of any redirected values and the producers of
+    operands the erased op was keeping alive. Constant folding (via a
+    per-pass {!folder} hook) and trivially-dead-op elimination run as
+    part of the driver.
+
+    An unchanged subtree of the result is the very op of the input it
+    came from, so a run that fires, folds and erases nothing returns its
+    input. *)
 
 type outcome = {
   new_ops : Op.t list;  (** Replacement ops (empty to erase). *)
@@ -75,8 +82,9 @@ val default_config : config
 
 type stats = {
   ops_visited : int;
-      (** Ops popped from the worklist and examined, revisits included.
-          [builtin.module] ops are not counted. *)
+      (** Ops popped from the worklist and examined, revisits included:
+          the seeded ops and every re-enqueued one. [builtin.module] ops
+          are not counted. *)
   patterns_fired : int;
   ops_folded : int;
   ops_erased : int;  (** Trivially-dead ops removed by the driver. *)

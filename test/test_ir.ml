@@ -745,7 +745,8 @@ let rewrite_tests =
           Rewrite.pattern ~roots:[ "test.a" ] "a->b" (fun _ op ->
               Some (Rewrite.replace_with [ { op with Op.name = "test.b" } ]))
         in
-        match Op.module_body (Rewrite.apply [ a_to_b ] (Op.module_op [ f; g; h ])) with
+        let m = Rewrite.apply [ a_to_b ] (Op.module_op [ f; g; h ]) in
+        match Op.module_body m with
         | [ f'; g'; h' ] ->
           check Alcotest.int "f rewritten" 1
             (Op.count (fun o -> Op.name o = "test.b") f');

@@ -472,7 +472,9 @@ let seeding_changes_no_outcome =
         match mode with
         | 0 -> ([], Rewrite.default_config)
         | 1 ->
-          ( [ rename "arith.subi" "arith.addi"; rename "arith.muli" "test.mul" ],
+          ( [
+              rename "arith.subi" "arith.addi"; rename "arith.muli" "test.mul";
+            ],
             Rewrite.default_config )
         | 2 ->
           ( [ forward "arith.subi"; rename "arith.muli" "test.mul" ],

@@ -305,7 +305,7 @@ let fault_tests =
               (List.fold_left
                  (fun prev (e : Flight.entry) ->
                    if e.Flight.time_s < prev then
-                     Alcotest.failf "#%d %s at %h precedes the entry before (%h)"
+                     Alcotest.failf "#%d %s at %h precedes the one before (%h)"
                        e.Flight.seq e.Flight.cat e.Flight.time_s prev;
                    e.Flight.time_s)
                  neg_infinity entries)));

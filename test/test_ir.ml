@@ -272,16 +272,6 @@ let parser_tests =
            Alcotest.fail "expected parse error"
          with Ir_parser.Parse_error (_, pos) ->
            check Alcotest.bool "position sane" true (pos >= 0)));
-    tc "a negative value id is a parse error" (fun () ->
-        let parse id =
-          Ir_parser.parse_ops (Fmt.str "%%%s = \"test.x\"() : () -> (i32)" id)
-        in
-        check Alcotest.int "%1 parses" 1 (List.length (parse "1"));
-        match parse "-1" with
-        | _ -> Alcotest.fail "expected a parse error"
-        | exception Ir_parser.Parse_error (msg, _) ->
-          check Alcotest.string "message" "expected a non-negative value id"
-            msg);
     tc "multi-block CFG regions round-trip" (fun () ->
         let b = Builder.create () in
         let arg = Builder.fresh b Types.I64 in
@@ -330,6 +320,16 @@ let parser_tests =
         in
         let m = Ir_parser.parse_module text in
         check Alcotest.int "two ops" 2 (List.length (Op.module_body m)));
+    tc "a negative value id is a parse error" (fun () ->
+        let parse id =
+          Ir_parser.parse_ops (Fmt.str "%%%s = \"test.x\"() : () -> (i32)" id)
+        in
+        check Alcotest.int "%1 parses" 1 (List.length (parse "1"));
+        match parse "-1" with
+        | _ -> Alcotest.fail "expected a parse error"
+        | exception Ir_parser.Parse_error (msg, _) ->
+          check Alcotest.string "message" "expected a non-negative value id"
+            msg);
   ]
 
 (* --- verifier --- *)
@@ -717,42 +717,6 @@ let rewrite_tests =
           (Value.equal (Op.result1 konst) (Op.result1 sum));
         check Alcotest.bool "folded" true (stats.Rewrite.ops_folded >= 1);
         check Alcotest.bool "erased" true (stats.Rewrite.ops_erased >= 2));
-    tc "a run that fires nothing returns its input" (fun () ->
-        (* the canonicalize config at its fixpoint on SGESL's core
-           module: the second run visits every op (the fold hook seeds
-           them all), acts on none and hands back the op it was given *)
-        let config = Ftn_passes.Canonicalize.config in
-        let once =
-          Rewrite.apply ~config []
-            (Ftn_frontend.Frontend.to_core
-               (Ftn_linpack.Fortran_sources.sgesl ~n:16))
-        in
-        let twice, stats = Rewrite.apply_with_stats ~config [] once in
-        check Alcotest.int "nothing fired, folded or erased" 0
-          (stats.Rewrite.patterns_fired + stats.Rewrite.ops_folded
-         + stats.Rewrite.ops_erased);
-        check Alcotest.bool "every op visited" true
-          (stats.Rewrite.ops_visited > 0);
-        check Alcotest.bool "the input itself" true (twice == once));
-    tc "a rewrite in one function leaves its siblings shared" (fun () ->
-        let fn name op =
-          Ftn_dialects.Func_d.func ~sym_name:name ~args:[] ~result_tys:[]
-            [ Op.make op; Ftn_dialects.Func_d.return () ]
-        in
-        let f = fn "f" "test.a" and g = fn "g" "test.keep" in
-        let h = fn "h" "test.keep" in
-        let a_to_b =
-          Rewrite.pattern ~roots:[ "test.a" ] "a->b" (fun _ op ->
-              Some (Rewrite.replace_with [ { op with Op.name = "test.b" } ]))
-        in
-        let m = Rewrite.apply [ a_to_b ] (Op.module_op [ f; g; h ]) in
-        match Op.module_body m with
-        | [ f'; g'; h' ] ->
-          check Alcotest.int "f rewritten" 1
-            (Op.count (fun o -> Op.name o = "test.b") f');
-          check Alcotest.bool "g shared" true (g' == g);
-          check Alcotest.bool "h shared" true (h' == h)
-        | body -> Alcotest.failf "%d functions" (List.length body));
     tc "root-indexed patterns only visit matching ops" (fun () ->
         let fired_on = ref [] in
         let pat =
@@ -946,6 +910,42 @@ let rewrite_tests =
             check Alcotest.int (name ^ " gone") 0
               (Op.count (fun o -> Op.name o = name) m))
           [ "test.a"; "test.b"; "scf.if"; "arith.constant" ]);
+    tc "a run that fires nothing returns its input" (fun () ->
+        (* the canonicalize config at its fixpoint on SGESL's core
+           module: the second run visits every op (the fold hook seeds
+           them all), acts on none and hands back the op it was given *)
+        let config = Ftn_passes.Canonicalize.config in
+        let once =
+          Rewrite.apply ~config []
+            (Ftn_frontend.Frontend.to_core
+               (Ftn_linpack.Fortran_sources.sgesl ~n:16))
+        in
+        let twice, stats = Rewrite.apply_with_stats ~config [] once in
+        check Alcotest.int "nothing fired, folded or erased" 0
+          (stats.Rewrite.patterns_fired + stats.Rewrite.ops_folded
+         + stats.Rewrite.ops_erased);
+        check Alcotest.bool "every op visited" true
+          (stats.Rewrite.ops_visited > 0);
+        check Alcotest.bool "the input itself" true (twice == once));
+    tc "a rewrite in one function leaves its siblings shared" (fun () ->
+        let fn name op =
+          Ftn_dialects.Func_d.func ~sym_name:name ~args:[] ~result_tys:[]
+            [ Op.make op; Ftn_dialects.Func_d.return () ]
+        in
+        let f = fn "f" "test.a" and g = fn "g" "test.keep" in
+        let h = fn "h" "test.keep" in
+        let a_to_b =
+          Rewrite.pattern ~roots:[ "test.a" ] "a->b" (fun _ op ->
+              Some (Rewrite.replace_with [ { op with Op.name = "test.b" } ]))
+        in
+        let m = Rewrite.apply [ a_to_b ] (Op.module_op [ f; g; h ]) in
+        match Op.module_body m with
+        | [ f'; g'; h' ] ->
+          check Alcotest.int "f rewritten" 1
+            (Op.count (fun o -> Op.name o = "test.b") f');
+          check Alcotest.bool "g shared" true (g' == g);
+          check Alcotest.bool "h shared" true (h' == h)
+        | body -> Alcotest.failf "%d functions" (List.length body));
   ]
 
 (* --- pass manager --- *)

@@ -130,64 +130,6 @@ let canonicalize_tests =
           Canonicalize.forward_stores (wrap_fn [ slot; v; st; call; ld; keep ])
         in
         check Alcotest.int "load kept" 1 (count "memref.load" m));
-    tc "a forwarded load's uses in a later loop follow it" (fun () ->
-        (* %3 = load %1 forwards to the stored constant; the loop body's
-           store of %3 must store the constant too, or erasing the load
-           leaves it using an undefined value *)
-        let b = Builder.create () in
-        let out = Builder.fresh b (Types.memref_static [ 8 ] Types.F32) in
-        let slot = Memref_d.alloca b (Types.memref [] Types.F32) in
-        let two = Arith.const_f32 b 2.0 in
-        let st = Memref_d.store (Op.result1 two) (Op.result1 slot) [] in
-        let ld = Memref_d.load b (Op.result1 slot) [] in
-        let bound n = Arith.const_index b n in
-        let lb = bound 0 and ub = bound 8 and step = bound 1 in
-        let loop =
-          Scf.for_ b ~lb:(Op.result1 lb) ~ub:(Op.result1 ub)
-            ~step:(Op.result1 step) (fun iv _ ->
-              [ Memref_d.store (Op.result1 ld) out [ iv ]; Scf.yield () ])
-        in
-        let m =
-          Canonicalize.run
-            (wrap_fn ~args:[ out ] [ slot; two; st; ld; lb; ub; step; loop ])
-        in
-        check
-          Alcotest.(list string)
-          "verifies" []
-          (List.map
-             (fun d -> d.Ftn_diag.Diag.message)
-             (Verifier.verify m));
-        check Alcotest.int "alloca gone" 0 (count "memref.alloca" m);
-        let loop' = List.hd (Op.collect Scf.is_for m) in
-        match Op.collect Memref_d.is_store loop' with
-        | [ store ] ->
-          check Alcotest.bool "the loop stores the constant" true
-            (Value.equal (Op.operand store 0) (Op.result1 two))
-        | stores ->
-          Alcotest.failf "%d stores in the loop" (List.length stores));
-    tc "cse and forwarding return a module they leave alone" (fun () ->
-        (* a second sweep over a swept module finds nothing to merge or
-           forward, and hands back the very module it was given *)
-        let open Ftn_linpack.Fortran_sources in
-        List.iter
-          (fun (source, src) ->
-            let core = Ftn_frontend.Frontend.to_core src in
-            List.iter
-              (fun (sweep, f) ->
-                let once = f core in
-                check Alcotest.bool (source ^ " " ^ sweep) true (f once == once))
-              [
-                ("cse", Canonicalize.cse);
-                ("forward_stores", Canonicalize.forward_stores);
-              ])
-          [
-            ("sgesl", sgesl ~n:16);
-            ("many_kernels", many_kernels ~kernels:4 ~n:64);
-            ("saxpy", saxpy ~n:1000);
-            ("dot_product", dot_product ~n:64 ~simdlen:4);
-            ("data_regions", data_regions ~n:64);
-            ("stencil", stencil ~n:32 ~steps:2);
-          ]);
     tc "dce removes unused pure ops" (fun () ->
         let b = Builder.create () in
         let dead = Arith.const_i32 b 5 in
@@ -265,6 +207,64 @@ let canonicalize_tests =
                 ("host", c.Pipeline.host);
                 ("device_hls", Option.get c.Pipeline.device_hls);
                 ("device_llvm", Option.get c.Pipeline.device_llvm);
+              ])
+          [
+            ("sgesl", sgesl ~n:16);
+            ("many_kernels", many_kernels ~kernels:4 ~n:64);
+            ("saxpy", saxpy ~n:1000);
+            ("dot_product", dot_product ~n:64 ~simdlen:4);
+            ("data_regions", data_regions ~n:64);
+            ("stencil", stencil ~n:32 ~steps:2);
+          ]);
+    tc "a forwarded load's uses in a later loop follow it" (fun () ->
+        (* %3 = load %1 forwards to the stored constant; the loop body's
+           store of %3 must store the constant too, or erasing the load
+           leaves it using an undefined value *)
+        let b = Builder.create () in
+        let out = Builder.fresh b (Types.memref_static [ 8 ] Types.F32) in
+        let slot = Memref_d.alloca b (Types.memref [] Types.F32) in
+        let two = Arith.const_f32 b 2.0 in
+        let st = Memref_d.store (Op.result1 two) (Op.result1 slot) [] in
+        let ld = Memref_d.load b (Op.result1 slot) [] in
+        let bound n = Arith.const_index b n in
+        let lb = bound 0 and ub = bound 8 and step = bound 1 in
+        let loop =
+          Scf.for_ b ~lb:(Op.result1 lb) ~ub:(Op.result1 ub)
+            ~step:(Op.result1 step) (fun iv _ ->
+              [ Memref_d.store (Op.result1 ld) out [ iv ]; Scf.yield () ])
+        in
+        let m =
+          Canonicalize.run
+            (wrap_fn ~args:[ out ] [ slot; two; st; ld; lb; ub; step; loop ])
+        in
+        check
+          Alcotest.(list string)
+          "verifies" []
+          (List.map
+             (fun d -> d.Ftn_diag.Diag.message)
+             (Verifier.verify m));
+        check Alcotest.int "alloca gone" 0 (count "memref.alloca" m);
+        let loop' = List.hd (Op.collect Scf.is_for m) in
+        match Op.collect Memref_d.is_store loop' with
+        | [ store ] ->
+          check Alcotest.bool "the loop stores the constant" true
+            (Value.equal (Op.operand store 0) (Op.result1 two))
+        | stores ->
+          Alcotest.failf "%d stores in the loop" (List.length stores));
+    tc "cse and forwarding return a module they leave alone" (fun () ->
+        (* a second sweep over a swept module finds nothing to merge or
+           forward, and hands back the very module it was given *)
+        let open Ftn_linpack.Fortran_sources in
+        List.iter
+          (fun (source, src) ->
+            let core = Ftn_frontend.Frontend.to_core src in
+            List.iter
+              (fun (sweep, f) ->
+                let once = f core in
+                check Alcotest.bool (source ^ " " ^ sweep) true (f once == once))
+              [
+                ("cse", Canonicalize.cse);
+                ("forward_stores", Canonicalize.forward_stores);
               ])
           [
             ("sgesl", sgesl ~n:16);

@@ -1278,7 +1278,6 @@ let () =
             acc_omp_equivalence;
             parser_totality;
             rewrite_fixpoint;
-            seeding_changes_no_outcome;
             cycle_detection;
             fold_matches_interp;
             nonconvergence_reported;
@@ -1288,5 +1287,6 @@ let () =
             backends_differential;
             transient_faults_transparent;
             persistent_kernel_degrades;
+            seeding_changes_no_outcome;
           ] );
     ]

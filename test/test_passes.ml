@@ -274,6 +274,33 @@ let canonicalize_tests =
             ("data_regions", data_regions ~n:64);
             ("stencil", stencil ~n:32 ~steps:2);
           ]);
+    tc "cse merges a nested op whose operand merged outside its block"
+      (fun () ->
+        (* the two constants merge in the function body; inside the loop
+           the adds then read the same operands and merge too *)
+        let b = Builder.create () in
+        let x = Builder.fresh b Types.I32 in
+        let one () = Arith.const_i32 b 1 in
+        let c1 = one () and c2 = one () in
+        let bound n = Arith.const_index b n in
+        let lb = bound 0 and ub = bound 4 and step = bound 1 in
+        let loop =
+          Scf.for_ b ~lb:(Op.result1 lb) ~ub:(Op.result1 ub)
+            ~step:(Op.result1 step) (fun _ _ ->
+              let a1 = Arith.addi b x (Op.result1 c1) in
+              let a2 = Arith.addi b x (Op.result1 c2) in
+              [
+                a1; a2;
+                Op.make "test.keep" ~operands:[ Op.result1 a1; Op.result1 a2 ];
+                Scf.yield ();
+              ])
+        in
+        let m =
+          Canonicalize.cse
+            (wrap_fn ~args:[ x ] [ c1; c2; lb; ub; step; loop ])
+        in
+        check Alcotest.int "one addi" 1 (count "arith.addi" m);
+        Verifier.verify_exn m);
   ]
 
 (* --- allocation of the rewrite driver --- *)
